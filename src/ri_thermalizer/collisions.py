@@ -14,6 +14,12 @@ Population and coherence dynamics decouple for the energy-conserving
 interaction, so diagonal initial states stay diagonal and can be evolved
 as plain probability vectors.
 
+Each path is one step applied over and over to a state: the population
+matrix to a probability vector (plus :func:`step_coherences_d3` for three
+levels), :func:`collide_once` to a density matrix, and :func:`rk4_step` to
+an SL population vector.  :mod:`.simtime` pairs each step with a distance
+to the target and runs a single first-crossing scan over all of them.
+
 A note on two SL equations transcribed from one-collision recursions
 rather than from their printed ODE forms: the c23 equation carries a
 +Gamma*(1-p_A)*c12 feed (the printed sign disagrees with the exact
@@ -99,6 +105,12 @@ class PsiCoefficients:
     psi33: float
 
 
+def flip_flop_rates(j_tau: float) -> tuple[float, float]:
+    """(lambda_+, lambda_-) = (cos^2 J*tau, sin^2 J*tau): the probabilities
+    that one collision leaves an excitation in place or swaps it."""
+    return math.cos(j_tau) ** 2, math.sin(j_tau) ** 2
+
+
 def eta_coefficients(p_a: float, j_tau: float) -> EtaCoefficients:
     """Population rates; eta12 doubles as eta23 and eta21 as eta32."""
     lam = math.cos(2.0 * j_tau)
@@ -130,6 +142,8 @@ def population_step_matrix(d: int, p_a: float, j_tau: float) -> np.ndarray:
     Column-stochastic; fixes the Gibbs populations and acts identically on
     raw populations and on deviations from them.
     """
+    if d < 2:
+        raise ValueError("need d >= 2")
     e = eta_coefficients(p_a, j_tau)
     m = np.zeros((d, d))
     for k in range(d - 1):
@@ -142,14 +156,19 @@ def population_step_matrix(d: int, p_a: float, j_tau: float) -> np.ndarray:
     return m
 
 
+def check_deviation_sum(delta_p: np.ndarray) -> None:
+    """Reject a deviation-from-equilibrium vector that does not sum to zero."""
+    total = float(delta_p.sum())
+    if abs(total) > DEVIATION_SUM_TOL:
+        raise SumNotZero(f"deviations sum to {total:.3e}")
+
+
 def step_populations_recursive(
     delta_p: np.ndarray, p_a: float, j_tau: float
 ) -> np.ndarray:
     """Advance a deviation-from-equilibrium vector by one collision."""
     delta_p = np.asarray(delta_p, dtype=float)
-    total = float(delta_p.sum())
-    if abs(total) > DEVIATION_SUM_TOL:
-        raise SumNotZero(f"deviations sum to {total:.3e}")
+    check_deviation_sum(delta_p)
     return population_step_matrix(delta_p.size, p_a, j_tau) @ delta_p
 
 
@@ -281,8 +300,7 @@ def zero_temp_populations_closed(p0: np.ndarray, n: int, j_tau: float) -> np.nda
     """
     p0 = np.asarray(p0, dtype=float)
     d = p0.size
-    lp = math.cos(j_tau) ** 2
-    lm = math.sin(j_tau) ** 2
+    lp, lm = flip_flop_rates(j_tau)
     p = np.empty(d)
     for k in range(d - 1):
         acc = 0.0
@@ -309,8 +327,7 @@ def zero_temp_coherences_d3_closed(
         return tuple(c0)
     c12_0, c13_0, c23_0 = c0
     mu = math.cos(j_tau)
-    lp = mu * mu
-    lm = math.sin(j_tau) ** 2
+    lp, lm = flip_flop_rates(j_tau)
     phase = complex(math.cos(omega_tau), math.sin(omega_tau))
     c13 = phase ** (2 * n) * mu**n * c13_0
     c23 = phase**n * lp**n * c23_0
@@ -345,6 +362,15 @@ def _resolve_step(t_end: float, dt: float | None, gamma_max: float) -> float:
     return dt
 
 
+def rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical Runge-Kutta step of y' = rhs(y) over a time h."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4(rhs, y0: np.ndarray, t_end: float, dt: float) -> OdeTrajectory:
     steps = max(1, math.ceil(t_end / dt - 1e-12))
     h = t_end / steps
@@ -353,11 +379,7 @@ def _rk4(rhs, y0: np.ndarray, t_end: float, dt: float) -> OdeTrajectory:
     values = np.empty((steps + 1,) + y.shape, dtype=y.dtype)
     values[0] = y
     for i in range(1, steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(rhs, y, h)
         values[i] = y
     return OdeTrajectory(times=times, values=values)
 

@@ -25,9 +25,8 @@ class HermitianEigenDecomposition:
     basis: np.ndarray
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; entry (i_a*d_b + i_b, j_a*d_b + j_b) = a[ia,ja]*b[ib,jb]."""
-    return np.kron(a, b)
+# Kronecker product; entry (i_a*d_b + i_b, j_a*d_b + j_b) = a[ia,ja]*b[ib,jb]
+kron = np.kron
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:

@@ -6,6 +6,14 @@ zero temperature both admit closed forms through the lower branch of the
 Lambert-W function (three levels) or through one-dimensional
 transcendental equations (any dimension), solved here by doubling
 brackets plus bisection on their eventually-decreasing tails.
+
+Every simulated crossing is one search.  An engine supplies a step
+``step(state, k)``, which applies collision k (0-based) or RK4 step k,
+and a distance ``distance(state)`` to its target; ``_first_crossing``
+scans the orbit for the first state within epsilon.  The population
+recursion steps a probability vector, the three-level recursion and the
+CPTP map step a density matrix, and the SL scan steps (populations, t)
+and then bisects the last step with :func:`bisect_crossing`.
 """
 
 from __future__ import annotations
@@ -20,7 +28,9 @@ from .collisions import (
     collide_once,
     collision_unitary,
     density_matrix_d3,
+    flip_flop_rates,
     population_step_matrix,
+    rk4_step,
     sl_population_generator,
     step_coherences_d3,
 )
@@ -131,6 +141,26 @@ def _recursion_applicable(model: ModelSpec) -> bool:
     )
 
 
+def _first_crossing(step, state, distance, epsilon: float, n_max: int):
+    """Scan state, step(state, 0), ... for the first of at most n_max steps
+    that brings distance(state) to epsilon or below.
+
+    Returns (n, distance, previous): the number of steps taken (None when
+    none of them crosses), the distance there, and the state that the last
+    step started from.
+    """
+    previous = state
+    dist = distance(state)
+    if dist <= epsilon:
+        return 0, dist, previous
+    for k in range(n_max):
+        previous, state = state, step(state, k)
+        dist = distance(state)
+        if dist <= epsilon:
+            return k + 1, dist, previous
+    return None, dist, previous
+
+
 def nstar_simulated(
     rho0: np.ndarray,
     model: ModelSpec,
@@ -147,6 +177,7 @@ def nstar_simulated(
     rho0 = np.asarray(rho0, dtype=complex)
     d = model.system.d
     target_p = gibbs_populations(d, model.system.omega, model.ancilla.beta)
+    target = np.diag(target_p.astype(complex))
     diagonal = _is_diagonal(rho0)
     recursion_ok = _recursion_applicable(model) and (diagonal or d == 3)
     if engine == "auto":
@@ -156,61 +187,59 @@ def nstar_simulated(
     elif engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
 
+    n_max = cfg.n_max
+    state = rho0
+    distance = lambda rho: trace_distance(rho, target)
     if engine == "recursion":
-        return _nstar_recursion(rho0, model, cfg, target_p, diagonal)
-    return _nstar_brute_force(rho0, model, cfg, target_p)
+        p_a = model.ancilla.ground_population
+        j_tau = model.interaction.j * cfg.tau
+        omega_tau = model.system.omega * cfg.tau
+        m = population_step_matrix(d, p_a, j_tau)
+        if diagonal:
+            state = np.diag(rho0).real
+            distance = lambda p: population_distance(p, target_p)
+            step = lambda p, k: m @ p
+            if np.array_equal(m, np.eye(d)):
+                n_max = 0  # J*tau a multiple of pi: the populations never move
+        else:
+
+            def step(rho, k):
+                c = step_coherences_d3(rho[0, 1], rho[0, 2], rho[1, 2], p_a, j_tau, omega_tau)
+                return density_matrix_d3(m @ rho.diagonal().real, *c)
+
+    else:
+        # RandomFull re-draws its couplings, and so its unitary, every collision
+        fixed = None if isinstance(model.interaction, RandomFull) else collision_unitary(model, cfg.tau)
+
+        def step(rho, k):
+            return collide_once(rho, model, cfg, collision=k, unitary=fixed)
+
+    n, dist, _ = _first_crossing(step, state, distance, cfg.epsilon, n_max)
+    return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, MODE_DISCRETE)
 
 
-def _result_from_scan(n_cross, distance, tau) -> ThermalizationResult:
-    if n_cross is None:
-        return ThermalizationResult(None, None, distance, MODE_DISCRETE)
-    return ThermalizationResult(n_cross, n_cross * tau, distance, MODE_DISCRETE)
+def bisect_crossing(f, epsilon: float, lo: float, hi: float) -> tuple[float, float]:
+    """Narrow [lo, hi], where f(lo) > epsilon >= f(hi), until no float lies
+    strictly between lo and hi; returns the final (lo, hi)."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        if f(mid) <= epsilon:
+            hi = mid
+        else:
+            lo = mid
 
 
-def _nstar_recursion(rho0, model, cfg, target_p, diagonal) -> ThermalizationResult:
-    p_a = model.ancilla.ground_population
-    j_tau = model.interaction.j * cfg.tau
-    omega_tau = model.system.omega * cfg.tau
-    step = population_step_matrix(model.system.d, p_a, j_tau)
-    p = np.diag(rho0).real.copy()
-    if diagonal:
-        dist = population_distance(p, target_p)
-        if dist <= cfg.epsilon:
-            return _result_from_scan(0, dist, cfg.tau)
-        for n in range(1, cfg.n_max + 1):
-            p = step @ p
-            dist = population_distance(p, target_p)
-            if dist <= cfg.epsilon:
-                return _result_from_scan(n, dist, cfg.tau)
-        return _result_from_scan(None, dist, cfg.tau)
-    target = np.diag(target_p.astype(complex))
-    c12, c13, c23 = rho0[0, 1], rho0[0, 2], rho0[1, 2]
-    dist = trace_distance(rho0, target)
-    if dist <= cfg.epsilon:
-        return _result_from_scan(0, dist, cfg.tau)
-    for n in range(1, cfg.n_max + 1):
-        p = step @ p
-        c12, c13, c23 = step_coherences_d3(c12, c13, c23, p_a, j_tau, omega_tau)
-        dist = trace_distance(density_matrix_d3(p, c12, c13, c23), target)
-        if dist <= cfg.epsilon:
-            return _result_from_scan(n, dist, cfg.tau)
-    return _result_from_scan(None, dist, cfg.tau)
-
-
-def _nstar_brute_force(rho0, model, cfg, target_p) -> ThermalizationResult:
-    target = np.diag(target_p.astype(complex))
-    fresh_each = isinstance(model.interaction, RandomFull)
-    unitary = None if fresh_each else collision_unitary(model, cfg.tau)
-    rho = rho0
-    dist = trace_distance(rho, target)
-    if dist <= cfg.epsilon:
-        return _result_from_scan(0, dist, cfg.tau)
-    for n in range(1, cfg.n_max + 1):
-        rho = collide_once(rho, model, cfg, collision=n - 1, unitary=unitary)
-        dist = trace_distance(rho, target)
-        if dist <= cfg.epsilon:
-            return _result_from_scan(n, dist, cfg.tau)
-    return _result_from_scan(None, dist, cfg.tau)
+def bracket_crossing(f, epsilon: float, x: float, cap: float) -> tuple[float, float]:
+    """Double x until f(x) <= epsilon; returns (x / 2, x), or (0, x) when the
+    first x already qualifies.  Raises NoRootBelowCap once x passes cap."""
+    lo = 0.0
+    while f(x) > epsilon:
+        lo, x = x, 2.0 * x
+        if x > cap:
+            raise NoRootBelowCap(f"no crossing below {cap:.3e}")
+    return lo, x
 
 
 def tsim_simulated_sl(
@@ -227,46 +256,42 @@ def tsim_simulated_sl(
     re-stepping from the last pre-crossing state, so the reported time is
     far more accurate than the scan resolution.
     """
+    if not 0.0 < p_a <= 1.0:
+        raise ValueError("p_A must lie in (0, 1]")
+    if not gamma > 0.0:
+        raise ValueError("Gamma must be positive")
+    if not t_max > 0.0:
+        raise ValueError("t_max must be positive")
     p0 = np.asarray(p0, dtype=float)
     d = p0.size
     if dt is None:
-        dt = 0.01 / gamma if gamma > 0 else t_max / 100.0
+        dt = 0.01 / gamma
     gen = sl_population_generator(d, p_a, gamma)
     ratio = (1.0 - p_a) / p_a
     target = ratio ** np.arange(d)
     target /= target.sum()
 
-    def rk4_step(y, h):
-        k1 = gen @ y
-        k2 = gen @ (y + 0.5 * h * k1)
-        k3 = gen @ (y + 0.5 * h * k2)
-        k4 = gen @ (y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def rhs(p):
+        return gen @ p
 
-    p = p0.copy()
-    dist = population_distance(p, target)
-    if dist <= epsilon:
-        return ThermalizationResult(None, 0.0, dist, MODE_CONTINUOUS_SL)
+    def step(state, k):
+        p, t = state
+        return rk4_step(rhs, p, h), t + h
+
     steps = max(1, math.ceil(t_max / dt))
     h = t_max / steps
-    t = 0.0
-    for _ in range(steps):
-        p_next = rk4_step(p, h)
-        dist = population_distance(p_next, target)
-        if dist <= epsilon:
-            lo, hi = 0.0, h
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if population_distance(rk4_step(p, mid), target) <= epsilon:
-                    hi = mid
-                else:
-                    lo = mid
-            t_cross = t + hi
-            d_cross = population_distance(rk4_step(p, hi), target)
-            return ThermalizationResult(None, t_cross, d_cross, MODE_CONTINUOUS_SL)
-        p = p_next
-        t += h
-    return ThermalizationResult(None, None, dist, MODE_CONTINUOUS_SL)
+    distance = lambda state: population_distance(state[0], target)
+    n, dist, (p, t) = _first_crossing(step, (p0, 0.0), distance, epsilon, steps)
+    if n is None:
+        return ThermalizationResult(None, None, dist, MODE_CONTINUOUS_SL)
+    if n > 0:
+
+        def dist_after(x):
+            return population_distance(rk4_step(rhs, p, x), target)
+
+        x = bisect_crossing(dist_after, epsilon, 0.0, h)[1]
+        t, dist = t + x, dist_after(x)
+    return ThermalizationResult(None, t, dist, MODE_CONTINUOUS_SL)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +300,7 @@ def tsim_simulated_sl(
 
 
 def _lambdas(j_tau: float) -> tuple[float, float]:
-    lp = math.cos(j_tau) ** 2
-    lm = math.sin(j_tau) ** 2
+    lp, lm = flip_flop_rates(j_tau)
     if lp >= 1.0:
         raise FrozenDynamics("J*tau is a multiple of pi; populations frozen")
     if lp == 0.0:
@@ -329,28 +353,6 @@ def tsim_closed_sl_zeroT(p0: np.ndarray, gamma: float, epsilon: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bracket_and_bisect(f, x0: float, epsilon: float, cap: float) -> float:
-    """Find the crossing f(x) = epsilon on the decreasing tail of f."""
-    lo = 0.0
-    hi = x0
-    while f(hi) > epsilon:
-        lo = hi
-        hi *= 2.0
-        if hi > cap:
-            raise NoRootBelowCap(f"no crossing below {cap:.3e}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) > epsilon:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
 def nstar_general_zeroT_solve(
     p0: np.ndarray, j_tau: float, epsilon: float, cap: float = 2.0**60
 ) -> float:
@@ -362,15 +364,13 @@ def nstar_general_zeroT_solve(
     """
     p0 = np.asarray(p0, dtype=float)
     d = p0.size
-    lp = math.cos(j_tau) ** 2
-    lm = math.sin(j_tau) ** 2
+    lp, lm = flip_flop_rates(j_tau)
     if lp >= 1.0:
         raise FrozenDynamics("J*tau is a multiple of pi; populations frozen")
     if lp < 1e-30:
-        for n in range(d):
-            if p0[n + 1 :].sum() <= epsilon:
-                return float(n)
-        return float(d - 1)
+        # after n collisions the excited weight is p0[n+1:], zero from n = d-1 on
+        n, _, _ = _first_crossing(lambda n, k: n + 1, 0, lambda n: p0[n + 1 :].sum(), epsilon, d - 1)
+        return float(n)
     # S_j = sum_{k=j}^{d-2} p_{d-k+j}(0); the j-th binomial term feeds on it
     tail = [float(np.sum(p0[[d - k + j - 1 for k in range(j, d - 1)]])) for j in range(d - 1)]
 
@@ -387,7 +387,7 @@ def nstar_general_zeroT_solve(
 
     if f(0.0) <= epsilon:
         return 0.0
-    return _bracket_and_bisect(f, 1.0, epsilon, cap)
+    return bisect_crossing(f, epsilon, *bracket_crossing(f, epsilon, 1.0, cap))[1]
 
 
 def tsim_general_sl_zeroT_solve(
@@ -412,7 +412,7 @@ def tsim_general_sl_zeroT_solve(
 
     if f(0.0) <= epsilon:
         return 0.0
-    return _bracket_and_bisect(f, 1.0 / gamma, epsilon, cap / gamma)
+    return bisect_crossing(f, epsilon, *bracket_crossing(f, epsilon, 1.0 / gamma, cap / gamma))[1]
 
 
 def ceil_collisions(n_real: float) -> int:

@@ -15,10 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import population_step_matrix, sl_population_generator
-from .errors import AmplitudeTooSmall, DegenerateTemperature, FrozenDynamics, SumNotZero
-
-DEVIATION_SUM_TOL = 1e-12
+from .collisions import (
+    check_deviation_sum,
+    flip_flop_rates,
+    population_step_matrix,
+    sl_population_generator,
+)
+from .errors import AmplitudeTooSmall, DegenerateTemperature, FrozenDynamics
+from .simtime import bisect_crossing, bracket_crossing
 
 
 def theta(p_a: float) -> float:
@@ -26,11 +30,8 @@ def theta(p_a: float) -> float:
     return math.sqrt(max(p_a * (1.0 - p_a), 0.0))
 
 
-def stochastic_matrix(d: int, p_a: float, j_tau: float) -> np.ndarray:
-    """Column-stochastic one-collision population map (tridiagonal)."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    return population_step_matrix(d, p_a, j_tau)
+# the column-stochastic one-collision population map, under its spectral name
+stochastic_matrix = population_step_matrix
 
 
 def liouvillian_matrix(d: int, p_a: float, gamma: float) -> np.ndarray:
@@ -42,8 +43,7 @@ def liouvillian_matrix(d: int, p_a: float, gamma: float) -> np.ndarray:
 
 def xi_closed(d: int, p_a: float, j_tau: float) -> np.ndarray:
     """Eigenvalues of the stochastic map: 1, then lambda_+ + 2 theta lambda_- cos(m pi / d)."""
-    lp = math.cos(j_tau) ** 2
-    lm = math.sin(j_tau) ** 2
+    lp, lm = flip_flop_rates(j_tau)
     th = theta(p_a)
     tail = lp + 2.0 * th * lm * np.cos(np.arange(1, d) * math.pi / d)
     return np.concatenate(([1.0], tail))
@@ -123,9 +123,7 @@ def slow_mode_projection(delta_p0: np.ndarray, p_a: float) -> SlowModeSummary:
     delta_p0 = np.asarray(delta_p0, dtype=float)
     if delta_p0.shape != (3,):
         raise ValueError("slow-mode projection is derived for d = 3 only")
-    total = float(delta_p0.sum())
-    if abs(total) > DEVIATION_SUM_TOL:
-        raise SumNotZero(f"deviations sum to {total:.3e}")
+    check_deviation_sum(delta_p0)
     th = _check_projection_domain(p_a)
     alpha2 = float(left_slow_eigenvector_d3(p_a) @ delta_p0)
     p2_star = stationary_populations_d3(p_a)[1]
@@ -160,8 +158,9 @@ def nstar_estimate_discrete(
 ) -> float:
     """Slow-mode collision-count estimate ln(2 eps / K) / ln(xi_2)."""
     summary = _projection_above(delta_p0, p_a, epsilon, "K")
-    lp = math.cos(j_tau) ** 2
-    lm = math.sin(j_tau) ** 2
+    lp, lm = flip_flop_rates(j_tau)
+    # xi_closed(3, ...)[1] is the same eigenvalue, but its 2 cos(pi/3) rounds
+    # to 1.0000000000000002, so the two differ in the last bit at some beta
     xi2 = lp + summary.theta * lm
     if xi2 >= 1.0:
         raise FrozenDynamics("xi_2 = 1: J*tau is a multiple of pi")
@@ -197,19 +196,6 @@ def _decay(rate: float, x: float) -> float:
     return math.exp(-rate * x) if x > 0 else 1.0
 
 
-def _first_at_or_below(envelope, epsilon: float, lo: float, hi: float) -> tuple[float, float]:
-    """Bisect [lo, hi] where envelope > epsilon up to one point, <= after it."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if envelope(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def slow_mode_validity(
     delta_p0: np.ndarray, p_a: float, epsilon: float, rate2: float, rate3: float
 ) -> SlowModeValidity:
@@ -242,10 +228,8 @@ def slow_mode_validity(
     # upper envelope: strictly decreasing, so one crossing
     hi = 0.0
     if upper(0.0) > epsilon:
-        end = math.log((a + b) / epsilon) / rate2
-        while upper(end) > epsilon:
-            end *= 2.0
-        hi = _first_at_or_below(upper, epsilon, 0.0, end)[1]
+        start = math.log((a + b) / epsilon) / rate2
+        hi = bisect_crossing(upper, epsilon, *bracket_crossing(upper, epsilon, start, math.inf))[1]
     # lower envelope: for a > b (or r2 = r3) it stays above epsilon until
     # its one crossing, which lies before hi (it may first rise); for
     # a < b it falls to zero at x0 = ln(b/a)/(r3 - r2) and crosses
@@ -253,7 +237,7 @@ def slow_mode_validity(
     lo = 0.0
     if lower(0.0) > epsilon:
         end = math.log(b / a) / (rate3 - rate2) if a < b and rate3 > rate2 else hi
-        lo = _first_at_or_below(lower, epsilon, 0.0, end)[0]
+        lo = bisect_crossing(lower, epsilon, 0.0, end)[0]
     return SlowModeValidity(residual=residual, lo=lo, hi=hi)
 
 

@@ -26,25 +26,19 @@ import numpy as np
 
 from .collisions import CollisionConfig
 from .errors import ConfigInvalid, IoError
-from .models import ModelSpec, RandomFull, SystemSpec, AncillaSpec, flip_flop_model
+from .models import AncillaSpec, IsotropicFlipFlop, ModelSpec, RandomFull, SystemSpec
 from .simtime import nstar_simulated, tsim_simulated_sl
 
-KINDS = (
-    "NstarVsJtau",
-    "NstarVsBeta",
-    "TsimVsBeta",
-    "TsimVsEpsilon",
-    "RandomEnsembleVsBeta",
-)
-ENGINES = ("BruteForce", "Recursion", "OdeSL")
-
-_DEFAULT_ENGINE = {
-    "NstarVsJtau": "Recursion",
-    "NstarVsBeta": "Recursion",
-    "TsimVsBeta": "OdeSL",
-    "TsimVsEpsilon": "OdeSL",
-    "RandomEnsembleVsBeta": "BruteForce",
+# each kind's default engine, and the SweepSpec field its grid points replace
+_KIND_TABLE = {
+    "NstarVsJtau": ("Recursion", "j_tau"),
+    "NstarVsBeta": ("Recursion", "beta"),
+    "TsimVsBeta": ("OdeSL", "beta"),
+    "TsimVsEpsilon": ("OdeSL", "epsilon"),
+    "RandomEnsembleVsBeta": ("BruteForce", "beta"),
 }
+KINDS = tuple(_KIND_TABLE)
+ENGINES = ("BruteForce", "Recursion", "OdeSL")
 
 
 @dataclass(frozen=True)
@@ -85,9 +79,15 @@ def _validated(spec: SweepSpec) -> SweepSpec:
         raise ConfigInvalid(f"unknown kind {spec.kind!r}; expected one of {KINDS}")
     if not spec.grid:
         raise ConfigInvalid("grid must be nonempty")
+    default_engine, axis = _KIND_TABLE[spec.kind]
+    # +inf is the zero-temperature sentinel of a beta, never of another axis
+    if not all(math.isfinite(x) or (axis == "beta" and x == math.inf) for x in spec.grid):
+        raise ConfigInvalid("grid points must be finite numbers (a beta may be inf)")
+    if not spec.beta >= 0 or (axis == "beta" and min(spec.grid) < 0):
+        raise ConfigInvalid("beta must be >= 0 (inf for zero temperature)")
     if any(b <= a for a, b in zip(spec.grid, spec.grid[1:])):
         raise ConfigInvalid("grid must be strictly increasing")
-    engine = spec.engine or _DEFAULT_ENGINE[spec.kind]
+    engine = spec.engine or default_engine
     if engine not in ENGINES:
         raise ConfigInvalid(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if spec.kind in ("NstarVsJtau", "NstarVsBeta") and engine == "OdeSL":
@@ -116,63 +116,26 @@ def _validated(spec: SweepSpec) -> SweepSpec:
 # ---------------------------------------------------------------------------
 
 
-def _discrete_point(spec: SweepSpec, beta: float, j_tau: float, epsilon: float,
-                    engine: str) -> tuple[float, bool]:
-    tau = j_tau / spec.j
-    model = flip_flop_model(spec.d, spec.omega, beta, spec.j)
-    cfg = CollisionConfig(tau=tau, n_max=spec.n_max, epsilon=epsilon)
-    rho0 = np.eye(spec.d, dtype=complex) / spec.d
-    kernel = "recursion" if engine == "Recursion" else "brute_force"
-    res = nstar_simulated(rho0, model, cfg, engine=kernel)
-    if res.reachable:
-        return float(res.n_star), True
-    return float(spec.n_max), False
-
-
-def _sl_point(spec: SweepSpec, beta: float, epsilon: float) -> tuple[float, bool]:
-    p_a = 1.0 / (1.0 + math.exp(-beta * spec.omega))
-    p0 = np.full(spec.d, 1.0 / spec.d)
-    res = tsim_simulated_sl(p0, p_a, spec.gamma, epsilon, t_max=spec.t_max)
-    if res.reachable:
-        return float(res.t_sim), True
-    return float(spec.t_max), False
-
-
-def _ensemble_rep(spec: SweepSpec, beta: float, point_index: int, rep: int) -> tuple[float, bool]:
-    seed = int(np.random.SeedSequence([spec.seed, point_index, rep]).generate_state(1, np.uint64)[0])
-    model = ModelSpec(
-        system=SystemSpec(d=spec.d, omega=spec.omega),
-        ancilla=AncillaSpec(omega=spec.omega, beta=beta),
-        interaction=RandomFull(lo=spec.lo, hi=spec.hi, seed=seed),
-    )
-    cfg = CollisionConfig(tau=spec.tau, n_max=spec.n_max, epsilon=spec.epsilon)
-    rho0 = np.eye(spec.d, dtype=complex) / spec.d
-    res = nstar_simulated(rho0, model, cfg, engine="brute_force")
-    if res.reachable:
-        return float(res.n_star), True
-    return float(spec.n_max), False
-
-
 def _evaluate_task(spec: SweepSpec, point_index: int, rep: int) -> tuple[float, bool]:
-    point = spec.grid[point_index]
-    kind = spec.kind
-    if kind == "NstarVsJtau":
-        return _discrete_point(spec, spec.beta, point, spec.epsilon, spec.engine)
-    if kind == "NstarVsBeta":
-        return _discrete_point(spec, point, spec.j_tau, spec.epsilon, spec.engine)
-    if kind == "TsimVsBeta":
-        if spec.engine == "OdeSL":
-            return _sl_point(spec, point, spec.epsilon)
-        value, ok = _discrete_point(spec, point, spec.j_tau, spec.epsilon, spec.engine)
-        return value * (spec.j_tau / spec.j), ok
-    if kind == "TsimVsEpsilon":
-        if spec.engine == "OdeSL":
-            return _sl_point(spec, spec.beta, point)
-        value, ok = _discrete_point(spec, spec.beta, spec.j_tau, point, spec.engine)
-        return value * (spec.j_tau / spec.j), ok
-    if kind == "RandomEnsembleVsBeta":
-        return _ensemble_rep(spec, point, point_index, rep)
-    raise ConfigInvalid(f"unknown kind {kind!r}")
+    s = replace(spec, **{_KIND_TABLE[spec.kind][1]: spec.grid[point_index]})
+    ancilla = AncillaSpec(omega=s.omega, beta=s.beta)
+    if s.engine == "OdeSL":
+        p0 = np.full(s.d, 1.0 / s.d)
+        res = tsim_simulated_sl(p0, ancilla.ground_population, s.gamma, s.epsilon, t_max=s.t_max)
+        value, cap, unit = res.t_sim, s.t_max, 1.0
+    else:
+        tau = s.j_tau / s.j
+        interaction = IsotropicFlipFlop(j=s.j)
+        if s.kind == "RandomEnsembleVsBeta":
+            seed = int(np.random.SeedSequence([s.seed, point_index, rep]).generate_state(1, np.uint64)[0])
+            tau, interaction = s.tau, RandomFull(lo=s.lo, hi=s.hi, seed=seed)
+        model = ModelSpec(SystemSpec(d=s.d, omega=s.omega), ancilla, interaction)
+        cfg = CollisionConfig(tau=tau, n_max=s.n_max, epsilon=s.epsilon)
+        rho0 = np.eye(s.d, dtype=complex) / s.d
+        res = nstar_simulated(rho0, model, cfg, engine="recursion" if s.engine == "Recursion" else "brute_force")
+        # the Tsim kinds turn a collision count into the time n* tau
+        value, cap, unit = res.n_star, s.n_max, (tau if s.kind.startswith("Tsim") else 1.0)
+    return float(value if res.reachable else cap) * unit, res.reachable
 
 
 def _task_worker(args: tuple[SweepSpec, int, int]) -> tuple[float, bool]:
@@ -282,12 +245,12 @@ def parse_config(text: str) -> SweepSpec:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key == "kind":
-            values["kind"] = raw
+        if _KEY_TO_FIELD.get(key, key) in values:
+            raise ConfigInvalid(f"line {lineno}: duplicate key {key!r}")
+        if key in ("kind", "engine"):
+            values[key] = raw
         elif key == "grid":
             values["grid"] = _parse_grid(raw, lineno)
-        elif key == "engine":
-            values["engine"] = raw
         elif key in _INT_KEYS:
             try:
                 values[key] = int(raw)

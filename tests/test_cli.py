@@ -68,6 +68,33 @@ class TestSweepCommand:
         assert main(["sweep", str(bad)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "kind = NstarVsBeta\ngrid = -1,2\n",
+            "kind = TsimVsBeta\ngrid = -1,2\n",
+            "kind = NstarVsJtau\ngrid = 0.5,1\nbeta = -1\n",
+            "kind = NstarVsBeta\ngrid = 1,nan\n",
+            "kind = NstarVsJtau\ngrid = 0.5,inf\n",
+            "kind = TsimVsBeta\ngrid = -inf,1\n",
+            "kind = NstarVsBeta\ngrid = 1,2\nd = 3\nd = 4\n",
+        ],
+        ids=["negative-beta-grid", "negative-beta-tsim", "negative-beta-key", "nan-point",
+             "inf-jtau", "minus-inf-beta", "duplicate-key"],
+    )
+    def test_config_hole_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["sweep", str(bad)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_infinite_beta_is_zero_temperature(self, tmp_path, capsys):
+        cfg = tmp_path / "cold.cfg"
+        cfg.write_text("kind = TsimVsBeta\ngrid = 1,inf\nd = 3\nt_max = 100\n")
+        assert main(["sweep", str(cfg)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("inf,") and last.endswith(",true")
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.cfg")]) == 2
 

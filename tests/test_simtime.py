@@ -1,13 +1,14 @@
 """Unit tests for Lambert-W, simulated crossings, and closed-form costs."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from ri_thermalizer.collisions import CollisionConfig, evolve_populations
 from ri_thermalizer.errors import EpsilonTooLarge, FrozenDynamics, OutOfDomain
-from ri_thermalizer.models import flip_flop_model, random_density_matrix
+from ri_thermalizer.models import flip_flop_model, gibbs_populations, random_density_matrix
 from ri_thermalizer.simtime import (
     ceil_collisions,
     lambert_w,
@@ -108,6 +109,19 @@ class TestNstarSimulated:
         assert res.n_star is None and res.t_sim is None
         assert res.final_distance > 1e-4
 
+    def test_frozen_map_returns_at_once(self):
+        # J*tau = pi makes the population step matrix exactly the identity
+        model = flip_flop_model(4, omega=1.0, beta=2.0, j=1.0)
+        cfg = CollisionConfig(tau=math.pi, n_max=10**8, epsilon=1e-4)
+        p0 = np.array([0.1, 0.2, 0.3, 0.4])
+        start = time.perf_counter()
+        res = nstar_simulated(np.diag(p0).astype(complex), model, cfg)
+        assert time.perf_counter() - start < 1.0
+        assert not res.reachable
+        p_a = model.ancilla.ground_population
+        scanned = evolve_populations(p0, p_a, math.pi, 1000)[-1]
+        assert res.final_distance == population_distance(scanned, gibbs_populations(4, 1.0, 2.0))
+
     def test_engines_agree(self):
         model = flip_flop_model(3, omega=1.0, beta=2.0, j=0.9)
         cfg = CollisionConfig(tau=1.0, n_max=10**4, epsilon=1e-3)
@@ -124,6 +138,23 @@ class TestNstarSimulated:
         a = nstar_simulated(rho0, model, cfg, engine="recursion")
         b = nstar_simulated(rho0, model, cfg, engine="brute_force")
         assert a.n_star == b.n_star
+
+
+class TestTsimSimulatedInputs:
+    @pytest.mark.parametrize("p_a", [0.0, -0.2, 1.5, math.nan])
+    def test_rejects_ground_population_outside_unit_interval(self, p_a):
+        with pytest.raises(ValueError):
+            tsim_simulated_sl(np.full(3, 1 / 3), p_a, 1.0, 1e-4, t_max=10.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_rejects_non_positive_gamma(self, gamma):
+        with pytest.raises(ValueError):
+            tsim_simulated_sl(np.full(3, 1 / 3), 0.8, gamma, 1e-4, t_max=10.0)
+
+    @pytest.mark.parametrize("t_max", [0.0, -5.0])
+    def test_rejects_non_positive_t_max(self, t_max):
+        with pytest.raises(ValueError):
+            tsim_simulated_sl(np.full(3, 1 / 3), 0.8, 1.0, 1e-4, t_max=t_max)
 
 
 class TestClosedFormsD3:
