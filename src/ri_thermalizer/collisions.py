@@ -355,7 +355,7 @@ class OdeTrajectory:
 def _resolve_step(t_end: float, dt: float | None, gamma_max: float) -> float:
     if dt is None:
         dt = 0.01 / gamma_max if gamma_max > 0 else t_end / 100.0
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if dt * gamma_max > 0.1:
         raise StepTooLarge(f"dt * Gamma_max = {dt * gamma_max:.3g} exceeds 0.1")

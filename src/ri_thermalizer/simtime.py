@@ -10,10 +10,19 @@ brackets plus bisection on their eventually-decreasing tails.
 Every simulated crossing is one search.  An engine supplies a step
 ``step(state, k)``, which applies collision k (0-based) or RK4 step k,
 and a distance ``distance(state)`` to its target; ``_first_crossing``
-scans the orbit for the first state within epsilon.  The population
-recursion steps a probability vector, the three-level recursion and the
-CPTP map step a density matrix, and the SL scan steps (populations, t)
-and then bisects the last step with :func:`bisect_crossing`.
+scans the orbit for the first state within epsilon.  The three-level
+recursion and the CPTP map step a density matrix, and the SL scan steps
+(populations, t) and then bisects the last step with
+:func:`bisect_crossing`.
+
+The diagonal population recursion does not scan.  Its one-collision map
+m is column-stochastic, so the L1 distance to the Gibbs populations
+never grows, and ``_powered_crossing`` finds the first crossing by
+binary lifting over the squared powers m^(2^k): O(log n_max) matrix
+products instead of n* matrix-vector steps.  A rounding guard keeps n*
+equal to the scan's: when the distance just before or at the crossing
+it found lies within a forward-error bound of epsilon, it hands the run
+to ``_first_crossing``.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import numpy as np
 
 from .collisions import (
     CollisionConfig,
+    _resolve_step,
     collide_once,
     collision_unitary,
     density_matrix_d3,
@@ -49,12 +59,21 @@ MODE_DISCRETE = "discrete"
 MODE_CONTINUOUS_SL = "continuous_sl"
 
 _NEG_INV_E = -math.exp(-1.0)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
 class ThermalizationResult:
     """Outcome of a thermalization run; unreachable targets leave the
-    count/time fields at None instead of raising."""
+    count/time fields at None instead of raising.
+
+    final_distance is the distance at the crossing, or at the cap when
+    the target is unreachable.  On the diagonal population recursion it
+    is that of the powered state, which lies within the rounding guard of
+    ``_powered_crossing``, 4 (n + d) (d + 2) u for a probability vector
+    (u the unit roundoff), of the value a one-collision-at-a-time scan
+    gives; n* itself is the scan's.
+    """
 
     n_star: int | None
     t_sim: float | None
@@ -107,7 +126,9 @@ def lambert_w(z: float, branch: int = 0) -> float:
     else:
         w = math.log1p(z)
 
-    tol = 1e-13 * max(1.0, abs(z))
+    # relative to z (down to the smallest normal float): on W-1 near z = 0-,
+    # w e^w is tiny wherever w lands, so an absolute tolerance stops at once
+    tol = 1e-13 * max(abs(z), _TINY)
     for _ in range(100):
         ew = math.exp(w)
         f = w * ew - z
@@ -115,7 +136,7 @@ def lambert_w(z: float, branch: int = 0) -> float:
             return w
         wp1 = w + 1.0
         w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-    if abs(w * math.exp(w) - z) <= 1e-12 * max(1.0, abs(z)):
+    if abs(w * math.exp(w) - z) <= 10.0 * tol:
         return w
     raise NoConvergence(f"Halley iteration stalled for z = {z!r}, branch {branch}")
 
@@ -161,6 +182,61 @@ def _first_crossing(step, state, distance, epsilon: float, n_max: int):
     return None, dist, previous
 
 
+def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: float, n_max: int):
+    """(n, distance) of ``_first_crossing`` along p, m p, m^2 p, ... for a
+    nonnegative column-stochastic m, in O(log n_max) matrix products.
+
+    Binary lifting over P_k = m^(2^k): from n = 0, each power, largest
+    first, advances the state when the distance after it is still above
+    epsilon.  The exact distance never grows, so this ends at the last n
+    above epsilon, and the crossing is n + 1 unless n = n_max.
+    """
+    # Rounding guard.  u is the unit roundoff and gamma_d = d u / (1 - d u).
+    # m rounds, entry by entry in a few operations, an exactly
+    # column-stochastic nonnegative M (the eta formulas evaluated on the
+    # stored p_A and cos 2 J tau), so ||m - M||_1 <= 6u.  The exact distance
+    # D(n) = |M^n p - g|_1 / 2 to the stored target g never grows by more
+    # than |g - g*|_1 <= d (d + 8) u, the rounding of M's fixed point g*.
+    # A product with a nonnegative matrix of unit column sums adds at most
+    # gamma_d |s|_1 in L1, and M never expands an earlier error.  So the
+    # scan's n-fold m @ p stays within n (gamma_d + 6u) a of M^n p, with
+    # a = max(1, |p|_1).  The powers obey ||P_k - M^(2^k)||_1 <= 2^k (gamma_d
+    # + 6u) - gamma_d, so one lift by 2^k costs at most 2^k (gamma_d + 6u),
+    # and the powered state at n obeys the same bound.  Adding the rounding
+    # of each distance (gamma_d a) and the growth term, the scan's computed
+    # distance at every k <= n is above the powered one at n, and the
+    # scan's at n below the powered one at n, each up to
+    #     delta(n) = 4 (n + d) (d + 2) u a.
+    # Hence dist(n) > epsilon + delta(n) keeps the scan above epsilon up to
+    # n, and dist(n + 1) < epsilon - delta(n + 1) brings it to epsilon at
+    # n + 1: the scan stops at exactly n + 1.  Anything closer to epsilon,
+    # or a NaN, goes to the scan itself.
+    d = p.size
+    scale = 4.0 * (d + 2) * (0.5 * np.finfo(float).eps) * max(1.0, float(np.abs(p).sum()))
+    delta = lambda n: (n + d) * scale
+    step = lambda s, k: m @ s
+    distance = lambda s: population_distance(s, target)
+    dist = distance(p)
+    if dist <= epsilon:
+        return 0, dist
+    powers = [m]
+    while 2 ** len(powers) <= n_max:
+        powers.append(powers[-1] @ powers[-1])
+    n, state, crossed = 0, p, None
+    for k in reversed(range(len(powers))):
+        if n + 2**k > n_max:
+            continue
+        ahead = powers[k] @ state
+        dist_ahead = distance(ahead)
+        if dist_ahead > epsilon:
+            n, state, dist = n + 2**k, ahead, dist_ahead
+        else:
+            crossed = dist_ahead  # the last such probe is the one at n + 1
+    if not (dist - epsilon > delta(n) and (n == n_max or epsilon - crossed > delta(n + 1))):
+        return _first_crossing(step, p, distance, epsilon, n_max)[:2]
+    return (None, dist) if n == n_max else (n + 1, crossed)
+
+
 def nstar_simulated(
     rho0: np.ndarray,
     model: ModelSpec,
@@ -187,25 +263,16 @@ def nstar_simulated(
     elif engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
 
-    n_max = cfg.n_max
-    state = rho0
-    distance = lambda rho: trace_distance(rho, target)
     if engine == "recursion":
         p_a = model.ancilla.ground_population
         j_tau = model.interaction.j * cfg.tau
         omega_tau = model.system.omega * cfg.tau
         m = population_step_matrix(d, p_a, j_tau)
-        if diagonal:
-            state = np.diag(rho0).real
-            distance = lambda p: population_distance(p, target_p)
-            step = lambda p, k: m @ p
-            if np.array_equal(m, np.eye(d)):
-                n_max = 0  # J*tau a multiple of pi: the populations never move
-        else:
 
-            def step(rho, k):
-                c = step_coherences_d3(rho[0, 1], rho[0, 2], rho[1, 2], p_a, j_tau, omega_tau)
-                return density_matrix_d3(m @ rho.diagonal().real, *c)
+        # a coherent d = 3 state; a diagonal one takes the powered search below
+        def step(rho, k):
+            c = step_coherences_d3(rho[0, 1], rho[0, 2], rho[1, 2], p_a, j_tau, omega_tau)
+            return density_matrix_d3(m @ rho.diagonal().real, *c)
 
     else:
         # RandomFull re-draws its couplings, and so its unitary, every collision
@@ -214,7 +281,11 @@ def nstar_simulated(
         def step(rho, k):
             return collide_once(rho, model, cfg, collision=k, unitary=fixed)
 
-    n, dist, _ = _first_crossing(step, state, distance, cfg.epsilon, n_max)
+    if engine == "recursion" and diagonal:
+        n, dist = _powered_crossing(m, np.diag(rho0).real, target_p, cfg.epsilon, cfg.n_max)
+    else:
+        distance = lambda rho: trace_distance(rho, target)
+        n, dist, _ = _first_crossing(step, rho0, distance, cfg.epsilon, cfg.n_max)
     return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, MODE_DISCRETE)
 
 
@@ -254,7 +325,8 @@ def tsim_simulated_sl(
 
     Fixed-step RK4 scan; the bracketing step is then refined by bisection,
     re-stepping from the last pre-crossing state, so the reported time is
-    far more accurate than the scan resolution.
+    far more accurate than the scan resolution.  dt defaults to 0.01 /
+    Gamma; a step with dt Gamma > 0.1 raises StepTooLarge.
     """
     if not 0.0 < p_a <= 1.0:
         raise ValueError("p_A must lie in (0, 1]")
@@ -264,8 +336,7 @@ def tsim_simulated_sl(
         raise ValueError("t_max must be positive")
     p0 = np.asarray(p0, dtype=float)
     d = p0.size
-    if dt is None:
-        dt = 0.01 / gamma
+    dt = _resolve_step(t_max, dt, gamma)
     gen = sl_population_generator(d, p_a, gamma)
     ratio = (1.0 - p_a) / p_a
     target = ratio ** np.arange(d)

@@ -83,6 +83,9 @@ def _validated(spec: SweepSpec) -> SweepSpec:
     # +inf is the zero-temperature sentinel of a beta, never of another axis
     if not all(math.isfinite(x) or (axis == "beta" and x == math.inf) for x in spec.grid):
         raise ConfigInvalid("grid points must be finite numbers (a beta may be inf)")
+    for key in sorted(_FLOAT_KEYS - {"beta"}):
+        if not math.isfinite(getattr(spec, _KEY_TO_FIELD.get(key, key))):
+            raise ConfigInvalid(f"{key} must be a finite number")
     if not spec.beta >= 0 or (axis == "beta" and min(spec.grid) < 0):
         raise ConfigInvalid("beta must be >= 0 (inf for zero temperature)")
     if any(b <= a for a, b in zip(spec.grid, spec.grid[1:])):

@@ -88,6 +88,35 @@ class TestSweepCommand:
         assert main(["sweep", str(bad)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, line",
+        [
+            ("NstarVsBeta", "omega = nan"),
+            ("NstarVsJtau", "beta = nan"),
+            ("NstarVsBeta", "jtau = inf"),
+            ("NstarVsBeta", "j = inf"),
+            ("TsimVsBeta", "gamma = nan"),
+            ("TsimVsBeta", "epsilon = nan"),
+            ("TsimVsBeta", "t_max = inf"),
+            ("RandomEnsembleVsBeta", "lo = -inf"),
+            ("RandomEnsembleVsBeta", "hi = inf"),
+            ("RandomEnsembleVsBeta", "tau = nan"),
+        ],
+        ids=lambda v: v.split(" ")[0] if "=" in v else v,
+    )
+    def test_non_finite_key_exits_2(self, tmp_path, capsys, kind, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"kind = {kind}\ngrid = 1,2\n{line}\n")
+        assert main(["sweep", str(bad)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_infinite_omega_exits_2(self, tmp_path, capsys):
+        # used to exit 0 with a row of output
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("kind = NstarVsJtau\ngrid = 0.5,1\nomega = inf\n")
+        assert main(["sweep", str(bad)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_infinite_beta_is_zero_temperature(self, tmp_path, capsys):
         cfg = tmp_path / "cold.cfg"
         cfg.write_text("kind = TsimVsBeta\ngrid = 1,inf\nd = 3\nt_max = 100\n")

@@ -4,13 +4,16 @@ The distance to the target never grows along an orbit: the population
 map is column-stochastic (L1 contraction), a fixed-unitary collision is
 a CPTP map with the Gibbs state as fixed point (trace-distance
 contraction, Ruskai 1994), and the RK4 step at h Gamma = 0.01 is itself
-a stochastic matrix.  The engines must also agree on n*.
+a stochastic matrix.  A collision keeps the trace and positivity.  The
+engines must agree on n*, the powered search of the population
+recursion must find the linear scan's n*, and the zero-temperature
+closed form must round to the simulated n*.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ri_thermalizer.collisions import (
@@ -18,18 +21,30 @@ from ri_thermalizer.collisions import (
     collide_once,
     collision_unitary,
     evolve_populations,
+    population_step_matrix,
     rk4_step,
     sl_population_generator,
 )
+from ri_thermalizer.errors import EpsilonTooLarge
 from ri_thermalizer.linalg import trace_distance
 from ri_thermalizer.models import (
     AncillaSpec,
+    CounterRotating,
+    IsotropicFlipFlop,
+    ModelSpec,
+    RandomFull,
+    SystemSpec,
     flip_flop_model,
     gibbs_populations,
     random_density_matrix,
     system_gibbs_state,
 )
-from ri_thermalizer.simtime import nstar_simulated, population_distance
+from ri_thermalizer.simtime import (
+    ceil_collisions,
+    nstar_closed_d3_zeroT,
+    nstar_simulated,
+    population_distance,
+)
 
 SLACK = 1e-14
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -107,3 +122,72 @@ def test_recursion_and_brute_force_agree_on_nstar(d, beta, j_tau, epsilon, w):
         )
 
     assert at_epsilon(rec.n_star) or at_epsilon(brute.n_star)
+
+
+interactions = st.sampled_from(
+    [IsotropicFlipFlop(0.7), CounterRotating(0.7, 0.3), RandomFull(0.1, 1.0, seed=5)]
+)
+
+
+@PROPERTY
+@given(st.integers(2, 4), betas, interactions, st.floats(0.1, 3.0), st.integers(0, 2**32))
+def test_collision_keeps_trace_and_positivity(d, beta, interaction, tau, seed):
+    model = ModelSpec(SystemSpec(d=d, omega=1.0), AncillaSpec(1.0, beta), interaction)
+    cfg = CollisionConfig(tau=tau, n_max=100, epsilon=1e-4)
+    rho = collide_once(random_density_matrix(d, np.random.default_rng(seed)), model, cfg)
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()) >= -1e-12
+
+
+@PROPERTY
+@given(dims, betas, j_taus, weights)
+def test_population_map_keeps_the_sum(d, beta, j_tau, w):
+    m = population_step_matrix(d, AncillaSpec(1.0, beta).ground_population, j_tau)
+    p = _populations(w, d)
+    for _ in range(50):
+        p = m @ p
+        assert abs(float(p.sum()) - 1.0) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 10),
+    st.floats(0.0, 10.0),
+    st.floats(0.01, 3.1),
+    st.floats(-9.0, -1.0),
+    st.sampled_from([1, 50, 500, 5000]),
+    st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
+)
+def test_powered_search_finds_the_scanned_crossing(d, beta, j_tau, log_eps, n_max, w):
+    p0 = np.array(w[:d])
+    assume(p0.sum() > 0.0)
+    p0 = p0 / p0.sum()
+    epsilon = 10.0**log_eps
+    model = flip_flop_model(d, 1.0, beta, 1.0)
+    res = nstar_simulated(
+        np.diag(p0).astype(complex), model, CollisionConfig(tau=j_tau, n_max=n_max, epsilon=epsilon)
+    )
+    target = gibbs_populations(d, 1.0, beta)
+    orbit = evolve_populations(p0, model.ancilla.ground_population, j_tau, n_max)
+    dists = [population_distance(p, target) for p in orbit]
+    expected = next((k for k, x in enumerate(dists) if x <= epsilon), None)
+    assert res.n_star == expected
+    # the powered state's distance lies within the guard's bound of the scan's
+    n = n_max if expected is None else expected
+    assert abs(res.final_distance - dists[n]) <= 4 * (n + d) * (d + 2) * np.finfo(float).eps / 2
+
+
+@PROPERTY
+@given(st.floats(0.1, 3.0), st.floats(-8.0, -3.0), st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))
+def test_zero_temperature_closed_form_rounds_to_simulated_nstar(j_tau, log_eps, w):
+    p0 = _populations(w, 3)
+    epsilon = 10.0**log_eps
+    try:
+        n_real = nstar_closed_d3_zeroT(p0, j_tau, epsilon)
+    except EpsilonTooLarge:
+        assume(False)
+    # an n* within 1e-9 of an integer may round either way
+    assume(abs(n_real - round(n_real)) > 1e-9)
+    model = flip_flop_model(3, 1.0, math.inf, 1.0)
+    cfg = CollisionConfig(tau=j_tau, n_max=10**6, epsilon=epsilon)
+    assert ceil_collisions(n_real) == nstar_simulated(np.diag(p0).astype(complex), model, cfg).n_star

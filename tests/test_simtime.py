@@ -6,8 +6,9 @@ import time
 import numpy as np
 import pytest
 
+from ri_thermalizer import simtime
 from ri_thermalizer.collisions import CollisionConfig, evolve_populations
-from ri_thermalizer.errors import EpsilonTooLarge, FrozenDynamics, OutOfDomain
+from ri_thermalizer.errors import EpsilonTooLarge, FrozenDynamics, OutOfDomain, StepTooLarge
 from ri_thermalizer.models import flip_flop_model, gibbs_populations, random_density_matrix
 from ri_thermalizer.simtime import (
     ceil_collisions,
@@ -140,6 +141,54 @@ class TestNstarSimulated:
         assert a.n_star == b.n_star
 
 
+class TestPoweredCrossing:
+    """The diagonal recursion's O(log n_max) search against the linear scan."""
+
+    @pytest.mark.parametrize(
+        "d, beta, j_tau, p0",
+        [
+            (3, 2.0, 0.3, None),
+            (5, 0.7, 1.1, [0.05, 0.3, 0.1, 0.4, 0.15]),
+            (8, 4.0, math.pi / 16, None),
+            (10, 0.0, 2.9, np.arange(1, 11) / 55),
+        ],
+    )
+    def test_epsilon_on_a_scanned_distance(self, d, beta, j_tau, p0):
+        # epsilon at a distance of the scan, and one float either side of it
+        p0 = np.full(d, 1 / d) if p0 is None else np.array(p0)
+        n_max = 3000
+        model = flip_flop_model(d, omega=1.0, beta=beta, j=1.0)
+        orbit = evolve_populations(p0, model.ancilla.ground_population, j_tau, n_max)
+        target = gibbs_populations(d, 1.0, beta)
+        dists = [population_distance(p, target) for p in orbit]
+        rho0 = np.diag(p0).astype(complex)
+        for n in (1, 2, 7, 60, 401, 2999):
+            for eps in (math.nextafter(dists[n], 0.0), dists[n], math.nextafter(dists[n], 1.0)):
+                expected = next((k for k, x in enumerate(dists) if x <= eps), None)
+                res = nstar_simulated(rho0, model, CollisionConfig(tau=j_tau, n_max=n_max, epsilon=eps))
+                assert res.n_star == expected
+                assert res.final_distance == dists[n_max if expected is None else expected]
+
+    def test_distance_evaluations_grow_with_log_n_max(self, monkeypatch):
+        # the nstar_recursion benchmark's sweep point: d = 8, J tau = pi/16
+        calls = []
+        counted = simtime.population_distance
+
+        def counting(p, q):
+            calls.append(1)
+            return counted(p, q)
+
+        monkeypatch.setattr(simtime, "population_distance", counting)
+        n_max = 100_000
+        cfg = CollisionConfig(tau=(math.pi / 16) / 1e-3, n_max=n_max, epsilon=1e-6)
+        for beta in (0.2, 1.0, 3.3, 6.0, 10.0):
+            model = flip_flop_model(8, omega=1.0, beta=beta, j=1e-3)
+            calls.clear()
+            res = nstar_simulated(np.eye(8, dtype=complex) / 8, model, cfg)
+            assert res.n_star is not None and res.n_star > 100
+            assert len(calls) <= 3 * math.log2(n_max) + 3
+
+
 class TestTsimSimulatedInputs:
     @pytest.mark.parametrize("p_a", [0.0, -0.2, 1.5, math.nan])
     def test_rejects_ground_population_outside_unit_interval(self, p_a):
@@ -155,6 +204,22 @@ class TestTsimSimulatedInputs:
     def test_rejects_non_positive_t_max(self, t_max):
         with pytest.raises(ValueError):
             tsim_simulated_sl(np.full(3, 1 / 3), 0.8, 1.0, 1e-4, t_max=t_max)
+
+    @pytest.mark.parametrize("dt, gamma", [(5.0, 1.0), (0.2, 1.0), (0.011, 10.0)])
+    def test_rejects_a_step_above_a_tenth_of_the_rate(self, dt, gamma):
+        with pytest.raises(StepTooLarge):
+            tsim_simulated_sl(np.full(3, 1 / 3), 0.8, gamma, 1e-4, t_max=10.0, dt=dt)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+    def test_rejects_non_positive_dt(self, dt):
+        with pytest.raises(ValueError):
+            tsim_simulated_sl(np.full(3, 1 / 3), 0.8, 1.0, 1e-4, t_max=10.0, dt=dt)
+
+    def test_default_step_is_a_hundredth_of_the_inverse_rate(self):
+        p0 = np.array([0.2, 0.5, 0.3])
+        default = tsim_simulated_sl(p0, 0.9, 2.0, 1e-5, t_max=50.0)
+        explicit = tsim_simulated_sl(p0, 0.9, 2.0, 1e-5, t_max=50.0, dt=0.01 / 2.0)
+        assert default == explicit
 
 
 class TestClosedFormsD3:
