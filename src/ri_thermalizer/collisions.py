@@ -20,6 +20,15 @@ levels), :func:`collide_once` to a density matrix, and :func:`rk4_step` to
 an SL population vector.  :mod:`.simtime` pairs each step with a distance
 to the target and runs a single first-crossing scan over all of them.
 
+A brute-force collision forms the joint state rho_S (x) rho_A as the
+outer product ``rho[:, None, :, None] * rho_A[None, :, None, :]``
+reshaped to 2d x 2d: the same element-wise products, in the same
+broadcast, that ``np.kron`` forms, without its reshaping overhead, so
+the joint state is bit-identical to the Kronecker product.  Callers that
+need a fresh unitary per collision (``RandomFull``) may build a stack of
+them in one :func:`.linalg.unitary_from_hamiltonian` call and pass each
+one in.
+
 A note on two SL equations transcribed from one-collision recursions
 rather than from their printed ODE forms: the c23 equation carries a
 +Gamma*(1-p_A)*c12 feed (the printed sign disagrees with the exact
@@ -37,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, StepTooLarge, SumNotZero
-from .linalg import kron, partial_trace_second, trace_distance, unitary_from_hamiltonian
+from .linalg import partial_trace_second, trace_distance, unitary_from_hamiltonian
 from .models import (
     ModelSpec,
     RandomFull,
@@ -251,10 +260,19 @@ def collide_once(
     collision: int = 0,
     unitary: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply one CPTP collision: Tr_A[U (rho_S x rho_A) U^dagger]."""
+    """Apply one CPTP collision: Tr_A[U (rho_S x rho_A) U^dagger].
+
+    The joint state is the outer product of rho_S and rho_A, entry
+    (2i + a, 2j + b) = rho_S[i, j] rho_A[a, b], which equals ``np.kron``
+    bit for bit.  ``unitary``, when given, is used in place of the one
+    ``collision_unitary`` builds for this collision index.
+    """
     if unitary is None:
         unitary = collision_unitary(model, cfg.tau, collision)
-    joint = kron(np.asarray(rho_s, dtype=complex), ancilla_thermal_state(model.ancilla))
+    rho_s = np.asarray(rho_s, dtype=complex)
+    anc = ancilla_thermal_state(model.ancilla)
+    dim = 2 * rho_s.shape[0]
+    joint = (rho_s[:, None, :, None] * anc[None, :, None, :]).reshape(dim, dim)
     evolved = unitary @ joint @ unitary.conj().T
     return partial_trace_second(evolved, model.system.d, 2)
 

@@ -3,7 +3,10 @@
 Everything here acts on plain ``numpy`` arrays (complex square matrices,
 at most a few tens of rows).  Matrix functions of Hermitian generators go
 through the spectral decomposition only, so collision unitaries stay
-unitary to machine precision.
+unitary to machine precision.  The Hermitian routines also take a stack
+of shape ``(..., n, n)`` and treat each matrix on its own; one LAPACK
+call per matrix either way, so a stacked result equals, bit for bit, the
+one-matrix calls it replaces.
 """
 
 from __future__ import annotations
@@ -30,18 +33,29 @@ kron = np.kron
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
+    """Return h, a square matrix or a (..., n, n) stack of them, after
+    checking each matrix against its own largest entry."""
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
-    scale = np.max(np.abs(h)) or 1.0
-    defect = np.max(np.abs(h - h.conj().T))
-    if defect > HERMITICITY_RTOL * scale:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}")
+    axes = (-2, -1)
+    scale = np.max(np.abs(h), axis=axes)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    defect = np.max(np.abs(h - h.conj().swapaxes(-1, -2)), axis=axes)
+    failed = np.flatnonzero(defect > HERMITICITY_RTOL * scale)
+    if failed.size:
+        i = failed[0]
+        where = f" (matrix {i} of the stack)" if h.ndim > 2 else ""
+        raise NotHermitian(
+            f"Hermiticity defect {defect.flat[i]:.3e}{where} exceeds "
+            f"{HERMITICITY_RTOL:.0e} * {scale.flat[i]:.3e}"
+        )
     return h
 
 
 def hermitian_eigen(h: np.ndarray) -> HermitianEigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted ascending."""
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a
+    (..., n, n) stack, eigenvalues sorted ascending."""
     h = _check_hermitian(h)
     try:
         w, v = np.linalg.eigh(h)
@@ -51,10 +65,14 @@ def hermitian_eigen(h: np.ndarray) -> HermitianEigenDecomposition:
 
 
 def unitary_from_hamiltonian(h: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i h tau) via the spectral decomposition of Hermitian h."""
+    """exp(-i h tau) via the spectral decomposition of Hermitian h.
+
+    h may be one n x n matrix or a (..., n, n) stack; each matrix of the
+    stack gives the unitary that it alone would give, bit for bit.
+    """
     dec = hermitian_eigen(h)
     phases = np.exp(-1j * dec.eigenvalues * tau)
-    return (dec.basis * phases) @ dec.basis.conj().T
+    return (dec.basis * phases[..., None, :]) @ dec.basis.conj().swapaxes(-1, -2)
 
 
 def partial_trace_second(rho_joint: np.ndarray, d_sys: int, d_anc: int) -> np.ndarray:

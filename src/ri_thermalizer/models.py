@@ -15,6 +15,7 @@ Hamiltonian used throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -165,6 +166,14 @@ def _counter_rotating_pairs(d: int):
     return [(2 * k + 3, 2 * k) for k in range(d - 1)]
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_triangle(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # np.triu_indices(dim, 1), made once per dim; read-only, as every caller shares it
+    rows, cols = np.triu_indices(dim, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def interaction_hamiltonian(
     sys: SystemSpec, ispec: Interaction, collision: int = 0
 ) -> np.ndarray:
@@ -186,7 +195,7 @@ def interaction_hamiltonian(
             h_i[i, j] = h_i[j, i] = ispec.j_prime
     elif isinstance(ispec, RandomFull):
         rng = np.random.default_rng([ispec.seed, collision])
-        rows, cols = np.triu_indices(dim, k=1)
+        rows, cols = _upper_triangle(dim)
         couplings = rng.uniform(ispec.lo, ispec.hi, size=rows.size)
         h_i[rows, cols] = couplings
         h_i[cols, rows] = couplings

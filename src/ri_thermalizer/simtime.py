@@ -27,6 +27,7 @@ to ``_first_crossing``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,14 +53,25 @@ from .errors import (
     NoRootBelowCap,
     OutOfDomain,
 )
-from .linalg import trace_distance
-from .models import IsotropicFlipFlop, ModelSpec, RandomFull, gibbs_populations
+from .linalg import trace_distance, unitary_from_hamiltonian
+from .models import (
+    IsotropicFlipFlop,
+    ModelSpec,
+    RandomFull,
+    bare_hamiltonian,
+    gibbs_populations,
+    interaction_hamiltonian,
+)
 
 MODE_DISCRETE = "discrete"
 MODE_CONTINUOUS_SL = "continuous_sl"
 
 _NEG_INV_E = -math.exp(-1.0)
 _TINY = float(np.finfo(float).tiny)
+
+# RandomFull unitaries built per stacked eigh; a run that crosses at n*
+# builds at most _UNITARY_BLOCK - 1 unitaries it never applies
+_UNITARY_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -73,12 +85,16 @@ class ThermalizationResult:
     ``_powered_crossing``, 4 (n + d) (d + 2) u for a probability vector
     (u the unit roundoff), of the value a one-collision-at-a-time scan
     gives; n* itself is the scan's.
+
+    engine is the engine that actually ran: "recursion", "brute_force"
+    (the CPTP map, also where "auto" falls back to it) or "ode_sl".
     """
 
     n_star: int | None
     t_sim: float | None
     final_distance: float
     mode: str
+    engine: str
 
     @property
     def reachable(self) -> bool:
@@ -237,6 +253,21 @@ def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon:
     return (None, dist) if n == n_max else (n + 1, crossed)
 
 
+def _random_unitaries(model: ModelSpec, tau: float, n_max: int):
+    """Yield U_0, U_1, ..., U_(n_max - 1) of a RandomFull collision stream,
+    U_k = exp(-i (H_0 + H_I(seed, k)) tau), the very unitaries
+    ``collision_unitary(model, tau, k)`` builds one at a time.
+
+    They are made _UNITARY_BLOCK at a time (fewer at the cap) in one
+    stacked ``unitary_from_hamiltonian`` call, with H_0 built once.
+    """
+    h0 = bare_hamiltonian(model.system, model.ancilla)
+    for start in range(0, n_max, _UNITARY_BLOCK):
+        collisions = range(start, min(start + _UNITARY_BLOCK, n_max))
+        h_i = np.stack([interaction_hamiltonian(model.system, model.interaction, k) for k in collisions])
+        yield from unitary_from_hamiltonian(h0 + h_i, tau)
+
+
 def nstar_simulated(
     rho0: np.ndarray,
     model: ModelSpec,
@@ -275,18 +306,23 @@ def nstar_simulated(
             return density_matrix_d3(m @ rho.diagonal().real, *c)
 
     else:
-        # RandomFull re-draws its couplings, and so its unitary, every collision
-        fixed = None if isinstance(model.interaction, RandomFull) else collision_unitary(model, cfg.tau)
+        # RandomFull re-draws its couplings, and so its unitary, every
+        # collision; _first_crossing steps k = 0, 1, ... in order, so the
+        # stream hands out U_k at step k
+        if isinstance(model.interaction, RandomFull):
+            unitaries = _random_unitaries(model, cfg.tau, cfg.n_max)
+        else:
+            unitaries = itertools.repeat(collision_unitary(model, cfg.tau))
 
         def step(rho, k):
-            return collide_once(rho, model, cfg, collision=k, unitary=fixed)
+            return collide_once(rho, model, cfg, unitary=next(unitaries))
 
     if engine == "recursion" and diagonal:
         n, dist = _powered_crossing(m, np.diag(rho0).real, target_p, cfg.epsilon, cfg.n_max)
     else:
         distance = lambda rho: trace_distance(rho, target)
         n, dist, _ = _first_crossing(step, rho0, distance, cfg.epsilon, cfg.n_max)
-    return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, MODE_DISCRETE)
+    return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, MODE_DISCRETE, engine)
 
 
 def bisect_crossing(f, epsilon: float, lo: float, hi: float) -> tuple[float, float]:
@@ -354,7 +390,7 @@ def tsim_simulated_sl(
     distance = lambda state: population_distance(state[0], target)
     n, dist, (p, t) = _first_crossing(step, (p0, 0.0), distance, epsilon, steps)
     if n is None:
-        return ThermalizationResult(None, None, dist, MODE_CONTINUOUS_SL)
+        return ThermalizationResult(None, None, dist, MODE_CONTINUOUS_SL, "ode_sl")
     if n > 0:
 
         def dist_after(x):
@@ -362,7 +398,7 @@ def tsim_simulated_sl(
 
         x = bisect_crossing(dist_after, epsilon, 0.0, h)[1]
         t, dist = t + x, dist_after(x)
-    return ThermalizationResult(None, t, dist, MODE_CONTINUOUS_SL)
+    return ThermalizationResult(None, t, dist, MODE_CONTINUOUS_SL, "ode_sl")
 
 
 # ---------------------------------------------------------------------------

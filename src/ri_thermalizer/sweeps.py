@@ -14,6 +14,10 @@ Every sweep starts from the maximally mixed state.  Records are emitted
 as ``point,value,stderr,reachable`` with 12 significant digits; points
 whose run hit the collision or time cap carry ``reachable=false`` with
 the cap in the value field.
+
+The level count d is bounded by ``MAX_D``: the brute-force engine works
+on the 2d x 2d joint space, and a RandomFull run holds a stack of such
+matrices, so a d far beyond it exhausts memory rather than running.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ _KIND_TABLE = {
 }
 KINDS = tuple(_KIND_TABLE)
 ENGINES = ("BruteForce", "Recursion", "OdeSL")
+# largest level count a config may ask for: a 256 x 256 complex joint
+# space, 1 MiB per matrix
+MAX_D = 128
 
 
 @dataclass(frozen=True)
@@ -103,14 +110,29 @@ def _validated(spec: SweepSpec) -> SweepSpec:
         raise ConfigInvalid("epsilon grid values must lie in (0, 1)")
     if spec.repetitions < 1:
         raise ConfigInvalid("repetitions must be >= 1")
-    if spec.d < 2:
-        raise ConfigInvalid("d must be >= 2")
+    if not 2 <= spec.d <= MAX_D:
+        raise ConfigInvalid(f"d must lie in [2, {MAX_D}]")
+    if not spec.omega > 0:
+        raise ConfigInvalid("omega must be positive")
     if spec.j <= 0 or spec.tau <= 0:
         raise ConfigInvalid("j and tau must be positive")
-    if engine == "OdeSL" and spec.gamma <= 0:
-        raise ConfigInvalid("gamma must be positive for the OdeSL engine")
+    if engine == "OdeSL":
+        # the SL scan's default step is 0.01 / gamma
+        if not (spec.gamma > 0 and 0.01 / spec.gamma < math.inf):
+            raise ConfigInvalid("gamma must be positive, with a finite default step 0.01 / gamma")
+        if not spec.t_max > 0:
+            raise ConfigInvalid("t_max must be positive for the OdeSL engine")
+    elif spec.n_max < 1:
+        raise ConfigInvalid("n_max must be >= 1")
+    elif spec.kind != "RandomEnsembleVsBeta":
+        # these runs collide for tau = jtau / j, which a tiny j overflows
+        j_taus = spec.grid if axis == "j_tau" else (spec.j_tau,)
+        if not all(0.0 < jt / spec.j < math.inf for jt in j_taus):
+            raise ConfigInvalid("tau = jtau / j must be finite and positive")
     if spec.kind == "RandomEnsembleVsBeta" and not spec.lo < spec.hi:
         raise ConfigInvalid("need lo < hi for the randomized couplings")
+    if spec.kind == "RandomEnsembleVsBeta" and spec.seed < 0:
+        raise ConfigInvalid("seed must be >= 0")
     return replace(spec, engine=engine)
 
 

@@ -3,6 +3,8 @@
 import pytest
 
 from ri_thermalizer.cli import main
+from ri_thermalizer.errors import ConfigInvalid
+from ri_thermalizer.sweeps import MAX_D, parse_config
 
 FIG3A_STYLE_CONFIG = """\
 # n* against J*tau at strong coupling, low target temperature
@@ -109,6 +111,58 @@ class TestSweepCommand:
         bad.write_text(f"kind = {kind}\ngrid = 1,2\n{line}\n")
         assert main(["sweep", str(bad)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "kind = NstarVsBeta\ngrid = 1,2\nomega = 0\n",
+            "kind = NstarVsBeta\ngrid = 1,2\nomega = -1\n",
+            "kind = RandomEnsembleVsBeta\ngrid = 1\nomega = 0\nn_max = 10\n",
+            "kind = RandomEnsembleVsBeta\ngrid = 1\nomega = -1\nn_max = 10\n",
+            "kind = TsimVsBeta\ngrid = 1,2\nomega = 0\n",
+            "kind = NstarVsBeta\ngrid = 1,2\nj = 1e-320\n",
+            "kind = NstarVsJtau\ngrid = 0.5,1\nj = 1e-320\n",
+            "kind = TsimVsBeta\ngrid = 1,2\nengine = Recursion\nj = 1e-320\n",
+            "kind = NstarVsJtau\ngrid = 0,1\n",
+            "kind = NstarVsJtau\ngrid = -1,1\n",
+            "kind = NstarVsBeta\ngrid = 1,2\njtau = -0.5\n",
+            "kind = NstarVsBeta\ngrid = 1,2\nn_max = 0\n",
+            "kind = TsimVsBeta\ngrid = 1,2\nt_max = -1\n",
+            "kind = TsimVsBeta\ngrid = 1,2\ngamma = 1e-320\n",
+            "kind = RandomEnsembleVsBeta\ngrid = 1\nseed = -1\nn_max = 5\n",
+        ],
+        ids=["omega-0", "omega-negative", "omega-0-ensemble", "omega-negative-ensemble",
+             "omega-0-tsim", "subnormal-j", "subnormal-j-jtau-grid", "subnormal-j-tsim-recursion",
+             "jtau-0-grid", "jtau-negative-grid", "jtau-negative-key", "n-max-0", "t-max-negative",
+             "subnormal-gamma", "seed-negative"],
+    )
+    def test_value_out_of_range_exits_2(self, tmp_path, capsys, text):
+        # each of these used to end in a traceback with exit 1
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["sweep", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid configuration" in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "ens.cfg"
+        cfg.write_text("kind = RandomEnsembleVsBeta\ngrid = 1\nn_max = 5\n")
+        assert main(["sweep", str(cfg), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [MAX_D + 1, 100_000, 1, 0, -3])
+    def test_level_count_outside_bound_is_rejected(self, d):
+        # parse_config only: a sweep at such a d would allocate the matrices
+        with pytest.raises(ConfigInvalid, match=r"d must lie in \[2, "):
+            parse_config(f"kind = NstarVsBeta\ngrid = 1,2\nd = {d}\n")
+
+    def test_level_count_at_bound_is_accepted(self):
+        assert parse_config(f"kind = NstarVsBeta\ngrid = 1,2\nd = {MAX_D}\n").d == MAX_D
+
+    def test_keys_an_engine_does_not_use_are_not_checked(self):
+        # OdeSL never collides, so it needs no tau and no n_max
+        assert parse_config("kind = TsimVsBeta\ngrid = 1,2\nj = 1e-320\nn_max = 0\n").engine == "OdeSL"
 
     def test_infinite_omega_exits_2(self, tmp_path, capsys):
         # used to exit 0 with a row of output

@@ -8,6 +8,7 @@ import pytest
 from ri_thermalizer.collisions import (
     CollisionConfig,
     collide_once,
+    collision_unitary,
     density_matrix_d3,
     eta_coefficients,
     evolve,
@@ -23,12 +24,14 @@ from ri_thermalizer.collisions import (
     zero_temp_populations_closed,
 )
 from ri_thermalizer.errors import CapExceeded, StepTooLarge, SumNotZero
-from ri_thermalizer.linalg import trace_distance
+from ri_thermalizer.linalg import partial_trace_second, trace_distance
 from ri_thermalizer.models import (
     AncillaSpec,
     CounterRotating,
     ModelSpec,
+    RandomFull,
     SystemSpec,
+    ancilla_thermal_state,
     flip_flop_model,
     gibbs_populations,
     random_density_matrix,
@@ -134,6 +137,26 @@ class TestCollideOnce:
             ]
         )
         assert np.max(np.abs(out - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_joint_state_equals_the_kronecker_product(self, seed):
+        # collide_once forms rho_S (x) rho_A as an outer product; the result
+        # must be the np.kron route's bit for bit, for any complex rho (not
+        # only states) and for a non-contiguous one
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 7))
+        model = ModelSpec(
+            SystemSpec(d=d, omega=1.0), AncillaSpec(omega=1.0, beta=float(rng.uniform(0, 5))),
+            RandomFull(lo=0.1, hi=0.9, seed=seed),
+        )
+        cfg = CollisionConfig(tau=float(rng.uniform(0.1, 3.0)), n_max=10, epsilon=1e-4)
+        u = collision_unitary(model, cfg.tau, collision=seed)
+        rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for r in (rho, rho.T):
+            joint = np.kron(r, ancilla_thermal_state(model.ancilla))
+            expected = partial_trace_second(u @ joint @ u.conj().T, d, 2)
+            assert np.array_equal(collide_once(r, model, cfg, unitary=u), expected)
+            assert np.array_equal(collide_once(r, model, cfg, collision=seed), expected)
 
     def test_output_is_valid_state(self):
         rng = np.random.default_rng(2)

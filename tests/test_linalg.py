@@ -104,6 +104,68 @@ class TestUnitary:
             assert np.max(np.abs(u12 - u_sum)) <= 1e-10
 
 
+class TestStackedUnitary:
+    """A (..., n, n) stack gives, bit for bit, the one-matrix results."""
+
+    @pytest.mark.parametrize("shape", [(1,), (16,), (5,), (2, 3)])
+    @pytest.mark.parametrize("n", [2, 4, 6, 10])
+    def test_stack_equals_per_matrix_calls(self, shape, n):
+        rng = np.random.default_rng(100 + n)
+        hs = np.stack([random_hermitian(n, rng) for _ in range(int(np.prod(shape)))])
+        hs = hs.reshape(shape + (n, n))
+        tau = 0.37 * n
+        stacked = unitary_from_hamiltonian(hs, tau)
+        assert stacked.shape == hs.shape
+        for index in np.ndindex(*shape):
+            assert np.array_equal(stacked[index], unitary_from_hamiltonian(hs[index], tau))
+
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    def test_one_matrix_is_the_spectral_formula(self, n):
+        # pins the rounding: V diag(exp(-i w tau)) V^dagger, in this order
+        rng = np.random.default_rng(200 + n)
+        h = random_hermitian(n, rng)
+        w, v = np.linalg.eigh(h)
+        assert np.array_equal(unitary_from_hamiltonian(h, 0.9), (v * np.exp(-1j * w * 0.9)) @ v.conj().T)
+
+    def test_stacked_eigendecomposition_equals_per_matrix(self):
+        rng = np.random.default_rng(11)
+        hs = np.stack([random_hermitian(6, rng) for _ in range(7)])
+        dec = hermitian_eigen(hs)
+        for k, h in enumerate(hs):
+            one = hermitian_eigen(h)
+            assert np.array_equal(dec.eigenvalues[k], one.eigenvalues)
+            assert np.array_equal(dec.basis[k], one.basis)
+
+    @pytest.mark.parametrize("bad", [0, 3, 7])
+    def test_one_non_hermitian_matrix_fails_the_stack(self, bad):
+        rng = np.random.default_rng(12)
+        hs = np.stack([random_hermitian(4, rng) for _ in range(8)])
+        hs[bad, 0, 1] += 1e-3
+        with pytest.raises(NotHermitian, match=f"matrix {bad} of the stack"):
+            unitary_from_hamiltonian(hs, 1.0)
+
+    def test_each_matrix_is_checked_against_its_own_scale(self):
+        # a defect of 1e-8 is far above 1e-10 of a unit matrix's scale, but
+        # below 1e-10 of the large matrix's; a stack-wide scale would hide it
+        rng = np.random.default_rng(13)
+        small = random_hermitian(3, rng)
+        small[0, 2] += 1e-8
+        large = 1e6 * random_hermitian(3, rng)
+        with pytest.raises(NotHermitian):
+            hermitian_eigen(np.stack([large, small]))
+        large[0, 2] += 1e-8
+        hermitian_eigen(large)  # relative defect ~1e-14 passes
+
+    def test_zero_matrices_in_a_stack_pass(self):
+        u = unitary_from_hamiltonian(np.zeros((3, 4, 4), dtype=complex), 2.0)
+        assert np.array_equal(u, np.broadcast_to(np.eye(4, dtype=complex), (3, 4, 4)))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (5,), ()])
+    def test_non_square_input_is_a_dimension_mismatch(self, shape):
+        with pytest.raises(DimensionMismatch):
+            unitary_from_hamiltonian(np.zeros(shape, dtype=complex), 1.0)
+
+
 class TestPartialTrace:
     def test_product_state(self):
         rng = np.random.default_rng(6)

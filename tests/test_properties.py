@@ -7,7 +7,9 @@ contraction, Ruskai 1994), and the RK4 step at h Gamma = 0.01 is itself
 a stochastic matrix.  A collision keeps the trace and positivity.  The
 engines must agree on n*, the powered search of the population
 recursion must find the linear scan's n*, and the zero-temperature
-closed form must round to the simulated n*.
+closed form must round to the simulated n*.  RandomFull unitaries built
+a block at a time must give, bit for bit, the crossing that one unitary
+per collision gives.
 """
 
 import math
@@ -20,6 +22,7 @@ from ri_thermalizer.collisions import (
     CollisionConfig,
     collide_once,
     collision_unitary,
+    evolve,
     evolve_populations,
     population_step_matrix,
     rk4_step,
@@ -40,6 +43,7 @@ from ri_thermalizer.models import (
     system_gibbs_state,
 )
 from ri_thermalizer.simtime import (
+    _UNITARY_BLOCK,
     ceil_collisions,
     nstar_closed_d3_zeroT,
     nstar_simulated,
@@ -191,3 +195,56 @@ def test_zero_temperature_closed_form_rounds_to_simulated_nstar(j_tau, log_eps, 
     model = flip_flop_model(3, 1.0, math.inf, 1.0)
     cfg = CollisionConfig(tau=j_tau, n_max=10**6, epsilon=epsilon)
     assert ceil_collisions(n_real) == nstar_simulated(np.diag(p0).astype(complex), model, cfg).n_star
+
+
+def _random_full_case(d, beta, seed):
+    model = ModelSpec(
+        SystemSpec(d=d, omega=1.0), AncillaSpec(1.0, beta), RandomFull(1e-3, math.pi * 1e-3, seed=seed)
+    )
+    return model, np.eye(d, dtype=complex) / d
+
+
+def _evolve_distances(model, rho0, n):
+    # the reference: evolve builds one collision_unitary per collision
+    return evolve(rho0, model, CollisionConfig(tau=100.0, n_max=n, epsilon=0.5), n).distances
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 4),
+    st.floats(1.0, 5.0),
+    st.integers(0, 2**63 - 1),
+    st.integers(0, 3 * _UNITARY_BLOCK + 2),
+    st.sampled_from([1, 7, _UNITARY_BLOCK - 1, _UNITARY_BLOCK, _UNITARY_BLOCK + 1, 3 * _UNITARY_BLOCK + 2]),
+)
+def test_random_full_block_unitaries_give_the_evolve_crossing(d, beta, seed, m, n_max):
+    # nstar_simulated builds RandomFull unitaries a block at a time; with
+    # epsilon at the distance after m collisions, n* and final_distance
+    # must equal those of evolve's one-at-a-time unitaries
+    model, rho0 = _random_full_case(d, beta, seed)
+    distances = _evolve_distances(model, rho0, max(m, n_max))
+    epsilon = distances[m]
+    res = nstar_simulated(rho0, model, CollisionConfig(tau=100.0, n_max=n_max, epsilon=epsilon))
+    n = next((k for k, x in enumerate(distances[: n_max + 1]) if x <= epsilon), None)
+    assert (res.n_star, res.final_distance) == (n, distances[n_max if n is None else n])
+    assert res.engine == "brute_force"
+
+
+def test_random_full_crossings_around_a_block_boundary():
+    # epsilon set to the distance at n, where that distance is a new minimum,
+    # puts the crossing exactly at n: just below, at and above each boundary
+    model, rho0 = _random_full_case(3, 2.0, seed=20251018)
+    n_max = 4 * _UNITARY_BLOCK
+    distances = _evolve_distances(model, rho0, n_max)
+    targets = [b + o for b in (_UNITARY_BLOCK, 2 * _UNITARY_BLOCK, 3 * _UNITARY_BLOCK) for o in (-1, 0, 1)]
+    for n in targets:
+        assert distances[n] < min(distances[:n])  # the case is usable
+        for cap in (n, n + 1, n_max):
+            res = nstar_simulated(rho0, model, CollisionConfig(tau=100.0, n_max=cap, epsilon=distances[n]))
+            assert res.n_star == n
+            assert res.final_distance == distances[n]
+    # a cap below one block and below the crossing: unreachable, distance at the cap
+    for cap in (1, _UNITARY_BLOCK // 2, _UNITARY_BLOCK - 1):
+        res = nstar_simulated(rho0, model, CollisionConfig(tau=100.0, n_max=cap, epsilon=distances[n_max]))
+        assert res.n_star is None
+        assert res.final_distance == distances[cap]

@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,6 +140,45 @@ class TestNstarSimulated:
         a = nstar_simulated(rho0, model, cfg, engine="recursion")
         b = nstar_simulated(rho0, model, cfg, engine="brute_force")
         assert a.n_star == b.n_star
+
+
+class TestEngineRecorded:
+    """ThermalizationResult.engine names the engine that actually ran."""
+
+    CFG = CollisionConfig(tau=1.0, n_max=10**4, epsilon=1e-3)
+
+    def test_auto_falls_back_to_brute_force_for_a_coherent_state_above_d3(self):
+        model = flip_flop_model(4, omega=1.0, beta=1.5, j=0.7)
+        rho0 = random_density_matrix(4, np.random.default_rng(14))
+        auto = nstar_simulated(rho0, model, self.CFG)
+        brute = nstar_simulated(rho0, model, self.CFG, engine="brute_force")
+        assert auto.engine == "brute_force"
+        assert (auto.n_star, auto.final_distance) == (brute.n_star, brute.final_distance)
+
+    @pytest.mark.parametrize("d, coherent", [(4, False), (3, False), (3, True)])
+    def test_auto_takes_the_recursion_where_it_applies(self, d, coherent):
+        model = flip_flop_model(d, omega=1.0, beta=1.5, j=0.7)
+        rho0 = random_density_matrix(d, np.random.default_rng(15))
+        if not coherent:
+            rho0 = np.diag(np.diag(rho0))
+        assert nstar_simulated(rho0, model, self.CFG).engine == "recursion"
+
+    def test_auto_takes_brute_force_off_resonance(self):
+        model = flip_flop_model(3, omega=1.0, beta=1.5, j=0.7)
+        model = replace(model, ancilla=replace(model.ancilla, omega=1.1))
+        assert nstar_simulated(np.eye(3, dtype=complex) / 3, model, self.CFG).engine == "brute_force"
+
+    @pytest.mark.parametrize("engine", ["recursion", "brute_force"])
+    def test_an_explicit_engine_is_recorded(self, engine):
+        model = flip_flop_model(3, omega=1.0, beta=1.5, j=0.7)
+        assert nstar_simulated(np.eye(3, dtype=complex) / 3, model, self.CFG, engine=engine).engine == engine
+
+    @pytest.mark.parametrize("t_max", [1e4, 1e-3])
+    def test_sl_scan_records_ode_sl(self, t_max):
+        # reachable and unreachable
+        res = tsim_simulated_sl(np.full(3, 1 / 3), 0.8, 1.0, 1e-4, t_max=t_max)
+        assert res.engine == "ode_sl"
+        assert res.reachable == (t_max > 1)
 
 
 class TestPoweredCrossing:
