@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import (
-    CollisionConfig,
-    collide_once,
-    evolve_populations,
-    evolve_coherences_d3,
-)
+from .collisions import CollisionConfig, evolve, evolve_coherences_d3, evolve_populations
 from .models import flip_flop_model, random_density_matrix, system_gibbs_state
 from .simtime import lambert_w
 from .spectra import lambda_closed, liouvillian_matrix, stochastic_matrix, xi_closed
@@ -40,9 +35,8 @@ def _check_recursion_vs_brute_force() -> CheckResult:
         pops = evolve_populations(
             np.diag(rho).real, model.ancilla.ground_population, 0.8 * 1.1, 30
         )
-        for n in range(1, 31):
-            rho = collide_once(rho, model, cfg)
-            worst = max(worst, float(np.max(np.abs(np.diag(rho).real - pops[n]))))
+        states = np.array(evolve(rho, model, cfg, 30).states)
+        worst = max(worst, float(np.max(np.abs(np.diagonal(states, axis1=1, axis2=2).real - pops))))
     return CheckResult("recursion vs brute-force populations", worst < 1e-12, f"max |dp| = {worst:.2e}")
 
 
@@ -58,11 +52,8 @@ def _check_coherences_vs_brute_force() -> CheckResult:
         1.0 * 0.9,
         25,
     )
-    worst = 0.0
-    for n in range(1, 26):
-        rho = collide_once(rho, model, cfg)
-        got = np.array([rho[0, 1], rho[0, 2], rho[1, 2]])
-        worst = max(worst, float(np.max(np.abs(got - cs[n]))))
+    states = np.array(evolve(rho, model, cfg, 25).states)
+    worst = float(np.max(np.abs(states[:, [0, 0, 1], [1, 2, 2]] - cs)))
     return CheckResult("recursion vs brute-force coherences (d=3)", worst < 1e-12, f"max |dc| = {worst:.2e}")
 
 
@@ -97,9 +88,7 @@ def _check_thermal_fixed_point() -> CheckResult:
         model = flip_flop_model(d, omega=1.0, beta=beta, j=0.7)
         cfg = CollisionConfig(tau=1.3, n_max=100, epsilon=1e-4)
         gibbs = system_gibbs_state(model.system, beta)
-        rho = gibbs.copy()
-        for _ in range(50):
-            rho = collide_once(rho, model, cfg)
+        rho = evolve(gibbs, model, cfg, 50).states[-1]
         worst = max(worst, float(np.max(np.abs(rho - gibbs))))
     return CheckResult("Gibbs state is a fixed point", worst < 1e-12, f"max drift = {worst:.2e}")
 

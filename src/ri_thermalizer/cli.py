@@ -11,13 +11,16 @@ Subcommands::
 ``spectra`` prints closed-form vs numerically computed eigenvalues,
 reading x once as J*tau (discrete map) and once as Gamma (SL generator).
 
-Exit codes: 0 success, 1 failed validation, 2 invalid configuration,
-3 output I/O failure.  RI_THERMALIZER_THREADS overrides --parallel.
+Exit codes: 0 success, 1 failed validation, 2 invalid configuration
+(for ``spectra``: d outside [2, MAX_D], pA outside [0, 1] or a
+non-finite x), 3 output I/O failure.  RI_THERMALIZER_THREADS overrides
+--parallel; either is an upper bound on the sweep's worker processes.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -27,7 +30,7 @@ import numpy as np
 from .checks import run_cross_checks
 from .errors import ConfigInvalid, IoError
 from .spectra import lambda_closed, liouvillian_matrix, stochastic_matrix, xi_closed
-from .sweeps import emit_csv, parse_config, run_sweep
+from .sweeps import MAX_D, emit_csv, parse_config, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="CSV destination (default stdout)")
     p_sweep.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sweep.add_argument("--engine", default=None, help="override the config engine")
-    p_sweep.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p_sweep.add_argument("--parallel", type=int, default=1, help="upper bound on worker processes")
 
     sub.add_parser("validate", help="run the oracle cross-check suite")
 
@@ -99,11 +102,14 @@ def _cmd_validate() -> int:
 
 
 def _cmd_spectra(args) -> int:
-    if args.d < 2:
-        print("error: invalid configuration: d must be >= 2", file=sys.stderr)
+    if not 2 <= args.d <= MAX_D:
+        print(f"error: invalid configuration: d must lie in [2, {MAX_D}]", file=sys.stderr)
         return 2
     if not 0.0 <= args.p_a <= 1.0:
         print("error: invalid configuration: pA must lie in [0, 1]", file=sys.stderr)
+        return 2
+    if not math.isfinite(args.x):
+        print("error: invalid configuration: x must be finite", file=sys.stderr)
         return 2
     xi = xi_closed(args.d, args.p_a, args.x)
     xi_num = np.sort(np.linalg.eigvals(stochastic_matrix(args.d, args.p_a, args.x)).real)[::-1]

@@ -14,11 +14,11 @@ Population and coherence dynamics decouple for the energy-conserving
 interaction, so diagonal initial states stay diagonal and can be evolved
 as plain probability vectors.
 
-Each path is one step applied over and over to a state: the population
-matrix to a probability vector (plus :func:`step_coherences_d3` for three
-levels), :func:`collide_once` to a density matrix, and :func:`rk4_step` to
-an SL population vector.  :mod:`.simtime` pairs each step with a distance
-to the target and runs a single first-crossing scan over all of them.
+Each path is one step ``step(state)`` applied over and over: the
+population matrix to a probability vector (plus :func:`step_coherences_d3`
+for three levels), :func:`collide_once` to a density matrix and
+:func:`rk4_step` to an SL state.  Every trajectory is the :func:`_orbit` of
+its step, and :mod:`.simtime` scans the same steps for the first crossing.
 
 A brute-force collision forms the joint state rho_S (x) rho_A as the
 outer product ``rho[:, None, :, None] * rho_A[None, :, None, :]``
@@ -40,8 +40,9 @@ damped at (Gamma1+Gamma2)/2, the rate the recursion actually yields.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +68,9 @@ class CollisionConfig:
     epsilon: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.n_max < 1:
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        if not self.n_max >= 1:
             raise ValueError("n_max must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
@@ -79,12 +80,17 @@ class CollisionConfig:
 class TrajectoryRecord:
     """Per-collision states and trace distances to the target state."""
 
-    states: list = field(default_factory=list)
-    distances: list = field(default_factory=list)
+    states: list
+    distances: list
 
-    def append(self, state: np.ndarray, distance: float) -> None:
-        self.states.append(state)
-        self.distances.append(distance)
+
+def _orbit(step, state, n: int):
+    """Yield state, step(state), step(step(state)), ...: the n + 1 states
+    of an n-step trajectory."""
+    yield state
+    for _ in range(n):
+        state = step(state)
+        yield state
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +193,7 @@ def evolve_populations(
     """Iterate the population map; returns an (n+1, d) trajectory array."""
     p = np.asarray(p0, dtype=float)
     m = population_step_matrix(p.size, p_a, j_tau)
-    out = np.empty((n + 1, p.size))
-    out[0] = p
-    for step in range(1, n + 1):
-        p = m @ p
-        out[step] = p
-    return out
+    return np.fromiter(_orbit(lambda p: m @ p, p, n), dtype=(float, p.shape), count=n + 1)
 
 
 def step_coherences_d3(
@@ -221,13 +222,8 @@ def evolve_coherences_d3(
     n: int,
 ) -> np.ndarray:
     """Iterate the coherence map; returns an (n+1, 3) complex array."""
-    out = np.empty((n + 1, 3), dtype=complex)
-    out[0] = c0
-    c12, c13, c23 = c0
-    for step in range(1, n + 1):
-        c12, c13, c23 = step_coherences_d3(c12, c13, c23, p_a, j_tau, omega_tau)
-        out[step] = (c12, c13, c23)
-    return out
+    step = lambda c: step_coherences_d3(*c, p_a, j_tau, omega_tau)
+    return np.fromiter(_orbit(step, c0, n), dtype=(complex, (3,)), count=n + 1)
 
 
 def density_matrix_d3(p: np.ndarray, c12: complex, c13: complex, c23: complex) -> np.ndarray:
@@ -294,15 +290,13 @@ def evolve(
         raise CapExceeded(f"n = {n} exceeds cap {cfg.n_max}")
     if target is None:
         target = system_gibbs_state(model.system, model.ancilla.beta)
-    fresh_each = isinstance(model.interaction, RandomFull)
-    unitary = None if fresh_each else collision_unitary(model, cfg.tau)
-    rho = np.asarray(rho0, dtype=complex)
-    record = TrajectoryRecord()
-    record.append(rho, trace_distance(rho, target))
-    for step in range(n):
-        rho = collide_once(rho, model, cfg, collision=step, unitary=unitary)
-        record.append(rho, trace_distance(rho, target))
-    return record
+    if isinstance(model.interaction, RandomFull):
+        unitaries = (collision_unitary(model, cfg.tau, k) for k in itertools.count())
+    else:
+        unitaries = itertools.repeat(collision_unitary(model, cfg.tau))
+    step = lambda rho: collide_once(rho, model, cfg, unitary=next(unitaries))
+    states = list(_orbit(step, np.asarray(rho0, dtype=complex), n))
+    return TrajectoryRecord(states, [trace_distance(rho, target) for rho in states])
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +387,9 @@ def _rk4(rhs, y0: np.ndarray, t_end: float, dt: float) -> OdeTrajectory:
     steps = max(1, math.ceil(t_end / dt - 1e-12))
     h = t_end / steps
     y = np.array(y0)
-    times = np.linspace(0.0, t_end, steps + 1)
-    values = np.empty((steps + 1,) + y.shape, dtype=y.dtype)
-    values[0] = y
-    for i in range(1, steps + 1):
-        y = rk4_step(rhs, y, h)
-        values[i] = y
-    return OdeTrajectory(times=times, values=values)
+    orbit = _orbit(lambda y: rk4_step(rhs, y, h), y, steps)
+    values = np.fromiter(orbit, dtype=(y.dtype, y.shape), count=steps + 1)
+    return OdeTrajectory(times=np.linspace(0.0, t_end, steps + 1), values=values)
 
 
 def sl_population_generator(d: int, p_a: float, gamma: float) -> np.ndarray:

@@ -33,10 +33,10 @@ class SystemSpec:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.d < 2:
+        if not self.d >= 2:
             raise ValueError("system needs at least two levels")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
 
     @property
     def spin(self) -> float:
@@ -51,9 +51,9 @@ class AncillaSpec:
     beta: float
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        if self.beta < 0:
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
+        if not self.beta >= 0:
             raise ValueError("beta must be >= 0 (use math.inf for zero temperature)")
 
     @property
@@ -69,8 +69,8 @@ class IsotropicFlipFlop:
     j: float
 
     def __post_init__(self):
-        if self.j < 0:
-            raise ValueError("J must be >= 0")
+        if not 0 <= self.j < math.inf:
+            raise ValueError("J must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class CounterRotating:
     j_prime: float
 
     def __post_init__(self):
-        if self.j < 0 or self.j_prime < 0:
-            raise ValueError("couplings must be >= 0")
+        if not (0 <= self.j < math.inf and 0 <= self.j_prime < math.inf):
+            raise ValueError("couplings must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ class RandomFull:
     seed: int
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError("need finite lo < hi")
 
 
 Interaction = Union[IsotropicFlipFlop, CounterRotating, RandomFull]

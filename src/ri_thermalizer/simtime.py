@@ -8,11 +8,12 @@ transcendental equations (any dimension), solved here by doubling
 brackets plus bisection on their eventually-decreasing tails.
 
 Every simulated crossing is one search.  An engine supplies a step
-``step(state, k)``, which applies collision k (0-based) or RK4 step k,
-and a distance ``distance(state)`` to its target; ``_first_crossing``
-scans the orbit for the first state within epsilon.  The three-level
-recursion and the CPTP map step a density matrix, and the SL scan steps
-(populations, t) and then bisects the last step with
+``step(state)``, which applies one collision or one RK4 step, and a
+distance ``distance(state)`` to its target; ``_first_crossing`` scans the
+orbit state, step(state), ... for the first state within epsilon.  The
+three-level recursion and the CPTP map step a density matrix (a
+``RandomFull`` step takes the next unitary of its stream), and the SL
+scan steps (populations, t) and then bisects the last step with
 :func:`bisect_crossing`.
 
 The diagonal population recursion does not scan.  Its one-collision map
@@ -63,9 +64,6 @@ from .models import (
     interaction_hamiltonian,
 )
 
-MODE_DISCRETE = "discrete"
-MODE_CONTINUOUS_SL = "continuous_sl"
-
 _NEG_INV_E = -math.exp(-1.0)
 _TINY = float(np.finfo(float).tiny)
 
@@ -93,13 +91,10 @@ class ThermalizationResult:
     n_star: int | None
     t_sim: float | None
     final_distance: float
-    mode: str
     engine: str
 
     @property
     def reachable(self) -> bool:
-        if self.mode == MODE_DISCRETE:
-            return self.n_star is not None
         return self.t_sim is not None
 
 
@@ -179,7 +174,7 @@ def _recursion_applicable(model: ModelSpec) -> bool:
 
 
 def _first_crossing(step, state, distance, epsilon: float, n_max: int):
-    """Scan state, step(state, 0), ... for the first of at most n_max steps
+    """Scan state, step(state), ... for the first of at most n_max steps
     that brings distance(state) to epsilon or below.
 
     Returns (n, distance, previous): the number of steps taken (None when
@@ -190,11 +185,11 @@ def _first_crossing(step, state, distance, epsilon: float, n_max: int):
     dist = distance(state)
     if dist <= epsilon:
         return 0, dist, previous
-    for k in range(n_max):
-        previous, state = state, step(state, k)
+    for n in range(1, n_max + 1):
+        previous, state = state, step(state)
         dist = distance(state)
         if dist <= epsilon:
-            return k + 1, dist, previous
+            return n, dist, previous
     return None, dist, previous
 
 
@@ -230,7 +225,7 @@ def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon:
     d = p.size
     scale = 4.0 * (d + 2) * (0.5 * np.finfo(float).eps) * max(1.0, float(np.abs(p).sum()))
     delta = lambda n: (n + d) * scale
-    step = lambda s, k: m @ s
+    step = lambda s: m @ s
     distance = lambda s: population_distance(s, target)
     dist = distance(p)
     if dist <= epsilon:
@@ -301,28 +296,25 @@ def nstar_simulated(
         m = population_step_matrix(d, p_a, j_tau)
 
         # a coherent d = 3 state; a diagonal one takes the powered search below
-        def step(rho, k):
+        def step(rho):
             c = step_coherences_d3(rho[0, 1], rho[0, 2], rho[1, 2], p_a, j_tau, omega_tau)
             return density_matrix_d3(m @ rho.diagonal().real, *c)
 
     else:
         # RandomFull re-draws its couplings, and so its unitary, every
-        # collision; _first_crossing steps k = 0, 1, ... in order, so the
-        # stream hands out U_k at step k
+        # collision: step k (0-based) takes U_k, the next one of the stream
         if isinstance(model.interaction, RandomFull):
             unitaries = _random_unitaries(model, cfg.tau, cfg.n_max)
         else:
             unitaries = itertools.repeat(collision_unitary(model, cfg.tau))
-
-        def step(rho, k):
-            return collide_once(rho, model, cfg, unitary=next(unitaries))
+        step = lambda rho: collide_once(rho, model, cfg, unitary=next(unitaries))
 
     if engine == "recursion" and diagonal:
         n, dist = _powered_crossing(m, np.diag(rho0).real, target_p, cfg.epsilon, cfg.n_max)
     else:
         distance = lambda rho: trace_distance(rho, target)
         n, dist, _ = _first_crossing(step, rho0, distance, cfg.epsilon, cfg.n_max)
-    return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, MODE_DISCRETE, engine)
+    return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
 
 def bisect_crossing(f, epsilon: float, lo: float, hi: float) -> tuple[float, float]:
@@ -368,8 +360,10 @@ def tsim_simulated_sl(
         raise ValueError("p_A must lie in (0, 1]")
     if not gamma > 0.0:
         raise ValueError("Gamma must be positive")
-    if not t_max > 0.0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     p0 = np.asarray(p0, dtype=float)
     d = p0.size
     dt = _resolve_step(t_max, dt, gamma)
@@ -381,7 +375,7 @@ def tsim_simulated_sl(
     def rhs(p):
         return gen @ p
 
-    def step(state, k):
+    def step(state):
         p, t = state
         return rk4_step(rhs, p, h), t + h
 
@@ -390,7 +384,7 @@ def tsim_simulated_sl(
     distance = lambda state: population_distance(state[0], target)
     n, dist, (p, t) = _first_crossing(step, (p0, 0.0), distance, epsilon, steps)
     if n is None:
-        return ThermalizationResult(None, None, dist, MODE_CONTINUOUS_SL, "ode_sl")
+        return ThermalizationResult(None, None, dist, "ode_sl")
     if n > 0:
 
         def dist_after(x):
@@ -398,7 +392,7 @@ def tsim_simulated_sl(
 
         x = bisect_crossing(dist_after, epsilon, 0.0, h)[1]
         t, dist = t + x, dist_after(x)
-    return ThermalizationResult(None, t, dist, MODE_CONTINUOUS_SL, "ode_sl")
+    return ThermalizationResult(None, t, dist, "ode_sl")
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +470,7 @@ def nstar_general_zeroT_solve(
         raise FrozenDynamics("J*tau is a multiple of pi; populations frozen")
     if lp < 1e-30:
         # after n collisions the excited weight is p0[n+1:], zero from n = d-1 on
-        n, _, _ = _first_crossing(lambda n, k: n + 1, 0, lambda n: p0[n + 1 :].sum(), epsilon, d - 1)
-        return float(n)
+        return float(next(n for n in range(d) if p0[n + 1 :].sum() <= epsilon))
     # S_j = sum_{k=j}^{d-2} p_{d-k+j}(0); the j-th binomial term feeds on it
     tail = [float(np.sum(p0[[d - k + j - 1 for k in range(j, d - 1)]])) for j in range(d - 1)]
 

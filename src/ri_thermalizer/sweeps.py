@@ -23,6 +23,7 @@ matrices, so a d far beyond it exhausts memory rather than running.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -163,25 +164,23 @@ def _evaluate_task(spec: SweepSpec, point_index: int, rep: int) -> tuple[float, 
     return float(value if res.reachable else cap) * unit, res.reachable
 
 
-def _task_worker(args: tuple[SweepSpec, int, int]) -> tuple[float, bool]:
-    return _evaluate_task(*args)
-
-
 def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
     """Evaluate every grid point (and repetition) of a validated sweep.
 
-    Tasks are independent; with parallel > 1 they run in a process pool,
-    and results are assembled in grid order regardless of completion
-    order, so output is deterministic for a given spec and seed.
+    Tasks are independent; a pool of min(parallel, tasks, CPUs) worker
+    processes runs them when that is more than one.  Results are assembled
+    in grid order regardless of completion order, so output is
+    deterministic for a given spec and seed.
     """
     spec = _validated(spec)
     reps = spec.repetitions if spec.kind == "RandomEnsembleVsBeta" else 1
     tasks = [(spec, pi, r) for pi in range(len(spec.grid)) for r in range(reps)]
-    if parallel > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(_task_worker, tasks, chunksize=1))
+    workers = min(parallel, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_evaluate_task, *zip(*tasks), chunksize=1))
     else:
-        outcomes = [_task_worker(t) for t in tasks]
+        outcomes = [_evaluate_task(*t) for t in tasks]
 
     records = []
     for pi, point in enumerate(spec.grid):

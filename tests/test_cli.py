@@ -225,3 +225,12 @@ class TestSpectraCommand:
     def test_bad_arguments_exit_2(self):
         assert main(["spectra", "1", "0.8", "0.9"]) == 2
         assert main(["spectra", "3", "1.8", "0.9"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["3", "0.8", "inf"], ["3", "0.8", "nan"], [str(MAX_D + 1), "0.8", "0.9"]],
+        ids=["x=inf", "x=nan", "d=MAX_D+1"],
+    )
+    def test_non_finite_x_or_too_many_levels_exit_2(self, argv, capsys):
+        assert main(["spectra", *argv]) == 2
+        assert "invalid configuration" in capsys.readouterr().err

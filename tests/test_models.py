@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ri_thermalizer.collisions import CollisionConfig
 from ri_thermalizer.linalg import unitary_from_hamiltonian
 from ri_thermalizer.models import (
     AncillaSpec,
@@ -14,6 +15,7 @@ from ri_thermalizer.models import (
     SystemSpec,
     ancilla_thermal_state,
     bare_hamiltonian,
+    flip_flop_model,
     gibbs_populations,
     interaction_hamiltonian,
     random_density_matrix,
@@ -41,6 +43,34 @@ class TestSystemHamiltonian:
             SystemSpec(d=1)
         with pytest.raises(ValueError):
             SystemSpec(d=3, omega=0.0)
+
+
+# NaN slips through a plain `x < 0` check; inf is meaningless everywhere
+# except as the zero-temperature beta
+@pytest.mark.parametrize(
+    "make, kwargs",
+    [
+        (SystemSpec, dict(d=3, omega=math.nan)),
+        (SystemSpec, dict(d=3, omega=math.inf)),
+        (AncillaSpec, dict(omega=math.nan, beta=1.0)),
+        (AncillaSpec, dict(omega=math.inf, beta=1.0)),
+        (AncillaSpec, dict(omega=1.0, beta=math.nan)),
+        (IsotropicFlipFlop, dict(j=math.nan)),
+        (IsotropicFlipFlop, dict(j=math.inf)),
+        (CounterRotating, dict(j=1.0, j_prime=math.nan)),
+        (CounterRotating, dict(j=math.inf, j_prime=0.5)),
+        (RandomFull, dict(lo=0.1, hi=math.inf, seed=0)),
+        (RandomFull, dict(lo=-math.inf, hi=0.1, seed=0)),
+        (CollisionConfig, dict(tau=math.nan, n_max=10, epsilon=1e-4)),
+        (CollisionConfig, dict(tau=math.inf, n_max=10, epsilon=1e-4)),
+        (CollisionConfig, dict(tau=1.0, n_max=math.nan, epsilon=1e-4)),
+        (flip_flop_model, dict(d=3, omega=1.0, beta=math.nan, j=1e-3)),
+    ],
+    ids=lambda x: x.__name__ if callable(x) else ",".join(f"{k}={v}" for k, v in x.items()),
+)
+def test_rejects_nan_and_meaningless_inf(make, kwargs):
+    with pytest.raises(ValueError):
+        make(**kwargs)
 
 
 class TestAncillaState:

@@ -240,7 +240,12 @@ class TestTsimSimulatedInputs:
         with pytest.raises(ValueError):
             tsim_simulated_sl(np.full(3, 1 / 3), 0.8, gamma, 1e-4, t_max=10.0)
 
-    @pytest.mark.parametrize("t_max", [0.0, -5.0])
+    @pytest.mark.parametrize("epsilon", [math.nan, 0.0, -1.0, 1.0])
+    def test_rejects_epsilon_outside_unit_interval(self, epsilon):
+        with pytest.raises(ValueError):
+            tsim_simulated_sl(np.full(3, 1 / 3), 0.8, 1.0, epsilon, t_max=10.0)
+
+    @pytest.mark.parametrize("t_max", [0.0, -5.0, math.inf])
     def test_rejects_non_positive_t_max(self, t_max):
         with pytest.raises(ValueError):
             tsim_simulated_sl(np.full(3, 1 / 3), 0.8, 1.0, 1e-4, t_max=t_max)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ri_thermalizer import sweeps
 from ri_thermalizer.errors import ConfigInvalid, IoError
 from ri_thermalizer.sweeps import (
     SweepRecord,
@@ -126,6 +127,35 @@ class TestRunSweep:
     def test_parallel_matches_serial(self):
         spec = SweepSpec(kind="NstarVsBeta", grid=(1.0, 3.0, 7.0), j_tau=math.pi / 4)
         assert format_csv(run_sweep(spec, parallel=3)) == format_csv(run_sweep(spec))
+
+    @pytest.mark.parametrize(
+        "parallel, points, cpus, workers",
+        [(100_000, 2, 64, 2), (100_000, 8, 4, 4), (5, 8, None, None), (100_000, 3, 1, None)],
+    )
+    def test_pool_is_bounded_by_tasks_and_cpus(self, monkeypatch, parallel, points, cpus, workers):
+        # a stand-in executor records max_workers and maps in this process,
+        # so no pool, let alone a large one, is ever started
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        spec = SweepSpec(kind="NstarVsBeta", grid=tuple(np.linspace(0.5, 4.0, points)), j_tau=math.pi / 4)
+        serial = format_csv(run_sweep(spec))
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+        assert format_csv(run_sweep(spec, parallel=parallel)) == serial
+        assert pools == ([] if workers is None else [workers])
 
     def test_ensemble_mean_stability(self):
         base = dict(
