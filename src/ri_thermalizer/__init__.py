@@ -66,6 +66,7 @@ from .simtime import (
     tsim_closed_sl_zeroT,
     tsim_general_sl_zeroT_solve,
     tsim_simulated_sl,
+    tsim_simulated_sl_batch,
 )
 from .spectra import (
     SlowModeSummary,

@@ -255,20 +255,23 @@ def collide_once(
     cfg: CollisionConfig,
     collision: int = 0,
     unitary: np.ndarray | None = None,
+    rho_a: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply one CPTP collision: Tr_A[U (rho_S x rho_A) U^dagger].
 
     The joint state is the outer product of rho_S and rho_A, entry
     (2i + a, 2j + b) = rho_S[i, j] rho_A[a, b], which equals ``np.kron``
-    bit for bit.  ``unitary``, when given, is used in place of the one
-    ``collision_unitary`` builds for this collision index.
+    bit for bit.  ``unitary`` and ``rho_a``, when given, are used in place
+    of the ones ``collision_unitary`` and ``ancilla_thermal_state`` build
+    for this collision, so a run can build its fixed ones once.
     """
     if unitary is None:
         unitary = collision_unitary(model, cfg.tau, collision)
+    if rho_a is None:
+        rho_a = ancilla_thermal_state(model.ancilla)
     rho_s = np.asarray(rho_s, dtype=complex)
-    anc = ancilla_thermal_state(model.ancilla)
     dim = 2 * rho_s.shape[0]
-    joint = (rho_s[:, None, :, None] * anc[None, :, None, :]).reshape(dim, dim)
+    joint = (rho_s[:, None, :, None] * rho_a[None, :, None, :]).reshape(dim, dim)
     evolved = unitary @ joint @ unitary.conj().T
     return partial_trace_second(evolved, model.system.d, 2)
 
@@ -294,7 +297,8 @@ def evolve(
         unitaries = (collision_unitary(model, cfg.tau, k) for k in itertools.count())
     else:
         unitaries = itertools.repeat(collision_unitary(model, cfg.tau))
-    step = lambda rho: collide_once(rho, model, cfg, unitary=next(unitaries))
+    rho_a = ancilla_thermal_state(model.ancilla)
+    step = lambda rho: collide_once(rho, model, cfg, unitary=next(unitaries), rho_a=rho_a)
     states = list(_orbit(step, np.asarray(rho0, dtype=complex), n))
     return TrajectoryRecord(states, [trace_distance(rho, target) for rho in states])
 

@@ -50,8 +50,9 @@ class OutOfDomain(RIThermalizerError):
     """Argument outside the domain of the requested Lambert-W branch."""
 
 
-class EpsilonTooLarge(RIThermalizerError):
-    """Precision target violates the Lambert-branch validity bound z >= -1/e."""
+class EpsilonTooLarge(RIThermalizerError, ValueError):
+    """Precision target violates the Lambert-branch validity bound z >= -1/e,
+    or is not below 1."""
 
 
 class NoRootBelowCap(RIThermalizerError):

@@ -16,6 +16,14 @@ three-level recursion and the CPTP map step a density matrix (a
 scan steps (populations, t) and then bisects the last step with
 :func:`bisect_crossing`.
 
+``_first_crossings`` is the same scan over a batch of runs stacked on
+axis 0, each with its own epsilon.  :func:`tsim_simulated_sl_batch` runs
+the points of an SL sweep as one stacked RK4 scan and hands each row to
+:func:`tsim_simulated_sl` for its last step, so the answers are bit for
+bit those of one scan per point.  Stacking saves the per-step overhead,
+which dominates an RK4 step at small d; it does not split the work
+across processes.
+
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
 never grows, and ``_powered_crossing`` finds the first crossing by
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +67,7 @@ from .models import (
     IsotropicFlipFlop,
     ModelSpec,
     RandomFull,
+    ancilla_thermal_state,
     bare_hamiltonian,
     gibbs_populations,
     interaction_hamiltonian,
@@ -70,6 +79,10 @@ _TINY = float(np.finfo(float).tiny)
 # RandomFull unitaries built per stacked eigh; a run that crosses at n*
 # builds at most _UNITARY_BLOCK - 1 unitaries it never applies
 _UNITARY_BLOCK = 16
+
+# a batched SL scan stacks this many bytes of generators (256 rows at
+# d = 128); building and compacting the stack briefly holds two
+_SL_BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -193,6 +206,38 @@ def _first_crossing(step, state, distance, epsilon: float, n_max: int):
     return None, dist, previous
 
 
+def _first_crossings(step, states, params, distance, epsilons, n_max: int):
+    """``_first_crossing`` for a batch of runs stacked on axis 0: row i of
+    every array in the tuples ``states`` and ``params`` belongs to run i,
+    which stops at its own epsilons[i].
+
+    states = step(states, params) advances the rows; params holds their
+    fixed data, and distance(states, params) gives one value per row.
+    Only the rows still above their epsilon are stepped: all arrays are
+    compacted on a step where some row finished.  Returns one (n, distance,
+    previous) per row, previous being a copy of that row's states, so no
+    result keeps a stacked array alive.
+    """
+    epsilons = np.asarray(epsilons, dtype=float)
+    results = [None] * epsilons.size
+    rows = np.arange(epsilons.size)
+    n, previous, dist = 0, states, distance(states, params)
+    while True:
+        crossed = dist <= epsilons
+        done = crossed | (n == n_max)
+        if done.any():
+            for j in np.flatnonzero(done):
+                results[rows[j]] = (n if crossed[j] else None, float(dist[j]), tuple(a[j].copy() for a in previous))
+            if done.all():
+                return results
+            keep = ~done
+            rows, epsilons = rows[keep], epsilons[keep]
+            states, params = (tuple(a[keep] for a in arrays) for arrays in (states, params))
+        n += 1
+        previous, states = states, step(states, params)
+        dist = distance(states, params)
+
+
 def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: float, n_max: int):
     """(n, distance) of ``_first_crossing`` along p, m p, m^2 p, ... for a
     nonnegative column-stochastic m, in O(log n_max) matrix products.
@@ -307,7 +352,8 @@ def nstar_simulated(
             unitaries = _random_unitaries(model, cfg.tau, cfg.n_max)
         else:
             unitaries = itertools.repeat(collision_unitary(model, cfg.tau))
-        step = lambda rho: collide_once(rho, model, cfg, unitary=next(unitaries))
+        rho_a = ancilla_thermal_state(model.ancilla)
+        step = lambda rho: collide_once(rho, model, cfg, unitary=next(unitaries), rho_a=rho_a)
 
     if engine == "recursion" and diagonal:
         n, dist = _powered_crossing(m, np.diag(rho0).real, target_p, cfg.epsilon, cfg.n_max)
@@ -341,6 +387,39 @@ def bracket_crossing(f, epsilon: float, x: float, cap: float) -> tuple[float, fl
     return lo, x
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # a population distance never exceeds 1, and at 1 and above the Lambert
+    # forms return negative times; EpsilonTooLarge is a ValueError
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if not epsilon < 1.0:
+        raise EpsilonTooLarge("epsilon must lie in (0, 1)")
+
+
+def _sl_steps(p_a: float, gamma: float, epsilon: float, t_max: float, dt: float | None):
+    """Check the inputs of an SL crossing; returns the RK4 step h and the
+    number of steps up to t_max."""
+    if not 0.0 < p_a <= 1.0:
+        raise ValueError("p_A must lie in (0, 1]")
+    if not gamma > 0.0:
+        raise ValueError("Gamma must be positive")
+    _check_epsilon(epsilon)
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
+    dt = _resolve_step(t_max, dt, gamma)
+    steps = max(1, math.ceil(t_max / dt))
+    return t_max / steps, steps
+
+
+def _sl_systems(d: int, p_as, gamma: float):
+    """The SL population generators and Gibbs populations for the ancilla
+    ground populations p_as, stacked on axis 0."""
+    gens = np.stack([sl_population_generator(d, p_a, gamma) for p_a in p_as])
+    ratios = np.array([(1.0 - p_a) / p_a for p_a in p_as])
+    targets = ratios[:, None] ** np.arange(d)
+    return gens, targets / targets.sum(axis=1, keepdims=True)
+
+
 def tsim_simulated_sl(
     p0: np.ndarray,
     p_a: float,
@@ -356,21 +435,9 @@ def tsim_simulated_sl(
     far more accurate than the scan resolution.  dt defaults to 0.01 /
     Gamma; a step with dt Gamma > 0.1 raises StepTooLarge.
     """
-    if not 0.0 < p_a <= 1.0:
-        raise ValueError("p_A must lie in (0, 1]")
-    if not gamma > 0.0:
-        raise ValueError("Gamma must be positive")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not 0.0 < t_max < math.inf:
-        raise ValueError("t_max must be positive and finite")
     p0 = np.asarray(p0, dtype=float)
-    d = p0.size
-    dt = _resolve_step(t_max, dt, gamma)
-    gen = sl_population_generator(d, p_a, gamma)
-    ratio = (1.0 - p_a) / p_a
-    target = ratio ** np.arange(d)
-    target /= target.sum()
+    h, steps = _sl_steps(p_a, gamma, epsilon, t_max, dt)
+    (gen,), (target,) = _sl_systems(p0.size, [p_a], gamma)
 
     def rhs(p):
         return gen @ p
@@ -379,8 +446,6 @@ def tsim_simulated_sl(
         p, t = state
         return rk4_step(rhs, p, h), t + h
 
-    steps = max(1, math.ceil(t_max / dt))
-    h = t_max / steps
     distance = lambda state: population_distance(state[0], target)
     n, dist, (p, t) = _first_crossing(step, (p0, 0.0), distance, epsilon, steps)
     if n is None:
@@ -393,6 +458,48 @@ def tsim_simulated_sl(
         x = bisect_crossing(dist_after, epsilon, 0.0, h)[1]
         t, dist = t + x, dist_after(x)
     return ThermalizationResult(None, t, dist, "ode_sl")
+
+
+def tsim_simulated_sl_batch(
+    p0: np.ndarray, p_as, gamma: float, epsilons, t_max: float
+) -> list[ThermalizationResult]:
+    """``tsim_simulated_sl(p0, p_as[i], gamma, epsilons[i], t_max)`` for
+    every i, bit for bit, from one stacked RK4 scan.
+
+    The rows share p0, gamma and t_max, and so the step h.  Each step is
+    one stacked product with the rows' generators, which equals the
+    row-by-row ``gen @ p`` bit for bit; the rows are stacked a block of
+    _SL_BLOCK_BYTES of generators at a time.  Every row is then finished
+    by ``tsim_simulated_sl`` over one step h, from its state before the
+    scan's last step (p0 for a row within epsilon at once): that step
+    crosses and is bisected, or, at t_max, does not.  A crossed row's time
+    is the scan's time there plus the finisher's.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    d = p0.size
+    runs = list(zip(p_as, epsilons, strict=True))
+    for p_a, eps in runs:
+        h, steps = _sl_steps(p_a, gamma, eps, t_max, None)
+
+    def step(state, params):
+        (p, t), (gens, _) = state, params
+        return rk4_step(lambda y: (gens @ y[:, :, None])[:, :, 0], p, h), t + h
+
+    distance = lambda state, params: 0.5 * np.abs(state[0] - params[1]).sum(axis=1)
+    block = max(1, _SL_BLOCK_BYTES // (8 * d * d))
+    results = []
+    for start in range(0, len(runs), block):
+        part = runs[start : start + block]
+        state = (np.tile(p0, (len(part), 1)), np.zeros(len(part)))
+        # the scan alone holds the stacked systems, so compacting them frees
+        # the finished rows
+        crossings = _first_crossings(
+            step, state, _sl_systems(d, [p_a for p_a, _ in part], gamma), distance, [eps for _, eps in part], steps
+        )
+        for (p_a, eps), (_, _, (p, t)) in zip(part, crossings):
+            res = tsim_simulated_sl(p, p_a, gamma, eps, h, dt=h)
+            results.append(res if res.t_sim is None else replace(res, t_sim=float(t) + res.t_sim))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +522,7 @@ def nstar_closed_d3_zeroT(p0: np.ndarray, j_tau: float, epsilon: float) -> float
     Callers round up to an integer collision count.  The p3 -> 0 limit
     degrades to single-mode decay ln(eps/p2)/ln(lambda_+).
     """
+    _check_epsilon(epsilon)
     lp, lm = _lambdas(j_tau)
     p2, p3 = float(p0[1]), float(p0[2])
     log_lp = math.log(lp)
@@ -434,6 +542,7 @@ def nstar_closed_d3_zeroT(p0: np.ndarray, j_tau: float, epsilon: float) -> float
 
 def tsim_closed_sl_zeroT(p0: np.ndarray, gamma: float, epsilon: float) -> float:
     """Simulation time from the Lambert closed form in the SL limit, p_A = 1."""
+    _check_epsilon(epsilon)
     p2, p3 = float(p0[1]), float(p0[2])
     if p3 > 0.0:
         z = -(epsilon / p3) * math.exp(-(1.0 + p2 / p3))
@@ -463,6 +572,7 @@ def nstar_general_zeroT_solve(
     of the formula) the populations cascade down one level per collision
     and the integer crossing is returned directly.
     """
+    _check_epsilon(epsilon)
     p0 = np.asarray(p0, dtype=float)
     d = p0.size
     lp, lm = flip_flop_rates(j_tau)
@@ -494,6 +604,7 @@ def tsim_general_sl_zeroT_solve(
     p0: np.ndarray, gamma: float, epsilon: float, cap: float = 1e12
 ) -> float:
     """Simulation time for any dimension at p_A = 1 in the SL limit."""
+    _check_epsilon(epsilon)
     if gamma <= 0:
         raise ValueError("Gamma must be positive")
     p0 = np.asarray(p0, dtype=float)

@@ -15,6 +15,13 @@ as ``point,value,stderr,reachable`` with 12 significant digits; points
 whose run hit the collision or time cap carry ``reachable=false`` with
 the cap in the value field.
 
+A sweep runs one task per grid point and repetition, in a process pool
+when asked.  An ``OdeSL`` sweep instead runs all its points as one stacked
+RK4 scan in this process (:func:`.simtime.tsim_simulated_sl_batch`) when
+it would run serially or has d <= ``_SL_STACK_MAX_D``.  Stacking shares
+the per-step overhead among the rows, and at small d that overhead
+outweighs the work per row; at larger d a pool that splits the rows wins.
+
 The level count d is bounded by ``MAX_D``: the brute-force engine works
 on the 2d x 2d joint space, and a RandomFull run holds a stack of such
 matrices, so a d far beyond it exhausts memory rather than running.
@@ -32,7 +39,7 @@ import numpy as np
 from .collisions import CollisionConfig
 from .errors import ConfigInvalid, IoError
 from .models import AncillaSpec, IsotropicFlipFlop, ModelSpec, RandomFull, SystemSpec
-from .simtime import nstar_simulated, tsim_simulated_sl
+from .simtime import nstar_simulated, tsim_simulated_sl, tsim_simulated_sl_batch
 
 # each kind's default engine, and the SweepSpec field its grid points replace
 _KIND_TABLE = {
@@ -47,6 +54,9 @@ ENGINES = ("BruteForce", "Recursion", "OdeSL")
 # largest level count a config may ask for: a 256 x 256 complex joint
 # space, 1 MiB per matrix
 MAX_D = 128
+# largest d at which a pooled OdeSL sweep is one stacked scan instead: on
+# two CPUs and 48 points the scan is faster up to d = 48, the pool at 64
+_SL_STACK_MAX_D = 32
 
 
 @dataclass(frozen=True)
@@ -142,8 +152,12 @@ def _validated(spec: SweepSpec) -> SweepSpec:
 # ---------------------------------------------------------------------------
 
 
+def _point_spec(spec: SweepSpec, point_index: int) -> SweepSpec:
+    return replace(spec, **{_KIND_TABLE[spec.kind][1]: spec.grid[point_index]})
+
+
 def _evaluate_task(spec: SweepSpec, point_index: int, rep: int) -> tuple[float, bool]:
-    s = replace(spec, **{_KIND_TABLE[spec.kind][1]: spec.grid[point_index]})
+    s = _point_spec(spec, point_index)
     ancilla = AncillaSpec(omega=s.omega, beta=s.beta)
     if s.engine == "OdeSL":
         p0 = np.full(s.d, 1.0 / s.d)
@@ -164,19 +178,32 @@ def _evaluate_task(spec: SweepSpec, point_index: int, rep: int) -> tuple[float, 
     return float(value if res.reachable else cap) * unit, res.reachable
 
 
+def _sl_outcomes(spec: SweepSpec) -> list[tuple[float, bool]]:
+    points = [_point_spec(spec, pi) for pi in range(len(spec.grid))]
+    p_as = [AncillaSpec(omega=s.omega, beta=s.beta).ground_population for s in points]
+    p0 = np.full(spec.d, 1.0 / spec.d)
+    results = tsim_simulated_sl_batch(p0, p_as, spec.gamma, [s.epsilon for s in points], spec.t_max)
+    return [(float(res.t_sim if res.reachable else spec.t_max), res.reachable) for res in results]
+
+
 def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
     """Evaluate every grid point (and repetition) of a validated sweep.
 
     Tasks are independent; a pool of min(parallel, tasks, CPUs) worker
-    processes runs them when that is more than one.  Results are assembled
-    in grid order regardless of completion order, so output is
-    deterministic for a given spec and seed.
+    processes runs them when that is more than one, so parallel is an
+    upper bound.  An ``OdeSL`` sweep that would run serially, or has d <=
+    _SL_STACK_MAX_D, is one stacked scan over all its points instead, in
+    this process.  Results are assembled in grid order regardless of
+    completion order, so output is deterministic for a given spec and
+    seed.
     """
     spec = _validated(spec)
     reps = spec.repetitions if spec.kind == "RandomEnsembleVsBeta" else 1
     tasks = [(spec, pi, r) for pi in range(len(spec.grid)) for r in range(reps)]
     workers = min(parallel, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
+    if spec.engine == "OdeSL" and (workers == 1 or spec.d <= _SL_STACK_MAX_D):
+        outcomes = _sl_outcomes(spec)
+    elif workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_evaluate_task, *zip(*tasks), chunksize=1))
     else:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ri_thermalizer import collisions, simtime
 from ri_thermalizer.collisions import (
     CollisionConfig,
     collide_once,
@@ -37,6 +38,7 @@ from ri_thermalizer.models import (
     random_density_matrix,
     system_gibbs_state,
 )
+from ri_thermalizer.simtime import nstar_simulated
 from ri_thermalizer.spectra import c13_steady_state
 
 
@@ -168,6 +170,52 @@ class TestCollideOnce:
             assert abs(np.trace(rho).real - 1.0) <= 1e-13
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-13
             assert np.linalg.eigvalsh(rho).min() >= -1e-10
+
+
+class TestAncillaStateOncePerRun:
+    """A run's rho_A is fixed: it is built once and handed to every
+    collision, as the unitary is."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+
+        def counting(spec):
+            made.append(spec)
+            return ancilla_thermal_state(spec)
+
+        for module in (collisions, simtime):
+            monkeypatch.setattr(module, "ancilla_thermal_state", counting, raising=False)
+        return made
+
+    MODELS = {
+        "fixed": flip_flop_model(3, omega=1.0, beta=1.2, j=0.5),
+        "random": ModelSpec(
+            SystemSpec(d=3, omega=1.0), AncillaSpec(omega=1.0, beta=1.2), RandomFull(lo=0.1, hi=0.9, seed=4)
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_one_per_nstar_run(self, calls, kind):
+        cfg = CollisionConfig(tau=0.7, n_max=60, epsilon=1e-3)
+        res = nstar_simulated(np.eye(3, dtype=complex) / 3, self.MODELS[kind], cfg, engine="brute_force")
+        assert res.n_star is None or res.n_star > 5
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_one_per_evolve_run(self, calls, kind):
+        cfg = CollisionConfig(tau=0.7, n_max=100, epsilon=1e-3)
+        evolve(np.eye(3, dtype=complex) / 3, self.MODELS[kind], cfg, 9)
+        assert len(calls) == 1
+
+    def test_a_direct_call_builds_its_own(self, calls):
+        model = self.MODELS["fixed"]
+        cfg = CollisionConfig(tau=0.7, n_max=10, epsilon=1e-3)
+        rho = random_density_matrix(3, np.random.default_rng(8))
+        own = collide_once(rho, model, cfg)
+        assert len(calls) == 1
+        assert np.array_equal(collide_once(rho, model, cfg, rho_a=ancilla_thermal_state(model.ancilla)), own)
+        assert len(calls) == 1
 
 
 class TestEvolve:

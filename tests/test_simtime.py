@@ -267,6 +267,24 @@ class TestTsimSimulatedInputs:
         assert default == explicit
 
 
+@pytest.mark.parametrize(
+    "solve, rate",
+    [
+        (nstar_closed_d3_zeroT, 0.8),
+        (tsim_closed_sl_zeroT, 1.0),
+        (nstar_general_zeroT_solve, 0.8),
+        (tsim_general_sl_zeroT_solve, 1.0),
+    ],
+)
+@pytest.mark.parametrize("epsilon", [math.nan, 0.0, -1e-3, 1.0, 1.5])
+def test_zero_temperature_solvers_reject_epsilon_outside_unit_interval(solve, rate, epsilon):
+    # each used to return a number here (1.0 for NaN, a finite time at 0, a
+    # negative time at 1 and above for some starts) or end in a math error
+    for p0 in (np.array([0.2, 0.3, 0.5]), np.array([0.0, 0.9, 0.1])):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+            solve(p0, rate, epsilon)
+
+
 class TestClosedFormsD3:
     def test_matches_simulation_at_zero_temperature(self):
         model = flip_flop_model(3, omega=1.0, beta=math.inf, j=1e-3)

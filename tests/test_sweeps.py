@@ -1,7 +1,9 @@
 """Unit tests for sweep configuration, execution, and CSV emission."""
 
+import importlib.util
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,31 @@ from ri_thermalizer.sweeps import (
     parse_csv,
     run_sweep,
 )
+from ri_thermalizer.models import AncillaSpec
+from ri_thermalizer.simtime import tsim_simulated_sl
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """A stand-in executor in sweeps: it records max_workers and maps in
+    this process, so no pool, let alone a large one, is ever started."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+    return started
 
 
 class TestParseConfig:
@@ -132,30 +159,75 @@ class TestRunSweep:
         "parallel, points, cpus, workers",
         [(100_000, 2, 64, 2), (100_000, 8, 4, 4), (5, 8, None, None), (100_000, 3, 1, None)],
     )
-    def test_pool_is_bounded_by_tasks_and_cpus(self, monkeypatch, parallel, points, cpus, workers):
-        # a stand-in executor records max_workers and maps in this process,
-        # so no pool, let alone a large one, is ever started
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
+    def test_pool_is_bounded_by_tasks_and_cpus(self, monkeypatch, pools, parallel, points, cpus, workers):
         spec = SweepSpec(kind="NstarVsBeta", grid=tuple(np.linspace(0.5, 4.0, points)), j_tau=math.pi / 4)
         serial = format_csv(run_sweep(spec))
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
         assert format_csv(run_sweep(spec, parallel=parallel)) == serial
         assert pools == ([] if workers is None else [workers])
+
+    def test_an_sl_sweep_starts_no_pool(self, monkeypatch, pools):
+        # one stacked scan in this process, whatever parallel allows
+        spec = SweepSpec(kind="TsimVsBeta", grid=(0.5, 1.0, 2.0, 5.0), d=4, gamma=1.0)
+        serial = format_csv(run_sweep(spec))
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+        assert format_csv(run_sweep(spec, parallel=2)) == serial
+        assert pools == []
+
+    @pytest.mark.parametrize("d, workers", [(4, []), (5, [2])])
+    def test_an_sl_sweep_above_the_stack_bound_is_pooled(self, monkeypatch, pools, d, workers):
+        # the pool splits the rows once the work per row outweighs the
+        # per-step overhead; serially the sweep is still one stacked scan
+        monkeypatch.setattr(sweeps, "_SL_STACK_MAX_D", 4)
+        spec = SweepSpec(kind="TsimVsBeta", grid=(0.5, 1.0, 2.0, 5.0), d=d, gamma=1.0)
+        serial = format_csv(run_sweep(spec))
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+        assert format_csv(run_sweep(spec, parallel=2)) == serial
+        assert pools == workers
+
+    def test_a_traced_sl_sweep_has_one_task_root_per_task(self, tmp_path):
+        # perfbench's traced run counts one tsim_simulated_sl span per task,
+        # also for the points the scan leaves unreachable
+        path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+        module_spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer_mod = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(tracer_mod)
+        spec = SweepSpec(kind="TsimVsBeta", grid=(0.0, 0.5, 1.0, 4.0, math.inf), d=3, gamma=1.0,
+                         epsilon=1e-3, t_max=10.0)
+        tracer = tracer_mod.Tracer(tmp_path)
+        tracer.install()
+        try:
+            records = run_sweep(spec)
+        finally:
+            tracer.uninstall()
+        calls = tracer_mod.sweep_summary(*tracer.collect())["calls"]
+        assert [r.reachable for r in records] == [True, False, False, True, True]
+        assert sum(calls[name] for name in tracer_mod.TASK_ROOTS) == len(spec.grid)
+
+    @staticmethod
+    def _per_point(spec, betas, epsilons):
+        p0 = np.full(spec.d, 1.0 / spec.d)
+        records = []
+        for beta, eps in zip(betas, epsilons):
+            res = tsim_simulated_sl(p0, AncillaSpec(omega=spec.omega, beta=beta).ground_population,
+                                    spec.gamma, eps, spec.t_max)
+            records.append((res.t_sim if res.reachable else spec.t_max, res.reachable))
+        return records
+
+    def test_tsim_vs_beta_equals_one_scan_per_point(self):
+        # a step-0 point, two unreachable at t_max = 10 and zero temperature
+        grid = (0.0, 0.5, 1.0, 2.0, 4.0, math.inf)
+        spec = SweepSpec(kind="TsimVsBeta", grid=grid, d=3, gamma=1.0, epsilon=1e-3, t_max=10.0)
+        records = run_sweep(spec)
+        expected = self._per_point(spec, grid, [spec.epsilon] * len(grid))
+        assert [(r.value, r.reachable) for r in records] == expected
+        assert [r.reachable for r in records] == [True, False, False, True, True, True]
+
+    def test_tsim_vs_epsilon_equals_one_scan_per_point(self):
+        grid = (1e-9, 1e-6, 1e-4, 1e-2, 0.3)
+        spec = SweepSpec(kind="TsimVsEpsilon", grid=grid, d=6, beta=1.5, gamma=2.0, t_max=30.0)
+        records = run_sweep(spec)
+        assert [(r.value, r.reachable) for r in records] == self._per_point(spec, [spec.beta] * len(grid), grid)
 
     def test_ensemble_mean_stability(self):
         base = dict(
