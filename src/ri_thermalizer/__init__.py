@@ -62,6 +62,7 @@ from .simtime import (
     nstar_closed_d3_zeroT,
     nstar_general_zeroT_solve,
     nstar_simulated,
+    nstar_simulated_batch,
     population_distance,
     tsim_closed_sl_zeroT,
     tsim_general_sl_zeroT_solve,

@@ -263,17 +263,27 @@ def collide_once(
     (2i + a, 2j + b) = rho_S[i, j] rho_A[a, b], which equals ``np.kron``
     bit for bit.  ``unitary`` and ``rho_a``, when given, are used in place
     of the ones ``collision_unitary`` and ``ancilla_thermal_state`` build
-    for this collision, so a run can build its fixed ones once.
+    for this collision, so a run can build its fixed ones once.  rho_s may
+    be a (..., d, d) stack, with a unitary and rho_a stacked alike or
+    shared; see :func:`_collide`.
     """
     if unitary is None:
         unitary = collision_unitary(model, cfg.tau, collision)
     if rho_a is None:
         rho_a = ancilla_thermal_state(model.ancilla)
-    rho_s = np.asarray(rho_s, dtype=complex)
-    dim = 2 * rho_s.shape[0]
-    joint = (rho_s[:, None, :, None] * rho_a[None, :, None, :]).reshape(dim, dim)
-    evolved = unitary @ joint @ unitary.conj().T
-    return partial_trace_second(evolved, model.system.d, 2)
+    return _collide(np.asarray(rho_s, dtype=complex), unitary, rho_a)
+
+
+def _collide(rho_s: np.ndarray, unitary: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
+    """Tr_A[U (rho_S x rho_A) U^dagger] for a complex state or a (..., d, d)
+    stack of them, each with its own (..., 2d, 2d) unitary and (..., 2, 2)
+    rho_A.  The products are stacked matmuls, one BLAS call per matrix, so
+    each state of a stack comes out as it alone would, bit for bit."""
+    d = rho_s.shape[-1]
+    joint = (rho_s[..., :, None, :, None] * rho_a[..., None, :, None, :]).reshape(*rho_s.shape[:-2], 2 * d, 2 * d)
+    evolved = unitary @ joint
+    del joint  # a stack then holds three (2d, 2d) arrays per state at once, not four
+    return partial_trace_second(evolved @ unitary.conj().swapaxes(-1, -2), d, 2)
 
 
 def evolve(

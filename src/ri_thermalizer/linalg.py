@@ -3,10 +3,10 @@
 Everything here acts on plain ``numpy`` arrays (complex square matrices,
 at most a few tens of rows).  Matrix functions of Hermitian generators go
 through the spectral decomposition only, so collision unitaries stay
-unitary to machine precision.  The Hermitian routines also take a stack
-of shape ``(..., n, n)`` and treat each matrix on its own; one LAPACK
-call per matrix either way, so a stacked result equals, bit for bit, the
-one-matrix calls it replaces.
+unitary to machine precision.  The Hermitian routines and the partial
+trace also take a stack of shape ``(..., n, n)`` and treat each matrix
+on its own (one LAPACK call per matrix either way), so a stacked result
+equals, bit for bit, the one-matrix calls it replaces.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ def hermitian_eigen(h: np.ndarray) -> HermitianEigenDecomposition:
 def unitary_from_hamiltonian(h: np.ndarray, tau: float) -> np.ndarray:
     """exp(-i h tau) via the spectral decomposition of Hermitian h.
 
-    h may be one n x n matrix or a (..., n, n) stack; each matrix of the
+    h may be one n x n matrix or a (..., n, n) stack, and tau a number or
+    an array of shape (..., 1), one time per matrix; each matrix of the
     stack gives the unitary that it alone would give, bit for bit.
     """
     dec = hermitian_eigen(h)
@@ -76,14 +77,16 @@ def unitary_from_hamiltonian(h: np.ndarray, tau: float) -> np.ndarray:
 
 
 def partial_trace_second(rho_joint: np.ndarray, d_sys: int, d_anc: int) -> np.ndarray:
-    """Trace out the second (ancilla) factor of a d_sys*d_anc joint state."""
+    """Trace out the second (ancilla) factor of a d_sys*d_anc joint state,
+    or of each state in a (..., d_sys*d_anc, d_sys*d_anc) stack."""
     rho_joint = np.asarray(rho_joint)
     dim = d_sys * d_anc
-    if rho_joint.shape != (dim, dim):
+    if rho_joint.shape[-2:] != (dim, dim):
         raise DimensionMismatch(
-            f"joint state has shape {rho_joint.shape}, expected ({dim}, {dim})"
+            f"joint state has shape {rho_joint.shape}, expected (..., {dim}, {dim})"
         )
-    return rho_joint.reshape(d_sys, d_anc, d_sys, d_anc).trace(axis1=1, axis2=3)
+    lead = rho_joint.shape[:-2]
+    return rho_joint.reshape(*lead, d_sys, d_anc, d_sys, d_anc).trace(axis1=-3, axis2=-1)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

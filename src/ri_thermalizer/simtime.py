@@ -19,10 +19,12 @@ scan steps (populations, t) and then bisects the last step with
 ``_first_crossings`` is the same scan over a batch of runs stacked on
 axis 0, each with its own epsilon.  :func:`tsim_simulated_sl_batch` runs
 the points of an SL sweep as one stacked RK4 scan and hands each row to
-:func:`tsim_simulated_sl` for its last step, so the answers are bit for
-bit those of one scan per point.  Stacking saves the per-step overhead,
-which dominates an RK4 step at small d; it does not split the work
-across processes.
+:func:`tsim_simulated_sl` for its last step; :func:`nstar_simulated_batch`
+runs fixed-unitary CPTP runs as one stacked collision scan and hands
+each row to :func:`nstar_simulated` for its last collision.  So the
+answers are bit for bit those of one scan per run.  Stacking saves the
+per-step overhead, which dominates a step at small d; it does not split
+the work across processes.
 
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
@@ -36,6 +38,7 @@ to ``_first_crossing``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -44,6 +47,7 @@ import numpy as np
 
 from .collisions import (
     CollisionConfig,
+    _collide,
     _resolve_step,
     collide_once,
     collision_unitary,
@@ -80,9 +84,12 @@ _TINY = float(np.finfo(float).tiny)
 # builds at most _UNITARY_BLOCK - 1 unitaries it never applies
 _UNITARY_BLOCK = 16
 
-# a batched SL scan stacks this many bytes of generators (256 rows at
-# d = 128); building and compacting the stack briefly holds two
-_SL_BLOCK_BYTES = 32 * 2**20
+# a batched scan stacks rows until their matrices fill this many bytes:
+# 256 SL generators, or 8 CPTP rows, at d = 128
+_BLOCK_BYTES = 32 * 2**20
+# a CPTP row holds its (2d, 2d) unitary, and a stacked collision three more
+# arrays of that shape per row at once
+_CPTP_ROW_ARRAYS = 4
 
 
 @dataclass(frozen=True)
@@ -363,6 +370,64 @@ def nstar_simulated(
     return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
 
+def _cptp_systems(runs):
+    """The unitaries, rho_A and Gibbs targets of fixed-unitary CPTP runs
+    (model, cfg), stacked on axis 0: bit for bit those ``nstar_simulated``
+    builds run by run, with H_0 built once per (system, ancilla) and every
+    unitary from one stacked ``unitary_from_hamiltonian``."""
+    bare = functools.cache(bare_hamiltonian)
+    h = np.stack([bare(m.system, m.ancilla) + interaction_hamiltonian(m.system, m.interaction) for m, _ in runs])
+    unitaries = unitary_from_hamiltonian(h, np.array([cfg.tau for _, cfg in runs])[:, None])
+    rho_as = np.stack([ancilla_thermal_state(m.ancilla) for m, _ in runs])
+    target_ps = [gibbs_populations(m.system.d, m.system.omega, m.ancilla.beta) for m, _ in runs]
+    return unitaries, rho_as, np.stack([np.diag(p.astype(complex)) for p in target_ps])
+
+
+def nstar_simulated_batch(rho0: np.ndarray, models, cfgs) -> list[ThermalizationResult]:
+    """``nstar_simulated(rho0, models[i], cfgs[i], engine="brute_force")``
+    for every i, bit for bit, from one stacked CPTP scan.
+
+    The rows share d, rho0 and n_max; each has its own unitary, rho_A,
+    Gibbs target and epsilon.  Each step is one stacked collision and one
+    stacked ``eigvalsh`` for the distances, which equal the row-by-row
+    ``collide_once`` and ``trace_distance`` bit for bit.  The rows are
+    stacked a block of _BLOCK_BYTES at a time, counting for each row its
+    (2d, 2d) unitary and the ones of that shape a step makes.  Every row is
+    then finished by ``nstar_simulated`` with n_max = 1, from its state
+    before the scan's last step (rho0 for a row within epsilon at once);
+    a crossed row's n* is the scan's.  A RandomFull row raises ValueError:
+    its unitary changes every collision.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    runs = list(zip(models, cfgs, strict=True))
+    for model, cfg in runs:
+        if isinstance(model.interaction, RandomFull):
+            raise ValueError("a RandomFull run draws a new unitary every collision; it cannot be batched")
+        if model.system.d != rho0.shape[0] or cfg.n_max != runs[0][1].n_max:
+            raise ValueError("the rows of a batch share d, rho0 and n_max")
+
+    step = lambda states, params: (_collide(states[0], *params[:2]),)
+    distance = lambda states, params: 0.5 * np.abs(np.linalg.eigvalsh(states[0] - params[2])).sum(axis=1)
+    block = max(1, _BLOCK_BYTES // (_CPTP_ROW_ARRAYS * 16 * (2 * rho0.shape[0]) ** 2))
+    results = []
+    for start in range(0, len(runs), block):
+        part = runs[start : start + block]
+        # the scan alone holds the stacked systems, so compacting them frees
+        # the finished rows
+        crossings = _first_crossings(
+            step,
+            (np.tile(rho0, (len(part), 1, 1)),),
+            _cptp_systems(part),
+            distance,
+            [cfg.epsilon for _, cfg in part],
+            part[0][1].n_max,
+        )
+        for (model, cfg), (n, _, (previous,)) in zip(part, crossings):
+            res = nstar_simulated(previous, model, replace(cfg, n_max=1), engine="brute_force")
+            results.append(res if res.n_star is None else replace(res, n_star=n, t_sim=n * cfg.tau))
+    return results
+
+
 def bisect_crossing(f, epsilon: float, lo: float, hi: float) -> tuple[float, float]:
     """Narrow [lo, hi], where f(lo) > epsilon >= f(hi), until no float lies
     strictly between lo and hi; returns the final (lo, hi)."""
@@ -469,7 +534,7 @@ def tsim_simulated_sl_batch(
     The rows share p0, gamma and t_max, and so the step h.  Each step is
     one stacked product with the rows' generators, which equals the
     row-by-row ``gen @ p`` bit for bit; the rows are stacked a block of
-    _SL_BLOCK_BYTES of generators at a time.  Every row is then finished
+    _BLOCK_BYTES of generators at a time.  Every row is then finished
     by ``tsim_simulated_sl`` over one step h, from its state before the
     scan's last step (p0 for a row within epsilon at once): that step
     crosses and is bisected, or, at t_max, does not.  A crossed row's time
@@ -486,7 +551,7 @@ def tsim_simulated_sl_batch(
         return rk4_step(lambda y: (gens @ y[:, :, None])[:, :, 0], p, h), t + h
 
     distance = lambda state, params: 0.5 * np.abs(state[0] - params[1]).sum(axis=1)
-    block = max(1, _SL_BLOCK_BYTES // (8 * d * d))
+    block = max(1, _BLOCK_BYTES // (8 * d * d))
     results = []
     for start in range(0, len(runs), block):
         part = runs[start : start + block]

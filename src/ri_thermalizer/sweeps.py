@@ -15,12 +15,15 @@ as ``point,value,stderr,reachable`` with 12 significant digits; points
 whose run hit the collision or time cap carry ``reachable=false`` with
 the cap in the value field.
 
-A sweep runs one task per grid point and repetition, in a process pool
-when asked.  An ``OdeSL`` sweep instead runs all its points as one stacked
-RK4 scan in this process (:func:`.simtime.tsim_simulated_sl_batch`) when
-it would run serially or has d <= ``_SL_STACK_MAX_D``.  Stacking shares
-the per-step overhead among the rows, and at small d that overhead
-outweighs the work per row; at larger d a pool that splits the rows wins.
+A sweep runs one task per grid point and repetition.  A process pool,
+when asked for, gives each worker an equal share of the tasks.  The
+stacked engines run a share as one batch: ``OdeSL`` as one stacked RK4
+scan (:func:`.simtime.tsim_simulated_sl_batch`), and ``BruteForce`` with
+a fixed unitary as one stacked CPTP scan
+(:func:`.simtime.nstar_simulated_batch`); the others run it task by
+task.  Stacking shares the per-step overhead among the rows, so a
+stacked sweep with d <= ``_STACK_MAX_D[engine]`` runs as one share in
+this process; at larger d a pool that splits the rows wins.
 
 The level count d is bounded by ``MAX_D``: the brute-force engine works
 on the 2d x 2d joint space, and a RandomFull run holds a stack of such
@@ -39,7 +42,7 @@ import numpy as np
 from .collisions import CollisionConfig
 from .errors import ConfigInvalid, IoError
 from .models import AncillaSpec, IsotropicFlipFlop, ModelSpec, RandomFull, SystemSpec
-from .simtime import nstar_simulated, tsim_simulated_sl, tsim_simulated_sl_batch
+from .simtime import nstar_simulated, nstar_simulated_batch, tsim_simulated_sl_batch
 
 # each kind's default engine, and the SweepSpec field its grid points replace
 _KIND_TABLE = {
@@ -54,9 +57,11 @@ ENGINES = ("BruteForce", "Recursion", "OdeSL")
 # largest level count a config may ask for: a 256 x 256 complex joint
 # space, 1 MiB per matrix
 MAX_D = 128
-# largest d at which a pooled OdeSL sweep is one stacked scan instead: on
-# two CPUs and 48 points the scan is faster up to d = 48, the pool at 64
-_SL_STACK_MAX_D = 32
+# the stacked engines, each with the largest d at which a pooled sweep runs
+# as one share in this process instead.  On two CPUs and 48 points the SL
+# scan beats a pool up to d = 48 and ties a pool of shares up to 32; the
+# CPTP scan ties a pool of shares up to d = 4 and loses to it from d = 5
+_STACK_MAX_D = {"OdeSL": 32, "BruteForce": 4}
 
 
 @dataclass(frozen=True)
@@ -156,34 +161,38 @@ def _point_spec(spec: SweepSpec, point_index: int) -> SweepSpec:
     return replace(spec, **{_KIND_TABLE[spec.kind][1]: spec.grid[point_index]})
 
 
-def _evaluate_task(spec: SweepSpec, point_index: int, rep: int) -> tuple[float, bool]:
-    s = _point_spec(spec, point_index)
-    ancilla = AncillaSpec(omega=s.omega, beta=s.beta)
-    if s.engine == "OdeSL":
-        p0 = np.full(s.d, 1.0 / s.d)
-        res = tsim_simulated_sl(p0, ancilla.ground_population, s.gamma, s.epsilon, t_max=s.t_max)
-        value, cap, unit = res.t_sim, s.t_max, 1.0
-    else:
-        tau = s.j_tau / s.j
-        interaction = IsotropicFlipFlop(j=s.j)
+def _stacked(spec: SweepSpec) -> bool:
+    # one fixed step for every task: the SL scan, or CPTP with one unitary
+    return spec.engine in _STACK_MAX_D and spec.kind != "RandomEnsembleVsBeta"
+
+
+def _evaluate_tasks(spec: SweepSpec, tasks) -> list[tuple[float, bool]]:
+    """(value, reachable) of each (point index, repetition) task.  The
+    tasks of a stacked engine run as one batch, the others one by one."""
+    points = [_point_spec(spec, pi) for pi, _ in tasks]
+    if spec.engine == "OdeSL":
+        p_as = [AncillaSpec(omega=s.omega, beta=s.beta).ground_population for s in points]
+        p0 = np.full(spec.d, 1.0 / spec.d)
+        results = tsim_simulated_sl_batch(p0, p_as, spec.gamma, [s.epsilon for s in points], spec.t_max)
+        return [(float(res.t_sim if res.reachable else spec.t_max), res.reachable) for res in results]
+
+    models, cfgs = [], []
+    for s, (pi, rep) in zip(points, tasks):
+        tau, interaction = s.j_tau / s.j, IsotropicFlipFlop(j=s.j)
         if s.kind == "RandomEnsembleVsBeta":
-            seed = int(np.random.SeedSequence([s.seed, point_index, rep]).generate_state(1, np.uint64)[0])
+            seed = int(np.random.SeedSequence([s.seed, pi, rep]).generate_state(1, np.uint64)[0])
             tau, interaction = s.tau, RandomFull(lo=s.lo, hi=s.hi, seed=seed)
-        model = ModelSpec(SystemSpec(d=s.d, omega=s.omega), ancilla, interaction)
-        cfg = CollisionConfig(tau=tau, n_max=s.n_max, epsilon=s.epsilon)
-        rho0 = np.eye(s.d, dtype=complex) / s.d
-        res = nstar_simulated(rho0, model, cfg, engine="recursion" if s.engine == "Recursion" else "brute_force")
-        # the Tsim kinds turn a collision count into the time n* tau
-        value, cap, unit = res.n_star, s.n_max, (tau if s.kind.startswith("Tsim") else 1.0)
-    return float(value if res.reachable else cap) * unit, res.reachable
-
-
-def _sl_outcomes(spec: SweepSpec) -> list[tuple[float, bool]]:
-    points = [_point_spec(spec, pi) for pi in range(len(spec.grid))]
-    p_as = [AncillaSpec(omega=s.omega, beta=s.beta).ground_population for s in points]
-    p0 = np.full(spec.d, 1.0 / spec.d)
-    results = tsim_simulated_sl_batch(p0, p_as, spec.gamma, [s.epsilon for s in points], spec.t_max)
-    return [(float(res.t_sim if res.reachable else spec.t_max), res.reachable) for res in results]
+        models.append(ModelSpec(SystemSpec(d=s.d, omega=s.omega), AncillaSpec(omega=s.omega, beta=s.beta), interaction))
+        cfgs.append(CollisionConfig(tau=tau, n_max=s.n_max, epsilon=s.epsilon))
+    rho0 = np.eye(spec.d, dtype=complex) / spec.d
+    if _stacked(spec):
+        results = nstar_simulated_batch(rho0, models, cfgs)
+    else:
+        engine = "recursion" if spec.engine == "Recursion" else "brute_force"
+        results = [nstar_simulated(rho0, model, cfg, engine=engine) for model, cfg in zip(models, cfgs)]
+    # the Tsim kinds turn a collision count into the time n* tau
+    unit = lambda cfg: cfg.tau if spec.kind.startswith("Tsim") else 1.0
+    return [(float(res.n_star if res.reachable else spec.n_max) * unit(cfg), res.reachable) for res, cfg in zip(results, cfgs)]
 
 
 def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
@@ -191,23 +200,25 @@ def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
 
     Tasks are independent; a pool of min(parallel, tasks, CPUs) worker
     processes runs them when that is more than one, so parallel is an
-    upper bound.  An ``OdeSL`` sweep that would run serially, or has d <=
-    _SL_STACK_MAX_D, is one stacked scan over all its points instead, in
-    this process.  Results are assembled in grid order regardless of
-    completion order, so output is deterministic for a given spec and
-    seed.
+    upper bound.  Worker w takes every w-th task as one share.  A sweep
+    on the ``OdeSL`` engine, or on ``BruteForce`` with a fixed unitary
+    (every kind but ``RandomEnsembleVsBeta``), runs each share as one
+    stacked scan, and with d <= _STACK_MAX_D[engine] runs all its tasks
+    as one share in this process.  Results are assembled in grid order, so
+    output is deterministic for a given spec and seed.
     """
     spec = _validated(spec)
     reps = spec.repetitions if spec.kind == "RandomEnsembleVsBeta" else 1
-    tasks = [(spec, pi, r) for pi in range(len(spec.grid)) for r in range(reps)]
+    tasks = [(pi, r) for pi in range(len(spec.grid)) for r in range(reps)]
     workers = min(parallel, len(tasks), os.cpu_count() or 1)
-    if spec.engine == "OdeSL" and (workers == 1 or spec.d <= _SL_STACK_MAX_D):
-        outcomes = _sl_outcomes(spec)
-    elif workers > 1:
+    if workers > 1 and not (_stacked(spec) and spec.d <= _STACK_MAX_D[spec.engine]):
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_evaluate_task, *zip(*tasks), chunksize=1))
+            shares = list(pool.map(_evaluate_tasks, [spec] * workers, [tasks[w::workers] for w in range(workers)]))
+        outcomes = [None] * len(tasks)
+        for w, share in enumerate(shares):
+            outcomes[w::workers] = share
     else:
-        outcomes = [_evaluate_task(*t) for t in tasks]
+        outcomes = _evaluate_tasks(spec, tasks)
 
     records = []
     for pi, point in enumerate(spec.grid):

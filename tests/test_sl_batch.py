@@ -90,7 +90,7 @@ class TestNamedCases:
 
     def test_a_grid_larger_than_one_row_block(self, monkeypatch):
         # blocks of two rows at d = 4, so five rows take three blocks
-        monkeypatch.setattr(simtime, "_SL_BLOCK_BYTES", 2 * 8 * 4 * 4)
+        monkeypatch.setattr(simtime, "_BLOCK_BYTES", 2 * 8 * 4 * 4)
         betas = [0.2, 0.7, 1.5, 3.0, math.inf]
         res = _assert_batch_matches(np.full(4, 0.25), betas, 1.0, [1e-5] * 5, 60.0)
         assert all(r.reachable for r in res)
@@ -135,7 +135,7 @@ def test_a_batch_holds_one_block_of_generators_at_max_d(monkeypatch):
     # all 64 rows at once, would hold several blocks
     d, rows = MAX_D, 64
     block = 16 * 8 * d * d
-    monkeypatch.setattr(simtime, "_SL_BLOCK_BYTES", block)
+    monkeypatch.setattr(simtime, "_BLOCK_BYTES", block)
     p0 = np.full(d, 1.0 / d)
     p_a = _p_a(1.0)
     start = population_distance(p0, simtime._sl_systems(d, [p_a], 1.0)[1][0])

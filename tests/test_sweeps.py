@@ -178,22 +178,48 @@ class TestRunSweep:
     def test_an_sl_sweep_above_the_stack_bound_is_pooled(self, monkeypatch, pools, d, workers):
         # the pool splits the rows once the work per row outweighs the
         # per-step overhead; serially the sweep is still one stacked scan
-        monkeypatch.setattr(sweeps, "_SL_STACK_MAX_D", 4)
+        monkeypatch.setitem(sweeps._STACK_MAX_D, "OdeSL", 4)
         spec = SweepSpec(kind="TsimVsBeta", grid=(0.5, 1.0, 2.0, 5.0), d=d, gamma=1.0)
         serial = format_csv(run_sweep(spec))
         monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
         assert format_csv(run_sweep(spec, parallel=2)) == serial
         assert pools == workers
 
-    def test_a_traced_sl_sweep_has_one_task_root_per_task(self, tmp_path):
-        # perfbench's traced run counts one tsim_simulated_sl span per task,
-        # also for the points the scan leaves unreachable
+    @pytest.mark.parametrize("d, workers", [(2, []), (3, [2])])
+    def test_a_brute_force_sweep_above_the_stack_bound_is_pooled(self, monkeypatch, pools, d, workers):
+        monkeypatch.setitem(sweeps._STACK_MAX_D, "BruteForce", 2)
+        spec = SweepSpec(kind="NstarVsJtau", grid=(0.4, 0.9, 1.3, 2.2), d=d, beta=2.0, j=1.0,
+                         epsilon=1e-4, engine="BruteForce")
+        serial = format_csv(run_sweep(spec))
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+        assert format_csv(run_sweep(spec, parallel=2)) == serial
+        assert pools == workers
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SweepSpec(kind="NstarVsJtau", grid=(0.4, 0.9, 1.3, 2.2, math.pi), d=5, beta=2.0, j=1.0,
+                      epsilon=1e-4, n_max=400, engine="BruteForce"),
+            SweepSpec(kind="NstarVsJtau", grid=(0.4, 0.9, 1.3, 2.2, math.pi), d=5, beta=2.0, j=1.0,
+                      epsilon=1e-4, n_max=400),
+            SweepSpec(kind="RandomEnsembleVsBeta", grid=(0.5, 2.0, 6.0), seed=3, repetitions=3,
+                      epsilon=0.05, n_max=2000),
+        ],
+        ids=["BruteForce", "Recursion", "RandomEnsembleVsBeta"],
+    )
+    def test_pooled_shares_give_the_serial_csv(self, monkeypatch, spec):
+        # two real worker processes, each with every other task
+        serial = format_csv(run_sweep(spec))
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+        assert format_csv(run_sweep(spec, parallel=2)) == serial
+
+    @staticmethod
+    def _task_roots(tmp_path, spec):
+        # perfbench's tracer, loaded from its file
         path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
         module_spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
         tracer_mod = importlib.util.module_from_spec(module_spec)
         module_spec.loader.exec_module(tracer_mod)
-        spec = SweepSpec(kind="TsimVsBeta", grid=(0.0, 0.5, 1.0, 4.0, math.inf), d=3, gamma=1.0,
-                         epsilon=1e-3, t_max=10.0)
         tracer = tracer_mod.Tracer(tmp_path)
         tracer.install()
         try:
@@ -201,8 +227,25 @@ class TestRunSweep:
         finally:
             tracer.uninstall()
         calls = tracer_mod.sweep_summary(*tracer.collect())["calls"]
+        return records, sum(calls[name] for name in tracer_mod.TASK_ROOTS)
+
+    def test_a_traced_sl_sweep_has_one_task_root_per_task(self, tmp_path):
+        # perfbench's traced run counts one tsim_simulated_sl span per task,
+        # also for the points the scan leaves unreachable
+        spec = SweepSpec(kind="TsimVsBeta", grid=(0.0, 0.5, 1.0, 4.0, math.inf), d=3, gamma=1.0,
+                         epsilon=1e-3, t_max=10.0)
+        records, roots = self._task_roots(tmp_path, spec)
         assert [r.reachable for r in records] == [True, False, False, True, True]
-        assert sum(calls[name] for name in tracer_mod.TASK_ROOTS) == len(spec.grid)
+        assert roots == len(spec.grid)
+
+    def test_a_traced_brute_force_sweep_has_one_task_root_per_task(self, tmp_path):
+        # one nstar_simulated span per task, also for the points left
+        # unreachable at the cap (J tau = pi freezes the populations)
+        spec = SweepSpec(kind="NstarVsJtau", grid=(0.4, 1.2, 2.2, math.pi), d=4, beta=2.0, j=1.0,
+                         epsilon=1e-4, n_max=50, engine="BruteForce")
+        records, roots = self._task_roots(tmp_path, spec)
+        assert [r.reachable for r in records] == [False, True, True, False]
+        assert roots == len(spec.grid)
 
     @staticmethod
     def _per_point(spec, betas, epsilons):
