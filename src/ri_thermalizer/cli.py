@@ -12,9 +12,11 @@ Subcommands::
 reading x once as J*tau (discrete map) and once as Gamma (SL generator).
 
 Exit codes: 0 success, 1 failed validation, 2 invalid configuration
-(for ``spectra``: d outside [2, MAX_D], pA outside [0, 1] or a
-non-finite x), 3 output I/O failure.  RI_THERMALIZER_THREADS overrides
---parallel; either is an upper bound on the sweep's worker processes.
+(for ``sweep`` also one whose numbers overflow a collision unitary or a
+trace distance, raising NoConvergence; for ``spectra``: d outside [2,
+MAX_D], pA outside [0, 1] or a non-finite x), 3 output I/O failure.
+RI_THERMALIZER_THREADS overrides --parallel; either is an upper bound
+on the sweep's worker processes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from .checks import run_cross_checks
-from .errors import ConfigInvalid, IoError
+from .errors import ConfigInvalid, IoError, NoConvergence
 from .spectra import lambda_closed, liouvillian_matrix, stochastic_matrix, xi_closed
 from .sweeps import MAX_D, emit_csv, parse_config, run_sweep
 
@@ -77,7 +79,7 @@ def _cmd_sweep(args) -> int:
             except ValueError:
                 raise ConfigInvalid(f"RI_THERMALIZER_THREADS = {env!r} is not an integer")
         records = run_sweep(spec, parallel=max(1, parallel))
-    except ConfigInvalid as exc:
+    except (ConfigInvalid, NoConvergence) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
     try:

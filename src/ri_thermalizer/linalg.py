@@ -69,10 +69,14 @@ def unitary_from_hamiltonian(h: np.ndarray, tau: float) -> np.ndarray:
 
     h may be one n x n matrix or a (..., n, n) stack, and tau a number or
     an array of shape (..., 1), one time per matrix; each matrix of the
-    stack gives the unitary that it alone would give, bit for bit.
+    stack gives the unitary that it alone would give, bit for bit.  Raises
+    NoConvergence when an eigenvalue times tau overflows.
     """
     dec = hermitian_eigen(h)
-    phases = np.exp(-1j * dec.eigenvalues * tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * dec.eigenvalues * tau)
+    if not np.isfinite(phases).all():
+        raise NoConvergence("exp(-i h tau): an eigenvalue times tau overflows")
     return (dec.basis * phases[..., None, :]) @ dec.basis.conj().swapaxes(-1, -2)
 
 

@@ -7,24 +7,23 @@ Lambert-W function (three levels) or through one-dimensional
 transcendental equations (any dimension), solved here by doubling
 brackets plus bisection on their eventually-decreasing tails.
 
-Every simulated crossing is one search.  An engine supplies a step
-``step(state)``, which applies one collision or one RK4 step, and a
-distance ``distance(state)`` to its target; ``_first_crossing`` scans the
-orbit state, step(state), ... for the first state within epsilon.  The
-three-level recursion and the CPTP map step a density matrix (a
-``RandomFull`` step takes the next unitary of its stream), and the SL
-scan steps (populations, t) and then bisects the last step with
-:func:`bisect_crossing`.
+Every simulated crossing is one search, ``_first_crossings``, over runs
+stacked on axis 0, each with its own epsilon; a single run is one row.
+An engine supplies ``step(states, params)``, one collision or RK4 step
+of every row, and ``distance(states, params)``, one value per row: for
+SL ``_sl_step`` and ``_population_distances`` on rows (populations, t),
+for the CPTP map ``_cptp_step`` and ``_trace_distances``.  A stacked
+product or ``eigvalsh`` gives each row, bit for bit, what the row alone
+gives.  A ``RandomFull`` run steps its row with the next unitary of its
+stream, and a coherent three-level run by the coherence recursion.
 
-``_first_crossings`` is the same scan over a batch of runs stacked on
-axis 0, each with its own epsilon.  :func:`tsim_simulated_sl_batch` runs
-the points of an SL sweep as one stacked RK4 scan and hands each row to
-:func:`tsim_simulated_sl` for its last step; :func:`nstar_simulated_batch`
-runs fixed-unitary CPTP runs as one stacked collision scan and hands
-each row to :func:`nstar_simulated` for its last collision.  So the
-answers are bit for bit those of one scan per run.  Stacking saves the
-per-step overhead, which dominates a step at small d; it does not split
-the work across processes.
+:func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` scan a
+sweep's rows together and hand each row to :func:`tsim_simulated_sl`
+(which bisects the crossing step with :func:`bisect_crossing`) or
+:func:`nstar_simulated` for its last step, so the answers are bit for
+bit those of one run at a time.  Stacking saves the per-step overhead,
+which dominates a step at small d; it does not split the work across
+processes.
 
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
@@ -33,13 +32,12 @@ binary lifting over the squared powers m^(2^k): O(log n_max) matrix
 products instead of n* matrix-vector steps.  A rounding guard keeps n*
 equal to the scan's: when the distance just before or at the crossing
 it found lies within a forward-error bound of epsilon, it hands the run
-to ``_first_crossing``.
+to the scan.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -49,8 +47,6 @@ from .collisions import (
     CollisionConfig,
     _collide,
     _resolve_step,
-    collide_once,
-    collision_unitary,
     density_matrix_d3,
     flip_flop_rates,
     population_step_matrix,
@@ -66,7 +62,7 @@ from .errors import (
     NoRootBelowCap,
     OutOfDomain,
 )
-from .linalg import trace_distance, unitary_from_hamiltonian
+from .linalg import unitary_from_hamiltonian
 from .models import (
     IsotropicFlipFlop,
     ModelSpec,
@@ -193,37 +189,19 @@ def _recursion_applicable(model: ModelSpec) -> bool:
     )
 
 
-def _first_crossing(step, state, distance, epsilon: float, n_max: int):
-    """Scan state, step(state), ... for the first of at most n_max steps
-    that brings distance(state) to epsilon or below.
-
-    Returns (n, distance, previous): the number of steps taken (None when
-    none of them crosses), the distance there, and the state that the last
-    step started from.
-    """
-    previous = state
-    dist = distance(state)
-    if dist <= epsilon:
-        return 0, dist, previous
-    for n in range(1, n_max + 1):
-        previous, state = state, step(state)
-        dist = distance(state)
-        if dist <= epsilon:
-            return n, dist, previous
-    return None, dist, previous
-
-
 def _first_crossings(step, states, params, distance, epsilons, n_max: int):
-    """``_first_crossing`` for a batch of runs stacked on axis 0: row i of
-    every array in the tuples ``states`` and ``params`` belongs to run i,
-    which stops at its own epsilons[i].
+    """Scan a batch of runs stacked on axis 0 for the first of at most
+    n_max steps that brings each run within its epsilon: row i of every
+    array in the tuples ``states`` and ``params`` belongs to run i, which
+    stops at its own epsilons[i].  A single run is a batch of one row.
 
     states = step(states, params) advances the rows; params holds their
     fixed data, and distance(states, params) gives one value per row.
     Only the rows still above their epsilon are stepped: all arrays are
     compacted on a step where some row finished.  Returns one (n, distance,
-    previous) per row, previous being a copy of that row's states, so no
-    result keeps a stacked array alive.
+    previous) per row: the number of steps taken (None when none of them
+    crosses), the distance there, and a copy of that row's states before
+    the last step, so no result keeps a stacked array alive.
     """
     epsilons = np.asarray(epsilons, dtype=float)
     results = [None] * epsilons.size
@@ -231,8 +209,8 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
     n, previous, dist = 0, states, distance(states, params)
     while True:
         crossed = dist <= epsilons
-        done = crossed | (n == n_max)
-        if done.any():
+        if n == n_max or np.count_nonzero(crossed):  # cheaper than .any() on a few rows
+            done = crossed | (n == n_max)
             for j in np.flatnonzero(done):
                 results[rows[j]] = (n if crossed[j] else None, float(dist[j]), tuple(a[j].copy() for a in previous))
             if done.all():
@@ -245,8 +223,38 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
         dist = distance(states, params)
 
 
+def _matvecs(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a[i] @ y[i] for every row i, as one (B, d, d) @ (B, d, 1) product."""
+    return (a @ y[:, :, None])[:, :, 0]
+
+
+def _population_distances(states, params) -> np.ndarray:
+    """``population_distance`` of each row to its target, params[-1]."""
+    return 0.5 * np.abs(states[0] - params[-1]).sum(axis=1)
+
+
+def _sl_step(h: float):
+    """The RK4 step over h of SL rows (p, t) under generators params[0]."""
+    return lambda states, params: (rk4_step(lambda y: _matvecs(params[0], y), states[0], h), states[1] + h)
+
+
+def _cptp_step(states, params):
+    """One collision of each row under its unitary and rho_A, params[:2]."""
+    return (_collide(states[0], *params[:2]),)
+
+
+def _trace_distances(states, params) -> np.ndarray:
+    """``trace_distance`` of each row to its target, params[-1]; raises
+    NoConvergence where ``eigvalsh`` fails (on a state holding NaN)."""
+    try:
+        w = np.linalg.eigvalsh(states[0] - params[-1])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"trace distance: {exc}") from exc
+    return 0.5 * np.abs(w).sum(axis=1)
+
+
 def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: float, n_max: int):
-    """(n, distance) of ``_first_crossing`` along p, m p, m^2 p, ... for a
+    """(n, distance) of the first crossing along p, m p, m^2 p, ... for a
     nonnegative column-stochastic m, in O(log n_max) matrix products.
 
     Binary lifting over P_k = m^(2^k): from n = 0, each power, largest
@@ -277,7 +285,6 @@ def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon:
     d = p.size
     scale = 4.0 * (d + 2) * (0.5 * np.finfo(float).eps) * max(1.0, float(np.abs(p).sum()))
     delta = lambda n: (n + d) * scale
-    step = lambda s: m @ s
     distance = lambda s: population_distance(s, target)
     dist = distance(p)
     if dist <= epsilon:
@@ -296,7 +303,9 @@ def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon:
         else:
             crossed = dist_ahead  # the last such probe is the one at n + 1
     if not (dist - epsilon > delta(n) and (n == n_max or epsilon - crossed > delta(n + 1))):
-        return _first_crossing(step, p, distance, epsilon, n_max)[:2]
+        step = lambda states, params: (_matvecs(params[0], states[0]),)
+        ((n, dist, _),) = _first_crossings(step, (p[None],), (m[None], target[None]), _population_distances, [epsilon], n_max)
+        return n, dist
     return (None, dist) if n == n_max else (n + 1, crossed)
 
 
@@ -331,7 +340,6 @@ def nstar_simulated(
     rho0 = np.asarray(rho0, dtype=complex)
     d = model.system.d
     target_p = gibbs_populations(d, model.system.omega, model.ancilla.beta)
-    target = np.diag(target_p.astype(complex))
     diagonal = _is_diagonal(rho0)
     recursion_ok = _recursion_applicable(model) and (diagonal or d == 3)
     if engine == "auto":
@@ -341,6 +349,8 @@ def nstar_simulated(
     elif engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
 
+    # a one-row stack's Gibbs target; a fixed unitary's systems hold their own
+    params = (np.diag(target_p.astype(complex))[None],)
     if engine == "recursion":
         p_a = model.ancilla.ground_population
         j_tau = model.interaction.j * cfg.tau
@@ -348,33 +358,32 @@ def nstar_simulated(
         m = population_step_matrix(d, p_a, j_tau)
 
         # a coherent d = 3 state; a diagonal one takes the powered search below
-        def step(rho):
+        def step(states, _):
+            rho = states[0][0]
             c = step_coherences_d3(rho[0, 1], rho[0, 2], rho[1, 2], p_a, j_tau, omega_tau)
-            return density_matrix_d3(m @ rho.diagonal().real, *c)
+            return (density_matrix_d3(m @ rho.diagonal().real, *c)[None],)
 
-    else:
+    elif isinstance(model.interaction, RandomFull):
         # RandomFull re-draws its couplings, and so its unitary, every
         # collision: step k (0-based) takes U_k, the next one of the stream
-        if isinstance(model.interaction, RandomFull):
-            unitaries = _random_unitaries(model, cfg.tau, cfg.n_max)
-        else:
-            unitaries = itertools.repeat(collision_unitary(model, cfg.tau))
+        unitaries = _random_unitaries(model, cfg.tau, cfg.n_max)
         rho_a = ancilla_thermal_state(model.ancilla)
-        step = lambda rho: collide_once(rho, model, cfg, unitary=next(unitaries), rho_a=rho_a)
+        step = lambda states, _: (_collide(states[0], next(unitaries), rho_a),)
+    else:
+        step, params = _cptp_step, _cptp_systems([(model, cfg)])
 
     if engine == "recursion" and diagonal:
         n, dist = _powered_crossing(m, np.diag(rho0).real, target_p, cfg.epsilon, cfg.n_max)
     else:
-        distance = lambda rho: trace_distance(rho, target)
-        n, dist, _ = _first_crossing(step, rho0, distance, cfg.epsilon, cfg.n_max)
+        ((n, dist, _),) = _first_crossings(step, (rho0[None],), params, _trace_distances, [cfg.epsilon], cfg.n_max)
     return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
 
 def _cptp_systems(runs):
     """The unitaries, rho_A and Gibbs targets of fixed-unitary CPTP runs
-    (model, cfg), stacked on axis 0: bit for bit those ``nstar_simulated``
-    builds run by run, with H_0 built once per (system, ancilla) and every
-    unitary from one stacked ``unitary_from_hamiltonian``."""
+    (model, cfg), stacked on axis 0, with H_0 built once per (system,
+    ancilla) and every unitary, bit for bit ``collision_unitary``'s, from
+    one stacked ``unitary_from_hamiltonian``."""
     bare = functools.cache(bare_hamiltonian)
     h = np.stack([bare(m.system, m.ancilla) + interaction_hamiltonian(m.system, m.interaction) for m, _ in runs])
     unitaries = unitary_from_hamiltonian(h, np.array([cfg.tau for _, cfg in runs])[:, None])
@@ -388,15 +397,13 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs) -> list[Thermalization
     for every i, bit for bit, from one stacked CPTP scan.
 
     The rows share d, rho0 and n_max; each has its own unitary, rho_A,
-    Gibbs target and epsilon.  Each step is one stacked collision and one
-    stacked ``eigvalsh`` for the distances, which equal the row-by-row
-    ``collide_once`` and ``trace_distance`` bit for bit.  The rows are
-    stacked a block of _BLOCK_BYTES at a time, counting for each row its
-    (2d, 2d) unitary and the ones of that shape a step makes.  Every row is
-    then finished by ``nstar_simulated`` with n_max = 1, from its state
-    before the scan's last step (rho0 for a row within epsilon at once);
-    a crossed row's n* is the scan's.  A RandomFull row raises ValueError:
-    its unitary changes every collision.
+    Gibbs target and epsilon, and steps as a single run does.  The rows
+    are stacked a block of _BLOCK_BYTES at a time, counting for each row
+    its (2d, 2d) unitary and the ones of that shape a step makes.  Every
+    row is then finished by ``nstar_simulated`` with n_max = 1, from its
+    state before the scan's last step (rho0 for a row within epsilon at
+    once); a crossed row's n* is the scan's.  A RandomFull row raises
+    ValueError: its unitary changes every collision.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     runs = list(zip(models, cfgs, strict=True))
@@ -406,8 +413,6 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs) -> list[Thermalization
         if model.system.d != rho0.shape[0] or cfg.n_max != runs[0][1].n_max:
             raise ValueError("the rows of a batch share d, rho0 and n_max")
 
-    step = lambda states, params: (_collide(states[0], *params[:2]),)
-    distance = lambda states, params: 0.5 * np.abs(np.linalg.eigvalsh(states[0] - params[2])).sum(axis=1)
     block = max(1, _BLOCK_BYTES // (_CPTP_ROW_ARRAYS * 16 * (2 * rho0.shape[0]) ** 2))
     results = []
     for start in range(0, len(runs), block):
@@ -415,10 +420,10 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs) -> list[Thermalization
         # the scan alone holds the stacked systems, so compacting them frees
         # the finished rows
         crossings = _first_crossings(
-            step,
+            _cptp_step,
             (np.tile(rho0, (len(part), 1, 1)),),
             _cptp_systems(part),
-            distance,
+            _trace_distances,
             [cfg.epsilon for _, cfg in part],
             part[0][1].n_max,
         )
@@ -472,6 +477,8 @@ def _sl_steps(p_a: float, gamma: float, epsilon: float, t_max: float, dt: float 
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
     dt = _resolve_step(t_max, dt, gamma)
+    if not t_max / dt < math.inf:
+        raise ValueError("t_max / dt must be a finite number of steps")
     steps = max(1, math.ceil(t_max / dt))
     return t_max / steps, steps
 
@@ -502,23 +509,16 @@ def tsim_simulated_sl(
     """
     p0 = np.asarray(p0, dtype=float)
     h, steps = _sl_steps(p_a, gamma, epsilon, t_max, dt)
-    (gen,), (target,) = _sl_systems(p0.size, [p_a], gamma)
-
-    def rhs(p):
-        return gen @ p
-
-    def step(state):
-        p, t = state
-        return rk4_step(rhs, p, h), t + h
-
-    distance = lambda state: population_distance(state[0], target)
-    n, dist, (p, t) = _first_crossing(step, (p0, 0.0), distance, epsilon, steps)
+    gens, targets = _sl_systems(p0.size, [p_a], gamma)
+    state = (p0[None], np.zeros(1))
+    ((n, dist, (p, t)),) = _first_crossings(_sl_step(h), state, (gens, targets), _population_distances, [epsilon], steps)
     if n is None:
         return ThermalizationResult(None, None, dist, "ode_sl")
+    t = float(t)
     if n > 0:
 
         def dist_after(x):
-            return population_distance(rk4_step(rhs, p, x), target)
+            return population_distance(rk4_step(lambda y: gens[0] @ y, p, x), targets[0])
 
         x = bisect_crossing(dist_after, epsilon, 0.0, h)[1]
         t, dist = t + x, dist_after(x)
@@ -531,26 +531,19 @@ def tsim_simulated_sl_batch(
     """``tsim_simulated_sl(p0, p_as[i], gamma, epsilons[i], t_max)`` for
     every i, bit for bit, from one stacked RK4 scan.
 
-    The rows share p0, gamma and t_max, and so the step h.  Each step is
-    one stacked product with the rows' generators, which equals the
-    row-by-row ``gen @ p`` bit for bit; the rows are stacked a block of
-    _BLOCK_BYTES of generators at a time.  Every row is then finished
-    by ``tsim_simulated_sl`` over one step h, from its state before the
-    scan's last step (p0 for a row within epsilon at once): that step
-    crosses and is bisected, or, at t_max, does not.  A crossed row's time
-    is the scan's time there plus the finisher's.
+    The rows share p0, gamma and t_max, and so the step h, and step as a
+    single run does, a block of _BLOCK_BYTES of generators at a time.
+    Every row is then finished by ``tsim_simulated_sl`` over one step h,
+    from its state before the scan's last step (p0 for a row within
+    epsilon at once): that step crosses and is bisected, or, at t_max,
+    does not.  A crossed row's time is the scan's there plus the
+    finisher's.
     """
     p0 = np.asarray(p0, dtype=float)
     d = p0.size
     runs = list(zip(p_as, epsilons, strict=True))
     for p_a, eps in runs:
         h, steps = _sl_steps(p_a, gamma, eps, t_max, None)
-
-    def step(state, params):
-        (p, t), (gens, _) = state, params
-        return rk4_step(lambda y: (gens @ y[:, :, None])[:, :, 0], p, h), t + h
-
-    distance = lambda state, params: 0.5 * np.abs(state[0] - params[1]).sum(axis=1)
     block = max(1, _BLOCK_BYTES // (8 * d * d))
     results = []
     for start in range(0, len(runs), block):
@@ -559,7 +552,7 @@ def tsim_simulated_sl_batch(
         # the scan alone holds the stacked systems, so compacting them frees
         # the finished rows
         crossings = _first_crossings(
-            step, state, _sl_systems(d, [p_a for p_a, _ in part], gamma), distance, [eps for _, eps in part], steps
+            _sl_step(h), state, _sl_systems(d, [p_a for p_a, _ in part], gamma), _population_distances, [eps for _, eps in part], steps
         )
         for (p_a, eps), (_, _, (p, t)) in zip(part, crossings):
             res = tsim_simulated_sl(p, p_a, gamma, eps, h, dt=h)

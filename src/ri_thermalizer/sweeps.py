@@ -136,8 +136,8 @@ def _validated(spec: SweepSpec) -> SweepSpec:
         # the SL scan's default step is 0.01 / gamma
         if not (spec.gamma > 0 and 0.01 / spec.gamma < math.inf):
             raise ConfigInvalid("gamma must be positive, with a finite default step 0.01 / gamma")
-        if not spec.t_max > 0:
-            raise ConfigInvalid("t_max must be positive for the OdeSL engine")
+        if not (spec.t_max > 0 and spec.t_max / (0.01 / spec.gamma) < math.inf):
+            raise ConfigInvalid("t_max must be positive, with a finite step count t_max / (0.01 / gamma)")
     elif spec.n_max < 1:
         raise ConfigInvalid("n_max must be >= 1")
     elif spec.kind != "RandomEnsembleVsBeta":

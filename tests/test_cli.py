@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import warnings
+
 import pytest
 
 from ri_thermalizer.cli import main
@@ -130,19 +132,26 @@ class TestSweepCommand:
             "kind = TsimVsBeta\ngrid = 1,2\nt_max = -1\n",
             "kind = TsimVsBeta\ngrid = 1,2\ngamma = 1e-320\n",
             "kind = RandomEnsembleVsBeta\ngrid = 1\nseed = -1\nn_max = 5\n",
+            "kind = TsimVsBeta\ngrid = 1.0\ngamma = 1e308\n",
+            "kind = TsimVsBeta\ngrid = 1.0\nt_max = 1e308\n",
+            "kind = NstarVsJtau\nengine = BruteForce\nd = 3\nomega = 1e307\nn_max = 50\ngrid = 1.0\n",
+            "kind = RandomEnsembleVsBeta\nlo = 1e307\nhi = 1e308\ngrid = 1.0\n",
         ],
         ids=["omega-0", "omega-negative", "omega-0-ensemble", "omega-negative-ensemble",
              "omega-0-tsim", "subnormal-j", "subnormal-j-jtau-grid", "subnormal-j-tsim-recursion",
              "jtau-0-grid", "jtau-negative-grid", "jtau-negative-key", "n-max-0", "t-max-negative",
-             "subnormal-gamma", "seed-negative"],
+             "subnormal-gamma", "seed-negative", "sl-steps-overflow-gamma", "sl-steps-overflow-t-max",
+             "unitary-overflow-omega", "unitary-overflow-couplings"],
     )
     def test_value_out_of_range_exits_2(self, tmp_path, capsys, text):
         # each of these used to end in a traceback with exit 1
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
-        assert main(["sweep", str(bad)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", str(bad)]) == 2
         captured = capsys.readouterr()
-        assert "invalid configuration" in captured.err
+        assert "invalid configuration" in captured.err and captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):

@@ -169,6 +169,10 @@ def test_stacked_collisions_and_distances_equal_matrix_by_matrix(rows):
         targets = np.stack([random_density_matrix(d, rng) for _ in range(rows)])
         stacked = collide_once(states, None, None, unitary=unitaries, rho_a=rho_as)
         distances = 0.5 * np.abs(np.linalg.eigvalsh(stacked - targets)).sum(axis=1)
+        # a one-row stack under a shared (2d, 2d) unitary and (2, 2) rho_A:
+        # a RandomFull run's step
+        one_row = collide_once(states[:1], None, None, unitary=unitaries[0], rho_a=rho_as[0])
+        assert np.array_equal(one_row[0], collide_once(states[0], models[0], cfgs[0])), d
         for i in range(rows):
             assert np.array_equal(unitaries[i], collision_unitary(models[i], cfgs[i].tau)), d
             assert np.array_equal(rho_as[i], ancilla_thermal_state(models[i].ancilla)), d

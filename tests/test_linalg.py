@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ri_thermalizer.errors import DimensionMismatch, NotHermitian
+from ri_thermalizer.errors import DimensionMismatch, NoConvergence, NotHermitian
 from ri_thermalizer.linalg import (
     hermitian_eigen,
     kron,
@@ -102,6 +102,11 @@ class TestUnitary:
             u12 = unitary_from_hamiltonian(h, t1) @ unitary_from_hamiltonian(h, t2)
             u_sum = unitary_from_hamiltonian(h, t1 + t2)
             assert np.max(np.abs(u12 - u_sum)) <= 1e-10
+
+    def test_an_overflowing_phase_raises_no_convergence(self):
+        # 1e307 * 1e3 is inf, and exp(-i inf) has no value
+        with pytest.raises(NoConvergence, match="overflows"):
+            unitary_from_hamiltonian(np.diag([1e307, -1e307]).astype(complex), 1e3)
 
 
 class TestStackedUnitary:

@@ -9,7 +9,7 @@ import pytest
 
 from ri_thermalizer import simtime
 from ri_thermalizer.collisions import CollisionConfig, evolve_populations
-from ri_thermalizer.errors import EpsilonTooLarge, FrozenDynamics, OutOfDomain, StepTooLarge
+from ri_thermalizer.errors import EpsilonTooLarge, FrozenDynamics, NoConvergence, OutOfDomain, StepTooLarge
 from ri_thermalizer.models import flip_flop_model, gibbs_populations, random_density_matrix
 from ri_thermalizer.simtime import (
     ceil_collisions,
@@ -82,6 +82,13 @@ class TestNstarSimulated:
 
         res = nstar_simulated(system_gibbs_state(model.system, 1.0), model, cfg)
         assert res.n_star == 0 and res.t_sim == 0.0
+
+    def test_a_distance_eigvalsh_cannot_take_raises_no_convergence(self):
+        # numpy's LinAlgError from the trace distance's eigvalsh, typed
+        model = flip_flop_model(3, omega=1.0, beta=1.0, j=1.0)
+        rho0 = np.full((3, 3), math.nan, dtype=complex)
+        with pytest.raises(NoConvergence, match="trace distance"):
+            nstar_simulated(rho0, model, CollisionConfig(tau=1.0, n_max=5, epsilon=1e-3), engine="brute_force")
 
     def test_two_collisions_at_optimal_point(self):
         model = flip_flop_model(3, omega=1.0, beta=math.inf, j=1.0)
@@ -249,6 +256,12 @@ class TestTsimSimulatedInputs:
     def test_rejects_non_positive_t_max(self, t_max):
         with pytest.raises(ValueError):
             tsim_simulated_sl(np.full(3, 1 / 3), 0.8, 1.0, 1e-4, t_max=t_max)
+
+    @pytest.mark.parametrize("gamma, t_max", [(1e308, 1e4), (1.0, 1e308)])
+    def test_rejects_an_infinite_step_count(self, gamma, t_max):
+        # t_max / (0.01 / gamma) overflows; it used to raise OverflowError
+        with pytest.raises(ValueError, match="finite number of steps"):
+            tsim_simulated_sl(np.full(3, 1 / 3), 0.9, gamma, 1e-4, t_max=t_max)
 
     @pytest.mark.parametrize("dt, gamma", [(5.0, 1.0), (0.2, 1.0), (0.011, 10.0)])
     def test_rejects_a_step_above_a_tenth_of_the_rate(self, dt, gamma):

@@ -17,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ri_thermalizer import simtime
-from ri_thermalizer.collisions import population_step_matrix, sl_population_generator
+from ri_thermalizer.collisions import evolve_populations, population_step_matrix, sl_population_generator
 from ri_thermalizer.models import AncillaSpec
 from ri_thermalizer.simtime import (
-    _first_crossing,
     _first_crossings,
     population_distance,
     tsim_simulated_sl,
@@ -107,23 +106,25 @@ class TestNamedCases:
 
 def test_first_crossings_of_a_population_map():
     # the generic search on a step other than RK4: rows of the diagonal
-    # recursion, each with its own map, target and epsilon
-    d, n_max = 4, 400
+    # recursion, each with its own map, target and epsilon, against the
+    # first crossing along the row's own trajectory
+    d, j_tau, n_max = 4, 0.6, 400
     rng = np.random.default_rng(3)
     p_as = [0.55, 0.7, 0.9, 0.99, 0.6]
     epsilons = [1e-3, 1e-9, 1e-5, 0.05, 1e-300]
-    maps = [population_step_matrix(d, p_a, 0.6) for p_a in p_as]
+    maps = [population_step_matrix(d, p_a, j_tau) for p_a in p_as]
     targets = [np.linalg.matrix_power(m, 5000) @ np.full(d, 1 / d) for m in maps]
     p0 = rng.dirichlet(np.ones(d), size=len(p_as))
     step = lambda s, params: ((params[0] @ s[0][:, :, None])[:, :, 0],)
     distance = lambda s, params: 0.5 * np.abs(s[0] - params[1]).sum(axis=1)
     batch = _first_crossings(step, (p0,), (np.stack(maps), np.stack(targets)), distance, epsilons, n_max)
     for i, (n, dist, previous) in enumerate(batch):
-        one = _first_crossing(
-            lambda p: maps[i] @ p, p0[i], lambda p: population_distance(p, targets[i]), epsilons[i], n_max
-        )
-        assert (n, dist) == one[:2]
-        assert np.array_equal(previous[0], one[2])
+        orbit = evolve_populations(p0[i], p_as[i], j_tau, n_max)
+        distances = [population_distance(p, targets[i]) for p in orbit]
+        first = next((k for k, x in enumerate(distances) if x <= epsilons[i]), None)
+        last = n_max if first is None else first
+        assert (n, dist) == (first, distances[last])
+        assert np.array_equal(previous[0], orbit[max(last - 1, 0)])
         # a copy, which keeps no stacked array alive
         assert previous[0].base is None
     assert batch[4][0] is None and batch[3][0] is not None
