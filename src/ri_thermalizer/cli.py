@@ -12,9 +12,10 @@ Subcommands::
 reading x once as J*tau (discrete map) and once as Gamma (SL generator).
 
 Exit codes: 0 success, 1 failed validation, 2 invalid configuration
-(for ``sweep`` also one whose numbers overflow a collision unitary or a
-trace distance, raising NoConvergence; for ``spectra``: d outside [2,
-MAX_D], pA outside [0, 1] or a non-finite x), 3 output I/O failure.
+(for ``sweep`` also one whose scan would take more than MAX_STEPS steps
+a run, or whose numbers overflow a collision unitary or a trace
+distance, raising NoConvergence; for ``spectra``: d outside [2, MAX_D],
+pA outside [0, 1] or a non-finite x), 3 output I/O failure.
 RI_THERMALIZER_THREADS overrides --parallel; either is an upper bound
 on the sweep's worker processes.
 """

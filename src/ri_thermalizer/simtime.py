@@ -8,14 +8,16 @@ transcendental equations (any dimension), solved here by doubling
 brackets plus bisection on their eventually-decreasing tails.
 
 Every simulated crossing is one search, ``_first_crossings``, over runs
-stacked on axis 0, each with its own epsilon; a single run is one row.
-An engine supplies ``step(states, params)``, one collision or RK4 step
-of every row, and ``distance(states, params)``, one value per row: for
-SL ``_sl_step`` and ``_population_distances`` on rows (populations, t),
-for the CPTP map ``_cptp_step`` and ``_trace_distances``.  A stacked
-product or ``eigvalsh`` gives each row, bit for bit, what the row alone
-gives.  A ``RandomFull`` run steps its row with the next unitary of its
-stream, and a coherent three-level run by the coherence recursion.
+stacked on axis 0 of one state array, each with its own epsilon; a
+single run is one row.  An engine supplies ``step(states, params)``, one
+step of every row, and ``distance(states, params)``, one value per row:
+``_sl_step`` and ``_population_distances`` for SL, ``_cptp_step`` and
+``_trace_distances`` for the CPTP map.  A stacked product or
+``eigvalsh`` gives each row, bit for bit, what the row alone gives.  A
+``RandomFull`` row steps with the next unitary of its stream, a coherent
+three-level row by the coherence recursion.  States carry no clock: all
+rows step together, so an SL row's time after n steps is
+``_sl_clock(h, n)``.
 
 :func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` scan a
 sweep's rows together and hand each row to :func:`tsim_simulated_sl`
@@ -71,6 +73,7 @@ from .models import (
     bare_hamiltonian,
     gibbs_populations,
     interaction_hamiltonian,
+    system_gibbs_state,
 )
 
 _NEG_INV_E = -math.exp(-1.0)
@@ -178,29 +181,18 @@ def population_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def _is_diagonal(rho: np.ndarray) -> bool:
-    return float(np.max(np.abs(rho - np.diag(np.diag(rho))))) < 1e-14
-
-
-def _recursion_applicable(model: ModelSpec) -> bool:
-    return (
-        isinstance(model.interaction, IsotropicFlipFlop)
-        and model.system.omega == model.ancilla.omega
-    )
-
-
 def _first_crossings(step, states, params, distance, epsilons, n_max: int):
     """Scan a batch of runs stacked on axis 0 for the first of at most
-    n_max steps that brings each run within its epsilon: row i of every
-    array in the tuples ``states`` and ``params`` belongs to run i, which
-    stops at its own epsilons[i].  A single run is a batch of one row.
+    n_max steps that brings each run within its epsilon: row i of
+    ``states`` and of every array in the tuple ``params`` belongs to run
+    i, which stops at its own epsilons[i].  A single run is one row.
 
     states = step(states, params) advances the rows; params holds their
     fixed data, and distance(states, params) gives one value per row.
     Only the rows still above their epsilon are stepped: all arrays are
     compacted on a step where some row finished.  Returns one (n, distance,
     previous) per row: the number of steps taken (None when none of them
-    crosses), the distance there, and a copy of that row's states before
+    crosses), the distance there, and a copy of that row's state before
     the last step, so no result keeps a stacked array alive.
     """
     epsilons = np.asarray(epsilons, dtype=float)
@@ -212,12 +204,12 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
         if n == n_max or np.count_nonzero(crossed):  # cheaper than .any() on a few rows
             done = crossed | (n == n_max)
             for j in np.flatnonzero(done):
-                results[rows[j]] = (n if crossed[j] else None, float(dist[j]), tuple(a[j].copy() for a in previous))
+                results[rows[j]] = (n if crossed[j] else None, float(dist[j]), previous[j].copy())
             if done.all():
                 return results
             keep = ~done
             rows, epsilons = rows[keep], epsilons[keep]
-            states, params = (tuple(a[keep] for a in arrays) for arrays in (states, params))
+            states, params = states[keep], tuple(a[keep] for a in params)
         n += 1
         previous, states = states, step(states, params)
         dist = distance(states, params)
@@ -230,24 +222,33 @@ def _matvecs(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _population_distances(states, params) -> np.ndarray:
     """``population_distance`` of each row to its target, params[-1]."""
-    return 0.5 * np.abs(states[0] - params[-1]).sum(axis=1)
+    return 0.5 * np.abs(states - params[-1]).sum(axis=1)
 
 
 def _sl_step(h: float):
-    """The RK4 step over h of SL rows (p, t) under generators params[0]."""
-    return lambda states, params: (rk4_step(lambda y: _matvecs(params[0], y), states[0], h), states[1] + h)
+    """The RK4 step over h of SL rows under their generators params[0]."""
+    return lambda states, params: rk4_step(lambda y: _matvecs(params[0], y), states, h)
+
+
+def _sl_clock(h: float, n: int) -> float:
+    """h added n times from 0.0, left to right: the time after n SL steps
+    (0.0 for n <= 0), summed in chunks that hold no n-element array."""
+    t = 0.0
+    for start in range(0, n, 2**16):
+        t = float(np.add.accumulate(np.r_[t, np.full(min(n - start, 2**16), h)])[-1])
+    return t
 
 
 def _cptp_step(states, params):
     """One collision of each row under its unitary and rho_A, params[:2]."""
-    return (_collide(states[0], *params[:2]),)
+    return _collide(states, *params[:2])
 
 
 def _trace_distances(states, params) -> np.ndarray:
     """``trace_distance`` of each row to its target, params[-1]; raises
     NoConvergence where ``eigvalsh`` fails (on a state holding NaN)."""
     try:
-        w = np.linalg.eigvalsh(states[0] - params[-1])
+        w = np.linalg.eigvalsh(states - params[-1])
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"trace distance: {exc}") from exc
     return 0.5 * np.abs(w).sum(axis=1)
@@ -303,8 +304,8 @@ def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon:
         else:
             crossed = dist_ahead  # the last such probe is the one at n + 1
     if not (dist - epsilon > delta(n) and (n == n_max or epsilon - crossed > delta(n + 1))):
-        step = lambda states, params: (_matvecs(params[0], states[0]),)
-        ((n, dist, _),) = _first_crossings(step, (p[None],), (m[None], target[None]), _population_distances, [epsilon], n_max)
+        step = lambda states, params: _matvecs(params[0], states)
+        ((n, dist, _),) = _first_crossings(step, p[None], (m[None], target[None]), _population_distances, [epsilon], n_max)
         return n, dist
     return (None, dist) if n == n_max else (n + 1, crossed)
 
@@ -339,9 +340,11 @@ def nstar_simulated(
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = model.system.d
-    target_p = gibbs_populations(d, model.system.omega, model.ancilla.beta)
-    diagonal = _is_diagonal(rho0)
-    recursion_ok = _recursion_applicable(model) and (diagonal or d == 3)
+    # the recursion needs the resonant flip-flop, and a diagonal state or d = 3;
+    # a forced brute_force run never looks at the state
+    diagonal = engine != "brute_force" and float(np.max(np.abs(rho0 - np.diag(np.diag(rho0))))) < 1e-14
+    resonant = isinstance(model.interaction, IsotropicFlipFlop) and model.system.omega == model.ancilla.omega
+    recursion_ok = resonant and (diagonal or d == 3)
     if engine == "auto":
         engine = "recursion" if recursion_ok else "brute_force"
     elif engine == "recursion" and not recursion_ok:
@@ -349,33 +352,34 @@ def nstar_simulated(
     elif engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
 
-    # a one-row stack's Gibbs target; a fixed unitary's systems hold their own
-    params = (np.diag(target_p.astype(complex))[None],)
-    if engine == "recursion":
-        p_a = model.ancilla.ground_population
-        j_tau = model.interaction.j * cfg.tau
-        omega_tau = model.system.omega * cfg.tau
-        m = population_step_matrix(d, p_a, j_tau)
-
-        # a coherent d = 3 state; a diagonal one takes the powered search below
-        def step(states, _):
-            rho = states[0][0]
-            c = step_coherences_d3(rho[0, 1], rho[0, 2], rho[1, 2], p_a, j_tau, omega_tau)
-            return (density_matrix_d3(m @ rho.diagonal().real, *c)[None],)
-
-    elif isinstance(model.interaction, RandomFull):
+    if engine == "brute_force" and not isinstance(model.interaction, RandomFull):
+        step, params = _cptp_step, _cptp_systems([(model, cfg)])
+    elif engine == "brute_force":
         # RandomFull re-draws its couplings, and so its unitary, every
         # collision: step k (0-based) takes U_k, the next one of the stream
         unitaries = _random_unitaries(model, cfg.tau, cfg.n_max)
         rho_a = ancilla_thermal_state(model.ancilla)
-        step = lambda states, _: (_collide(states[0], next(unitaries), rho_a),)
+        step = lambda states, _: _collide(states, next(unitaries), rho_a)
+        params = (system_gibbs_state(model.system, model.ancilla.beta)[None],)
     else:
-        step, params = _cptp_step, _cptp_systems([(model, cfg)])
+        p_a = model.ancilla.ground_population
+        j_tau = model.interaction.j * cfg.tau
+        omega_tau = model.system.omega * cfg.tau
+        m = population_step_matrix(d, p_a, j_tau)
+        if diagonal:
+            target_p = gibbs_populations(d, model.system.omega, model.ancilla.beta)
+            n, dist = _powered_crossing(m, np.diag(rho0).real, target_p, cfg.epsilon, cfg.n_max)
+            return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
-    if engine == "recursion" and diagonal:
-        n, dist = _powered_crossing(m, np.diag(rho0).real, target_p, cfg.epsilon, cfg.n_max)
-    else:
-        ((n, dist, _),) = _first_crossings(step, (rho0[None],), params, _trace_distances, [cfg.epsilon], cfg.n_max)
+        # a coherent d = 3 state, against a one-row stack of its Gibbs target
+        params = (system_gibbs_state(model.system, model.ancilla.beta)[None],)
+
+        def step(states, _):
+            rho = states[0]
+            c = step_coherences_d3(rho[0, 1], rho[0, 2], rho[1, 2], p_a, j_tau, omega_tau)
+            return density_matrix_d3(m @ rho.diagonal().real, *c)[None]
+
+    ((n, dist, _),) = _first_crossings(step, rho0[None], params, _trace_distances, [cfg.epsilon], cfg.n_max)
     return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
 
@@ -388,8 +392,7 @@ def _cptp_systems(runs):
     h = np.stack([bare(m.system, m.ancilla) + interaction_hamiltonian(m.system, m.interaction) for m, _ in runs])
     unitaries = unitary_from_hamiltonian(h, np.array([cfg.tau for _, cfg in runs])[:, None])
     rho_as = np.stack([ancilla_thermal_state(m.ancilla) for m, _ in runs])
-    target_ps = [gibbs_populations(m.system.d, m.system.omega, m.ancilla.beta) for m, _ in runs]
-    return unitaries, rho_as, np.stack([np.diag(p.astype(complex)) for p in target_ps])
+    return unitaries, rho_as, np.stack([system_gibbs_state(m.system, m.ancilla.beta) for m, _ in runs])
 
 
 def nstar_simulated_batch(rho0: np.ndarray, models, cfgs) -> list[ThermalizationResult]:
@@ -421,13 +424,13 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs) -> list[Thermalization
         # the finished rows
         crossings = _first_crossings(
             _cptp_step,
-            (np.tile(rho0, (len(part), 1, 1)),),
+            np.tile(rho0, (len(part), 1, 1)),
             _cptp_systems(part),
             _trace_distances,
             [cfg.epsilon for _, cfg in part],
             part[0][1].n_max,
         )
-        for (model, cfg), (n, _, (previous,)) in zip(part, crossings):
+        for (model, cfg), (n, _, previous) in zip(part, crossings):
             res = nstar_simulated(previous, model, replace(cfg, n_max=1), engine="brute_force")
             results.append(res if res.n_star is None else replace(res, n_star=n, t_sim=n * cfg.tau))
     return results
@@ -509,19 +512,16 @@ def tsim_simulated_sl(
     """
     p0 = np.asarray(p0, dtype=float)
     h, steps = _sl_steps(p_a, gamma, epsilon, t_max, dt)
-    gens, targets = _sl_systems(p0.size, [p_a], gamma)
-    state = (p0[None], np.zeros(1))
-    ((n, dist, (p, t)),) = _first_crossings(_sl_step(h), state, (gens, targets), _population_distances, [epsilon], steps)
+    params = _sl_systems(p0.size, [p_a], gamma)
+    ((n, dist, p),) = _first_crossings(_sl_step(h), p0[None], params, _population_distances, [epsilon], steps)
     if n is None:
         return ThermalizationResult(None, None, dist, "ode_sl")
-    t = float(t)
+    t = 0.0
     if n > 0:
-
-        def dist_after(x):
-            return population_distance(rk4_step(lambda y: gens[0] @ y, p, x), targets[0])
-
+        # the scan's step and distance over x <= h, from the state at step n - 1
+        dist_after = lambda x: float(_population_distances(_sl_step(x)(p[None], params), params)[0])
         x = bisect_crossing(dist_after, epsilon, 0.0, h)[1]
-        t, dist = t + x, dist_after(x)
+        t, dist = _sl_clock(h, n - 1) + x, dist_after(x)
     return ThermalizationResult(None, t, dist, "ode_sl")
 
 
@@ -536,8 +536,8 @@ def tsim_simulated_sl_batch(
     Every row is then finished by ``tsim_simulated_sl`` over one step h,
     from its state before the scan's last step (p0 for a row within
     epsilon at once): that step crosses and is bisected, or, at t_max,
-    does not.  A crossed row's time is the scan's there plus the
-    finisher's.
+    does not.  A crossed row's time is the clock there, ``_sl_clock(h,
+    n - 1)`` for a crossing at step n, plus the finisher's.
     """
     p0 = np.asarray(p0, dtype=float)
     d = p0.size
@@ -548,15 +548,14 @@ def tsim_simulated_sl_batch(
     results = []
     for start in range(0, len(runs), block):
         part = runs[start : start + block]
-        state = (np.tile(p0, (len(part), 1)), np.zeros(len(part)))
         # the scan alone holds the stacked systems, so compacting them frees
         # the finished rows
         crossings = _first_crossings(
-            _sl_step(h), state, _sl_systems(d, [p_a for p_a, _ in part], gamma), _population_distances, [eps for _, eps in part], steps
+            _sl_step(h), np.tile(p0, (len(part), 1)), _sl_systems(d, [p_a for p_a, _ in part], gamma), _population_distances, [eps for _, eps in part], steps
         )
-        for (p_a, eps), (_, _, (p, t)) in zip(part, crossings):
+        for (p_a, eps), (n, _, p) in zip(part, crossings):
             res = tsim_simulated_sl(p, p_a, gamma, eps, h, dt=h)
-            results.append(res if res.t_sim is None else replace(res, t_sim=float(t) + res.t_sim))
+            results.append(res if res.t_sim is None else replace(res, t_sim=_sl_clock(h, n - 1) + res.t_sim))
     return results
 
 

@@ -40,9 +40,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .collisions import CollisionConfig
-from .errors import ConfigInvalid, IoError
+from .errors import ConfigInvalid, IoError, StepTooLarge
 from .models import AncillaSpec, IsotropicFlipFlop, ModelSpec, RandomFull, SystemSpec
-from .simtime import nstar_simulated, nstar_simulated_batch, tsim_simulated_sl_batch
+from .simtime import _sl_steps, nstar_simulated, nstar_simulated_batch, tsim_simulated_sl_batch
 
 # each kind's default engine, and the SweepSpec field its grid points replace
 _KIND_TABLE = {
@@ -57,6 +57,10 @@ ENGINES = ("BruteForce", "Recursion", "OdeSL")
 # largest level count a config may ask for: a 256 x 256 complex joint
 # space, 1 MiB per matrix
 MAX_D = 128
+# most steps a scanning sweep may take per run: RK4 steps for OdeSL, n_max
+# for BruteForce (100x OdeSL's default step count, 1000x the default n_max).
+# Recursion is exempt: its powered search takes O(log n_max) products
+MAX_STEPS = 10**8
 # the stacked engines, each with the largest d at which a pooled sweep runs
 # as one share in this process instead.  On two CPUs and 48 points the SL
 # scan beats a pool up to d = 48 and ties a pool of shares up to 32; the
@@ -133,13 +137,20 @@ def _validated(spec: SweepSpec) -> SweepSpec:
     if spec.j <= 0 or spec.tau <= 0:
         raise ConfigInvalid("j and tau must be positive")
     if engine == "OdeSL":
-        # the SL scan's default step is 0.01 / gamma
-        if not (spec.gamma > 0 and 0.01 / spec.gamma < math.inf):
-            raise ConfigInvalid("gamma must be positive, with a finite default step 0.01 / gamma")
-        if not (spec.t_max > 0 and spec.t_max / (0.01 / spec.gamma) < math.inf):
-            raise ConfigInvalid("t_max must be positive, with a finite step count t_max / (0.01 / gamma)")
+        # the SL scan's own step rule; its p_A check passes for any beta
+        try:
+            steps = _sl_steps(1.0, spec.gamma, spec.epsilon, spec.t_max, None)[1]
+        except (ValueError, StepTooLarge) as exc:
+            # a default step 0.01 / gamma that is not finite is StepTooLarge
+            if not spec.gamma > 0 or isinstance(exc, StepTooLarge):
+                raise ConfigInvalid("gamma must be positive, with a finite default step 0.01 / gamma") from exc
+            raise ConfigInvalid("t_max must be positive, with a finite step count t_max / (0.01 / gamma)") from exc
+        if steps > MAX_STEPS:
+            raise ConfigInvalid(f"t_max / (0.01 / gamma) = {steps:.3g} RK4 steps exceeds MAX_STEPS = {MAX_STEPS}")
     elif spec.n_max < 1:
         raise ConfigInvalid("n_max must be >= 1")
+    elif engine == "BruteForce" and spec.n_max > MAX_STEPS:
+        raise ConfigInvalid(f"n_max = {spec.n_max} exceeds MAX_STEPS = {MAX_STEPS} for the BruteForce scan")
     elif spec.kind != "RandomEnsembleVsBeta":
         # these runs collide for tau = jtau / j, which a tiny j overflows
         j_taus = spec.grid if axis == "j_tau" else (spec.j_tau,)

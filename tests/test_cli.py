@@ -6,7 +6,7 @@ import pytest
 
 from ri_thermalizer.cli import main
 from ri_thermalizer.errors import ConfigInvalid
-from ri_thermalizer.sweeps import MAX_D, parse_config
+from ri_thermalizer.sweeps import MAX_D, MAX_STEPS, parse_config
 
 FIG3A_STYLE_CONFIG = """\
 # n* against J*tau at strong coupling, low target temperature
@@ -136,12 +136,15 @@ class TestSweepCommand:
             "kind = TsimVsBeta\ngrid = 1.0\nt_max = 1e308\n",
             "kind = NstarVsJtau\nengine = BruteForce\nd = 3\nomega = 1e307\nn_max = 50\ngrid = 1.0\n",
             "kind = RandomEnsembleVsBeta\nlo = 1e307\nhi = 1e308\ngrid = 1.0\n",
+            "kind = TsimVsBeta\ngrid = 1.0\nt_max = 1e300\nepsilon = 1e-300\n",
+            "kind = NstarVsJtau\nengine = BruteForce\nn_max = 1000000000000\nepsilon = 1e-300\ngrid = 1.0\n",
         ],
         ids=["omega-0", "omega-negative", "omega-0-ensemble", "omega-negative-ensemble",
              "omega-0-tsim", "subnormal-j", "subnormal-j-jtau-grid", "subnormal-j-tsim-recursion",
              "jtau-0-grid", "jtau-negative-grid", "jtau-negative-key", "n-max-0", "t-max-negative",
              "subnormal-gamma", "seed-negative", "sl-steps-overflow-gamma", "sl-steps-overflow-t-max",
-             "unitary-overflow-omega", "unitary-overflow-couplings"],
+             "unitary-overflow-omega", "unitary-overflow-couplings", "sl-steps-above-max-steps",
+             "n-max-above-max-steps"],
     )
     def test_value_out_of_range_exits_2(self, tmp_path, capsys, text):
         # each of these used to end in a traceback with exit 1
@@ -168,6 +171,18 @@ class TestSweepCommand:
 
     def test_level_count_at_bound_is_accepted(self):
         assert parse_config(f"kind = NstarVsBeta\ngrid = 1,2\nd = {MAX_D}\n").d == MAX_D
+
+    def test_scanning_sweeps_are_bounded_by_max_steps(self):
+        brute = "kind = NstarVsJtau\ngrid = 1.0\nengine = BruteForce\n"
+        assert parse_config(f"{brute}n_max = {MAX_STEPS}\n").n_max == MAX_STEPS
+        with pytest.raises(ConfigInvalid, match="MAX_STEPS"):
+            parse_config(f"{brute}n_max = {MAX_STEPS + 1}\n")
+        # OdeSL steps 0.01 / gamma at a time: 1e7 steps up to t_max = 1e5, 1e9 up to 1e7
+        assert parse_config("kind = TsimVsBeta\ngrid = 1.0\nt_max = 1e5\n").t_max == 1e5
+        with pytest.raises(ConfigInvalid, match="MAX_STEPS"):
+            parse_config("kind = TsimVsBeta\ngrid = 1.0\nt_max = 1e7\n")
+        # the recursion's powered search does not scan
+        assert parse_config(f"kind = NstarVsJtau\ngrid = 1.0\nn_max = {10 * MAX_STEPS}\n").n_max == 10 * MAX_STEPS
 
     def test_keys_an_engine_does_not_use_are_not_checked(self):
         # OdeSL never collides, so it needs no tau and no n_max

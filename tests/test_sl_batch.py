@@ -115,18 +115,18 @@ def test_first_crossings_of_a_population_map():
     maps = [population_step_matrix(d, p_a, j_tau) for p_a in p_as]
     targets = [np.linalg.matrix_power(m, 5000) @ np.full(d, 1 / d) for m in maps]
     p0 = rng.dirichlet(np.ones(d), size=len(p_as))
-    step = lambda s, params: ((params[0] @ s[0][:, :, None])[:, :, 0],)
-    distance = lambda s, params: 0.5 * np.abs(s[0] - params[1]).sum(axis=1)
-    batch = _first_crossings(step, (p0,), (np.stack(maps), np.stack(targets)), distance, epsilons, n_max)
+    step = lambda s, params: (params[0] @ s[:, :, None])[:, :, 0]
+    distance = lambda s, params: 0.5 * np.abs(s - params[1]).sum(axis=1)
+    batch = _first_crossings(step, p0, (np.stack(maps), np.stack(targets)), distance, epsilons, n_max)
     for i, (n, dist, previous) in enumerate(batch):
         orbit = evolve_populations(p0[i], p_as[i], j_tau, n_max)
         distances = [population_distance(p, targets[i]) for p in orbit]
         first = next((k for k, x in enumerate(distances) if x <= epsilons[i]), None)
         last = n_max if first is None else first
         assert (n, dist) == (first, distances[last])
-        assert np.array_equal(previous[0], orbit[max(last - 1, 0)])
+        assert np.array_equal(previous, orbit[max(last - 1, 0)])
         # a copy, which keeps no stacked array alive
-        assert previous[0].base is None
+        assert previous.base is None
     assert batch[4][0] is None and batch[3][0] is not None
 
 
@@ -164,3 +164,18 @@ def test_stacked_products_and_distances_equal_row_by_row(rows):
         for i in range(rows):
             assert np.array_equal(stacked[i], gens[i] @ ys[i]), d
             assert distances[i] == population_distance(ys[i], targets[i]), d
+
+
+_SL_STEPS = [simtime._sl_steps(0.9, gamma, 1e-4, t_max, None)[0] for gamma, t_max in [(1.0, 1e4), (0.7, 50.0), (3.3, 123.4)]]
+
+
+@pytest.mark.parametrize("h", [0.01, *_SL_STEPS, *np.random.default_rng(10).uniform(1e-5, 0.1, 3)])
+def test_the_clock_is_n_sequential_additions(h):
+    # the SL states carry no clock; the time after n steps must read, ==, as
+    # a float64 clock stepped t + h once per step from 0.0 did
+    h, t, k = float(h), 0.0, 0
+    for n in (0, 1, 2, 23226, 10**6):
+        for _ in range(n - k):
+            t += h
+        k = n
+        assert simtime._sl_clock(h, n) == t, n
