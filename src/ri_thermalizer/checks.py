@@ -73,12 +73,10 @@ def _check_closed_spectra() -> CheckResult:
 
 def _check_lambert() -> CheckResult:
     worst = 0.0
-    for z in np.linspace(-math.exp(-1.0) + 1e-9, 5.0, 200):
-        w = lambert_w(float(z), 0)
-        worst = max(worst, abs(w * math.exp(w) - z) / max(1.0, abs(z)))
-    for z in np.linspace(-math.exp(-1.0) + 1e-9, -1e-9, 200):
-        w = lambert_w(float(z), -1)
-        worst = max(worst, abs(w * math.exp(w) - z) / max(1.0, abs(z)))
+    for branch, top in ((0, 5.0), (-1, -1e-9)):
+        for z in np.linspace(-math.exp(-1.0) + 1e-9, top, 200):
+            w = lambert_w(float(z), branch)
+            worst = max(worst, abs(w * math.exp(w) - z) / max(1.0, abs(z)))
     return CheckResult("Lambert-W residuals", worst < 1e-12, f"max residual = {worst:.2e}")
 
 

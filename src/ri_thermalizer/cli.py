@@ -12,19 +12,19 @@ Subcommands::
 reading x once as J*tau (discrete map) and once as Gamma (SL generator).
 
 Exit codes: 0 success, 1 failed validation, 2 invalid configuration
-(for ``sweep`` also one whose scan would take more than MAX_STEPS steps
-a run, or whose numbers overflow a collision unitary or a trace
-distance, raising NoConvergence; for ``spectra``: d outside [2, MAX_D],
-pA outside [0, 1] or a non-finite x), 3 output I/O failure.
-RI_THERMALIZER_THREADS overrides --parallel; either is an upper bound
-on the sweep's worker processes.
+(for ``sweep`` also one with more than MAX_TASKS tasks, one whose scan
+would take more than MAX_STEPS steps a run, or one whose numbers
+overflow a collision unitary or a trace distance or whose powered search
+hands a run to a scan that does not cross within MAX_STEPS collisions,
+raising NoConvergence; for ``spectra``: d outside [2, MAX_D], pA outside
+[0, 1] or a non-finite x), 3 output I/O failure.  --parallel alone
+bounds the sweep's worker processes.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -72,14 +72,7 @@ def _cmd_sweep(args) -> int:
             spec = replace(spec, seed=args.seed)
         if args.engine is not None:
             spec = replace(spec, engine=args.engine)
-        parallel = args.parallel
-        env = os.environ.get("RI_THERMALIZER_THREADS")
-        if env is not None:
-            try:
-                parallel = int(env)
-            except ValueError:
-                raise ConfigInvalid(f"RI_THERMALIZER_THREADS = {env!r} is not an integer")
-        records = run_sweep(spec, parallel=max(1, parallel))
+        records = run_sweep(spec, parallel=args.parallel)
     except (ConfigInvalid, NoConvergence) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -105,27 +98,22 @@ def _cmd_validate() -> int:
 
 
 def _cmd_spectra(args) -> int:
-    if not 2 <= args.d <= MAX_D:
-        print(f"error: invalid configuration: d must lie in [2, {MAX_D}]", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.p_a <= 1.0:
-        print("error: invalid configuration: pA must lie in [0, 1]", file=sys.stderr)
-        return 2
-    if not math.isfinite(args.x):
-        print("error: invalid configuration: x must be finite", file=sys.stderr)
-        return 2
-    xi = xi_closed(args.d, args.p_a, args.x)
-    xi_num = np.sort(np.linalg.eigvals(stochastic_matrix(args.d, args.p_a, args.x)).real)[::-1]
-    print(f"# discrete map, J*tau = {args.x:.12g}")
-    print("m,xi_closed,xi_numeric")
-    for m, (a, b) in enumerate(zip(np.sort(xi)[::-1], xi_num), start=1):
-        print(f"{m},{a:.12g},{b:.12g}")
+    for bad, message in (
+        (not 2 <= args.d <= MAX_D, f"d must lie in [2, {MAX_D}]"),
+        (not 0.0 <= args.p_a <= 1.0, "pA must lie in [0, 1]"),
+        (not math.isfinite(args.x), "x must be finite"),
+    ):
+        if bad:
+            print(f"error: invalid configuration: {message}", file=sys.stderr)
+            return 2
+    spectra = [("# discrete map, J*tau", "xi", xi_closed, stochastic_matrix)]
     if args.x > 0:
-        lam = lambda_closed(args.d, args.p_a, args.x)
-        lam_num = np.sort(np.linalg.eigvals(liouvillian_matrix(args.d, args.p_a, args.x)).real)[::-1]
-        print(f"# SL generator, Gamma = {args.x:.12g}")
-        print("m,lambda_closed,lambda_numeric")
-        for m, (a, b) in enumerate(zip(np.sort(lam)[::-1], lam_num), start=1):
+        spectra.append(("# SL generator, Gamma", "lambda", lambda_closed, liouvillian_matrix))
+    for title, name, closed, matrix in spectra:
+        numeric = np.sort(np.linalg.eigvals(matrix(args.d, args.p_a, args.x)).real)[::-1]
+        print(f"{title} = {args.x:.12g}")
+        print(f"m,{name}_closed,{name}_numeric")
+        for m, (a, b) in enumerate(zip(np.sort(closed(args.d, args.p_a, args.x))[::-1], numeric), start=1):
             print(f"{m},{a:.12g},{b:.12g}")
     return 0
 
@@ -137,7 +125,3 @@ def main(argv=None) -> int:
     if args.command == "validate":
         return _cmd_validate()
     return _cmd_spectra(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

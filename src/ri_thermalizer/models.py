@@ -98,8 +98,8 @@ class RandomFull:
     seed: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError("need finite lo < hi")
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise ValueError("need finite lo < hi, with a finite hi - lo")
 
 
 Interaction = Union[IsotropicFlipFlop, CounterRotating, RandomFull]
@@ -185,14 +185,12 @@ def interaction_hamiltonian(
     """
     dim = 2 * sys.d
     h_i = np.zeros((dim, dim), dtype=complex)
-    if isinstance(ispec, IsotropicFlipFlop):
+    if isinstance(ispec, (IsotropicFlipFlop, CounterRotating)):
         for i, j in _flip_flop_pairs(sys.d):
             h_i[i, j] = h_i[j, i] = ispec.j
-    elif isinstance(ispec, CounterRotating):
-        for i, j in _flip_flop_pairs(sys.d):
-            h_i[i, j] = h_i[j, i] = ispec.j
-        for i, j in _counter_rotating_pairs(sys.d):
-            h_i[i, j] = h_i[j, i] = ispec.j_prime
+        if isinstance(ispec, CounterRotating):
+            for i, j in _counter_rotating_pairs(sys.d):
+                h_i[i, j] = h_i[j, i] = ispec.j_prime
     elif isinstance(ispec, RandomFull):
         rng = np.random.default_rng([ispec.seed, collision])
         rows, cols = _upper_triangle(dim)

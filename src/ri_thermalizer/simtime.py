@@ -34,7 +34,7 @@ binary lifting over the squared powers m^(2^k): O(log n_max) matrix
 products instead of n* matrix-vector steps.  A rounding guard keeps n*
 equal to the scan's: when the distance just before or at the crossing
 it found lies within a forward-error bound of epsilon, it hands the run
-to the scan.
+to the scan, which stops at ``MAX_STEPS`` collisions.
 """
 
 from __future__ import annotations
@@ -78,6 +78,15 @@ from .models import (
 
 _NEG_INV_E = -math.exp(-1.0)
 _TINY = float(np.finfo(float).tiny)
+
+# most steps a scan may take per run: a sweep checks OdeSL's RK4 steps and
+# BruteForce's n_max, not Recursion's, whose powered search takes O(log
+# n_max) products and whose fallback scan stops here
+MAX_STEPS = 10**8
+# collisions of that fallback scan between checks for a repeated state
+_FALLBACK_CHUNK = 2**12
+# where the general-dimension zero-temperature solvers give up
+_NSTAR_ZEROT_CAP, _TSIM_ZEROT_CAP = 2.0**60, 1e12
 
 # RandomFull unitaries built per stacked eigh; a run that crosses at n*
 # builds at most _UNITARY_BLOCK - 1 unitaries it never applies
@@ -165,7 +174,11 @@ def lambert_w(z: float, branch: int = 0) -> float:
         if abs(f) <= tol:
             return w
         wp1 = w + 1.0
-        w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        denominator = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+        if not math.isfinite(denominator):  # from z = 2.76e307: the same step over e^w
+            f = w - z / ew
+            denominator = wp1 - (w + 2.0) * f / (2.0 * wp1)
+        w -= f / denominator
     if abs(w * math.exp(w) - z) <= 10.0 * tol:
         return w
     raise NoConvergence(f"Halley iteration stalled for z = {z!r}, branch {branch}")
@@ -303,11 +316,22 @@ def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon:
             n, state, dist = n + 2**k, ahead, dist_ahead
         else:
             crossed = dist_ahead  # the last such probe is the one at n + 1
-    if not (dist - epsilon > delta(n) and (n == n_max or epsilon - crossed > delta(n + 1))):
-        step = lambda states, params: _matvecs(params[0], states)
-        ((n, dist, _),) = _first_crossings(step, p[None], (m[None], target[None]), _population_distances, [epsilon], n_max)
-        return n, dist
-    return (None, dist) if n == n_max else (n + 1, crossed)
+    if dist - epsilon > delta(n) and (n == n_max or epsilon - crossed > delta(n + 1)):
+        return (None, dist) if n == n_max else (n + 1, crossed)
+    # the scan, a chunk at a time up to MAX_STEPS; once a collision returns
+    # its state bit for bit the distance stays put, as if the scan went on
+    step = lambda states, params: _matvecs(params[0], states)
+    bound, params, state = min(n_max, MAX_STEPS), (m[None], target[None]), p[None]
+    for n in range(0, bound, _FALLBACK_CHUNK):
+        ((k, dist, previous),) = _first_crossings(step, state, params, _population_distances, [epsilon], min(bound - n, _FALLBACK_CHUNK))
+        if k is not None:
+            return n + k, dist
+        state = step(previous[None], params)
+        if np.array_equal(step(state, params), state):
+            break
+    if n_max > MAX_STEPS:
+        raise NoConvergence(f"the powered search's fallback scan does not reach epsilon = {epsilon:.3g} within MAX_STEPS = {MAX_STEPS} collisions")
+    return None, dist
 
 
 def _random_unitaries(model: ModelSpec, tau: float, n_max: int):
@@ -416,24 +440,24 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs) -> list[Thermalization
         if model.system.d != rho0.shape[0] or cfg.n_max != runs[0][1].n_max:
             raise ValueError("the rows of a batch share d, rho0 and n_max")
 
-    block = max(1, _BLOCK_BYTES // (_CPTP_ROW_ARRAYS * 16 * (2 * rho0.shape[0]) ** 2))
+    scan = lambda part: _first_crossings(
+        _cptp_step, np.tile(rho0, (len(part), 1, 1)), _cptp_systems(part), _trace_distances, [cfg.epsilon for _, cfg in part], part[0][1].n_max
+    )
     results = []
+    for (model, cfg), (n, _, previous) in _blocked_crossings(runs, _CPTP_ROW_ARRAYS * 16 * (2 * rho0.shape[0]) ** 2, scan):
+        res = nstar_simulated(previous, model, replace(cfg, n_max=1), engine="brute_force")
+        results.append(res if res.n_star is None else replace(res, n_star=n, t_sim=n * cfg.tau))
+    return results
+
+
+def _blocked_crossings(runs, row_bytes: int, scan):
+    """Yield each run with its crossing from scan(part), one scan of as many
+    runs as fill _BLOCK_BYTES at row_bytes each; the scan alone holds the
+    stacked systems, so compacting them frees the finished rows."""
+    block = max(1, _BLOCK_BYTES // row_bytes)
     for start in range(0, len(runs), block):
         part = runs[start : start + block]
-        # the scan alone holds the stacked systems, so compacting them frees
-        # the finished rows
-        crossings = _first_crossings(
-            _cptp_step,
-            np.tile(rho0, (len(part), 1, 1)),
-            _cptp_systems(part),
-            _trace_distances,
-            [cfg.epsilon for _, cfg in part],
-            part[0][1].n_max,
-        )
-        for (model, cfg), (n, _, previous) in zip(part, crossings):
-            res = nstar_simulated(previous, model, replace(cfg, n_max=1), engine="brute_force")
-            results.append(res if res.n_star is None else replace(res, n_star=n, t_sim=n * cfg.tau))
-    return results
+        yield from zip(part, scan(part))
 
 
 def bisect_crossing(f, epsilon: float, lo: float, hi: float) -> tuple[float, float]:
@@ -544,18 +568,13 @@ def tsim_simulated_sl_batch(
     runs = list(zip(p_as, epsilons, strict=True))
     for p_a, eps in runs:
         h, steps = _sl_steps(p_a, gamma, eps, t_max, None)
-    block = max(1, _BLOCK_BYTES // (8 * d * d))
+    scan = lambda part: _first_crossings(
+        _sl_step(h), np.tile(p0, (len(part), 1)), _sl_systems(d, [p_a for p_a, _ in part], gamma), _population_distances, [eps for _, eps in part], steps
+    )
     results = []
-    for start in range(0, len(runs), block):
-        part = runs[start : start + block]
-        # the scan alone holds the stacked systems, so compacting them frees
-        # the finished rows
-        crossings = _first_crossings(
-            _sl_step(h), np.tile(p0, (len(part), 1)), _sl_systems(d, [p_a for p_a, _ in part], gamma), _population_distances, [eps for _, eps in part], steps
-        )
-        for (p_a, eps), (n, _, p) in zip(part, crossings):
-            res = tsim_simulated_sl(p, p_a, gamma, eps, h, dt=h)
-            results.append(res if res.t_sim is None else replace(res, t_sim=_sl_clock(h, n - 1) + res.t_sim))
+    for (p_a, eps), (n, _, p) in _blocked_crossings(runs, 8 * d * d, scan):
+        res = tsim_simulated_sl(p, p_a, gamma, eps, h, dt=h)
+        results.append(res if res.t_sim is None else replace(res, t_sim=_sl_clock(h, n - 1) + res.t_sim))
     return results
 
 
@@ -620,14 +639,12 @@ def tsim_closed_sl_zeroT(p0: np.ndarray, gamma: float, epsilon: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def nstar_general_zeroT_solve(
-    p0: np.ndarray, j_tau: float, epsilon: float, cap: float = 2.0**60
-) -> float:
+def nstar_general_zeroT_solve(p0: np.ndarray, j_tau: float, epsilon: float) -> float:
     """Real n* for any dimension at p_A = 1 from the binomial-sum equation.
 
     At lambda_+ = 0 (J*tau an odd multiple of pi/2, below float resolution
     of the formula) the populations cascade down one level per collision
-    and the integer crossing is returned directly.
+    and the integer crossing is returned directly.  NoRootBelowCap past 2^60.
     """
     _check_epsilon(epsilon)
     p0 = np.asarray(p0, dtype=float)
@@ -654,13 +671,12 @@ def nstar_general_zeroT_solve(
 
     if f(0.0) <= epsilon:
         return 0.0
-    return bisect_crossing(f, epsilon, *bracket_crossing(f, epsilon, 1.0, cap))[1]
+    return bisect_crossing(f, epsilon, *bracket_crossing(f, epsilon, 1.0, _NSTAR_ZEROT_CAP))[1]
 
 
-def tsim_general_sl_zeroT_solve(
-    p0: np.ndarray, gamma: float, epsilon: float, cap: float = 1e12
-) -> float:
-    """Simulation time for any dimension at p_A = 1 in the SL limit."""
+def tsim_general_sl_zeroT_solve(p0: np.ndarray, gamma: float, epsilon: float) -> float:
+    """Simulation time for any dimension at p_A = 1 in the SL limit;
+    NoRootBelowCap past 1e12 / Gamma."""
     _check_epsilon(epsilon)
     if gamma <= 0:
         raise ValueError("Gamma must be positive")
@@ -680,7 +696,7 @@ def tsim_general_sl_zeroT_solve(
 
     if f(0.0) <= epsilon:
         return 0.0
-    return bisect_crossing(f, epsilon, *bracket_crossing(f, epsilon, 1.0 / gamma, cap / gamma))[1]
+    return bisect_crossing(f, epsilon, *bracket_crossing(f, epsilon, 1.0 / gamma, _TSIM_ZEROT_CAP / gamma))[1]
 
 
 def ceil_collisions(n_real: float) -> int:

@@ -27,7 +27,8 @@ this process; at larger d a pool that splits the rows wins.
 
 The level count d is bounded by ``MAX_D``: the brute-force engine works
 on the 2d x 2d joint space, and a RandomFull run holds a stack of such
-matrices, so a d far beyond it exhausts memory rather than running.
+matrices, so a d far beyond it exhausts memory rather than running, as
+does a task count far beyond ``MAX_TASKS``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .collisions import CollisionConfig
 from .errors import ConfigInvalid, IoError, StepTooLarge
 from .models import AncillaSpec, IsotropicFlipFlop, ModelSpec, RandomFull, SystemSpec
-from .simtime import _sl_steps, nstar_simulated, nstar_simulated_batch, tsim_simulated_sl_batch
+from .simtime import MAX_STEPS, _sl_steps, nstar_simulated, nstar_simulated_batch, tsim_simulated_sl_batch
 
 # each kind's default engine, and the SweepSpec field its grid points replace
 _KIND_TABLE = {
@@ -57,10 +58,9 @@ ENGINES = ("BruteForce", "Recursion", "OdeSL")
 # largest level count a config may ask for: a 256 x 256 complex joint
 # space, 1 MiB per matrix
 MAX_D = 128
-# most steps a scanning sweep may take per run: RK4 steps for OdeSL, n_max
-# for BruteForce (100x OdeSL's default step count, 1000x the default n_max).
-# Recursion is exempt: its powered search takes O(log n_max) products
-MAX_STEPS = 10**8
+# most tasks (grid points times ensemble repetitions) a sweep may run: it
+# holds a spec, model and result per task, 10.7 MB at 10^4 NstarVsBeta tasks
+MAX_TASKS = 10**5
 # the stacked engines, each with the largest d at which a pooled sweep runs
 # as one share in this process instead.  On two CPUs and 48 points the SL
 # scan beats a pool up to d = 48 and ties a pool of shares up to 32; the
@@ -106,6 +106,12 @@ def _validated(spec: SweepSpec) -> SweepSpec:
         raise ConfigInvalid(f"unknown kind {spec.kind!r}; expected one of {KINDS}")
     if not spec.grid:
         raise ConfigInvalid("grid must be nonempty")
+    if spec.repetitions < 1:
+        raise ConfigInvalid("repetitions must be >= 1")
+    # only the random ensemble repeats a grid point
+    reps = spec.repetitions if spec.kind == "RandomEnsembleVsBeta" else 1
+    if len(spec.grid) * reps > MAX_TASKS:
+        raise ConfigInvalid(f"grid points times repetitions exceeds MAX_TASKS = {MAX_TASKS}")
     default_engine, axis = _KIND_TABLE[spec.kind]
     # +inf is the zero-temperature sentinel of a beta, never of another axis
     if not all(math.isfinite(x) or (axis == "beta" and x == math.inf) for x in spec.grid):
@@ -128,8 +134,6 @@ def _validated(spec: SweepSpec) -> SweepSpec:
         raise ConfigInvalid("epsilon must lie in (0, 1)")
     if spec.kind == "TsimVsEpsilon" and not all(0.0 < e < 1.0 for e in spec.grid):
         raise ConfigInvalid("epsilon grid values must lie in (0, 1)")
-    if spec.repetitions < 1:
-        raise ConfigInvalid("repetitions must be >= 1")
     if not 2 <= spec.d <= MAX_D:
         raise ConfigInvalid(f"d must lie in [2, {MAX_D}]")
     if not spec.omega > 0:
@@ -152,15 +156,15 @@ def _validated(spec: SweepSpec) -> SweepSpec:
     elif engine == "BruteForce" and spec.n_max > MAX_STEPS:
         raise ConfigInvalid(f"n_max = {spec.n_max} exceeds MAX_STEPS = {MAX_STEPS} for the BruteForce scan")
     elif spec.kind != "RandomEnsembleVsBeta":
-        # these runs collide for tau = jtau / j, which a tiny j overflows
+        # tau = jtau / j, which a tiny j overflows to inf (as floats, silently)
         j_taus = spec.grid if axis == "j_tau" else (spec.j_tau,)
-        if not all(0.0 < jt / spec.j < math.inf for jt in j_taus):
+        if not all(0.0 < float(jt) / spec.j < math.inf for jt in j_taus):
             raise ConfigInvalid("tau = jtau / j must be finite and positive")
-    if spec.kind == "RandomEnsembleVsBeta" and not spec.lo < spec.hi:
-        raise ConfigInvalid("need lo < hi for the randomized couplings")
+    if spec.kind == "RandomEnsembleVsBeta" and not (spec.lo < spec.hi and math.isfinite(spec.hi - spec.lo)):
+        raise ConfigInvalid("need lo < hi, with a finite hi - lo, for the randomized couplings")
     if spec.kind == "RandomEnsembleVsBeta" and spec.seed < 0:
         raise ConfigInvalid("seed must be >= 0")
-    return replace(spec, engine=engine)
+    return replace(spec, engine=engine, repetitions=reps)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +223,7 @@ def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
     output is deterministic for a given spec and seed.
     """
     spec = _validated(spec)
-    reps = spec.repetitions if spec.kind == "RandomEnsembleVsBeta" else 1
+    reps = spec.repetitions
     tasks = [(pi, r) for pi in range(len(spec.grid)) for r in range(reps)]
     workers = min(parallel, len(tasks), os.cpu_count() or 1)
     if workers > 1 and not (_stacked(spec) and spec.d <= _STACK_MAX_D[spec.engine]):
@@ -298,9 +302,11 @@ def _parse_grid(raw: str, lineno: int) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise ValueError("expected start:stop:count")
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ValueError("count must be >= 1")
-            return tuple(np.linspace(start, stop, count))
+            if not 1 <= count <= MAX_TASKS:
+                raise ValueError(f"count must lie in [1, MAX_TASKS = {MAX_TASKS}]")
+            # a grid that overflows holds inf or NaN, which _validated rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                return tuple(np.linspace(start, stop, count))
         return tuple(float(tok) for tok in raw.split(","))
     except ValueError as exc:
         raise ConfigInvalid(f"line {lineno}: bad grid {raw!r} ({exc})") from exc
@@ -324,16 +330,12 @@ def parse_config(text: str) -> SweepSpec:
             values[key] = raw
         elif key == "grid":
             values["grid"] = _parse_grid(raw, lineno)
-        elif key in _INT_KEYS:
+        elif key in _INT_KEYS or key in _FLOAT_KEYS:
+            number, noun = (int, "an integer") if key in _INT_KEYS else (float, "a number")
             try:
-                values[key] = int(raw)
+                values[_KEY_TO_FIELD.get(key, key)] = number(raw)
             except ValueError as exc:
-                raise ConfigInvalid(f"line {lineno}: key {key!r} needs an integer") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                values[_KEY_TO_FIELD.get(key, key)] = float(raw)
-            except ValueError as exc:
-                raise ConfigInvalid(f"line {lineno}: key {key!r} needs a number") from exc
+                raise ConfigInvalid(f"line {lineno}: key {key!r} needs {noun}") from exc
         else:
             raise ConfigInvalid(f"line {lineno}: unknown key {key!r}")
     if "kind" not in values:

@@ -6,7 +6,7 @@ import pytest
 
 from ri_thermalizer.cli import main
 from ri_thermalizer.errors import ConfigInvalid
-from ri_thermalizer.sweeps import MAX_D, MAX_STEPS, parse_config
+from ri_thermalizer.sweeps import MAX_D, MAX_STEPS, MAX_TASKS, parse_config
 
 FIG3A_STYLE_CONFIG = """\
 # n* against J*tau at strong coupling, low target temperature
@@ -59,12 +59,6 @@ class TestSweepCommand:
         main(["sweep", str(config_path), "--out", str(out1)])
         main(["sweep", str(config_path), "--out", str(out2), "--parallel", "3"])
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_env_var_overrides_parallel(self, config_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("RI_THERMALIZER_THREADS", "2")
-        out = tmp_path / "env.csv"
-        assert main(["sweep", str(config_path), "--out", str(out), "--parallel", "1"]) == 0
-        assert out.read_text() == FIG3A_GOLDEN_CSV
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -138,16 +132,22 @@ class TestSweepCommand:
             "kind = RandomEnsembleVsBeta\nlo = 1e307\nhi = 1e308\ngrid = 1.0\n",
             "kind = TsimVsBeta\ngrid = 1.0\nt_max = 1e300\nepsilon = 1e-300\n",
             "kind = NstarVsJtau\nengine = BruteForce\nn_max = 1000000000000\nepsilon = 1e-300\ngrid = 1.0\n",
+            "kind = NstarVsJtau\ngrid = 1.0\nn_max = 1000000000000\nepsilon = 1e-300\n",
+            "kind = NstarVsBeta\ngrid = 0:1:1000000000000000\n",
+            "kind = RandomEnsembleVsBeta\ngrid = 1.0\nlo = -1e308\nhi = 1e308\nn_max = 5\n",
+            "kind = NstarVsBeta\ngrid = -1e308:1e308:3\n",
         ],
         ids=["omega-0", "omega-negative", "omega-0-ensemble", "omega-negative-ensemble",
              "omega-0-tsim", "subnormal-j", "subnormal-j-jtau-grid", "subnormal-j-tsim-recursion",
              "jtau-0-grid", "jtau-negative-grid", "jtau-negative-key", "n-max-0", "t-max-negative",
              "subnormal-gamma", "seed-negative", "sl-steps-overflow-gamma", "sl-steps-overflow-t-max",
              "unitary-overflow-omega", "unitary-overflow-couplings", "sl-steps-above-max-steps",
-             "n-max-above-max-steps"],
+             "n-max-above-max-steps", "recursion-scan-above-max-steps", "grid-count-above-max-tasks",
+             "coupling-range-overflow", "grid-overflow"],
     )
     def test_value_out_of_range_exits_2(self, tmp_path, capsys, text):
-        # each of these used to end in a traceback with exit 1
+        # each of these used to end in a traceback with exit 1, a warning
+        # line, or a hang
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
         with warnings.catch_warnings():
@@ -183,6 +183,22 @@ class TestSweepCommand:
             parse_config("kind = TsimVsBeta\ngrid = 1.0\nt_max = 1e7\n")
         # the recursion's powered search does not scan
         assert parse_config(f"kind = NstarVsJtau\ngrid = 1.0\nn_max = {10 * MAX_STEPS}\n").n_max == 10 * MAX_STEPS
+
+    def test_task_count_is_bounded(self):
+        # parse_config only; the counts above the bound are so large that a
+        # regression fails at once: numpy cannot allocate the grid, and the
+        # repetitions reach no allocation in parse_config at all
+        ensemble = "kind = RandomEnsembleVsBeta\nn_max = 5\n"
+        for text in (
+            "kind = NstarVsBeta\ngrid = 0:1:1000000000000000\n",
+            f"{ensemble}grid = 1.0\nrepetitions = 1000000000000\n",
+            f"{ensemble}grid = 1,2\nrepetitions = {MAX_TASKS // 2 + 1}\n",
+        ):
+            with pytest.raises(ConfigInvalid, match="MAX_TASKS"):
+                parse_config(text)
+        assert parse_config(f"{ensemble}grid = 1.0\nrepetitions = {MAX_TASKS}\n").repetitions == MAX_TASKS
+        # only the random ensemble repeats a point
+        assert parse_config("kind = NstarVsBeta\ngrid = 1,2\nrepetitions = 1000000000000\n").repetitions == 1
 
     def test_keys_an_engine_does_not_use_are_not_checked(self):
         # OdeSL never collides, so it needs no tau and no n_max

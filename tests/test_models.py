@@ -61,6 +61,7 @@ class TestSystemHamiltonian:
         (CounterRotating, dict(j=math.inf, j_prime=0.5)),
         (RandomFull, dict(lo=0.1, hi=math.inf, seed=0)),
         (RandomFull, dict(lo=-math.inf, hi=0.1, seed=0)),
+        (RandomFull, dict(lo=-1e308, hi=1e308, seed=0)),
         (CollisionConfig, dict(tau=math.nan, n_max=10, epsilon=1e-4)),
         (CollisionConfig, dict(tau=math.inf, n_max=10, epsilon=1e-4)),
         (CollisionConfig, dict(tau=1.0, n_max=math.nan, epsilon=1e-4)),

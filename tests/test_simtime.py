@@ -1,6 +1,7 @@
 """Unit tests for Lambert-W, simulated crossings, and closed-form costs."""
 
 import math
+import sys
 import time
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 from ri_thermalizer import simtime
 from ri_thermalizer.collisions import CollisionConfig, evolve_populations
 from ri_thermalizer.errors import EpsilonTooLarge, FrozenDynamics, NoConvergence, OutOfDomain, StepTooLarge
-from ri_thermalizer.models import flip_flop_model, gibbs_populations, random_density_matrix
+from ri_thermalizer.models import AncillaSpec, flip_flop_model, gibbs_populations, random_density_matrix
 from ri_thermalizer.simtime import (
     ceil_collisions,
     lambert_w,
@@ -64,6 +65,12 @@ class TestLambertW:
         for z in (-1e-10, -1e-50, -1e-200):
             w = lambert_w(z, -1)
             assert abs(w * math.exp(w) - z) <= 1e-12 * max(1.0, abs(z))
+
+    @pytest.mark.parametrize("z", [1e308, sys.float_info.max])
+    def test_top_of_the_float_range(self, z):
+        # Halley's denominator overflows here; W0 itself is about 703
+        w = lambert_w(z, 0)
+        assert abs(w * math.exp(w) - z) <= 1e-12 * z
 
     def test_domain_errors(self):
         with pytest.raises(OutOfDomain):
@@ -234,6 +241,61 @@ class TestPoweredCrossing:
             res = nstar_simulated(np.eye(8, dtype=complex) / 8, model, cfg)
             assert res.n_star is not None and res.n_star > 100
             assert len(calls) <= 3 * math.log2(n_max) + 3
+
+
+class TestFallbackScan:
+    """The scan the powered search hands a run to when rounding cannot
+    decide, over at most MAX_STEPS collisions."""
+
+    # epsilon far below the distance's rounding floor: the guard fails at
+    # every n_max and the scan never crosses.  At beta = 1, J tau = 1 the
+    # scan's state repeats bit for bit from collision 84 on; at beta = 3,
+    # J tau = pi/2 it never does
+    ORBITS = [(1.0, 1.0), (3.0, math.pi / 2)]
+
+    @staticmethod
+    def _run(beta, j_tau, n_max, epsilon=1e-300, p0=np.full(3, 1 / 3)):
+        model = flip_flop_model(p0.size, omega=1.0, beta=beta, j=1.0)
+        return nstar_simulated(np.diag(p0).astype(complex), model, CollisionConfig(tau=j_tau, n_max=n_max, epsilon=epsilon))
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The collisions each call of the scan is allowed, one entry a call."""
+        calls = []
+        scan = simtime._first_crossings
+        monkeypatch.setattr(simtime, "_first_crossings", lambda *args: calls.append(args[-1]) or scan(*args))
+        return calls
+
+    @pytest.mark.parametrize("beta, j_tau", ORBITS)
+    def test_a_scan_that_does_not_cross_by_max_steps_raises(self, monkeypatch, scans, beta, j_tau):
+        monkeypatch.setattr(simtime, "MAX_STEPS", 5000)
+        with pytest.raises(NoConvergence, match="MAX_STEPS"):
+            self._run(beta, j_tau, 10**6)
+        assert sum(scans) <= 5000
+
+    @pytest.mark.parametrize("chunk", [simtime._FALLBACK_CHUNK, 7])
+    @pytest.mark.parametrize("beta, j_tau", ORBITS)
+    def test_within_max_steps_it_gives_the_scan(self, monkeypatch, scans, beta, j_tau, chunk):
+        monkeypatch.setattr(simtime, "_FALLBACK_CHUNK", chunk)
+        n_max = 10_000
+        res = self._run(beta, j_tau, n_max)
+        orbit = evolve_populations(np.full(3, 1 / 3), AncillaSpec(1.0, beta).ground_population, j_tau, n_max)
+        assert res.n_star is None
+        assert res.final_distance == population_distance(orbit[-1], gibbs_populations(3, 1.0, beta))
+        # a state that repeats ends the scan after the chunk it repeats in
+        fixed = beta == 1.0
+        assert len(scans) == (math.ceil(84 / chunk) if fixed else math.ceil(n_max / chunk))
+
+    def test_a_crossing_before_max_steps_is_returned(self, monkeypatch, scans):
+        # epsilon on the scanned distance at collision 60 fails the guard
+        p0 = np.array([0.05, 0.3, 0.1, 0.4, 0.15])
+        target = gibbs_populations(5, 1.0, 0.7)
+        orbit = evolve_populations(p0, AncillaSpec(1.0, 0.7).ground_population, 1.1, 100)
+        eps = population_distance(orbit[60], target)
+        expected = next(k for k, p in enumerate(orbit) if population_distance(p, target) <= eps)
+        monkeypatch.setattr(simtime, "MAX_STEPS", 1000)
+        assert self._run(0.7, 1.1, 10**6, eps, p0).n_star == expected
+        assert scans == [1000]
 
 
 class TestTsimSimulatedInputs:

@@ -3,14 +3,22 @@
 import importlib.util
 import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ri_thermalizer import sweeps
 from ri_thermalizer.errors import ConfigInvalid, IoError
 from ri_thermalizer.sweeps import (
+    ENGINES,
+    KINDS,
+    MAX_D,
+    MAX_STEPS,
+    MAX_TASKS,
     SweepRecord,
     SweepSpec,
     emit_csv,
@@ -19,8 +27,8 @@ from ri_thermalizer.sweeps import (
     parse_csv,
     run_sweep,
 )
-from ri_thermalizer.models import AncillaSpec
-from ri_thermalizer.simtime import tsim_simulated_sl
+from ri_thermalizer.models import AncillaSpec, RandomFull
+from ri_thermalizer.simtime import _sl_steps, tsim_simulated_sl
 
 
 @pytest.fixture
@@ -102,6 +110,88 @@ class TestParseConfig:
             parse_config("kind = RandomEnsembleVsBeta\ngrid = 1,2\nlo = 2\nhi = 1\n")
         with pytest.raises(ConfigInvalid, match="epsilon grid"):
             parse_config("kind = TsimVsEpsilon\ngrid = 0.5,2\n")
+
+
+_EXTREME_FLOATS = st.sampled_from(
+    ["inf", "-inf", "nan", "0", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "1e308", "5e-324"]
+) | st.floats().map(repr)
+# each key's (plain values, extremes): infinities, NaN, 1e+-300, the bounds
+# and their neighbours and huge counts.  A grid count either fits the bound
+# or is too large for numpy to allocate at all, so a regression fails at
+# once instead of filling memory
+_VALUES = {
+    "kind": (st.sampled_from(KINDS), st.sampled_from(["Bogus", ""])),
+    "engine": (st.sampled_from(["", *ENGINES]), st.just("Bogus")),
+    "grid": (
+        st.sampled_from(["0.5", "0.1,0.5,0.7", "0.1:0.9:4"]),
+        st.sampled_from([0, MAX_TASKS, MAX_TASKS + 1, 10**15]).map(lambda n: f"0.1:0.9:{n}")
+        | st.sampled_from(["", ":", "1:2", "1,,2", "2,1", "nan,1", "inf", "-1e308:1e308:3", "0:inf:3"])
+        | st.tuples(_EXTREME_FLOATS, _EXTREME_FLOATS).map(lambda t: "{}:{}:3".format(*t)),
+    ),
+    "d": (st.sampled_from([3, 2, 5]), st.sampled_from([0, 1, MAX_D, MAX_D + 1, 10**12])),
+    "seed": (st.sampled_from([0, 7]), st.sampled_from([-1, 2**64])),
+    "repetitions": (st.sampled_from([1, 3]), st.sampled_from([0, -1, MAX_TASKS, MAX_TASKS + 1, 10**12])),
+    "n_max": (st.sampled_from([10, 1000]), st.sampled_from([0, -1, MAX_STEPS, MAX_STEPS + 1, 10**12])),
+    "t_max": (st.sampled_from(["10", "100"]), _EXTREME_FLOATS),
+    "lo": (st.sampled_from(["0.001", "0.01"]), _EXTREME_FLOATS),
+    "hi": (st.sampled_from(["0.5", "2"]), _EXTREME_FLOATS),
+    "epsilon": (st.sampled_from(["0.05", "0.001"]), _EXTREME_FLOATS),
+    **{key: (st.sampled_from(["0.5", "1", "2"]), _EXTREME_FLOATS) for key in ("omega", "beta", "jtau", "j", "gamma", "tau")},
+}
+# each drawn config is parsed again with each of these set: the values at
+# and past every bound (t_max = 1e6 is MAX_STEPS RK4 steps at gamma = 1)
+_PROBES = [
+    *({"n_max": n} for n in (MAX_STEPS, MAX_STEPS + 1, 10**12)),
+    *({"repetitions": n} for n in (MAX_TASKS, MAX_TASKS + 1, 10**12)),
+    *({"grid": f"0.1:0.9:{n}"} for n in (MAX_TASKS + 1, 10**15)),
+    *({"t_max": t} for t in ("999999.99", "1e6", "1000000.01", "1e300")),
+    *({"d": d} for d in (MAX_D, MAX_D + 1)),
+    {"lo": "-1e308", "hi": "1e308"},
+    {"epsilon": "1e-300"},
+]
+
+
+@st.composite
+def _configs(draw):
+    """(keys and values, form): kind, grid and any other keys, each plain
+    but for one key at an extreme or, in one config of five, any key.
+    Form 8 drops kind and grid (the empty text among others), form 9
+    repeats a key.  Hypothesis favours the first choice, so kind and grid
+    come last among the keys that may take the extreme."""
+    others = draw(st.lists(st.sampled_from(sorted(set(_VALUES) - {"kind", "grid"})), unique=True))
+    wild, chaos, form = draw(st.sampled_from([*others, "grid", "kind"])), draw(st.integers(0, 4)) == 4, draw(st.integers(0, 9))
+    config = {}
+    for key in others if form == 8 else ["kind", "grid", *others]:
+        plain, extreme = _VALUES[key]
+        config[key] = draw(extreme if key == wild or (chaos and draw(st.booleans())) else plain)
+    return config, form
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_configs())
+def test_every_config_text_is_rejected_or_bounded(drawn):
+    # parse_config only, so no sweep runs and no wall-clock limit is needed
+    config, form = drawn
+    for probe in [{}, *_PROBES]:
+        lines = [f"{key} = {value}" for key, value in {**config, **probe}.items()]
+        _check_rejected_or_bounded("\n".join(lines + lines[-1:] if form == 9 else lines))
+
+
+def _check_rejected_or_bounded(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            spec = parse_config(text)
+        except ConfigInvalid:
+            return
+    reps = spec.repetitions if spec.kind == "RandomEnsembleVsBeta" else 1
+    assert 1 <= len(spec.grid) * reps <= MAX_TASKS
+    if spec.engine == "OdeSL":
+        assert _sl_steps(1.0, spec.gamma, spec.epsilon, spec.t_max, None)[1] <= MAX_STEPS
+    elif spec.engine == "BruteForce":
+        assert 1 <= spec.n_max <= MAX_STEPS
+    if spec.kind == "RandomEnsembleVsBeta":
+        RandomFull(spec.lo, spec.hi, spec.seed)  # the couplings a run draws
 
 
 class TestRunSweep:
