@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from ri_thermalizer import (
+    AncillaSpec,
     CollisionConfig,
     gibbs_populations,
     flip_flop_model,
@@ -35,7 +36,7 @@ J_TAU = math.pi / 8
 
 
 def p_ancilla(beta):
-    return 1.0 / (1.0 + math.exp(-beta))
+    return AncillaSpec(omega=1.0, beta=beta).ground_population
 
 
 betas = np.concatenate([np.linspace(0.4, 4, 10), np.linspace(5, 12, 8)])

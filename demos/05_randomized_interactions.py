@@ -56,7 +56,7 @@ spec = SweepSpec(
 print(format_csv(run_sweep(spec)))
 
 print("counter-rotating SL dynamics (Gamma1 = 1, Gamma2 = 0.25, Gamma12 = 0.5, beta = 1):")
-p_a = 1.0 / (1.0 + math.exp(-1.0))
+p_a = AncillaSpec(omega=1.0, beta=1.0).ground_population
 traj = sl_ode_nonconserving_d3(gibbs_populations(3, 1.0, 1.0), 0.0j, p_a, 1.0, 0.25, 0.5, 60.0)
 for t_query in (0.0, 2.0, 10.0, 30.0, 60.0):
     idx = int(np.argmin(np.abs(traj.times - t_query)))

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    ri-thermalizer sweep <config> [--out PATH] [--seed N] [--engine NAME] [--parallel K]
+    ri-thermalizer sweep <config> [--out PATH] [--parallel K]
     ri-thermalizer validate
     ri-thermalizer spectra <d> <pA> <x>
 
@@ -18,7 +18,8 @@ overflow a collision unitary or a trace distance or whose powered search
 hands a run to a scan that does not cross within MAX_STEPS collisions,
 raising NoConvergence; for ``spectra``: d outside [2, MAX_D], pA outside
 [0, 1] or a non-finite x), 3 output I/O failure.  --parallel alone
-bounds the sweep's worker processes.
+bounds the sweep's worker processes; the config sets every other value,
+its seed and engine included.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -46,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a configured parameter sweep")
     p_sweep.add_argument("config", help="path to a key = value sweep configuration")
     p_sweep.add_argument("--out", default=None, help="CSV destination (default stdout)")
-    p_sweep.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sweep.add_argument("--engine", default=None, help="override the config engine")
     p_sweep.add_argument("--parallel", type=int, default=1, help="upper bound on worker processes")
 
     sub.add_parser("validate", help="run the oracle cross-check suite")
@@ -67,12 +65,7 @@ def _cmd_sweep(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        spec = parse_config(text)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        if args.engine is not None:
-            spec = replace(spec, engine=args.engine)
-        records = run_sweep(spec, parallel=args.parallel)
+        records = run_sweep(parse_config(text), parallel=args.parallel)
     except (ConfigInvalid, NoConvergence) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

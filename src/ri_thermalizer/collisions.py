@@ -378,7 +378,14 @@ class OdeTrajectory:
     values: np.ndarray
 
 
-def _resolve_step(t_end: float, dt: float | None, gamma_max: float) -> float:
+def _resolve_step(t_end: float, dt: float | None, rates) -> float:
+    """Check an SL integration's inputs and return its step, by default
+    0.01 over the largest rate; a signed rate (Gamma12) comes as |Gamma12|."""
+    if not all(rate >= 0.0 for rate in rates):
+        raise ValueError("rates must be >= 0, not NaN")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and >= 0")
+    gamma_max = max(rates)
     if dt is None:
         dt = 0.01 / gamma_max if gamma_max > 0 else t_end / 100.0
     if not dt > 0:
@@ -421,7 +428,7 @@ def sl_ode_populations(
 ) -> OdeTrajectory:
     """Integrate the population SL ODE for any dimension (RK4, fixed step)."""
     p0 = np.asarray(p0, dtype=float)
-    dt = _resolve_step(t_end, dt, gamma)
+    dt = _resolve_step(t_end, dt, (gamma,))
     gen = sl_population_generator(p0.size, p_a, gamma)
     return _rk4(lambda p: gen @ p, p0, t_end, dt)
 
@@ -434,7 +441,7 @@ def sl_ode_coherences_d3(
     dt: float | None = None,
 ) -> OdeTrajectory:
     """Integrate the three-level coherence SL ODE for (c12, c13, c23)."""
-    dt = _resolve_step(t_end, dt, gamma)
+    dt = _resolve_step(t_end, dt, (gamma,))
     # c12 feed into c23 enters with +(1-p_A), per the exact recursion expansion
     gen = gamma * np.array(
         [
@@ -462,7 +469,7 @@ def sl_ode_nonconserving_d3(
     from this subsystem and are not propagated.
     """
     g1, g2, g12 = gamma1, gamma2, gamma12
-    dt = _resolve_step(t_end, dt, max(g1, g2, abs(g12)))
+    dt = _resolve_step(t_end, dt, (g1, g2, abs(g12)))
     damp = 0.5 * (g1 + g2)
     gen = np.array(
         [

@@ -41,11 +41,6 @@ class FrozenDynamics(RIThermalizerError):
     """J*tau is an integer multiple of pi; populations do not evolve."""
 
 
-class InstantCase(RIThermalizerError):
-    """lambda_+ vanishes exactly (J*tau an odd multiple of pi/2); the
-    closed form degenerates and the exact d-1 collision result applies."""
-
-
 class OutOfDomain(RIThermalizerError):
     """Argument outside the domain of the requested Lambert-W branch."""
 

@@ -59,7 +59,6 @@ from .collisions import (
 from .errors import (
     EpsilonTooLarge,
     FrozenDynamics,
-    InstantCase,
     NoConvergence,
     NoRootBelowCap,
     OutOfDomain,
@@ -147,6 +146,8 @@ def lambert_w(z: float, branch: int = 0) -> float:
     """
     if branch not in (0, -1):
         raise ValueError("branch must be 0 or -1")
+    if not math.isfinite(z):
+        raise OutOfDomain(f"z = {z!r} is not finite")
     if z < _NEG_INV_E - 1e-15:
         raise OutOfDomain(f"z = {z!r} below the branch point -1/e")
     if branch == -1 and z >= 0.0:
@@ -503,7 +504,7 @@ def _sl_steps(p_a: float, gamma: float, epsilon: float, t_max: float, dt: float 
     _check_epsilon(epsilon)
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
-    dt = _resolve_step(t_max, dt, gamma)
+    dt = _resolve_step(t_max, dt, (gamma,))
     if not t_max / dt < math.inf:
         raise ValueError("t_max / dt must be a finite number of steps")
     steps = max(1, math.ceil(t_max / dt))
@@ -587,8 +588,6 @@ def _lambdas(j_tau: float) -> tuple[float, float]:
     lp, lm = flip_flop_rates(j_tau)
     if lp >= 1.0:
         raise FrozenDynamics("J*tau is a multiple of pi; populations frozen")
-    if lp == 0.0:
-        raise InstantCase("lambda_+ = 0 exactly; use the d-1 collision result")
     return lp, lm
 
 
@@ -649,9 +648,7 @@ def nstar_general_zeroT_solve(p0: np.ndarray, j_tau: float, epsilon: float) -> f
     _check_epsilon(epsilon)
     p0 = np.asarray(p0, dtype=float)
     d = p0.size
-    lp, lm = flip_flop_rates(j_tau)
-    if lp >= 1.0:
-        raise FrozenDynamics("J*tau is a multiple of pi; populations frozen")
+    lp, lm = _lambdas(j_tau)
     if lp < 1e-30:
         # after n collisions the excited weight is p0[n+1:], zero from n = d-1 on
         return float(next(n for n in range(d) if p0[n + 1 :].sum() <= epsilon))

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 from ri_thermalizer.cli import main
 from ri_thermalizer.errors import ConfigInvalid
 from ri_thermalizer.sweeps import MAX_D, MAX_STEPS, MAX_TASKS, parse_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 FIG3A_STYLE_CONFIG = """\
 # n* against J*tau at strong coupling, low target temperature
@@ -157,12 +161,6 @@ class TestSweepCommand:
         assert "invalid configuration" in captured.err and captured.err.count("\n") == 1
         assert captured.out == ""
 
-    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "ens.cfg"
-        cfg.write_text("kind = RandomEnsembleVsBeta\ngrid = 1\nn_max = 5\n")
-        assert main(["sweep", str(cfg), "--seed", "-1"]) == 2
-        assert "seed must be >= 0" in capsys.readouterr().err
-
     @pytest.mark.parametrize("d", [MAX_D + 1, 100_000, 1, 0, -3])
     def test_level_count_outside_bound_is_rejected(self, d):
         # parse_config only: a sweep at such a d would allocate the matrices
@@ -224,24 +222,40 @@ class TestSweepCommand:
     def test_unwritable_output_exits_3(self, config_path):
         assert main(["sweep", str(config_path), "--out", "/nonexistent-dir/x.csv"]) == 3
 
-    def test_seed_override_changes_ensemble(self, tmp_path):
-        cfg = tmp_path / "ens.cfg"
-        cfg.write_text(
-            "kind = RandomEnsembleVsBeta\ngrid = 1.0\nrepetitions = 3\n"
-            "epsilon = 0.05\nn_max = 2000\ntau = 100\n"
-        )
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["sweep", str(cfg), "--out", str(out1), "--seed", "1"])
-        main(["sweep", str(cfg), "--out", str(out2), "--seed", "2"])
-        assert out1.read_text() != out2.read_text()
+    def test_config_seed_changes_ensemble(self, tmp_path):
+        ensemble = "kind = RandomEnsembleVsBeta\ngrid = 1.0\nrepetitions = 3\nepsilon = 0.05\nn_max = 2000\ntau = 100\n"
+        texts = []
+        for seed in (1, 2):
+            cfg, out = tmp_path / f"ens{seed}.cfg", tmp_path / f"ens{seed}.csv"
+            cfg.write_text(f"{ensemble}seed = {seed}\n")
+            assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] != texts[1]
 
-    def test_engine_override_rejected_when_incompatible(self, config_path, capsys):
-        assert main(["sweep", str(config_path), "--engine", "OdeSL"]) == 2
-
-    def test_brute_force_engine_reproduces_golden(self, config_path, tmp_path):
-        out = tmp_path / "bf.csv"
-        assert main(["sweep", str(config_path), "--out", str(out), "--engine", "BruteForce"]) == 0
+    def test_brute_force_engine_reproduces_golden(self, tmp_path):
+        cfg, out = tmp_path / "bf.cfg", tmp_path / "bf.csv"
+        cfg.write_text(FIG3A_STYLE_CONFIG + "engine = BruteForce\n")
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 0
         assert out.read_text() == FIG3A_GOLDEN_CSV
+
+    @pytest.mark.parametrize("flag", ["--seed", "--engine"])
+    def test_config_keys_are_not_flags(self, config_path, capsys, flag):
+        # the seed and the engine are config keys only; argparse rejects the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(config_path), flag, "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ri-thermalizer") and f"unrecognized arguments: {flag} 1" in err
+        assert "Traceback" not in err
+
+    def test_readme_usage_lists_the_sweep_options(self, capsys):
+        # the README's sweep usage line names exactly the options the parser takes
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        usage = [ln for ln in README.read_text(encoding="utf-8").splitlines() if ln.startswith("ri-thermalizer sweep ")]
+        assert len(usage) == 1
+        assert set(re.findall(r"--[a-z-]+", usage[0])) == options == {"--out", "--parallel"}
 
 
 class TestValidateCommand:

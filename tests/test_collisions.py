@@ -15,6 +15,7 @@ from ri_thermalizer.collisions import (
     evolve,
     evolve_coherences_d3,
     evolve_populations,
+    population_step_matrix,
     psi_coefficients,
     sl_ode_coherences_d3,
     sl_ode_nonconserving_d3,
@@ -265,6 +266,10 @@ class TestPopulationRecursion:
         with pytest.raises(SumNotZero):
             step_populations_recursive(np.array([0.1, 0.0, 0.0]), 0.8, 0.7)
 
+    def test_step_matrix_needs_two_levels(self):
+        with pytest.raises(ValueError, match="d >= 2"):
+            population_step_matrix(1, 0.8, 0.7)
+
     def test_matches_eta_recursion_d3(self):
         rng = np.random.default_rng(3)
         p_a, j_tau = 0.77, 0.9
@@ -351,6 +356,8 @@ class TestZeroTemperatureClosedForms:
     def test_zero_steps_identity(self):
         p0 = np.array([0.2, 0.5, 0.3])
         assert np.allclose(zero_temp_populations_closed(p0, 0, 0.7), p0, atol=1e-15)
+        c0 = (0.1 + 0.2j, -0.3j, 0.05)
+        assert zero_temp_coherences_d3_closed(c0, 0, 0.7, 1.3) == c0
 
     def test_d3_ground_state_expression(self):
         p0 = np.array([0.1, 0.45, 0.45])
@@ -431,6 +438,40 @@ class TestSlOde:
     def test_step_guard(self):
         with pytest.raises(StepTooLarge):
             sl_ode_populations(np.array([1.0, 0.0, 0.0]), 0.9, 2.0, 1.0, dt=0.2)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: sl_ode_populations(np.full(3, 1 / 3), 0.8, -1.0, 5.0),
+            lambda: sl_ode_populations(np.full(3, 1 / 3), 0.8, math.nan, 5.0),
+            lambda: sl_ode_populations(np.full(3, 1 / 3), 0.8, 1.0, -5.0),
+            lambda: sl_ode_populations(np.full(3, 1 / 3), 0.8, 1.0, math.inf),
+            lambda: sl_ode_populations(np.full(3, 1 / 3), 0.8, 1.0, math.nan),
+            lambda: sl_ode_coherences_d3((0.1, 0.1j, 0.0), 0.8, math.nan, 5.0),
+            lambda: sl_ode_coherences_d3((0.1, 0.1j, 0.0), 0.8, -1.0, 5.0),
+            lambda: sl_ode_nonconserving_d3(np.full(3, 1 / 3), 0.0j, 0.8, 1.0, 0.25, math.nan, 5.0),
+            lambda: sl_ode_nonconserving_d3(np.full(3, 1 / 3), 0.0j, 0.8, -1.0, 0.25, 0.5, 5.0),
+            lambda: sl_ode_nonconserving_d3(np.full(3, 1 / 3), 0.0j, 0.8, 1.0, -0.25, 0.5, 5.0),
+            lambda: sl_ode_nonconserving_d3(np.full(3, 1 / 3), 0.0j, 0.8, math.nan, 0.25, 0.5, 5.0),
+            lambda: sl_ode_nonconserving_d3(np.full(3, 1 / 3), 0.0j, 0.8, 1.0, 0.25, 0.5, -5.0),
+        ],
+        ids=["negative-gamma", "nan-gamma", "negative-t-end", "inf-t-end", "nan-t-end",
+             "coherences-nan-gamma", "coherences-negative-gamma", "nan-gamma12",
+             "negative-gamma1", "negative-gamma2", "nan-gamma1", "nonconserving-negative-t-end"],
+    )
+    def test_rejects_a_bad_rate_or_end_time(self, run):
+        # each used to integrate: a negative rate or end time to populations
+        # outside [0, 1], a NaN rate to NaN rows
+        with pytest.raises(ValueError, match="rates must be >= 0|t_end must be finite"):
+            run()
+
+    def test_a_negative_gamma12_is_valid(self):
+        # Gamma12 is a signed cross rate; its magnitude bounds the step
+        p0 = np.full(3, 1 / 3)
+        plus = sl_ode_nonconserving_d3(p0, 0.0j, 0.8, 1.0, 0.25, 0.5, 5.0)
+        minus = sl_ode_nonconserving_d3(p0, 0.0j, 0.8, 1.0, 0.25, -0.5, 5.0)
+        assert np.array_equal(plus.times, minus.times)
+        assert np.max(np.abs(minus.values[:, :3].sum(axis=1) - 1.0)) <= 1e-12
 
     def test_population_sum_conserved(self):
         traj = sl_ode_populations(np.full(5, 0.2), 0.8, 1.0, 20.0)

@@ -83,6 +83,11 @@ class TestHermitianEigen:
         with pytest.raises(NotHermitian):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    def test_a_matrix_eigh_cannot_take_raises_no_convergence(self):
+        # numpy's LinAlgError, typed
+        with pytest.raises(NoConvergence):
+            hermitian_eigen(np.full((3, 3), np.nan, dtype=complex))
+
 
 class TestUnitary:
     def test_zero_time_is_identity(self):

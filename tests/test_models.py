@@ -147,6 +147,10 @@ class TestInteractionHamiltonian:
         b = interaction_hamiltonian(spec, ispec, collision=1)
         assert not np.array_equal(a, b)
 
+    def test_unknown_spec_raises_type_error(self):
+        with pytest.raises(TypeError, match="unknown interaction spec"):
+            interaction_hamiltonian(SystemSpec(d=3), object())
+
     def test_random_full_fills_whole_upper_triangle(self):
         h = interaction_hamiltonian(SystemSpec(d=3), RandomFull(lo=0.5, hi=0.9, seed=1))
         rows, cols = np.triu_indices(6, k=1)

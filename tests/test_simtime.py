@@ -10,9 +10,23 @@ import pytest
 
 from ri_thermalizer import simtime
 from ri_thermalizer.collisions import CollisionConfig, evolve_populations
-from ri_thermalizer.errors import EpsilonTooLarge, FrozenDynamics, NoConvergence, OutOfDomain, StepTooLarge
-from ri_thermalizer.models import AncillaSpec, flip_flop_model, gibbs_populations, random_density_matrix
+from ri_thermalizer.errors import (
+    EpsilonTooLarge,
+    FrozenDynamics,
+    NoConvergence,
+    NoRootBelowCap,
+    OutOfDomain,
+    StepTooLarge,
+)
+from ri_thermalizer.models import (
+    AncillaSpec,
+    CounterRotating,
+    flip_flop_model,
+    gibbs_populations,
+    random_density_matrix,
+)
 from ri_thermalizer.simtime import (
+    bracket_crossing,
     ceil_collisions,
     lambert_w,
     nstar_closed_d3_zeroT,
@@ -79,6 +93,13 @@ class TestLambertW:
             lambert_w(0.1, -1)
         with pytest.raises(ValueError):
             lambert_w(0.1, 2)
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("branch", [0, -1])
+    def test_non_finite_z_is_out_of_domain(self, z, branch):
+        # inf and NaN used to stall Halley's iteration, NoConvergence
+        with pytest.raises(OutOfDomain, match="not finite"):
+            lambert_w(z, branch)
 
 
 class TestNstarSimulated:
@@ -181,6 +202,21 @@ class TestEngineRecorded:
         model = flip_flop_model(3, omega=1.0, beta=1.5, j=0.7)
         model = replace(model, ancilla=replace(model.ancilla, omega=1.1))
         assert nstar_simulated(np.eye(3, dtype=complex) / 3, model, self.CFG).engine == "brute_force"
+
+    @pytest.mark.parametrize(
+        "interaction, engine, message",
+        [
+            (CounterRotating(j=0.7, j_prime=0.2), "recursion", "recursion engine unavailable"),
+            (None, "ode_sl", "unknown engine 'ode_sl'"),
+        ],
+        ids=["recursion-on-counter-rotating", "unknown"],
+    )
+    def test_an_engine_that_cannot_run_raises(self, interaction, engine, message):
+        model = flip_flop_model(3, omega=1.0, beta=1.5, j=0.7)
+        if interaction is not None:
+            model = replace(model, interaction=interaction)
+        with pytest.raises(ValueError, match=message):
+            nstar_simulated(np.eye(3, dtype=complex) / 3, model, self.CFG, engine=engine)
 
     @pytest.mark.parametrize("engine", ["recursion", "brute_force"])
     def test_an_explicit_engine_is_recorded(self, engine):
@@ -360,6 +396,19 @@ def test_zero_temperature_solvers_reject_epsilon_outside_unit_interval(solve, ra
             solve(p0, rate, epsilon)
 
 
+@pytest.mark.parametrize(
+    "solve, rate, d",
+    [
+        (nstar_closed_d3_zeroT, 0.8, 3),
+        (tsim_closed_sl_zeroT, 1.0, 3),
+        (nstar_general_zeroT_solve, 0.8, 4),
+        (tsim_general_sl_zeroT_solve, 1.0, 3),
+    ],
+)
+def test_zero_temperature_solvers_give_zero_from_the_ground_state(solve, rate, d):
+    assert solve(np.eye(d)[0], rate, 1e-4) == 0.0
+
+
 class TestClosedFormsD3:
     def test_matches_simulation_at_zero_temperature(self):
         model = flip_flop_model(3, omega=1.0, beta=math.inf, j=1e-3)
@@ -413,6 +462,12 @@ class TestClosedFormsD3:
         bound = 0.9 * math.exp(0.1 / 0.9)
         with pytest.raises(EpsilonTooLarge):
             tsim_closed_sl_zeroT(p0, 1.0, bound * 1.01)
+        # p2 = 0: the bound is p3 = 0.5
+        with pytest.raises(EpsilonTooLarge):
+            tsim_closed_sl_zeroT(np.array([0.5, 0.0, 0.5]), 1.0, 0.6)
+
+    def test_tsim_vanishing_p3_single_mode(self):
+        assert tsim_closed_sl_zeroT(np.array([0.5, 0.5, 0.0]), 1.0, 1e-3) == pytest.approx(math.log(500.0), rel=1e-15)
 
 
 class TestGeneralSolvers:
@@ -435,6 +490,16 @@ class TestGeneralSolvers:
         lhs = (a0 + a1 * n + a2 * n * (n - 1) / 2) * math.exp(n * math.log(lp))
         assert lhs == pytest.approx(eps, rel=1e-8)
 
+    def test_frozen_map_and_zero_rate_raise(self):
+        with pytest.raises(FrozenDynamics):
+            nstar_general_zeroT_solve(np.full(4, 0.25), math.pi, 1e-4)
+        with pytest.raises(ValueError, match="Gamma must be positive"):
+            tsim_general_sl_zeroT_solve(np.full(3, 1 / 3), 0.0, 1e-4)
+
+    def test_bracket_stops_at_its_cap(self):
+        with pytest.raises(NoRootBelowCap):
+            bracket_crossing(lambda x: 1.0, 0.5, 1.0, 8.0)
+
     def test_nstar_exact_cascade_at_half_pi(self):
         for d in (3, 4, 5, 8):
             p0 = np.full(d, 1 / d)
@@ -442,8 +507,9 @@ class TestGeneralSolvers:
 
     def test_nstar_matches_iterated_recursion_crossing(self):
         rng = np.random.default_rng(14)
-        for d in (4, 6, 10):
-            p0 = rng.dirichlet(np.ones(d))
+        starts = [rng.dirichlet(np.ones(d)) for d in (4, 6, 10)]
+        # (0.5, 0.5, 0, 0) has the zero tail sums S_1 = S_2 = 0
+        for p0 in starts + [np.array([0.5, 0.0, 0.0, 0.5]), np.array([0.5, 0.5, 0.0, 0.0])]:
             j_tau, eps = 0.9, 1e-5
             n_real = nstar_general_zeroT_solve(p0, j_tau, eps)
             traj = evolve_populations(p0, 1.0, j_tau, int(n_real) + 3)

@@ -99,6 +99,10 @@ class TestLiouvillianMatrix:
         assert m[0, 0] == pytest.approx(-gamma * (1 - p_a), abs=1e-15)
         assert m[4, 4] == pytest.approx(-gamma * p_a, abs=1e-15)
 
+    def test_rejects_zero_rate(self):
+        with pytest.raises(ValueError, match="Gamma must be positive"):
+            liouvillian_matrix(3, 0.8, 0.0)
+
 
 class TestClosedSpectra:
     def test_three_level_xi(self):
@@ -235,6 +239,10 @@ class TestSlowMode:
             slow_mode_projection(np.zeros(3), 1.0)
         with pytest.raises(DegenerateTemperature):
             slow_mode_projection(np.zeros(3), 0.5)
+        with pytest.raises(ValueError, match="d = 3 only"):
+            slow_mode_projection(np.zeros(4), 0.8)
+        with pytest.raises(ValueError, match=r"p_A must lie in \(1/2, 1\)"):
+            right_eigenvectors_d3(0.3)
 
 
 class TestEstimates:

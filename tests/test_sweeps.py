@@ -79,6 +79,10 @@ class TestParseConfig:
         with pytest.raises(ConfigInvalid, match="line 3.*'frequency'"):
             parse_config("kind = NstarVsBeta\ngrid = 1,2\nfrequency = 2\n")
 
+    def test_line_without_equals_named(self):
+        with pytest.raises(ConfigInvalid, match="line 2: expected 'key = value'"):
+            parse_config("kind = NstarVsBeta\ngrid 1,2\n")
+
     def test_missing_required_keys(self):
         with pytest.raises(ConfigInvalid, match="kind"):
             parse_config("grid = 1,2\n")
@@ -195,6 +199,10 @@ def _check_rejected_or_bounded(text):
 
 
 class TestRunSweep:
+    def test_empty_grid_is_invalid(self):
+        with pytest.raises(ConfigInvalid, match="grid must be nonempty"):
+            run_sweep(SweepSpec(kind="NstarVsBeta", grid=()))
+
     def test_single_point_grid(self):
         spec = SweepSpec(kind="NstarVsBeta", grid=(5.0,), j_tau=math.pi / 2)
         records = run_sweep(spec)
