@@ -24,10 +24,11 @@ A brute-force collision forms the joint state rho_S (x) rho_A as the
 outer product ``rho[:, None, :, None] * rho_A[None, :, None, :]``
 reshaped to 2d x 2d: the same element-wise products, in the same
 broadcast, that ``np.kron`` forms, without its reshaping overhead, so
-the joint state is bit-identical to the Kronecker product.  Callers that
-need a fresh unitary per collision (``RandomFull``) may build a stack of
-them in one :func:`.linalg.unitary_from_hamiltonian` call and pass each
-one in.
+the joint state is bit-identical to the Kronecker product.  A stack of
+states collides in one call, each state under its own unitary and rho_A:
+:mod:`.simtime` steps its stacked scans so, and a ``RandomFull`` stack
+with a new stack of unitaries, from one
+:func:`.linalg.unitary_from_hamiltonian` call, every collision.
 
 A note on two SL equations transcribed from one-collision recursions
 rather than from their printed ODE forms: the c23 equation carries a
@@ -380,14 +381,16 @@ class OdeTrajectory:
 
 def _resolve_step(t_end: float, dt: float | None, rates) -> float:
     """Check an SL integration's inputs and return its step, by default
-    0.01 over the largest rate; a signed rate (Gamma12) comes as |Gamma12|."""
+    0.01 over the largest rate, or with every rate 0 t_end / 100 (1 where
+    that is 0, so t_end = 0 takes one step of length 0, as at any rate); a
+    signed rate (Gamma12) comes as |Gamma12|."""
     if not all(rate >= 0.0 for rate in rates):
         raise ValueError("rates must be >= 0, not NaN")
     if not 0.0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and >= 0")
     gamma_max = max(rates)
     if dt is None:
-        dt = 0.01 / gamma_max if gamma_max > 0 else t_end / 100.0
+        dt = 0.01 / gamma_max if gamma_max > 0 else (t_end / 100.0 or 1.0)
     if not dt > 0:
         raise ValueError("dt must be positive")
     if dt * gamma_max > 0.1:

@@ -11,21 +11,24 @@ Every simulated crossing is one search, ``_first_crossings``, over runs
 stacked on axis 0 of one state array, each with its own epsilon; a
 single run is one row.  An engine supplies ``step(states, params)``, one
 step of every row, and ``distance(states, params)``, one value per row:
-``_sl_step`` and ``_population_distances`` for SL, ``_cptp_step`` and
-``_trace_distances`` for the CPTP map.  A stacked product or
-``eigvalsh`` gives each row, bit for bit, what the row alone gives.  A
-``RandomFull`` row steps with the next unitary of its stream, a coherent
-three-level row by the coherence recursion.  States carry no clock: all
-rows step together, so an SL row's time after n steps is
-``_sl_clock(h, n)``.
+``_sl_step`` and ``_population_distances`` for SL, the step of
+``_cptp_scan`` and ``_trace_distances`` for the CPTP map, and the
+coherence recursion for a coherent three-level row.  A stacked product,
+``eigh`` or ``eigvalsh`` gives each row, bit for bit, what the row alone
+gives.  A fixed-unitary CPTP row builds its unitary once; a
+``RandomFull`` row draws H_I(seed, k) for collision k, and each step
+builds the next unitary of every row in one stacked ``eigh``.  States
+carry no clock: all rows step together, so an SL row's time after n
+steps is ``_sl_clock(h, n)`` and a CPTP row's collision index is the
+first one plus the steps taken.
 
 :func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` scan a
 sweep's rows together and hand each row to :func:`tsim_simulated_sl`
 (which bisects the crossing step with :func:`bisect_crossing`) or
-:func:`nstar_simulated` for its last step, so the answers are bit for
-bit those of one run at a time.  Stacking saves the per-step overhead,
-which dominates a step at small d; it does not split the work across
-processes.
+:func:`nstar_simulated` (from that step's collision index) for its last
+step, so the answers are bit for bit those of one run at a time.
+Stacking saves the per-step overhead, which dominates a step at small
+d; it does not split the work across processes.
 
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
@@ -40,6 +43,7 @@ to the scan, which stops at ``MAX_STEPS`` collisions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -87,15 +91,11 @@ _FALLBACK_CHUNK = 2**12
 # where the general-dimension zero-temperature solvers give up
 _NSTAR_ZEROT_CAP, _TSIM_ZEROT_CAP = 2.0**60, 1e12
 
-# RandomFull unitaries built per stacked eigh; a run that crosses at n*
-# builds at most _UNITARY_BLOCK - 1 unitaries it never applies
-_UNITARY_BLOCK = 16
-
 # a batched scan stacks rows until their matrices fill this many bytes:
 # 256 SL generators, or 8 CPTP rows, at d = 128
 _BLOCK_BYTES = 32 * 2**20
-# a CPTP row holds its (2d, 2d) unitary, and a stacked collision three more
-# arrays of that shape per row at once
+# a CPTP row holds its (2d, 2d) unitary (or H_0), and a stacked step three
+# more arrays of that shape per row at once
 _CPTP_ROW_ARRAYS = 4
 
 
@@ -335,26 +335,12 @@ def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon:
     return None, dist
 
 
-def _random_unitaries(model: ModelSpec, tau: float, n_max: int):
-    """Yield U_0, U_1, ..., U_(n_max - 1) of a RandomFull collision stream,
-    U_k = exp(-i (H_0 + H_I(seed, k)) tau), the very unitaries
-    ``collision_unitary(model, tau, k)`` builds one at a time.
-
-    They are made _UNITARY_BLOCK at a time (fewer at the cap) in one
-    stacked ``unitary_from_hamiltonian`` call, with H_0 built once.
-    """
-    h0 = bare_hamiltonian(model.system, model.ancilla)
-    for start in range(0, n_max, _UNITARY_BLOCK):
-        collisions = range(start, min(start + _UNITARY_BLOCK, n_max))
-        h_i = np.stack([interaction_hamiltonian(model.system, model.interaction, k) for k in collisions])
-        yield from unitary_from_hamiltonian(h0 + h_i, tau)
-
-
 def nstar_simulated(
     rho0: np.ndarray,
     model: ModelSpec,
     cfg: CollisionConfig,
     engine: str = "auto",
+    collision: int = 0,
 ) -> ThermalizationResult:
     """First collision count n with D(rho^(n), Gibbs target) <= epsilon.
 
@@ -362,6 +348,8 @@ def nstar_simulated(
     path requires the resonant energy-conserving model; "auto" selects it
     when valid (falling back to the full CPTP map for coherent initial
     states above d = 3, where no coherence recursion is implemented).
+    collision is the index of the run's first collision, on which only
+    the draws of a RandomFull model depend.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = model.system.d
@@ -377,15 +365,8 @@ def nstar_simulated(
     elif engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
 
-    if engine == "brute_force" and not isinstance(model.interaction, RandomFull):
-        step, params = _cptp_step, _cptp_systems([(model, cfg)])
-    elif engine == "brute_force":
-        # RandomFull re-draws its couplings, and so its unitary, every
-        # collision: step k (0-based) takes U_k, the next one of the stream
-        unitaries = _random_unitaries(model, cfg.tau, cfg.n_max)
-        rho_a = ancilla_thermal_state(model.ancilla)
-        step = lambda states, _: _collide(states, next(unitaries), rho_a)
-        params = (system_gibbs_state(model.system, model.ancilla.beta)[None],)
+    if engine == "brute_force":
+        step, states, params = _cptp_scan([(model, cfg)], rho0, collision)
     else:
         p_a = model.ancilla.ground_population
         j_tau = model.interaction.j * cfg.tau
@@ -397,56 +378,78 @@ def nstar_simulated(
             return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
         # a coherent d = 3 state, against a one-row stack of its Gibbs target
-        params = (system_gibbs_state(model.system, model.ancilla.beta)[None],)
+        states, params = rho0[None], (system_gibbs_state(model.system, model.ancilla.beta)[None],)
 
         def step(states, _):
             rho = states[0]
             c = step_coherences_d3(rho[0, 1], rho[0, 2], rho[1, 2], p_a, j_tau, omega_tau)
             return density_matrix_d3(m @ rho.diagonal().real, *c)[None]
 
-    ((n, dist, _),) = _first_crossings(step, rho0[None], params, _trace_distances, [cfg.epsilon], cfg.n_max)
+    ((n, dist, _),) = _first_crossings(step, states, params, _trace_distances, [cfg.epsilon], cfg.n_max)
     return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
 
-def _cptp_systems(runs):
-    """The unitaries, rho_A and Gibbs targets of fixed-unitary CPTP runs
-    (model, cfg), stacked on axis 0, with H_0 built once per (system,
-    ancilla) and every unitary, bit for bit ``collision_unitary``'s, from
-    one stacked ``unitary_from_hamiltonian``."""
+def _unitaries(models, h0: np.ndarray, taus: np.ndarray, collision: int) -> np.ndarray:
+    """exp(-i (H_0 + H_I) tau) of every row at one collision index, bit for
+    bit ``collision_unitary``'s, from one stacked ``unitary_from_hamiltonian``."""
+    h_i = np.stack([interaction_hamiltonian(m.system, m.interaction, collision) for m in models])
+    return unitary_from_hamiltonian(h0 + h_i, taus)
+
+
+def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
+    """The step, start states and params of a CPTP scan of runs (model,
+    cfg) from rho0, stacked on axis 0, with H_0 built once per (system,
+    ancilla); params ends with the rows' rho_A and Gibbs targets.
+
+    A fixed-unitary row's params start with its unitary, built once.  A
+    RandomFull row's start with its model, H_0 and tau: the step builds
+    every row's next unitary in one stacked eigh, and counts collisions
+    from ``collision`` on, one per call, as a scan calls it.  The rows are
+    all RandomFull or all of fixed unitary.
+    """
+    models = [m for m, _ in runs]
     bare = functools.cache(bare_hamiltonian)
-    h = np.stack([bare(m.system, m.ancilla) + interaction_hamiltonian(m.system, m.interaction) for m, _ in runs])
-    unitaries = unitary_from_hamiltonian(h, np.array([cfg.tau for _, cfg in runs])[:, None])
-    rho_as = np.stack([ancilla_thermal_state(m.ancilla) for m, _ in runs])
-    return unitaries, rho_as, np.stack([system_gibbs_state(m.system, m.ancilla.beta) for m, _ in runs])
+    h0 = np.stack([bare(m.system, m.ancilla) for m in models])
+    taus = np.array([cfg.tau for _, cfg in runs])[:, None]
+    rho_as = np.stack([ancilla_thermal_state(m.ancilla) for m in models])
+    targets = np.stack([system_gibbs_state(m.system, m.ancilla.beta) for m in models])
+    states = np.tile(rho0, (len(runs), 1, 1))
+    if not isinstance(models[0].interaction, RandomFull):
+        return _cptp_step, states, (_unitaries(models, h0, taus, 0), rho_as, targets)
+    collisions = itertools.count(collision)
+    step = lambda states, params: _collide(states, _unitaries(*params[:3], next(collisions)), params[3])
+    return step, states, (np.array(models), h0, taus, rho_as, targets)
 
 
 def nstar_simulated_batch(rho0: np.ndarray, models, cfgs) -> list[ThermalizationResult]:
     """``nstar_simulated(rho0, models[i], cfgs[i], engine="brute_force")``
     for every i, bit for bit, from one stacked CPTP scan.
 
-    The rows share d, rho0 and n_max; each has its own unitary, rho_A,
+    The rows share d, rho0 and n_max, and are all RandomFull or all of
+    fixed unitary; each has its own unitary (or stream of them), rho_A,
     Gibbs target and epsilon, and steps as a single run does.  The rows
     are stacked a block of _BLOCK_BYTES at a time, counting for each row
-    its (2d, 2d) unitary and the ones of that shape a step makes.  Every
-    row is then finished by ``nstar_simulated`` with n_max = 1, from its
-    state before the scan's last step (rho0 for a row within epsilon at
-    once); a crossed row's n* is the scan's.  A RandomFull row raises
-    ValueError: its unitary changes every collision.
+    its (2d, 2d) unitary or H_0 and the ones of that shape a step makes.
+    Every row is then finished by ``nstar_simulated`` with n_max = 1 from
+    its state before the scan's last step, at that step's collision index
+    (rho0 and collision 0 for a row within epsilon at once); a crossed
+    row's n* is the scan's.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     runs = list(zip(models, cfgs, strict=True))
     for model, cfg in runs:
-        if isinstance(model.interaction, RandomFull):
-            raise ValueError("a RandomFull run draws a new unitary every collision; it cannot be batched")
         if model.system.d != rho0.shape[0] or cfg.n_max != runs[0][1].n_max:
             raise ValueError("the rows of a batch share d, rho0 and n_max")
+        if isinstance(model.interaction, RandomFull) != isinstance(runs[0][0].interaction, RandomFull):
+            raise ValueError("the rows of a batch are all RandomFull or all of fixed unitary")
 
     scan = lambda part: _first_crossings(
-        _cptp_step, np.tile(rho0, (len(part), 1, 1)), _cptp_systems(part), _trace_distances, [cfg.epsilon for _, cfg in part], part[0][1].n_max
+        *_cptp_scan(part, rho0), _trace_distances, [cfg.epsilon for _, cfg in part], part[0][1].n_max
     )
     results = []
     for (model, cfg), (n, _, previous) in _blocked_crossings(runs, _CPTP_ROW_ARRAYS * 16 * (2 * rho0.shape[0]) ** 2, scan):
-        res = nstar_simulated(previous, model, replace(cfg, n_max=1), engine="brute_force")
+        last = cfg.n_max - 1 if n is None else max(n - 1, 0)
+        res = nstar_simulated(previous, model, replace(cfg, n_max=1), engine="brute_force", collision=last)
         results.append(res if res.n_star is None else replace(res, n_star=n, t_sim=n * cfg.tau))
     return results
 

@@ -18,17 +18,17 @@ the cap in the value field.
 A sweep runs one task per grid point and repetition.  A process pool,
 when asked for, gives each worker an equal share of the tasks.  The
 stacked engines run a share as one batch: ``OdeSL`` as one stacked RK4
-scan (:func:`.simtime.tsim_simulated_sl_batch`), and ``BruteForce`` with
-a fixed unitary as one stacked CPTP scan
-(:func:`.simtime.nstar_simulated_batch`); the others run it task by
+scan (:func:`.simtime.tsim_simulated_sl_batch`), and ``BruteForce``, a
+``RandomEnsembleVsBeta`` ensemble included, as one stacked CPTP scan
+(:func:`.simtime.nstar_simulated_batch`); ``Recursion`` runs it task by
 task.  Stacking shares the per-step overhead among the rows, so a
 stacked sweep with d <= ``_STACK_MAX_D[engine]`` runs as one share in
 this process; at larger d a pool that splits the rows wins.
 
 The level count d is bounded by ``MAX_D``: the brute-force engine works
-on the 2d x 2d joint space, and a RandomFull run holds a stack of such
-matrices, so a d far beyond it exhausts memory rather than running, as
-does a task count far beyond ``MAX_TASKS``.
+on the 2d x 2d joint space and stacks such matrices, so a d far beyond
+it exhausts memory rather than running, as does a task count far beyond
+``MAX_TASKS``.
 """
 
 from __future__ import annotations
@@ -176,14 +176,9 @@ def _point_spec(spec: SweepSpec, point_index: int) -> SweepSpec:
     return replace(spec, **{_KIND_TABLE[spec.kind][1]: spec.grid[point_index]})
 
 
-def _stacked(spec: SweepSpec) -> bool:
-    # one fixed step for every task: the SL scan, or CPTP with one unitary
-    return spec.engine in _STACK_MAX_D and spec.kind != "RandomEnsembleVsBeta"
-
-
 def _evaluate_tasks(spec: SweepSpec, tasks) -> list[tuple[float, bool]]:
     """(value, reachable) of each (point index, repetition) task.  The
-    tasks of a stacked engine run as one batch, the others one by one."""
+    tasks of a stacked engine run as one batch, Recursion's one by one."""
     points = [_point_spec(spec, pi) for pi, _ in tasks]
     if spec.engine == "OdeSL":
         p_as = [AncillaSpec(omega=s.omega, beta=s.beta).ground_population for s in points]
@@ -200,11 +195,10 @@ def _evaluate_tasks(spec: SweepSpec, tasks) -> list[tuple[float, bool]]:
         models.append(ModelSpec(SystemSpec(d=s.d, omega=s.omega), AncillaSpec(omega=s.omega, beta=s.beta), interaction))
         cfgs.append(CollisionConfig(tau=tau, n_max=s.n_max, epsilon=s.epsilon))
     rho0 = np.eye(spec.d, dtype=complex) / spec.d
-    if _stacked(spec):
+    if spec.engine == "BruteForce":
         results = nstar_simulated_batch(rho0, models, cfgs)
     else:
-        engine = "recursion" if spec.engine == "Recursion" else "brute_force"
-        results = [nstar_simulated(rho0, model, cfg, engine=engine) for model, cfg in zip(models, cfgs)]
+        results = [nstar_simulated(rho0, model, cfg, engine="recursion") for model, cfg in zip(models, cfgs)]
     # the Tsim kinds turn a collision count into the time n* tau
     unit = lambda cfg: cfg.tau if spec.kind.startswith("Tsim") else 1.0
     return [(float(res.n_star if res.reachable else spec.n_max) * unit(cfg), res.reachable) for res, cfg in zip(results, cfgs)]
@@ -216,8 +210,7 @@ def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
     Tasks are independent; a pool of min(parallel, tasks, CPUs) worker
     processes runs them when that is more than one, so parallel is an
     upper bound.  Worker w takes every w-th task as one share.  A sweep
-    on the ``OdeSL`` engine, or on ``BruteForce`` with a fixed unitary
-    (every kind but ``RandomEnsembleVsBeta``), runs each share as one
+    on the ``OdeSL`` or ``BruteForce`` engine runs each share as one
     stacked scan, and with d <= _STACK_MAX_D[engine] runs all its tasks
     as one share in this process.  Results are assembled in grid order, so
     output is deterministic for a given spec and seed.
@@ -226,7 +219,7 @@ def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
     reps = spec.repetitions
     tasks = [(pi, r) for pi in range(len(spec.grid)) for r in range(reps)]
     workers = min(parallel, len(tasks), os.cpu_count() or 1)
-    if workers > 1 and not (_stacked(spec) and spec.d <= _STACK_MAX_D[spec.engine]):
+    if workers > 1 and spec.d > _STACK_MAX_D.get(spec.engine, 0):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shares = list(pool.map(_evaluate_tasks, [spec] * workers, [tasks[w::workers] for w in range(workers)]))
         outcomes = [None] * len(tasks)

@@ -465,6 +465,24 @@ class TestSlOde:
         with pytest.raises(ValueError, match="rates must be >= 0|t_end must be finite"):
             run()
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda gamma: sl_ode_populations(np.full(3, 1 / 3), 0.8, gamma, 0.0),
+            lambda gamma: sl_ode_coherences_d3((0.1j, 0.2, 0.05 - 0.1j), 0.8, gamma, 0.0),
+            lambda gamma: sl_ode_nonconserving_d3(np.full(3, 1 / 3), 0.1j, 0.8, gamma, gamma, gamma, 0.0),
+        ],
+        ids=["populations", "coherences", "nonconserving"],
+    )
+    def test_t_end_zero_at_zero_rates_is_the_start(self, run):
+        # every rate 0 and t_end = 0 is one step of length 0, as at a positive
+        # rate, and no complaint about a default step t_end / 100 = 0
+        frozen, moving = run(0.0), run(1.0)
+        assert np.array_equal(frozen.times, [0.0, 0.0])
+        assert np.array_equal(frozen.times, moving.times)
+        assert np.array_equal(frozen.values, moving.values)
+        assert np.array_equal(frozen.values[0], frozen.values[1])
+
     def test_a_negative_gamma12_is_valid(self):
         # Gamma12 is a signed cross rate; its magnitude bounds the step
         p0 = np.full(3, 1 / 3)

@@ -39,6 +39,10 @@ def _assert_batch_matches(rho0, models, cfgs):
     return batch
 
 
+def _random_full(d, beta, seed):
+    return ModelSpec(SystemSpec(d=d, omega=1.0), AncillaSpec(omega=1.0, beta=beta), RandomFull(lo=1e-3, hi=math.pi * 1e-3, seed=seed))
+
+
 def _runs(d, rows, n_max, j=1.0):
     # rows of (beta, J tau, epsilon) for the flip-flop model
     models = [flip_flop_model(d, 1.0, beta, j) for beta, _, _ in rows]
@@ -65,6 +69,33 @@ def _runs(d, rows, n_max, j=1.0):
 def test_batch_equals_one_scan_per_run(d, rows, n_max, seed, mixed):
     rho0 = np.eye(d, dtype=complex) / d if mixed else random_density_matrix(d, np.random.default_rng(seed))
     _assert_batch_matches(rho0, *_runs(d, rows, n_max))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 6),
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 6.0)),
+            st.integers(0, 2**64 - 1),
+            st.floats(50.0, 500.0),
+            # up to 0.89, above most starts' distances: a crossing at step 0
+            st.floats(-2.5, -0.05).map(lambda x: 10.0**x),
+        ),
+        min_size=4,
+        max_size=8,
+    ),
+    st.one_of(st.integers(11, 150), st.just(1), st.integers(2, 10)),
+    st.booleans(),
+)
+def test_a_random_full_batch_equals_one_scan_per_run(d, rows, n_max, mixed):
+    # at least 4 rows in each of 50 examples, 292 in all: 48 cross at step 0,
+    # 70 later and 174 stay above epsilon at the cap (n_max = 1 included)
+    rho0 = np.eye(d, dtype=complex) / d if mixed else random_density_matrix(d, np.random.default_rng(rows[0][1]))
+    models = [_random_full(d, beta, seed) for beta, seed, _, _ in rows]
+    cfgs = [CollisionConfig(tau=tau, n_max=n_max, epsilon=eps) for _, _, tau, eps in rows]
+    batch = nstar_simulated_batch(rho0, models, cfgs)
+    assert [repr(r) for r in batch] == [repr(nstar_simulated(rho0, m, c, engine="brute_force")) for m, c in zip(models, cfgs)]
 
 
 class TestNamedCases:
@@ -112,10 +143,35 @@ class TestNamedCases:
     def test_an_empty_batch(self):
         assert nstar_simulated_batch(self.RHO0, [], []) == []
 
-    def test_rejects_a_random_full_row(self):
-        # its unitary changes every collision, which one stacked unitary cannot follow
+    def _random_full_batch(self):
+        # a RandomFull row draws its unitary anew every collision, and every
+        # row here crosses at its own n*, one of them at step 0 (beta = 0)
+        rows = [(0.0, 7, 0.05), (0.5, 8, 0.05), (2.0, 9, 0.05), (2.0, 10, 0.02), (math.inf, 11, 0.05)]
+        models = [_random_full(3, beta, seed) for beta, seed, _ in rows]
+        cfgs = [CollisionConfig(tau=100.0, n_max=400, epsilon=eps) for _, _, eps in rows]
+        res = _assert_batch_matches(self.RHO0, models, cfgs)
+        assert res[0].n_star == 0 and all(r.n_star > 20 for r in res[1:])
+        assert len({r.n_star for r in res}) == len(rows)
+        return models, cfgs, res
+
+    def test_a_random_full_batch_matches_single_runs(self):
+        self._random_full_batch()
+
+    def test_a_random_full_batch_in_blocks_of_two_rows(self, monkeypatch):
+        # each block's scan counts its collisions from 0 again
+        models, cfgs, whole = self._random_full_batch()
+        monkeypatch.setattr(simtime, "_BLOCK_BYTES", 2 * simtime._CPTP_ROW_ARRAYS * 16 * 6 * 6)
+        assert _assert_batch_matches(self.RHO0, models, cfgs) == whole
+
+    @pytest.mark.parametrize("random_first", [True, False])
+    @pytest.mark.parametrize("rows_per_block", [None, 1])
+    def test_rejects_random_full_and_fixed_rows_together(self, monkeypatch, random_first, rows_per_block):
+        # one step cannot both keep a unitary and draw a new one; the check
+        # holds also when every row is a block of its own
+        if rows_per_block:
+            monkeypatch.setattr(simtime, "_BLOCK_BYTES", simtime._CPTP_ROW_ARRAYS * 16 * 6 * 6)
         models, cfgs = _runs(3, [(1.0, 0.9, 1e-3)] * 2, 50)
-        models[1] = ModelSpec(models[1].system, models[1].ancilla, RandomFull(lo=1e-3, hi=3e-3, seed=4))
+        models[0 if random_first else 1] = _random_full(3, 1.0, 4)
         with pytest.raises(ValueError, match="RandomFull"):
             nstar_simulated_batch(self.RHO0, models, cfgs)
 
@@ -137,7 +193,7 @@ def test_a_batch_holds_one_block_at_max_d(monkeypatch):
     model = flip_flop_model(d, 1.0, 1.0, 1.0)
     rho0 = np.eye(d, dtype=complex) / d
     cfg = CollisionConfig(tau=0.3, n_max=8, epsilon=0.5)
-    (unitary,), (rho_a,), (target,) = simtime._cptp_systems([(model, cfg)])
+    _, _, ((unitary,), (rho_a,), (target,)) = simtime._cptp_scan([(model, cfg)], rho0)
     distances = [trace_distance(rho0, target)]
     rho = rho0
     for _ in range(6):
@@ -164,7 +220,7 @@ def test_stacked_collisions_and_distances_equal_matrix_by_matrix(rows):
         models = [flip_flop_model(d, 1.0, beta, 1.0) for beta in rng.uniform(0.0, 4.0, rows)]
         cfgs = [CollisionConfig(tau=tau, n_max=1, epsilon=0.5) for tau in rng.uniform(0.2, 2.0, rows)]
         # the batch's systems: one stacked eigh, one tau per row
-        unitaries, rho_as, _ = simtime._cptp_systems(list(zip(models, cfgs)))
+        _, _, (unitaries, rho_as, _) = simtime._cptp_scan(list(zip(models, cfgs)), np.eye(d) / d)
         states = np.stack([random_density_matrix(d, rng) for _ in range(rows)])
         targets = np.stack([random_density_matrix(d, rng) for _ in range(rows)])
         stacked = collide_once(states, None, None, unitary=unitaries, rho_a=rho_as)

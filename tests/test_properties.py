@@ -7,14 +7,15 @@ contraction, Ruskai 1994), and the RK4 step at h Gamma = 0.01 is itself
 a stochastic matrix.  A collision keeps the trace and positivity.  The
 engines must agree on n*, the powered search of the population
 recursion must find the linear scan's n*, and the zero-temperature
-closed form must round to the simulated n*.  RandomFull unitaries built
-a block at a time must give, bit for bit, the crossing that one unitary
-per collision gives.
+closed form must round to the simulated n*.  A RandomFull run, which
+builds each collision's unitary in a stacked step, must give, bit for
+bit, the crossing of ``evolve``'s one unitary per collision.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -43,7 +44,6 @@ from ri_thermalizer.models import (
     system_gibbs_state,
 )
 from ri_thermalizer.simtime import (
-    _UNITARY_BLOCK,
     ceil_collisions,
     nstar_closed_d3_zeroT,
     nstar_simulated,
@@ -214,13 +214,13 @@ def _evolve_distances(model, rho0, n):
     st.integers(2, 4),
     st.floats(1.0, 5.0),
     st.integers(0, 2**63 - 1),
-    st.integers(0, 3 * _UNITARY_BLOCK + 2),
-    st.sampled_from([1, 7, _UNITARY_BLOCK - 1, _UNITARY_BLOCK, _UNITARY_BLOCK + 1, 3 * _UNITARY_BLOCK + 2]),
+    st.integers(0, 50),
+    st.sampled_from([1, 7, 15, 16, 17, 50]),
 )
 def test_random_full_block_unitaries_give_the_evolve_crossing(d, beta, seed, m, n_max):
-    # nstar_simulated builds RandomFull unitaries a block at a time; with
-    # epsilon at the distance after m collisions, n* and final_distance
-    # must equal those of evolve's one-at-a-time unitaries
+    # with epsilon at the distance after m collisions, n* and final_distance
+    # must equal those of evolve's one-at-a-time unitaries, also at caps
+    # around multiples of 16
     model, rho0 = _random_full_case(d, beta, seed)
     distances = _evolve_distances(model, rho0, max(m, n_max))
     epsilon = distances[m]
@@ -230,21 +230,40 @@ def test_random_full_block_unitaries_give_the_evolve_crossing(d, beta, seed, m, 
     assert res.engine == "brute_force"
 
 
+@pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 40])
+def test_a_run_from_collision_k_follows_evolve_from_k(k):
+    # nstar_simulated(..., collision=k) from evolve's state after k collisions
+    # draws H_I(seed, k), H_I(seed, k + 1), ...: evolve's distances from k on
+    model, rho0 = _random_full_case(4, 1.5, seed=2**64 - 5)
+    record = evolve(rho0, model, CollisionConfig(tau=100.0, n_max=k + 30, epsilon=0.5), k + 30)
+    ahead = record.distances[k:]
+    for m in (1, 5, 30):
+        res = nstar_simulated(record.states[k], model, CollisionConfig(100.0, m, 1e-9), collision=k)
+        assert (res.n_star, res.final_distance) == (None, ahead[m])
+    # epsilon at the lowest distance of the 30 ahead: the crossing is its first index
+    n = int(np.argmin(ahead[1:])) + 1
+    res = nstar_simulated(record.states[k], model, CollisionConfig(100.0, 30, ahead[n]), collision=k)
+    assert (res.n_star, res.final_distance) == (next(i for i, x in enumerate(ahead) if x <= ahead[n]), ahead[n])
+    # the draws do depend on k: from collision 0 the same state goes elsewhere
+    if k:
+        assert nstar_simulated(record.states[k], model, CollisionConfig(100.0, 5, 1e-9)).final_distance != ahead[5]
+
+
 def test_random_full_crossings_around_a_block_boundary():
     # epsilon set to the distance at n, where that distance is a new minimum,
-    # puts the crossing exactly at n: just below, at and above each boundary
+    # puts the crossing exactly at n: just below, at and above multiples of 16
     model, rho0 = _random_full_case(3, 2.0, seed=20251018)
-    n_max = 4 * _UNITARY_BLOCK
+    n_max = 64
     distances = _evolve_distances(model, rho0, n_max)
-    targets = [b + o for b in (_UNITARY_BLOCK, 2 * _UNITARY_BLOCK, 3 * _UNITARY_BLOCK) for o in (-1, 0, 1)]
+    targets = [b + o for b in (16, 32, 48) for o in (-1, 0, 1)]
     for n in targets:
         assert distances[n] < min(distances[:n])  # the case is usable
         for cap in (n, n + 1, n_max):
             res = nstar_simulated(rho0, model, CollisionConfig(tau=100.0, n_max=cap, epsilon=distances[n]))
             assert res.n_star == n
             assert res.final_distance == distances[n]
-    # a cap below one block and below the crossing: unreachable, distance at the cap
-    for cap in (1, _UNITARY_BLOCK // 2, _UNITARY_BLOCK - 1):
+    # a cap below 16 and below the crossing: unreachable, distance at the cap
+    for cap in (1, 8, 15):
         res = nstar_simulated(rho0, model, CollisionConfig(tau=100.0, n_max=cap, epsilon=distances[n_max]))
         assert res.n_star is None
         assert res.final_distance == distances[cap]

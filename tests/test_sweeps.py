@@ -293,6 +293,16 @@ class TestRunSweep:
         assert format_csv(run_sweep(spec, parallel=2)) == serial
         assert pools == workers
 
+    @pytest.mark.parametrize("d, workers", [(4, []), (5, [2])])
+    def test_a_random_ensemble_sweep_follows_the_brute_force_bound(self, monkeypatch, pools, d, workers):
+        # the ensemble is one stacked CPTP scan, routed as any BruteForce sweep
+        spec = SweepSpec(kind="RandomEnsembleVsBeta", grid=(0.5, 2.0, 6.0), d=d, seed=3, repetitions=2,
+                         epsilon=0.05, n_max=2000)
+        serial = format_csv(run_sweep(spec))
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+        assert format_csv(run_sweep(spec, parallel=2)) == serial
+        assert pools == workers
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -344,6 +354,16 @@ class TestRunSweep:
         records, roots = self._task_roots(tmp_path, spec)
         assert [r.reachable for r in records] == [False, True, True, False]
         assert roots == len(spec.grid)
+
+    def test_a_traced_random_ensemble_sweep_has_one_task_root_per_task(self, tmp_path):
+        # one nstar_simulated span per task and repetition: a point at step 0
+        # (beta = 0), one whose runs all cross and one left at the cap
+        spec = SweepSpec(kind="RandomEnsembleVsBeta", grid=(0.0, 0.3, 6.0), seed=5, repetitions=3,
+                         epsilon=0.05, n_max=40)
+        records, roots = self._task_roots(tmp_path, spec)
+        assert [(r.value, r.reachable) for r in records][0] == (0.0, True)
+        assert [r.reachable for r in records] == [True, True, False]
+        assert roots == 9
 
     @staticmethod
     def _per_point(spec, betas, epsilons):
