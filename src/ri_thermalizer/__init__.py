@@ -34,7 +34,6 @@ from .collisions import (
 from .linalg import (
     HermitianEigenDecomposition,
     hermitian_eigen,
-    kron,
     partial_trace_second,
     trace_distance,
     unitary_from_hamiltonian,

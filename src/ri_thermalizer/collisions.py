@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,8 @@ class CollisionConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
-        if not self.n_max >= 1:
-            raise ValueError("n_max must be >= 1")
+        if not (isinstance(self.n_max, numbers.Integral) and self.n_max >= 1):
+            raise ValueError("n_max must be an integer >= 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
 

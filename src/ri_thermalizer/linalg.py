@@ -28,10 +28,6 @@ class HermitianEigenDecomposition:
     basis: np.ndarray
 
 
-# Kronecker product; entry (i_a*d_b + i_b, j_a*d_b + j_b) = a[ia,ja]*b[ib,jb]
-kron = np.kron
-
-
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
     """Return h, a square matrix or a (..., n, n) stack of them, after
     checking each matrix against its own largest entry."""
@@ -94,10 +90,14 @@ def partial_trace_second(rho_joint: np.ndarray, d_sys: int, d_anc: int) -> np.nd
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Trace distance 0.5 * sum |eig(rho - sigma)| between two density matrices."""
+    """Trace distance 0.5 * sum |eig(rho - sigma)| between two density
+    matrices; raises NoConvergence where ``eigvalsh`` fails (on NaN)."""
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
         raise DimensionMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
-    w = np.linalg.eigvalsh(rho - sigma)
+    try:
+        w = np.linalg.eigvalsh(rho - sigma)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"trace distance: {exc}") from exc
     return 0.5 * float(np.sum(np.abs(w)))

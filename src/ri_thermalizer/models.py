@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-from .linalg import kron
 
 
 @dataclass(frozen=True)
@@ -33,8 +32,8 @@ class SystemSpec:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not self.d >= 2:
-            raise ValueError("system needs at least two levels")
+        if not (isinstance(self.d, numbers.Integral) and self.d >= 2):
+            raise ValueError("system needs an integer d of at least two levels")
         if not 0 < self.omega < math.inf:
             raise ValueError("omega must be positive and finite")
 
@@ -100,6 +99,8 @@ class RandomFull:
     def __post_init__(self):
         if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
             raise ValueError("need finite lo < hi, with a finite hi - lo")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
 
 
 Interaction = Union[IsotropicFlipFlop, CounterRotating, RandomFull]
@@ -123,15 +124,14 @@ def flip_flop_model(d: int, omega: float, beta: float, j: float) -> ModelSpec:
     )
 
 
+def _level_energies(d: int, omega: float) -> np.ndarray:
+    """The system's level energies omega*(k - s), k = 0..d-1, ground first."""
+    return omega * (np.arange(d) - (d - 1) / 2)
+
+
 def system_hamiltonian(spec: SystemSpec) -> np.ndarray:
     """Diagonal d x d Hamiltonian with entries omega*(k - s)."""
-    energies = spec.omega * (np.arange(spec.d) - spec.spin)
-    return np.diag(energies.astype(complex))
-
-
-def ancilla_hamiltonian(spec: AncillaSpec) -> np.ndarray:
-    """Qubit Hamiltonian diag(-omega/2, +omega/2), ground state first."""
-    return np.diag(np.array([-spec.omega / 2, spec.omega / 2], dtype=complex))
+    return np.diag(_level_energies(spec.d, spec.omega).astype(complex))
 
 
 def ancilla_thermal_state(spec: AncillaSpec) -> np.ndarray:
@@ -151,7 +151,7 @@ def gibbs_populations(d: int, omega: float, beta: float) -> np.ndarray:
         p = np.zeros(d)
         p[0] = 1.0
         return p
-    energies = omega * (np.arange(d) - (d - 1) / 2)
+    energies = _level_energies(d, omega)
     weights = np.exp(-beta * (energies - energies[0]))
     return weights / weights.sum()
 
@@ -203,10 +203,10 @@ def interaction_hamiltonian(
 
 
 def bare_hamiltonian(sys: SystemSpec, anc: AncillaSpec) -> np.ndarray:
-    """Non-interacting part H_S (x) I_A + I_S (x) H_A."""
-    eye_s = np.eye(sys.d, dtype=complex)
-    eye_a = np.eye(2, dtype=complex)
-    return kron(system_hamiltonian(sys), eye_a) + kron(eye_s, ancilla_hamiltonian(anc))
+    """Non-interacting part H_S (x) I_A + I_S (x) H_A: the diagonal E_k + e_a
+    at joint index 2k + a, built without a Kronecker product."""
+    levels = _level_energies(sys.d, sys.omega)
+    return np.diag(np.add.outer(levels, [-anc.omega / 2, anc.omega / 2]).ravel().astype(complex))
 
 
 def total_hamiltonian(

@@ -42,7 +42,6 @@ to the scan, which stops at ``MAX_STEPS`` collisions.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -353,6 +352,8 @@ def nstar_simulated(
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = model.system.d
+    if rho0.shape != (d, d):
+        raise ValueError(f"rho0 has shape {rho0.shape}, the model's system needs {(d, d)}")
     # the recursion needs the resonant flip-flop, and a diagonal state or d = 3;
     # a forced brute_force run never looks at the state
     diagonal = engine != "brute_force" and float(np.max(np.abs(rho0 - np.diag(np.diag(rho0))))) < 1e-14
@@ -398,8 +399,8 @@ def _unitaries(models, h0: np.ndarray, taus: np.ndarray, collision: int) -> np.n
 
 def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     """The step, start states and params of a CPTP scan of runs (model,
-    cfg) from rho0, stacked on axis 0, with H_0 built once per (system,
-    ancilla); params ends with the rows' rho_A and Gibbs targets.
+    cfg) from rho0, stacked on axis 0; params ends with the rows' rho_A
+    and Gibbs targets.
 
     A fixed-unitary row's params start with its unitary, built once.  A
     RandomFull row's start with its model, H_0 and tau: the step builds
@@ -408,8 +409,7 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     all RandomFull or all of fixed unitary.
     """
     models = [m for m, _ in runs]
-    bare = functools.cache(bare_hamiltonian)
-    h0 = np.stack([bare(m.system, m.ancilla) for m in models])
+    h0 = np.stack([bare_hamiltonian(m.system, m.ancilla) for m in models])
     taus = np.array([cfg.tau for _, cfg in runs])[:, None]
     rho_as = np.stack([ancilla_thermal_state(m.ancilla) for m in models])
     targets = np.stack([system_gibbs_state(m.system, m.ancilla.beta) for m in models])

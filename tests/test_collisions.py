@@ -25,7 +25,7 @@ from ri_thermalizer.collisions import (
     zero_temp_coherences_d3_closed,
     zero_temp_populations_closed,
 )
-from ri_thermalizer.errors import CapExceeded, StepTooLarge, SumNotZero
+from ri_thermalizer.errors import CapExceeded, NoConvergence, StepTooLarge, SumNotZero
 from ri_thermalizer.linalg import partial_trace_second, trace_distance
 from ri_thermalizer.models import (
     AncillaSpec,
@@ -255,6 +255,11 @@ class TestEvolve:
         rec = evolve(np.eye(3, dtype=complex) / 3, model, cfg, 10)
         for state, dist in zip(rec.states, rec.distances):
             assert dist == pytest.approx(trace_distance(state, target), abs=1e-14)
+
+    def test_a_nan_state_raises_no_convergence(self):
+        rho0 = np.full((3, 3), np.nan, dtype=complex)
+        with pytest.raises(NoConvergence):
+            evolve(rho0, flip_flop_model(3, 1.0, 1.0, 1.0), CollisionConfig(1.0, 5, 0.1), 2)
 
 
 class TestPopulationRecursion:

@@ -6,13 +6,10 @@ import pytest
 from ri_thermalizer.errors import DimensionMismatch, NoConvergence, NotHermitian
 from ri_thermalizer.linalg import (
     hermitian_eigen,
-    kron,
     partial_trace_second,
     trace_distance,
     unitary_from_hamiltonian,
 )
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def random_hermitian(n, rng):
@@ -24,37 +21,6 @@ def random_density(n, rng):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-class TestKron:
-    def test_identity_case(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_three_level_diagonal_part(self):
-        omega = 1.0
-        h_s = np.diag([-omega, 0.0, omega])
-        h_a = np.diag([-omega / 2, omega / 2])
-        total = kron(h_s, np.eye(2)) + kron(np.eye(3), h_a)
-        expected = np.diag([-1.5, -0.5, -0.5, 0.5, 0.5, 1.5])
-        assert np.allclose(total, expected, atol=0)
-
-    def test_sigma_x_pair_by_index_expansion(self):
-        # (i_a d_b + i_b, j_a d_b + j_b): entry (0, 3) = sx[0,1] * sx[0,1] = 1
-        assert kron(SX, SX)[0, 3] == 1.0
-
-    def test_index_formula_random(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        k = kron(a, b)
-        for ia in range(3):
-            for ja in range(3):
-                for ib in range(2):
-                    for jb in range(2):
-                        # 1-ulp slack: numpy contracts the complex product
-                        assert k[ia * 2 + ib, ja * 2 + jb] == pytest.approx(
-                            a[ia, ja] * b[ib, jb], rel=1e-15, abs=1e-15
-                        )
 
 
 class TestHermitianEigen:
@@ -181,7 +147,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(6)
         rho_s = random_density(3, rng)
         rho_a = random_density(2, rng)
-        out = partial_trace_second(kron(rho_s, rho_a), 3, 2)
+        out = partial_trace_second(np.kron(rho_s, rho_a), 3, 2)
         assert np.allclose(out, rho_s, atol=1e-13)
 
     def test_maximally_entangled(self):
@@ -238,3 +204,8 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             trace_distance(np.eye(2) / 2, np.eye(3) / 3)
+
+    def test_a_matrix_eigvalsh_cannot_take_raises_no_convergence(self):
+        # numpy's LinAlgError, typed as the scan's _trace_distances types it
+        with pytest.raises(NoConvergence, match="trace distance"):
+            trace_distance(np.full((3, 3), np.nan, dtype=complex), np.eye(3) / 3)

@@ -23,6 +23,7 @@ from ri_thermalizer.models import (
     system_hamiltonian,
     total_hamiltonian,
 )
+from ri_thermalizer.sweeps import MAX_D
 
 
 class TestSystemHamiltonian:
@@ -46,7 +47,7 @@ class TestSystemHamiltonian:
 
 
 # NaN slips through a plain `x < 0` check; inf is meaningless everywhere
-# except as the zero-temperature beta
+# except as the zero-temperature beta; d, n_max and seed are integers
 @pytest.mark.parametrize(
     "make, kwargs",
     [
@@ -65,6 +66,15 @@ class TestSystemHamiltonian:
         (CollisionConfig, dict(tau=math.nan, n_max=10, epsilon=1e-4)),
         (CollisionConfig, dict(tau=math.inf, n_max=10, epsilon=1e-4)),
         (CollisionConfig, dict(tau=1.0, n_max=math.nan, epsilon=1e-4)),
+        (CollisionConfig, dict(tau=1.0, n_max=math.inf, epsilon=1e-3)),
+        (CollisionConfig, dict(tau=1.0, n_max=1.5, epsilon=1e-3)),
+        (CollisionConfig, dict(tau=1.0, n_max=10.0, epsilon=1e-3)),
+        (SystemSpec, dict(d=math.inf)),
+        (SystemSpec, dict(d=2.5)),
+        (SystemSpec, dict(d=3.0)),
+        (RandomFull, dict(lo=0.1, hi=0.9, seed=-1)),
+        (RandomFull, dict(lo=0.1, hi=0.9, seed=1.5)),
+        (RandomFull, dict(lo=0.1, hi=0.9, seed=math.nan)),
         (flip_flop_model, dict(d=3, omega=1.0, beta=math.nan, j=1e-3)),
     ],
     ids=lambda x: x.__name__ if callable(x) else ",".join(f"{k}={v}" for k, v in x.items()),
@@ -72,6 +82,12 @@ class TestSystemHamiltonian:
 def test_rejects_nan_and_meaningless_inf(make, kwargs):
     with pytest.raises(ValueError):
         make(**kwargs)
+
+
+def test_integer_fields_take_numpy_integers():
+    assert SystemSpec(d=np.int64(3)).d == 3
+    assert CollisionConfig(tau=1.0, n_max=np.int32(5), epsilon=1e-3).n_max == 5
+    assert RandomFull(lo=0.1, hi=0.9, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 class TestAncillaState:
@@ -157,6 +173,28 @@ class TestInteractionHamiltonian:
         vals = h[rows, cols].real
         assert np.all((vals >= 0.5) & (vals <= 0.9))
         assert np.allclose(np.diag(h), 0.0, atol=0)
+
+
+class TestBareHamiltonian:
+    def test_equals_the_kronecker_sum_byte_for_byte(self):
+        # H_S (x) I_2 + I_d (x) H_A as two dense Kronecker products, compared
+        # by bytes, since np.array_equal does not see the sign of a zero
+        for d in [*range(2, 10), 64, MAX_D]:
+            for omega in (5e-324, 1.0, math.pi, 1e300):
+                for omega_a in (omega, 2 * omega):
+                    h_a = np.diag(np.array([-omega_a / 2, omega_a / 2], dtype=complex))
+                    sys = SystemSpec(d=d, omega=omega)
+                    kron_sum = np.kron(system_hamiltonian(sys), np.eye(2, dtype=complex)) + np.kron(
+                        np.eye(d, dtype=complex), h_a
+                    )
+                    for beta in (0.0, 1.0, math.inf):
+                        h0 = bare_hamiltonian(sys, AncillaSpec(omega=omega_a, beta=beta))
+                        assert h0.dtype == kron_sum.dtype and h0.shape == kron_sum.shape
+                        assert h0.tobytes() == kron_sum.tobytes(), (d, omega, omega_a, beta)
+
+    def test_three_level_diagonal_part(self):
+        h0 = bare_hamiltonian(SystemSpec(d=3, omega=1.0), AncillaSpec(omega=1.0, beta=1.0))
+        assert np.array_equal(h0, np.diag([-1.5, -0.5, -0.5, 0.5, 0.5, 1.5]))
 
 
 class TestTotalHamiltonian:

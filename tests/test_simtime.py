@@ -218,6 +218,12 @@ class TestEngineRecorded:
         with pytest.raises(ValueError, match=message):
             nstar_simulated(np.eye(3, dtype=complex) / 3, model, self.CFG, engine=engine)
 
+    @pytest.mark.parametrize("engine", ["auto", "recursion", "brute_force"])
+    def test_a_state_of_another_shape_raises_before_any_work(self, engine):
+        model = flip_flop_model(3, omega=1.0, beta=1.5, j=0.7)
+        with pytest.raises(ValueError, match=r"shape \(2, 2\).*\(3, 3\)"):
+            nstar_simulated(np.eye(2, dtype=complex) / 2, model, self.CFG, engine=engine)
+
     @pytest.mark.parametrize("engine", ["recursion", "brute_force"])
     def test_an_explicit_engine_is_recorded(self, engine):
         model = flip_flop_model(3, omega=1.0, beta=1.5, j=0.7)
