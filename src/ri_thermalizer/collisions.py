@@ -124,7 +124,10 @@ class PsiCoefficients:
 
 def flip_flop_rates(j_tau: float) -> tuple[float, float]:
     """(lambda_+, lambda_-) = (cos^2 J*tau, sin^2 J*tau): the probabilities
-    that one collision leaves an excitation in place or swaps it."""
+    that one collision leaves an excitation in place or swaps it; raises
+    ValueError for a J*tau that is not finite."""
+    if not math.isfinite(j_tau):
+        raise ValueError("J*tau must be finite")
     return math.cos(j_tau) ** 2, math.sin(j_tau) ** 2
 
 
@@ -251,29 +254,15 @@ def collision_unitary(model: ModelSpec, tau: float, collision: int = 0) -> np.nd
     return unitary_from_hamiltonian(h_tot, tau)
 
 
-def collide_once(
-    rho_s: np.ndarray,
-    model: ModelSpec,
-    cfg: CollisionConfig,
-    collision: int = 0,
-    unitary: np.ndarray | None = None,
-    rho_a: np.ndarray | None = None,
-) -> np.ndarray:
+def collide_once(rho_s: np.ndarray, model: ModelSpec, cfg: CollisionConfig, collision: int = 0) -> np.ndarray:
     """Apply one CPTP collision: Tr_A[U (rho_S x rho_A) U^dagger].
 
-    The joint state is the outer product of rho_S and rho_A, entry
-    (2i + a, 2j + b) = rho_S[i, j] rho_A[a, b], which equals ``np.kron``
-    bit for bit.  ``unitary`` and ``rho_a``, when given, are used in place
-    of the ones ``collision_unitary`` and ``ancilla_thermal_state`` build
-    for this collision, so a run can build its fixed ones once.  rho_s may
-    be a (..., d, d) stack, with a unitary and rho_a stacked alike or
-    shared; see :func:`_collide`.
+    The one way in from a model: builds this collision's unitary and
+    rho_A and hands them to :func:`_collide`, the kernel :func:`evolve`
+    and the scans run with theirs.  rho_s may be a (..., d, d) stack.
     """
-    if unitary is None:
-        unitary = collision_unitary(model, cfg.tau, collision)
-    if rho_a is None:
-        rho_a = ancilla_thermal_state(model.ancilla)
-    return _collide(np.asarray(rho_s, dtype=complex), unitary, rho_a)
+    unitary = collision_unitary(model, cfg.tau, collision)
+    return _collide(np.asarray(rho_s, dtype=complex), unitary, ancilla_thermal_state(model.ancilla))
 
 
 def _collide(rho_s: np.ndarray, unitary: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
@@ -310,7 +299,7 @@ def evolve(
     else:
         unitaries = itertools.repeat(collision_unitary(model, cfg.tau))
     rho_a = ancilla_thermal_state(model.ancilla)
-    step = lambda rho: collide_once(rho, model, cfg, unitary=next(unitaries), rho_a=rho_a)
+    step = lambda rho: _collide(rho, next(unitaries), rho_a)
     states = list(_orbit(step, np.asarray(rho0, dtype=complex), n))
     return TrajectoryRecord(states, [trace_distance(rho, target) for rho in states])
 

@@ -3,10 +3,11 @@
 Everything here acts on plain ``numpy`` arrays (complex square matrices,
 at most a few tens of rows).  Matrix functions of Hermitian generators go
 through the spectral decomposition only, so collision unitaries stay
-unitary to machine precision.  The Hermitian routines and the partial
-trace also take a stack of shape ``(..., n, n)`` and treat each matrix
-on its own (one LAPACK call per matrix either way), so a stacked result
-equals, bit for bit, the one-matrix calls it replaces.
+unitary to machine precision.  The Hermitian routines, the partial trace
+and ``_trace_distances`` (``trace_distance`` is its one-pair case) also
+take a stack of shape ``(..., n, n)`` and treat each matrix on its own
+(one LAPACK call per matrix either way), so a stacked result equals, bit
+for bit, the one-matrix calls it replaces.
 """
 
 from __future__ import annotations
@@ -89,15 +90,20 @@ def partial_trace_second(rho_joint: np.ndarray, d_sys: int, d_anc: int) -> np.nd
     return rho_joint.reshape(*lead, d_sys, d_anc, d_sys, d_anc).trace(axis1=-3, axis2=-1)
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Trace distance 0.5 * sum |eig(rho - sigma)| between two density
-    matrices; raises NoConvergence where ``eigvalsh`` fails (on NaN)."""
-    rho = np.asarray(rho)
-    sigma = np.asarray(sigma)
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
+def _trace_distances(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """0.5 * sum |eig(rho - sigma)| of each matrix of a (..., n, n) stack;
+    raises NoConvergence where ``eigvalsh`` fails (on NaN)."""
     try:
         w = np.linalg.eigvalsh(rho - sigma)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"trace distance: {exc}") from exc
-    return 0.5 * float(np.sum(np.abs(w)))
+    return 0.5 * np.abs(w).sum(axis=-1)
+
+
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Trace distance between two density matrices: the one-pair case of
+    ``_trace_distances``, the kernel the CPTP scans run."""
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    if rho.shape != sigma.shape:
+        raise DimensionMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
+    return float(_trace_distances(rho, sigma))

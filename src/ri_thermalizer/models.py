@@ -37,10 +37,6 @@ class SystemSpec:
         if not 0 < self.omega < math.inf:
             raise ValueError("omega must be positive and finite")
 
-    @property
-    def spin(self) -> float:
-        return (self.d - 1) / 2
-
 
 @dataclass(frozen=True)
 class AncillaSpec:

@@ -10,10 +10,11 @@ brackets plus bisection on their eventually-decreasing tails.
 Every simulated crossing is one search, ``_first_crossings``, over runs
 stacked on axis 0 of one state array, each with its own epsilon; a
 single run is one row.  An engine supplies ``step(states, params)``, one
-step of every row, and ``distance(states, params)``, one value per row:
-``_sl_step`` and ``_population_distances`` for SL, the step of
-``_cptp_scan`` and ``_trace_distances`` for the CPTP map, and the
-coherence recursion for a coherent three-level row.  A stacked product,
+step of every row, and ``distance(states, targets)``, one value per row
+against the targets that end params: ``_sl_step`` and
+``_population_distances`` for SL, the step of ``_cptp_scan`` and
+``linalg._trace_distances`` for the CPTP map, and the coherence
+recursion for a coherent three-level row.  A stacked product,
 ``eigh`` or ``eigvalsh`` gives each row, bit for bit, what the row alone
 gives.  A fixed-unitary CPTP row builds its unitary once; a
 ``RandomFull`` row draws H_I(seed, k) for collision k, and each step
@@ -66,7 +67,7 @@ from .errors import (
     NoRootBelowCap,
     OutOfDomain,
 )
-from .linalg import unitary_from_hamiltonian
+from .linalg import _trace_distances, unitary_from_hamiltonian
 from .models import (
     IsotropicFlipFlop,
     ModelSpec,
@@ -201,7 +202,8 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
     i, which stops at its own epsilons[i].  A single run is one row.
 
     states = step(states, params) advances the rows; params holds their
-    fixed data, and distance(states, params) gives one value per row.
+    fixed data, their targets last, and distance(states, targets) gives
+    one value per row.
     Only the rows still above their epsilon are stepped: all arrays are
     compacted on a step where some row finished.  Returns one (n, distance,
     previous) per row: the number of steps taken (None when none of them
@@ -211,7 +213,7 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
     epsilons = np.asarray(epsilons, dtype=float)
     results = [None] * epsilons.size
     rows = np.arange(epsilons.size)
-    n, previous, dist = 0, states, distance(states, params)
+    n, previous, dist = 0, states, distance(states, params[-1])
     while True:
         crossed = dist <= epsilons
         if n == n_max or np.count_nonzero(crossed):  # cheaper than .any() on a few rows
@@ -225,7 +227,7 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
             states, params = states[keep], tuple(a[keep] for a in params)
         n += 1
         previous, states = states, step(states, params)
-        dist = distance(states, params)
+        dist = distance(states, params[-1])
 
 
 def _matvecs(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -233,9 +235,9 @@ def _matvecs(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (a @ y[:, :, None])[:, :, 0]
 
 
-def _population_distances(states, params) -> np.ndarray:
-    """``population_distance`` of each row to its target, params[-1]."""
-    return 0.5 * np.abs(states - params[-1]).sum(axis=1)
+def _population_distances(states, targets) -> np.ndarray:
+    """``population_distance`` of each row to its target."""
+    return 0.5 * np.abs(states - targets).sum(axis=1)
 
 
 def _sl_step(h: float):
@@ -250,21 +252,6 @@ def _sl_clock(h: float, n: int) -> float:
     for start in range(0, n, 2**16):
         t = float(np.add.accumulate(np.r_[t, np.full(min(n - start, 2**16), h)])[-1])
     return t
-
-
-def _cptp_step(states, params):
-    """One collision of each row under its unitary and rho_A, params[:2]."""
-    return _collide(states, *params[:2])
-
-
-def _trace_distances(states, params) -> np.ndarray:
-    """``trace_distance`` of each row to its target, params[-1]; raises
-    NoConvergence where ``eigvalsh`` fails (on a state holding NaN)."""
-    try:
-        w = np.linalg.eigvalsh(states - params[-1])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"trace distance: {exc}") from exc
-    return 0.5 * np.abs(w).sum(axis=1)
 
 
 def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: float, n_max: int):
@@ -350,10 +337,8 @@ def nstar_simulated(
     collision is the index of the run's first collision, on which only
     the draws of a RandomFull model depend.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
     d = model.system.d
-    if rho0.shape != (d, d):
-        raise ValueError(f"rho0 has shape {rho0.shape}, the model's system needs {(d, d)}")
+    rho0 = _checked_state(rho0, d)
     # the recursion needs the resonant flip-flop, and a diagonal state or d = 3;
     # a forced brute_force run never looks at the state
     diagonal = engine != "brute_force" and float(np.max(np.abs(rho0 - np.diag(np.diag(rho0))))) < 1e-14
@@ -390,6 +375,14 @@ def nstar_simulated(
     return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
 
+def _checked_state(rho0, d: int) -> np.ndarray:
+    """rho0 as a complex array, after checking that it is (d, d)."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (d, d):
+        raise ValueError(f"rho0 has shape {rho0.shape}, the model's system needs {(d, d)}")
+    return rho0
+
+
 def _unitaries(models, h0: np.ndarray, taus: np.ndarray, collision: int) -> np.ndarray:
     """exp(-i (H_0 + H_I) tau) of every row at one collision index, bit for
     bit ``collision_unitary``'s, from one stacked ``unitary_from_hamiltonian``."""
@@ -415,7 +408,8 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     targets = np.stack([system_gibbs_state(m.system, m.ancilla.beta) for m in models])
     states = np.tile(rho0, (len(runs), 1, 1))
     if not isinstance(models[0].interaction, RandomFull):
-        return _cptp_step, states, (_unitaries(models, h0, taus, 0), rho_as, targets)
+        step = lambda states, params: _collide(states, *params[:2])
+        return step, states, (_unitaries(models, h0, taus, 0), rho_as, targets)
     collisions = itertools.count(collision)
     step = lambda states, params: _collide(states, _unitaries(*params[:3], next(collisions)), params[3])
     return step, states, (np.array(models), h0, taus, rho_as, targets)
@@ -438,8 +432,9 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs) -> list[Thermalization
     rho0 = np.asarray(rho0, dtype=complex)
     runs = list(zip(models, cfgs, strict=True))
     for model, cfg in runs:
-        if model.system.d != rho0.shape[0] or cfg.n_max != runs[0][1].n_max:
-            raise ValueError("the rows of a batch share d, rho0 and n_max")
+        _checked_state(rho0, model.system.d)
+        if cfg.n_max != runs[0][1].n_max:
+            raise ValueError("the rows of a batch share n_max")
         if isinstance(model.interaction, RandomFull) != isinstance(runs[0][0].interaction, RandomFull):
             raise ValueError("the rows of a batch are all RandomFull or all of fixed unitary")
 
@@ -497,13 +492,18 @@ def _check_epsilon(epsilon: float) -> None:
         raise EpsilonTooLarge("epsilon must lie in (0, 1)")
 
 
+def _check_gamma(gamma: float) -> None:
+    # the SL crossings and spectra; the sl_ode_* integrators take Gamma = 0
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("Gamma must be positive and finite")
+
+
 def _sl_steps(p_a: float, gamma: float, epsilon: float, t_max: float, dt: float | None):
     """Check the inputs of an SL crossing; returns the RK4 step h and the
     number of steps up to t_max."""
     if not 0.0 < p_a <= 1.0:
         raise ValueError("p_A must lie in (0, 1]")
-    if not gamma > 0.0:
-        raise ValueError("Gamma must be positive")
+    _check_gamma(gamma)
     _check_epsilon(epsilon)
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
@@ -540,14 +540,14 @@ def tsim_simulated_sl(
     """
     p0 = np.asarray(p0, dtype=float)
     h, steps = _sl_steps(p_a, gamma, epsilon, t_max, dt)
-    params = _sl_systems(p0.size, [p_a], gamma)
+    _, targets = params = _sl_systems(p0.size, [p_a], gamma)
     ((n, dist, p),) = _first_crossings(_sl_step(h), p0[None], params, _population_distances, [epsilon], steps)
     if n is None:
         return ThermalizationResult(None, None, dist, "ode_sl")
     t = 0.0
     if n > 0:
         # the scan's step and distance over x <= h, from the state at step n - 1
-        dist_after = lambda x: float(_population_distances(_sl_step(x)(p[None], params), params)[0])
+        dist_after = lambda x: float(_population_distances(_sl_step(x)(p[None], params), targets)[0])
         x = bisect_crossing(dist_after, epsilon, 0.0, h)[1]
         t, dist = _sl_clock(h, n - 1) + x, dist_after(x)
     return ThermalizationResult(None, t, dist, "ode_sl")
@@ -594,6 +594,13 @@ def _lambdas(j_tau: float) -> tuple[float, float]:
     return lp, lm
 
 
+def _excited_d3(p0: np.ndarray) -> tuple[float, float]:
+    """(p2, p3) of a three-level population vector."""
+    if np.shape(p0) != (3,):
+        raise ValueError(f"the Lambert closed forms are derived for d = 3 only, not p0 of shape {np.shape(p0)}")
+    return float(p0[1]), float(p0[2])
+
+
 def nstar_closed_d3_zeroT(p0: np.ndarray, j_tau: float, epsilon: float) -> float:
     """Real-valued n* from the Lambert closed form at p_A = 1, d = 3.
 
@@ -602,7 +609,7 @@ def nstar_closed_d3_zeroT(p0: np.ndarray, j_tau: float, epsilon: float) -> float
     """
     _check_epsilon(epsilon)
     lp, lm = _lambdas(j_tau)
-    p2, p3 = float(p0[1]), float(p0[2])
+    p2, p3 = _excited_d3(p0)
     log_lp = math.log(lp)
     if p3 > 0.0:
         z = log_lp * (lp * epsilon / (lm * p3)) * lp ** (lp * (p2 + p3) / (lm * p3))
@@ -621,7 +628,8 @@ def nstar_closed_d3_zeroT(p0: np.ndarray, j_tau: float, epsilon: float) -> float
 def tsim_closed_sl_zeroT(p0: np.ndarray, gamma: float, epsilon: float) -> float:
     """Simulation time from the Lambert closed form in the SL limit, p_A = 1."""
     _check_epsilon(epsilon)
-    p2, p3 = float(p0[1]), float(p0[2])
+    _check_gamma(gamma)
+    p2, p3 = _excited_d3(p0)
     if p3 > 0.0:
         z = -(epsilon / p3) * math.exp(-(1.0 + p2 / p3))
         if z < _NEG_INV_E:
@@ -678,8 +686,7 @@ def tsim_general_sl_zeroT_solve(p0: np.ndarray, gamma: float, epsilon: float) ->
     """Simulation time for any dimension at p_A = 1 in the SL limit;
     NoRootBelowCap past 1e12 / Gamma."""
     _check_epsilon(epsilon)
-    if gamma <= 0:
-        raise ValueError("Gamma must be positive")
+    _check_gamma(gamma)
     p0 = np.asarray(p0, dtype=float)
     d = p0.size
     tail = [float(p0[k + 1 :].sum()) for k in range(d - 1)]

@@ -22,7 +22,7 @@ from .collisions import (
     sl_population_generator,
 )
 from .errors import AmplitudeTooSmall, DegenerateTemperature, FrozenDynamics
-from .simtime import bisect_crossing, bracket_crossing
+from .simtime import _check_epsilon, _check_gamma, bisect_crossing, bracket_crossing
 
 
 def theta(p_a: float) -> float:
@@ -36,8 +36,7 @@ stochastic_matrix = population_step_matrix
 
 def liouvillian_matrix(d: int, p_a: float, gamma: float) -> np.ndarray:
     """Tridiagonal SL population generator; columns sum to zero."""
-    if gamma <= 0:
-        raise ValueError("Gamma must be positive")
+    _check_gamma(gamma)
     return sl_population_generator(d, p_a, gamma)
 
 
@@ -51,6 +50,7 @@ def xi_closed(d: int, p_a: float, j_tau: float) -> np.ndarray:
 
 def lambda_closed(d: int, p_a: float, gamma: float) -> np.ndarray:
     """Eigenvalues of the SL generator: 0, then -Gamma (1 - 2 theta cos(m pi / d))."""
+    _check_gamma(gamma)
     th = theta(p_a)
     tail = -gamma * (1.0 - 2.0 * th * np.cos(np.arange(1, d) * math.pi / d))
     return np.concatenate(([0.0], tail))
@@ -136,6 +136,7 @@ def slow_mode_projection(delta_p0: np.ndarray, p_a: float) -> SlowModeSummary:
 def _projection_above(
     delta_p0: np.ndarray, p_a: float, epsilon: float, name: str
 ) -> SlowModeSummary:
+    _check_epsilon(epsilon)
     summary = slow_mode_projection(delta_p0, p_a)
     if summary.amplitude <= 2.0 * epsilon:
         raise AmplitudeTooSmall(
@@ -148,6 +149,7 @@ def tsim_estimate_sl(
     delta_p0: np.ndarray, p_a: float, gamma: float, epsilon: float
 ) -> float:
     """Slow-mode simulation-time estimate ln(2 eps / C) / lambda_2."""
+    _check_gamma(gamma)
     summary = _projection_above(delta_p0, p_a, epsilon, "C")
     lam2 = -gamma * (1.0 - summary.theta)
     return math.log(2.0 * epsilon / summary.amplitude) / lam2

@@ -12,7 +12,7 @@ import numpy as np
 
 from ri_thermalizer.collisions import (
     CollisionConfig,
-    collide_once,
+    _collide,
     collision_unitary,
     evolve,
     evolve_coherences_d3,
@@ -24,6 +24,7 @@ from ri_thermalizer.models import (
     ModelSpec,
     RandomFull,
     SystemSpec,
+    ancilla_thermal_state,
     flip_flop_model,
     gibbs_populations,
     random_density_matrix,
@@ -74,9 +75,9 @@ def test_criterion_01_oracle_equivalence():
     beta, j, tau = 1.3, 0.8, 1.1
     for d in (2, 3, 4, 5, 10):
         model = flip_flop_model(d, omega=1.0, beta=beta, j=j)
-        cfg = CollisionConfig(tau=tau, n_max=100, epsilon=1e-4)
         p_a = model.ancilla.ground_population
         unitary = collision_unitary(model, tau)
+        rho_a = ancilla_thermal_state(model.ancilla)
         for _ in range(20):
             rho = random_density_matrix(d, rng)
             pops = evolve_populations(np.diag(rho).real, p_a, j * tau, 50)
@@ -85,7 +86,7 @@ def test_criterion_01_oracle_equivalence():
                     (rho[0, 1], rho[0, 2], rho[1, 2]), p_a, j * tau, tau, 50
                 )
             for n in range(1, 51):
-                rho = collide_once(rho, model, cfg, unitary=unitary)
+                rho = _collide(rho, unitary, rho_a)
                 worst = max(worst, float(np.max(np.abs(np.diag(rho).real - pops[n]))))
                 if d == 3:
                     got = np.array([rho[0, 1], rho[0, 2], rho[1, 2]])

@@ -3,9 +3,9 @@
 ``nstar_simulated_batch`` must give, bit for bit, the results of
 ``nstar_simulated(..., engine="brute_force")`` called run by run.  That
 rests on two identities of the running numpy, BLAS and LAPACK, pinned
-here for level counts up to ``MAX_D``: a stacked ``collide_once`` equals
-the one-matrix ``collide_once`` state by state, and the stacked
-``eigvalsh`` distance equals ``trace_distance``.
+here for level counts up to ``MAX_D``: a stacked ``_collide`` equals the
+one-matrix ``collide_once`` state by state, and the stacked
+``_trace_distances`` equals ``trace_distance``.
 """
 
 import math
@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ri_thermalizer import simtime
-from ri_thermalizer.collisions import CollisionConfig, collide_once, collision_unitary
-from ri_thermalizer.linalg import partial_trace_second, trace_distance
+from ri_thermalizer.collisions import CollisionConfig, _collide, collide_once, collision_unitary
+from ri_thermalizer.linalg import _trace_distances, partial_trace_second, trace_distance
 from ri_thermalizer.models import (
     AncillaSpec,
     CounterRotating,
@@ -182,6 +182,14 @@ class TestNamedCases:
         with pytest.raises(ValueError):
             nstar_simulated_batch(self.RHO0, models, cfgs)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (3,)])
+    def test_rejects_a_state_that_is_not_d_by_d(self, shape):
+        # checked before any work, as nstar_simulated checks it; it used to
+        # end in a broadcast or reshape error inside the scan
+        models, cfgs = _runs(3, [(1.0, 0.9, 1e-3)] * 2, 50)
+        with pytest.raises(ValueError, match=r"rho0 has shape"):
+            nstar_simulated_batch(np.ones(shape) / 3, models, cfgs)
+
 
 def test_a_batch_holds_one_block_at_max_d(monkeypatch):
     # blocks of 16 rows at d = MAX_D, whose rows cross at several different
@@ -197,7 +205,7 @@ def test_a_batch_holds_one_block_at_max_d(monkeypatch):
     distances = [trace_distance(rho0, target)]
     rho = rho0
     for _ in range(6):
-        rho = collide_once(rho, model, cfg, unitary=unitary, rho_a=rho_a)
+        rho = _collide(rho, unitary, rho_a)
         distances.append(trace_distance(rho, target))
     # epsilons between the distances after 0 and 6 collisions
     epsilons = np.interp(np.linspace(0.5, 5.5, rows), np.arange(7), distances)
@@ -223,11 +231,11 @@ def test_stacked_collisions_and_distances_equal_matrix_by_matrix(rows):
         _, _, (unitaries, rho_as, _) = simtime._cptp_scan(list(zip(models, cfgs)), np.eye(d) / d)
         states = np.stack([random_density_matrix(d, rng) for _ in range(rows)])
         targets = np.stack([random_density_matrix(d, rng) for _ in range(rows)])
-        stacked = collide_once(states, None, None, unitary=unitaries, rho_a=rho_as)
-        distances = 0.5 * np.abs(np.linalg.eigvalsh(stacked - targets)).sum(axis=1)
+        stacked = _collide(states, unitaries, rho_as)
+        distances = _trace_distances(stacked, targets)
         # a one-row stack under a shared (2d, 2d) unitary and (2, 2) rho_A:
         # a RandomFull run's step
-        one_row = collide_once(states[:1], None, None, unitary=unitaries[0], rho_a=rho_as[0])
+        one_row = _collide(states[:1], unitaries[0], rho_as[0])
         assert np.array_equal(one_row[0], collide_once(states[0], models[0], cfgs[0])), d
         for i in range(rows):
             assert np.array_equal(unitaries[i], collision_unitary(models[i], cfgs[i].tau)), d

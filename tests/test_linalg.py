@@ -206,6 +206,6 @@ class TestTraceDistance:
             trace_distance(np.eye(2) / 2, np.eye(3) / 3)
 
     def test_a_matrix_eigvalsh_cannot_take_raises_no_convergence(self):
-        # numpy's LinAlgError, typed as the scan's _trace_distances types it
+        # numpy's LinAlgError, typed by the kernel the scans share
         with pytest.raises(NoConvergence, match="trace distance"):
             trace_distance(np.full((3, 3), np.nan, dtype=complex), np.eye(3) / 3)

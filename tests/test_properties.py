@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from ri_thermalizer.collisions import (
     CollisionConfig,
+    _collide,
     collide_once,
     collision_unitary,
     evolve,
@@ -38,6 +39,7 @@ from ri_thermalizer.models import (
     ModelSpec,
     RandomFull,
     SystemSpec,
+    ancilla_thermal_state,
     flip_flop_model,
     gibbs_populations,
     random_density_matrix,
@@ -81,13 +83,13 @@ def test_population_map_contracts_in_l1(d, beta, j_tau, w):
 @given(st.integers(2, 4), betas, st.floats(0.1, 2.0), st.floats(0.1, 3.0), st.integers(0, 2**32))
 def test_fixed_unitary_collision_contracts_in_trace_distance(d, beta, j, tau, seed):
     model = flip_flop_model(d, 1.0, beta, j)
-    cfg = CollisionConfig(tau=tau, n_max=100, epsilon=1e-4)
     unitary = collision_unitary(model, tau)
+    rho_a = ancilla_thermal_state(model.ancilla)
     target = system_gibbs_state(model.system, beta)
     rho = random_density_matrix(d, np.random.default_rng(seed))
     distances = [trace_distance(rho, target)]
     for _ in range(30):
-        rho = collide_once(rho, model, cfg, unitary=unitary)
+        rho = _collide(rho, unitary, rho_a)
         distances.append(trace_distance(rho, target))
     assert _never_grows(distances)
 

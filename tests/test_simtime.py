@@ -37,6 +37,13 @@ from ri_thermalizer.simtime import (
     tsim_general_sl_zeroT_solve,
     tsim_simulated_sl,
 )
+from ri_thermalizer.spectra import (
+    lambda_closed,
+    liouvillian_matrix,
+    nstar_estimate_discrete,
+    stationary_populations_d3,
+    tsim_estimate_sl,
+)
 
 NEG_INV_E = -math.exp(-1.0)
 
@@ -400,6 +407,51 @@ def test_zero_temperature_solvers_reject_epsilon_outside_unit_interval(solve, ra
     for p0 in (np.array([0.2, 0.3, 0.5]), np.array([0.0, 0.9, 0.1])):
         with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
             solve(p0, rate, epsilon)
+
+
+# one call per function of Gamma that needs 0 < Gamma < inf
+GAMMA_FUNCTIONS = {
+    "tsim_simulated_sl": lambda gamma: tsim_simulated_sl(np.full(3, 1 / 3), 0.8, gamma, 1e-4, t_max=10.0),
+    "tsim_closed_sl_zeroT": lambda gamma: tsim_closed_sl_zeroT(np.full(3, 1 / 3), gamma, 1e-3),
+    "tsim_general_sl_zeroT_solve": lambda gamma: tsim_general_sl_zeroT_solve(np.full(3, 1 / 3), gamma, 1e-3),
+    "tsim_estimate_sl": lambda gamma: tsim_estimate_sl(np.full(3, 1 / 3) - stationary_populations_d3(0.8), 0.8, gamma, 1e-4),
+    "liouvillian_matrix": lambda gamma: liouvillian_matrix(3, 0.8, gamma),
+    "lambda_closed": lambda gamma: lambda_closed(3, 0.8, gamma),
+}
+
+
+@pytest.mark.parametrize("name", GAMMA_FUNCTIONS)
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_every_function_of_gamma_rejects_a_rate_outside_zero_to_inf(name, gamma):
+    # each used to return a number for some of these (-8.12 from
+    # tsim_closed_sl_zeroT at Gamma = -1, 0.0 at inf, NaN matrices) or end
+    # in a ZeroDivisionError
+    with pytest.raises(ValueError, match="Gamma must be positive and finite"):
+        GAMMA_FUNCTIONS[name](gamma)
+
+
+# the users of flip_flop_rates, the one source of lambda_+ and lambda_-
+J_TAU_FUNCTIONS = {
+    "nstar_closed_d3_zeroT": lambda j_tau: nstar_closed_d3_zeroT(np.full(3, 1 / 3), j_tau, 1e-3),
+    "nstar_general_zeroT_solve": lambda j_tau: nstar_general_zeroT_solve(np.full(3, 1 / 3), j_tau, 1e-3),
+    "nstar_estimate_discrete": lambda j_tau: nstar_estimate_discrete(np.full(3, 1 / 3) - stationary_populations_d3(0.8), 0.8, j_tau, 1e-4),
+}
+
+
+@pytest.mark.parametrize("name", J_TAU_FUNCTIONS)
+@pytest.mark.parametrize("j_tau", [math.nan, math.inf])
+def test_the_lambda_users_reject_a_j_tau_that_is_not_finite(name, j_tau):
+    # NaN used to give 1.0 or NaN, inf a bare math domain error
+    with pytest.raises(ValueError, match=r"J\*tau must be finite"):
+        J_TAU_FUNCTIONS[name](j_tau)
+
+
+@pytest.mark.parametrize("solve, rate", [(nstar_closed_d3_zeroT, 0.8), (tsim_closed_sl_zeroT, 1.0)])
+@pytest.mark.parametrize("d", [2, 4])
+def test_the_lambert_forms_reject_a_state_that_is_not_three_level(solve, rate, d):
+    # they read only p0[1] and p0[2]: a number for d = 4, an IndexError for d = 2
+    with pytest.raises(ValueError, match="d = 3 only"):
+        solve(np.full(d, 1 / d), rate, 1e-3)
 
 
 @pytest.mark.parametrize(

@@ -116,7 +116,7 @@ def test_first_crossings_of_a_population_map():
     targets = [np.linalg.matrix_power(m, 5000) @ np.full(d, 1 / d) for m in maps]
     p0 = rng.dirichlet(np.ones(d), size=len(p_as))
     step = lambda s, params: (params[0] @ s[:, :, None])[:, :, 0]
-    distance = lambda s, params: 0.5 * np.abs(s - params[1]).sum(axis=1)
+    distance = lambda s, targets: 0.5 * np.abs(s - targets).sum(axis=1)
     batch = _first_crossings(step, p0, (np.stack(maps), np.stack(targets)), distance, epsilons, n_max)
     for i, (n, dist, previous) in enumerate(batch):
         orbit = evolve_populations(p0[i], p_as[i], j_tau, n_max)

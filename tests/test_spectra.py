@@ -364,6 +364,23 @@ class TestSlowModeValidity:
             slow_mode_validity(1e-9 * np.array([1.0, -2.0, 1.0]), 0.8, 1e-4, 0.5, 1.5)
 
 
+# the three slow-mode functions, each at an epsilon it is handed
+SLOW_MODE_FUNCTIONS = {
+    "tsim_estimate_sl": lambda dp0, eps: tsim_estimate_sl(dp0, 0.8, 1.0, eps),
+    "nstar_estimate_discrete": lambda dp0, eps: nstar_estimate_discrete(dp0, 0.8, math.pi / 8, eps),
+    "slow_mode_validity": lambda dp0, eps: slow_mode_validity(dp0, 0.8, eps, 0.1, 0.3),
+}
+
+
+@pytest.mark.parametrize("name", SLOW_MODE_FUNCTIONS)
+@pytest.mark.parametrize("epsilon", [math.nan, 0.0, -1.0])
+def test_slow_mode_functions_reject_epsilon_outside_unit_interval(name, epsilon):
+    # each used to return NaN, or end in a ZeroDivisionError or a math domain error
+    dp0 = np.full(3, 1 / 3) - stationary_populations_d3(0.8)
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+        SLOW_MODE_FUNCTIONS[name](dp0, epsilon)
+
+
 class TestDipProperty:
     def test_alpha2_free_state_relaxes_at_lambda3(self):
         beta, gamma = 1.0, 1.0
