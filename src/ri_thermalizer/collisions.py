@@ -122,17 +122,30 @@ class PsiCoefficients:
     psi33: float
 
 
+def _check_j_tau(j_tau: float) -> None:
+    # the one-collision rates read J*tau through cos and sin
+    if not math.isfinite(j_tau):
+        raise ValueError("J*tau must be finite")
+
+
+def _check_p_a(p_a: float) -> None:
+    # the ancilla's ground population, 1 / (1 + exp(-beta omega)) for beta >= 0
+    if not 0.0 < p_a <= 1.0:
+        raise ValueError("p_A must lie in (0, 1]")
+
+
 def flip_flop_rates(j_tau: float) -> tuple[float, float]:
     """(lambda_+, lambda_-) = (cos^2 J*tau, sin^2 J*tau): the probabilities
     that one collision leaves an excitation in place or swaps it; raises
     ValueError for a J*tau that is not finite."""
-    if not math.isfinite(j_tau):
-        raise ValueError("J*tau must be finite")
+    _check_j_tau(j_tau)
     return math.cos(j_tau) ** 2, math.sin(j_tau) ** 2
 
 
 def eta_coefficients(p_a: float, j_tau: float) -> EtaCoefficients:
-    """Population rates; eta12 doubles as eta23 and eta21 as eta32."""
+    """Population rates; eta12 doubles as eta23 and eta21 as eta32.
+    Raises ValueError for a J*tau that is not finite."""
+    _check_j_tau(j_tau)
     lam = math.cos(2.0 * j_tau)
     return EtaCoefficients(
         eta11=0.5 * ((1.0 + p_a) + (1.0 - p_a) * lam),
@@ -144,7 +157,9 @@ def eta_coefficients(p_a: float, j_tau: float) -> EtaCoefficients:
 
 
 def psi_coefficients(p_a: float, j_tau: float) -> PsiCoefficients:
-    """Coherence rates; at p_A = 1 they reduce to (mu, lambda-, mu, 0, lambda+)."""
+    """Coherence rates; at p_A = 1 they reduce to (mu, lambda-, mu, 0, lambda+).
+    Raises ValueError for a J*tau that is not finite."""
+    _check_j_tau(j_tau)
     lam = math.cos(2.0 * j_tau)
     mu = math.cos(j_tau)
     return PsiCoefficients(
@@ -160,17 +175,18 @@ def population_step_matrix(d: int, p_a: float, j_tau: float) -> np.ndarray:
     """Tridiagonal one-collision map acting on population vectors.
 
     Column-stochastic; fixes the Gibbs populations and acts identically on
-    raw populations and on deviations from them.
+    raw populations and on deviations from them.  Raises ValueError for a
+    p_A outside (0, 1].
     """
     if d < 2:
         raise ValueError("need d >= 2")
+    _check_p_a(p_a)
     e = eta_coefficients(p_a, j_tau)
     m = np.zeros((d, d))
-    for k in range(d - 1):
-        m[k, k + 1] = e.eta12
-        m[k + 1, k] = e.eta21
-    for k in range(1, d - 1):
-        m[k, k] = e.eta22
+    # every (d + 1)-th flat entry from 1, d and 0: the super-, sub- and main diagonal
+    m.flat[1 :: d + 1] = e.eta12
+    m.flat[d :: d + 1] = e.eta21
+    m.flat[:: d + 1] = e.eta22
     m[0, 0] = e.eta11
     m[d - 1, d - 1] = e.eta33
     return m

@@ -23,22 +23,26 @@ carry no clock: all rows step together, so an SL row's time after n
 steps is ``_sl_clock(h, n)`` and a CPTP row's collision index is the
 first one plus the steps taken.
 
-:func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` scan a
-sweep's rows together and hand each row to :func:`tsim_simulated_sl`
+:func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` search
+a sweep's rows together and hand each row to :func:`tsim_simulated_sl`
 (which bisects the crossing step with :func:`bisect_crossing`) or
-:func:`nstar_simulated` (from that step's collision index) for its last
-step, so the answers are bit for bit those of one run at a time.
-Stacking saves the per-step overhead, which dominates a step at small
-d; it does not split the work across processes.
+:func:`nstar_simulated` for the last span of its search, so the answers
+are bit for bit those of one run at a time: a scanned row's last step
+(from that step's collision index), and a powered row's last rejected
+lift.  Stacking saves the per-step overhead, which dominates a step at
+small d; it does not split the work across processes.
 
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
-never grows, and ``_powered_crossing`` finds the first crossing by
-binary lifting over the squared powers m^(2^k): O(log n_max) matrix
-products instead of n* matrix-vector steps.  A rounding guard keeps n*
-equal to the scan's: when the distance just before or at the crossing
-it found lies within a forward-error bound of epsilon, it hands the run
-to the scan, which stops at ``MAX_STEPS`` collisions.
+never grows, and ``_powered_crossings`` finds each row's first crossing
+by binary lifting over the squared powers m^(2^k): O(log n_max) stacked
+matrix products instead of n* matrix-vector steps.  The crossing n* is
+the row's last rejected lift, by 2^t with t the trailing zero bits of
+n*, so a finisher that starts at n* - 2^t with n_max = 2^t squares the
+same powers and replays that lift.  A rounding guard keeps n* equal to
+the scan's: when a row's distance just before or at the crossing it
+found lies within a forward-error bound of epsilon, it hands the row to
+the scan, which stops at ``MAX_STEPS`` collisions.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import numpy as np
 
 from .collisions import (
     CollisionConfig,
+    _check_p_a,
     _collide,
     _resolve_step,
     density_matrix_d3,
@@ -107,7 +112,7 @@ class ThermalizationResult:
     final_distance is the distance at the crossing, or at the cap when
     the target is unreachable.  On the diagonal population recursion it
     is that of the powered state, which lies within the rounding guard of
-    ``_powered_crossing``, 4 (n + d) (d + 2) u for a probability vector
+    ``_powered_crossings``, 4 (n + d) (d + 2) u for a probability vector
     (u the unit roundoff), of the value a one-collision-at-a-time scan
     gives; n* itself is the scan's.
 
@@ -254,17 +259,43 @@ def _sl_clock(h: float, n: int) -> float:
     return t
 
 
-def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: float, n_max: int):
-    """(n, distance) of the first crossing along p, m p, m^2 p, ... for a
-    nonnegative column-stochastic m, in O(log n_max) matrix products.
+def _powered_crossings(ms: np.ndarray, ps: np.ndarray, targets: np.ndarray, epsilons, n_max: int):
+    """The first crossing along p, m p, m^2 p, ... of every row (m, p,
+    target, epsilon) stacked on axis 0, for nonnegative column-stochastic
+    maps m, in O(log n_max) stacked matrix products; a single run is one
+    row.
 
     Binary lifting over P_k = m^(2^k): from n = 0, each power, largest
-    first, advances the state when the distance after it is still above
-    epsilon.  The exact distance never grows, so this ends at the last n
-    above epsilon, and the crossing is n + 1 unless n = n_max.
+    first, advances a row when the distance after it is still above the
+    row's epsilon.  The exact distance never grows, so a row ends at its
+    last n above epsilon, and its crossing is n + 1 unless n = n_max.
+    Below n_max that crossing is the row's last rejected lift, by span =
+    2^t with t the trailing zero bits of n + 1, from its state at n + 1 -
+    span.  Returns per row None where the rounding guard hands the row to
+    the scan, else (n, distance, start, span): the crossing (None when
+    none comes by n_max), the distance there, and for a row that crosses
+    after step 0 that start state and span (both None otherwise).
     """
-    # Rounding guard.  u is the unit roundoff and gamma_d = d u / (1 - d u).
-    # m rounds, entry by entry in a few operations, an exactly
+    epsilons = np.asarray(epsilons, dtype=float)
+    first = _population_distances(ps, targets)
+    powers = [ms]
+    # rows within epsilon at once need no powers (count_nonzero is cheaper than .all())
+    if np.count_nonzero(first <= epsilons) < len(ps):
+        while 2 ** len(powers) <= n_max:
+            powers.append(powers[-1] @ powers[-1])
+    # an n_max past int64 keeps the counts exact as Python ints
+    n = np.zeros(len(ps), dtype=np.int64 if n_max < 2**62 else object)
+    # each power's probe distances, and the states it was applied to
+    states, before, probes = ps, [None] * len(powers), [None] * len(powers)
+    for k in reversed(range(len(powers))):
+        ahead = _matvecs(powers[k], states)
+        before[k], probes[k] = states, _population_distances(ahead, targets)
+        lift = (probes[k] > epsilons) & (n <= n_max - 2**k)
+        n = np.where(lift, n + 2**k, n)
+        states = np.where(lift[:, None], ahead, states)
+
+    # Rounding guard, row by row.  u is the unit roundoff and gamma_d = d u
+    # / (1 - d u).  m rounds, entry by entry in a few operations, an exactly
     # column-stochastic nonnegative M (the eta formulas evaluated on the
     # stored p_A and cos 2 J tau), so ||m - M||_1 <= 6u.  The exact distance
     # D(n) = |M^n p - g|_1 / 2 to the stored target g never grows by more
@@ -282,31 +313,33 @@ def _powered_crossing(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon:
     # Hence dist(n) > epsilon + delta(n) keeps the scan above epsilon up to
     # n, and dist(n + 1) < epsilon - delta(n + 1) brings it to epsilon at
     # n + 1: the scan stops at exactly n + 1.  Anything closer to epsilon,
-    # or a NaN, goes to the scan itself.
-    d = p.size
-    scale = 4.0 * (d + 2) * (0.5 * np.finfo(float).eps) * max(1.0, float(np.abs(p).sum()))
-    delta = lambda n: (n + d) * scale
-    distance = lambda s: population_distance(s, target)
-    dist = distance(p)
-    if dist <= epsilon:
-        return 0, dist
-    powers = [m]
-    while 2 ** len(powers) <= n_max:
-        powers.append(powers[-1] @ powers[-1])
-    n, state, crossed = 0, p, None
-    for k in reversed(range(len(powers))):
-        if n + 2**k > n_max:
-            continue
-        ahead = powers[k] @ state
-        dist_ahead = distance(ahead)
-        if dist_ahead > epsilon:
-            n, state, dist = n + 2**k, ahead, dist_ahead
+    # or a NaN, goes to the scan itself.  A stacked product or distance
+    # gives each row, bit for bit, what the row alone gives.
+    d = ps.shape[1]
+    unit = 4.0 * (d + 2) * (0.5 * np.finfo(float).eps)
+    rows = zip(n.tolist(), first.tolist(), epsilons.tolist(), np.abs(ps).sum(axis=1).tolist())
+    results = []
+    for i, (n, first, epsilon, norm) in enumerate(rows):
+        delta = lambda n: (n + d) * (unit * max(1.0, norm))
+        # the distance at n is that of the row's last lift, by n's lowest set bit
+        dist = float(probes[(n & -n).bit_length() - 1][i]) if n else first
+        if first <= epsilon:
+            results.append((0, first, None, None))
+        elif n == n_max:
+            results.append((None, dist, None, None) if dist - epsilon > delta(n) else None)
         else:
-            crossed = dist_ahead  # the last such probe is the one at n + 1
-    if dist - epsilon > delta(n) and (n == n_max or epsilon - crossed > delta(n + 1)):
-        return (None, dist) if n == n_max else (n + 1, crossed)
-    # the scan, a chunk at a time up to MAX_STEPS; once a collision returns
-    # its state bit for bit the distance stays put, as if the scan went on
+            t = ((n + 1) & -(n + 1)).bit_length() - 1
+            crossed = float(probes[t][i])
+            guarded = dist - epsilon > delta(n) and epsilon - crossed > delta(n + 1)
+            results.append((n + 1, crossed, before[t][i], 2**t) if guarded else None)
+    return results
+
+
+def _fallback_scan(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: float, n_max: int):
+    """(n, distance) of the scan a row goes to when the powered search's
+    rounding guard cannot decide: one collision at a time, a chunk at a
+    time up to MAX_STEPS.  Once a collision returns its state bit for bit
+    the distance stays put, as if the scan went on."""
     step = lambda states, params: _matvecs(params[0], states)
     bound, params, state = min(n_max, MAX_STEPS), (m[None], target[None]), p[None]
     for n in range(0, bound, _FALLBACK_CHUNK):
@@ -341,9 +374,8 @@ def nstar_simulated(
     rho0 = _checked_state(rho0, d)
     # the recursion needs the resonant flip-flop, and a diagonal state or d = 3;
     # a forced brute_force run never looks at the state
-    diagonal = engine != "brute_force" and float(np.max(np.abs(rho0 - np.diag(np.diag(rho0))))) < 1e-14
-    resonant = isinstance(model.interaction, IsotropicFlipFlop) and model.system.omega == model.ancilla.omega
-    recursion_ok = resonant and (diagonal or d == 3)
+    diagonal = engine != "brute_force" and _is_diagonal(rho0)
+    recursion_ok = _resonant(model) and (diagonal or d == 3)
     if engine == "auto":
         engine = "recursion" if recursion_ok else "brute_force"
     elif engine == "recursion" and not recursion_ok:
@@ -354,17 +386,16 @@ def nstar_simulated(
     if engine == "brute_force":
         step, states, params = _cptp_scan([(model, cfg)], rho0, collision)
     else:
-        p_a = model.ancilla.ground_population
-        j_tau = model.interaction.j * cfg.tau
-        omega_tau = model.system.omega * cfg.tau
-        m = population_step_matrix(d, p_a, j_tau)
+        m, target_p = _population_system(model, cfg)
         if diagonal:
-            target_p = gibbs_populations(d, model.system.omega, model.ancilla.beta)
-            n, dist = _powered_crossing(m, np.diag(rho0).real, target_p, cfg.epsilon, cfg.n_max)
+            p = np.diag(rho0).real
+            (found,) = _powered_crossings(m[None], p[None], target_p[None], [cfg.epsilon], cfg.n_max)
+            n, dist = _fallback_scan(m, p, target_p, cfg.epsilon, cfg.n_max) if found is None else found[:2]
             return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
         # a coherent d = 3 state, against a one-row stack of its Gibbs target
         states, params = rho0[None], (system_gibbs_state(model.system, model.ancilla.beta)[None],)
+        p_a, j_tau, omega_tau = model.ancilla.ground_population, model.interaction.j * cfg.tau, model.system.omega * cfg.tau
 
         def step(states, _):
             rho = states[0]
@@ -381,6 +412,23 @@ def _checked_state(rho0, d: int) -> np.ndarray:
     if rho0.shape != (d, d):
         raise ValueError(f"rho0 has shape {rho0.shape}, the model's system needs {(d, d)}")
     return rho0
+
+
+def _is_diagonal(rho0: np.ndarray) -> bool:
+    return float(np.abs(rho0 - np.diag(rho0.diagonal())).max()) < 1e-14
+
+
+def _resonant(model: ModelSpec) -> bool:
+    """Whether the recursion holds: the flip-flop at the system's own frequency."""
+    return isinstance(model.interaction, IsotropicFlipFlop) and model.system.omega == model.ancilla.omega
+
+
+def _population_system(model: ModelSpec, cfg: CollisionConfig):
+    """The one-collision population map and Gibbs populations of a
+    recursion run."""
+    d = model.system.d
+    m = population_step_matrix(d, model.ancilla.ground_population, model.interaction.j * cfg.tau)
+    return m, gibbs_populations(d, model.system.omega, model.ancilla.beta)
 
 
 def _unitaries(models, h0: np.ndarray, taus: np.ndarray, collision: int) -> np.ndarray:
@@ -415,44 +463,75 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     return step, states, (np.array(models), h0, taus, rho_as, targets)
 
 
-def nstar_simulated_batch(rho0: np.ndarray, models, cfgs) -> list[ThermalizationResult]:
-    """``nstar_simulated(rho0, models[i], cfgs[i], engine="brute_force")``
-    for every i, bit for bit, from one stacked CPTP scan.
+def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_force") -> list[ThermalizationResult]:
+    """``nstar_simulated(rho0, models[i], cfgs[i], engine=engine)`` for
+    every i, bit for bit, from one stacked search of a block of
+    _BLOCK_BYTES of rows at a time; engine is "brute_force" or
+    "recursion", and the rows share d, rho0 and n_max.
 
-    The rows share d, rho0 and n_max, and are all RandomFull or all of
-    fixed unitary; each has its own unitary (or stream of them), rho_A,
-    Gibbs target and epsilon, and steps as a single run does.  The rows
-    are stacked a block of _BLOCK_BYTES at a time, counting for each row
-    its (2d, 2d) unitary or H_0 and the ones of that shape a step makes.
-    Every row is then finished by ``nstar_simulated`` with n_max = 1 from
-    its state before the scan's last step, at that step's collision index
-    (rho0 and collision 0 for a row within epsilon at once); a crossed
-    row's n* is the scan's.
+    "brute_force" rows are all RandomFull or all of fixed unitary; one
+    CPTP scan steps them, a row holding its (2d, 2d) unitary or H_0 and
+    the ones of that shape a step makes.  "recursion" rows need the
+    resonant flip-flop and a diagonal rho0; one ``_powered_crossings``
+    lifts them, a row holding its floor(log2 n_max) + 1 powers.
+
+    Each row is then finished by one ``nstar_simulated`` over the last
+    span of its search, from the state at its n* (or cap) less the span,
+    at that collision index, and its n* is that offset plus the
+    finisher's.  A CPTP row's span is its last step.  A recursion row
+    that crosses after step 0 replays its last rejected lift: the
+    finisher squares the same powers and lifts from the same state, and
+    its own guard, over fewer steps from a state of no larger L1 norm up
+    to rounding, holds where the row's did.  Other rows start from rho0,
+    a CPTP row with n_max = 1 and a recursion row with the whole n_max.
     """
+    if engine not in ("recursion", "brute_force"):
+        raise ValueError(f"unknown engine {engine!r}")
     rho0 = np.asarray(rho0, dtype=complex)
     runs = list(zip(models, cfgs, strict=True))
     for model, cfg in runs:
         _checked_state(rho0, model.system.d)
         if cfg.n_max != runs[0][1].n_max:
             raise ValueError("the rows of a batch share n_max")
+        if engine == "recursion" and not _resonant(model):
+            raise ValueError("recursion engine unavailable for this model")
         if isinstance(model.interaction, RandomFull) != isinstance(runs[0][0].interaction, RandomFull):
             raise ValueError("the rows of a batch are all RandomFull or all of fixed unitary")
+    if not runs:
+        return []
+    d, n_max = rho0.shape[0], runs[0][1].n_max
+    epsilons = lambda part: [cfg.epsilon for _, cfg in part]
 
-    scan = lambda part: _first_crossings(
-        *_cptp_scan(part, rho0), _trace_distances, [cfg.epsilon for _, cfg in part], part[0][1].n_max
-    )
+    if engine == "brute_force":
+        row_bytes = _CPTP_ROW_ARRAYS * 16 * (2 * d) ** 2
+
+        def scan(part):
+            crossings = _first_crossings(*_cptp_scan(part, rho0), _trace_distances, epsilons(part), n_max)
+            return [(n_max - 1 if n is None else max(n - 1, 0), 1, previous) for n, _, previous in crossings]
+
+    else:
+        if not _is_diagonal(rho0):
+            raise ValueError("the recursion batch needs a diagonal rho0")
+        row_bytes = int(n_max).bit_length() * 8 * d * d
+        p = np.diag(rho0).real
+
+        def scan(part):
+            ms, targets = (np.stack(a) for a in zip(*(_population_system(model, cfg) for model, cfg in part)))
+            crossings = _powered_crossings(ms, np.tile(p, (len(part), 1)), targets, epsilons(part), n_max)
+            return [(0, n_max, rho0) if c is None or c[2] is None else (c[0] - c[3], c[3], np.diag(c[2])) for c in crossings]
+
     results = []
-    for (model, cfg), (n, _, previous) in _blocked_crossings(runs, _CPTP_ROW_ARRAYS * 16 * (2 * rho0.shape[0]) ** 2, scan):
-        last = cfg.n_max - 1 if n is None else max(n - 1, 0)
-        res = nstar_simulated(previous, model, replace(cfg, n_max=1), engine="brute_force", collision=last)
-        results.append(res if res.n_star is None else replace(res, n_star=n, t_sim=n * cfg.tau))
+    for (model, cfg), (offset, span, start) in _blocked_crossings(runs, row_bytes, scan):
+        res = nstar_simulated(start, model, replace(cfg, n_max=span), engine=engine, collision=offset)
+        n = None if res.n_star is None else offset + res.n_star
+        results.append(res if n is None else ThermalizationResult(n, n * cfg.tau, res.final_distance, engine))
     return results
 
 
 def _blocked_crossings(runs, row_bytes: int, scan):
     """Yield each run with its crossing from scan(part), one scan of as many
     runs as fill _BLOCK_BYTES at row_bytes each; the scan alone holds the
-    stacked systems, so compacting them frees the finished rows."""
+    stacked systems, so they live one block at a time."""
     block = max(1, _BLOCK_BYTES // row_bytes)
     for start in range(0, len(runs), block):
         part = runs[start : start + block]
@@ -501,8 +580,7 @@ def _check_gamma(gamma: float) -> None:
 def _sl_steps(p_a: float, gamma: float, epsilon: float, t_max: float, dt: float | None):
     """Check the inputs of an SL crossing; returns the RK4 step h and the
     number of steps up to t_max."""
-    if not 0.0 < p_a <= 1.0:
-        raise ValueError("p_A must lie in (0, 1]")
+    _check_p_a(p_a)
     _check_gamma(gamma)
     _check_epsilon(epsilon)
     if not 0.0 < t_max < math.inf:

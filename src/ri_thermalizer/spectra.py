@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collisions import (
+    _check_p_a,
     check_deviation_sum,
     flip_flop_rates,
     population_step_matrix,
@@ -36,12 +37,14 @@ stochastic_matrix = population_step_matrix
 
 def liouvillian_matrix(d: int, p_a: float, gamma: float) -> np.ndarray:
     """Tridiagonal SL population generator; columns sum to zero."""
+    _check_p_a(p_a)
     _check_gamma(gamma)
     return sl_population_generator(d, p_a, gamma)
 
 
 def xi_closed(d: int, p_a: float, j_tau: float) -> np.ndarray:
     """Eigenvalues of the stochastic map: 1, then lambda_+ + 2 theta lambda_- cos(m pi / d)."""
+    _check_p_a(p_a)
     lp, lm = flip_flop_rates(j_tau)
     th = theta(p_a)
     tail = lp + 2.0 * th * lm * np.cos(np.arange(1, d) * math.pi / d)
@@ -50,6 +53,7 @@ def xi_closed(d: int, p_a: float, j_tau: float) -> np.ndarray:
 
 def lambda_closed(d: int, p_a: float, gamma: float) -> np.ndarray:
     """Eigenvalues of the SL generator: 0, then -Gamma (1 - 2 theta cos(m pi / d))."""
+    _check_p_a(p_a)
     _check_gamma(gamma)
     th = theta(p_a)
     tail = -gamma * (1.0 - 2.0 * th * np.cos(np.arange(1, d) * math.pi / d))

@@ -16,14 +16,15 @@ whose run hit the collision or time cap carry ``reachable=false`` with
 the cap in the value field.
 
 A sweep runs one task per grid point and repetition.  A process pool,
-when asked for, gives each worker an equal share of the tasks.  The
-stacked engines run a share as one batch: ``OdeSL`` as one stacked RK4
-scan (:func:`.simtime.tsim_simulated_sl_batch`), and ``BruteForce``, a
-``RandomEnsembleVsBeta`` ensemble included, as one stacked CPTP scan
-(:func:`.simtime.nstar_simulated_batch`); ``Recursion`` runs it task by
-task.  Stacking shares the per-step overhead among the rows, so a
-stacked sweep with d <= ``_STACK_MAX_D[engine]`` runs as one share in
-this process; at larger d a pool that splits the rows wins.
+when asked for, gives each worker an equal share of the tasks.  Every
+engine runs a share as one batch: ``OdeSL`` as one stacked RK4 scan
+(:func:`.simtime.tsim_simulated_sl_batch`), ``BruteForce``, a
+``RandomEnsembleVsBeta`` ensemble included, as one stacked CPTP scan and
+``Recursion`` as one stacked powered search (both
+:func:`.simtime.nstar_simulated_batch`).  Stacking shares the per-step
+overhead among the rows, so a sweep with d <= ``_STACK_MAX_D[engine]``
+runs as one share in this process; at larger d a pool that splits the
+rows wins.
 
 The level count d is bounded by ``MAX_D``: the brute-force engine works
 on the 2d x 2d joint space and stacks such matrices, so a d far beyond
@@ -43,7 +44,7 @@ import numpy as np
 from .collisions import CollisionConfig
 from .errors import ConfigInvalid, IoError, StepTooLarge
 from .models import AncillaSpec, IsotropicFlipFlop, ModelSpec, RandomFull, SystemSpec
-from .simtime import MAX_STEPS, _sl_steps, nstar_simulated, nstar_simulated_batch, tsim_simulated_sl_batch
+from .simtime import MAX_STEPS, _sl_steps, nstar_simulated_batch, tsim_simulated_sl_batch
 
 # each kind's default engine, and the SweepSpec field its grid points replace
 _KIND_TABLE = {
@@ -61,11 +62,13 @@ MAX_D = 128
 # most tasks (grid points times ensemble repetitions) a sweep may run: it
 # holds a spec, model and result per task, 10.7 MB at 10^4 NstarVsBeta tasks
 MAX_TASKS = 10**5
-# the stacked engines, each with the largest d at which a pooled sweep runs
-# as one share in this process instead.  On two CPUs and 48 points the SL
-# scan beats a pool up to d = 48 and ties a pool of shares up to 32; the
-# CPTP scan ties a pool of shares up to d = 4 and loses to it from d = 5
-_STACK_MAX_D = {"OdeSL": 32, "BruteForce": 4}
+# each engine with the largest d at which a pooled sweep runs as one share
+# in this process instead.  On two CPUs and 48 points the SL scan beats a
+# pool up to d = 48 and ties a pool of shares up to 32; the CPTP scan ties a
+# pool of shares up to d = 4 and loses to it from d = 5.  On 120 points the
+# powered search beats a pool up to d = 16; from d = 20 rows its rounding
+# guard hands to the scan take most of the time, and a pool splits them
+_STACK_MAX_D = {"OdeSL": 32, "BruteForce": 4, "Recursion": 16}
 
 
 @dataclass(frozen=True)
@@ -177,8 +180,8 @@ def _point_spec(spec: SweepSpec, point_index: int) -> SweepSpec:
 
 
 def _evaluate_tasks(spec: SweepSpec, tasks) -> list[tuple[float, bool]]:
-    """(value, reachable) of each (point index, repetition) task.  The
-    tasks of a stacked engine run as one batch, Recursion's one by one."""
+    """(value, reachable) of each (point index, repetition) task, all
+    run as one batch."""
     points = [_point_spec(spec, pi) for pi, _ in tasks]
     if spec.engine == "OdeSL":
         p_as = [AncillaSpec(omega=s.omega, beta=s.beta).ground_population for s in points]
@@ -195,10 +198,7 @@ def _evaluate_tasks(spec: SweepSpec, tasks) -> list[tuple[float, bool]]:
         models.append(ModelSpec(SystemSpec(d=s.d, omega=s.omega), AncillaSpec(omega=s.omega, beta=s.beta), interaction))
         cfgs.append(CollisionConfig(tau=tau, n_max=s.n_max, epsilon=s.epsilon))
     rho0 = np.eye(spec.d, dtype=complex) / spec.d
-    if spec.engine == "BruteForce":
-        results = nstar_simulated_batch(rho0, models, cfgs)
-    else:
-        results = [nstar_simulated(rho0, model, cfg, engine="recursion") for model, cfg in zip(models, cfgs)]
+    results = nstar_simulated_batch(rho0, models, cfgs, engine="brute_force" if spec.engine == "BruteForce" else "recursion")
     # the Tsim kinds turn a collision count into the time n* tau
     unit = lambda cfg: cfg.tau if spec.kind.startswith("Tsim") else 1.0
     return [(float(res.n_star if res.reachable else spec.n_max) * unit(cfg), res.reachable) for res, cfg in zip(results, cfgs)]
@@ -209,17 +209,17 @@ def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
 
     Tasks are independent; a pool of min(parallel, tasks, CPUs) worker
     processes runs them when that is more than one, so parallel is an
-    upper bound.  Worker w takes every w-th task as one share.  A sweep
-    on the ``OdeSL`` or ``BruteForce`` engine runs each share as one
-    stacked scan, and with d <= _STACK_MAX_D[engine] runs all its tasks
-    as one share in this process.  Results are assembled in grid order, so
-    output is deterministic for a given spec and seed.
+    upper bound.  Worker w takes every w-th task as one share.  Each
+    share runs as one batch, and a sweep with d <= _STACK_MAX_D[engine]
+    runs all its tasks as one share in this process.  Results are
+    assembled in grid order, so output is deterministic for a given spec
+    and seed.
     """
     spec = _validated(spec)
     reps = spec.repetitions
     tasks = [(pi, r) for pi in range(len(spec.grid)) for r in range(reps)]
     workers = min(parallel, len(tasks), os.cpu_count() or 1)
-    if workers > 1 and spec.d > _STACK_MAX_D.get(spec.engine, 0):
+    if workers > 1 and spec.d > _STACK_MAX_D[spec.engine]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shares = list(pool.map(_evaluate_tasks, [spec] * workers, [tasks[w::workers] for w in range(workers)]))
         outcomes = [None] * len(tasks)

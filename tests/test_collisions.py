@@ -269,6 +269,19 @@ class TestPopulationRecursion:
         with pytest.raises(SumNotZero):
             step_populations_recursive(np.array([0.1, 0.0, 0.0]), 0.8, 0.7)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 33, 128])
+    def test_step_matrix_equals_the_entry_by_entry_map(self, d):
+        # the eta rates placed one entry at a time, as the reference
+        for p_a, j_tau in [(0.8, 0.7), (1.0, math.pi / 16), (0.5, 3.0)]:
+            e = eta_coefficients(p_a, j_tau)
+            expected = np.zeros((d, d))
+            for k in range(d - 1):
+                expected[k, k + 1], expected[k + 1, k] = e.eta12, e.eta21
+            for k in range(1, d - 1):
+                expected[k, k] = e.eta22
+            expected[0, 0], expected[d - 1, d - 1] = e.eta11, e.eta33
+            assert np.array_equal(population_step_matrix(d, p_a, j_tau), expected)
+
     def test_step_matrix_needs_two_levels(self):
         with pytest.raises(ValueError, match="d >= 2"):
             population_step_matrix(1, 0.8, 0.7)
@@ -622,3 +635,21 @@ class TestInvariants:
         discrete = evolve_populations(p0, p_a, 0.1, 500)
         ode = sl_ode_populations(p0, p_a, 1.0, 5.0, dt=1e-2)
         assert np.max(np.abs(discrete - ode.values)) <= 5e-2
+
+
+# every one-collision rate reads J*tau through the check flip_flop_rates uses
+J_TAU_FUNCTIONS = {
+    "eta_coefficients": lambda j_tau: eta_coefficients(0.8, j_tau),
+    "psi_coefficients": lambda j_tau: psi_coefficients(0.8, j_tau),
+    "population_step_matrix": lambda j_tau: population_step_matrix(3, 0.8, j_tau),
+    "evolve_populations": lambda j_tau: evolve_populations(np.full(3, 1 / 3), 0.8, j_tau, 2),
+    "step_coherences_d3": lambda j_tau: step_coherences_d3(0.1j, 0.0j, 0.05, 0.8, j_tau, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", J_TAU_FUNCTIONS)
+@pytest.mark.parametrize("j_tau", [math.nan, math.inf, -math.inf])
+def test_the_rates_reject_a_j_tau_that_is_not_finite(name, j_tau):
+    # NaN used to give an all-NaN population row, inf a bare math domain error
+    with pytest.raises(ValueError, match=r"J\*tau must be finite"):
+        J_TAU_FUNCTIONS[name](j_tau)

@@ -1,0 +1,176 @@
+"""The batched powered recursion search against one run per row, compared by ``repr``.
+
+``nstar_simulated_batch(..., engine="recursion")`` must give, bit for bit,
+the results of ``nstar_simulated(..., engine="recursion")`` called run by
+run.  That rests on the identities pinned here: a stacked square and a
+stacked matrix-vector product give each row what the 2-D ``@`` gives it,
+and a finisher that replays a row's last rejected lift squares the same
+powers and lifts from the same state.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ri_thermalizer import simtime
+from ri_thermalizer.collisions import CollisionConfig, evolve_populations, population_step_matrix
+from ri_thermalizer.models import (
+    AncillaSpec,
+    CounterRotating,
+    ModelSpec,
+    SystemSpec,
+    flip_flop_model,
+    gibbs_populations,
+    random_density_matrix,
+)
+from ri_thermalizer.simtime import _matvecs, _population_distances, nstar_simulated, nstar_simulated_batch, population_distance
+from ri_thermalizer.sweeps import MAX_D
+
+
+def _assert_batch_matches(rho0, models, cfgs):
+    batch = nstar_simulated_batch(rho0, models, cfgs, engine="recursion")
+    assert [repr(r) for r in batch] == [repr(nstar_simulated(rho0, m, c, engine="recursion")) for m, c in zip(models, cfgs)]
+    return batch
+
+
+def _runs(d, rows, n_max):
+    # rows of (beta, J tau, epsilon) for the flip-flop model at J = 1
+    models = [flip_flop_model(d, 1.0, beta, 1.0) for beta, _, _ in rows]
+    cfgs = [CollisionConfig(tau=j_tau, n_max=n_max, epsilon=eps) for _, j_tau, eps in rows]
+    return models, cfgs
+
+
+def _diagonal_start(d, seed, mixed):
+    p = np.full(d, 1.0 / d) if mixed else np.random.default_rng(seed).dirichlet(np.ones(d))
+    return np.diag(p).astype(complex)
+
+
+# the goldens' powered-fallback case: epsilon on the scanned distance at
+# collision 60 fails the rounding guard, and the row goes to the scan
+P5 = np.diag([0.05, 0.3, 0.1, 0.4, 0.15]).astype(complex)
+FALLBACK = (0.7, 1.1, 1.7742467431566822e-06)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 11),
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 6.0)),
+            # pi swaps nothing, so the populations stay frozen above epsilon
+            st.one_of(st.just(math.pi), st.just(math.pi / 2), st.floats(0.05, 3.0)),
+            st.floats(-12.0, math.log10(0.9)).map(lambda x: 10.0**x),
+        ),
+        min_size=4,
+        max_size=8,
+    ),
+    st.one_of(st.just(1), st.just(2), st.integers(3, 200), st.integers(201, 100_000)),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([None, 1, 3]),
+    st.one_of(st.none(), st.integers(1, 60)),
+)
+def test_a_recursion_batch_equals_one_run_per_row(d, rows, n_max, seed, mixed, block_rows, on_scan):
+    # at least 4 rows in each of 100 examples: rows within epsilon at step 0
+    # (beta = 0 from the maximally mixed state, or a loose epsilon), rows
+    # left at the cap, and crossings at many spans 2^t; blocks of one or
+    # three rows put block boundaries between them.  An epsilon on the
+    # scanned distance after on_scan collisions can fail the rounding
+    # guard, and then that row goes to the fallback scan
+    rho0 = _diagonal_start(d, seed, mixed)
+    models, cfgs = _runs(d, rows, n_max)
+    if on_scan is not None:
+        p_a = models[0].ancilla.ground_population
+        p = evolve_populations(np.diag(rho0).real, p_a, cfgs[0].tau, on_scan)[-1]
+        eps = population_distance(p, gibbs_populations(d, 1.0, models[0].ancilla.beta))
+        if 0.0 < eps < 1.0:
+            cfgs[0] = CollisionConfig(tau=cfgs[0].tau, n_max=n_max, epsilon=eps)
+    block = simtime._BLOCK_BYTES if block_rows is None else block_rows * n_max.bit_length() * 8 * d * d
+    with mock.patch.object(simtime, "_BLOCK_BYTES", block):
+        _assert_batch_matches(rho0, models, cfgs)
+
+
+class TestNamedCases:
+    RHO0 = np.eye(4, dtype=complex) / 4
+    # step 0 (beta = 0), frozen at the cap (J tau = pi), and crossings
+    ROWS = [(0.0, 0.9, 1e-4), (2.0, math.pi, 1e-4), (0.5, 0.9, 1e-4), (2.0, 0.9, 1e-4), (8.0, 0.9, 1e-9), (1.0, 2.5, 0.3)]
+
+    def test_mixed_rows_and_epsilons(self):
+        res = _assert_batch_matches(self.RHO0, *_runs(4, self.ROWS, 5000))
+        assert res[0].n_star == 0 and res[0].t_sim == 0.0
+        assert res[1].n_star is None and res[1].final_distance > 1e-4
+        assert all(r.n_star > 0 for r in res[2:])
+
+    def test_rows_in_blocks_of_two(self, monkeypatch):
+        # a row's bytes are its floor(log2 n_max) + 1 = 13 powers of 8 d^2
+        whole = _assert_batch_matches(self.RHO0, *_runs(4, self.ROWS, 5000))
+        monkeypatch.setattr(simtime, "_BLOCK_BYTES", 2 * 13 * 8 * 4 * 4)
+        calls = []
+        search = simtime._powered_crossings
+        monkeypatch.setattr(simtime, "_powered_crossings", lambda ms, *args: calls.append(len(ms)) or search(ms, *args))
+        assert _assert_batch_matches(self.RHO0, *_runs(4, self.ROWS, 5000)) == whole
+        # three blocks, and one single run per row in the batch and beside it
+        assert sorted(calls) == [1] * 12 + [2] * 3
+
+    def test_a_row_the_guard_hands_to_the_scan(self, monkeypatch):
+        # finished from rho0 with the whole n_max, whose run takes the scan
+        calls = []
+        scan = simtime._first_crossings
+        monkeypatch.setattr(simtime, "_first_crossings", lambda *args: calls.append(1) or scan(*args))
+        models, cfgs = _runs(5, [FALLBACK, (0.7, 1.1, 1e-6), (2.0, 0.4, 1e-3)], 3000)
+        batch = nstar_simulated_batch(P5, models, cfgs, engine="recursion")
+        assert len(calls) == 1
+        assert repr(batch[0]) == "ThermalizationResult(n_star=60, t_sim=66.0, final_distance=1.7742467431566822e-06, engine='recursion')"
+        assert [repr(r) for r in batch] == [repr(nstar_simulated(P5, m, c, engine="recursion")) for m, c in zip(models, cfgs)]
+
+    # the top powers overflow, as they do in any run at such an n_max
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_n_max_past_int64(self):
+        # the lifted counts stay exact as Python ints, and the crossings are
+        # those under a cap of 5000 (the frozen row would end in the scan)
+        rows = [row for row in self.ROWS if row[1] != math.pi]
+        huge = _assert_batch_matches(self.RHO0, *_runs(4, rows, 2**70 + 3))
+        small = nstar_simulated_batch(self.RHO0, *_runs(4, rows, 5000), engine="recursion")
+        assert [r.n_star for r in huge] == [r.n_star for r in small]
+
+    def test_an_empty_batch(self):
+        assert nstar_simulated_batch(self.RHO0, [], [], engine="recursion") == []
+
+    def test_rejects_a_model_off_resonance_or_a_coherent_state(self):
+        models, cfgs = _runs(3, [(1.0, 0.9, 1e-3)] * 2, 50)
+        counter = ModelSpec(SystemSpec(3, 1.0), AncillaSpec(1.0, 1.0), CounterRotating(1.0, 0.3))
+        with pytest.raises(ValueError, match="recursion"):
+            nstar_simulated_batch(np.eye(3) / 3, [models[0], counter], cfgs, engine="recursion")
+        with pytest.raises(ValueError, match="diagonal"):
+            nstar_simulated_batch(random_density_matrix(3, np.random.default_rng(1)), models, cfgs, engine="recursion")
+
+    def test_rejects_an_unknown_engine(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            nstar_simulated_batch(np.eye(3) / 3, *_runs(3, [(1.0, 0.9, 1e-3)], 50), engine="auto")
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_stacked_squares_and_matvecs_equal_matrix_by_matrix(rows):
+    rng = np.random.default_rng(rows)
+    for d in (2, 3, 5, 8, 9, 17, 33, 64, MAX_D):
+        p_as = 1.0 / (1.0 + np.exp(-rng.uniform(0.0, 6.0, rows)))
+        ms = np.stack([population_step_matrix(d, p_a, j_tau) for p_a, j_tau in zip(p_as, rng.uniform(0.05, 3.0, rows))])
+        states = rng.dirichlet(np.ones(d), rows)
+        targets = np.stack([gibbs_populations(d, 1.0, beta) for beta in rng.uniform(0.0, 6.0, rows)])
+        squares, moved = ms, states
+        for _ in range(3):
+            squares = squares @ squares
+            moved = _matvecs(squares, moved)
+        distances = _population_distances(moved, targets)
+        for i in range(rows):
+            square, one = ms[i], states[i]
+            for _ in range(3):
+                square = square @ square
+                one = square @ one
+            assert np.array_equal(squares[i], square), d
+            assert np.array_equal(moved[i], one), d
+            assert distances[i] == population_distance(one, targets[i]), d

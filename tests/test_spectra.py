@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ri_thermalizer.collisions import evolve_populations, sl_ode_populations
+from ri_thermalizer.collisions import evolve_populations, population_step_matrix, sl_ode_populations
 from ri_thermalizer.errors import (
     AmplitudeTooSmall,
     DegenerateTemperature,
@@ -410,3 +410,20 @@ class TestC13SteadyState:
     def test_requires_positive_total_rate(self):
         with pytest.raises(ValueError):
             c13_steady_state(0.0, 0.0, 0.5, np.array([0.5, 0.3, 0.2]))
+
+
+# the functions of p_A that used to take any value: at p_A = 1.7 the step
+# matrix has a negative entry and xi_closed returns a spectrum
+P_A_FUNCTIONS = {
+    "population_step_matrix": lambda p_a: population_step_matrix(3, p_a, 0.5),
+    "xi_closed": lambda p_a: xi_closed(3, p_a, 0.5),
+    "lambda_closed": lambda p_a: lambda_closed(3, p_a, 1.0),
+    "liouvillian_matrix": lambda p_a: liouvillian_matrix(3, p_a, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", P_A_FUNCTIONS)
+@pytest.mark.parametrize("p_a", [1.7, 0.0, math.nan, math.inf])
+def test_every_function_of_p_a_rejects_a_value_outside_zero_to_one(name, p_a):
+    with pytest.raises(ValueError, match=r"p_A must lie in \(0, 1\]"):
+        P_A_FUNCTIONS[name](p_a)

@@ -258,6 +258,8 @@ class TestRunSweep:
         [(100_000, 2, 64, 2), (100_000, 8, 4, 4), (5, 8, None, None), (100_000, 3, 1, None)],
     )
     def test_pool_is_bounded_by_tasks_and_cpus(self, monkeypatch, pools, parallel, points, cpus, workers):
+        # d = 3 lies above this bound, so the sweep may be pooled
+        monkeypatch.setitem(sweeps._STACK_MAX_D, "Recursion", 2)
         spec = SweepSpec(kind="NstarVsBeta", grid=tuple(np.linspace(0.5, 4.0, points)), j_tau=math.pi / 4)
         serial = format_csv(run_sweep(spec))
         monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
@@ -298,6 +300,16 @@ class TestRunSweep:
         # the ensemble is one stacked CPTP scan, routed as any BruteForce sweep
         spec = SweepSpec(kind="RandomEnsembleVsBeta", grid=(0.5, 2.0, 6.0), d=d, seed=3, repetitions=2,
                          epsilon=0.05, n_max=2000)
+        serial = format_csv(run_sweep(spec))
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+        assert format_csv(run_sweep(spec, parallel=2)) == serial
+        assert pools == workers
+
+    @pytest.mark.parametrize("above, workers", [(0, []), (1, [2])])
+    def test_a_recursion_sweep_follows_its_stack_bound(self, monkeypatch, pools, above, workers):
+        # at the bound one stacked search in this process, above it a pool
+        spec = SweepSpec(kind="NstarVsBeta", grid=(0.5, 1.0, 2.0, 4.0), d=sweeps._STACK_MAX_D["Recursion"] + above,
+                         j=1.0, j_tau=0.9, epsilon=1e-4, n_max=5000)
         serial = format_csv(run_sweep(spec))
         monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
         assert format_csv(run_sweep(spec, parallel=2)) == serial
@@ -364,6 +376,15 @@ class TestRunSweep:
         assert [(r.value, r.reachable) for r in records][0] == (0.0, True)
         assert [r.reachable for r in records] == [True, True, False]
         assert roots == 9
+
+    def test_a_traced_recursion_sweep_has_one_task_root_per_task(self, tmp_path):
+        # one nstar_simulated span per task from the batch's finishers: a
+        # point at step 0 (beta = 0), one left at the cap and two crossed
+        spec = SweepSpec(kind="NstarVsBeta", grid=(0.0, 0.5, 2.0, 8.0), d=4, j=1.0, j_tau=0.9,
+                         epsilon=1e-4, n_max=30)
+        records, roots = self._task_roots(tmp_path, spec)
+        assert [(r.value, r.reachable) for r in records] == [(0.0, True), (30.0, False), (23.0, True), (15.0, True)]
+        assert roots == len(spec.grid)
 
     @staticmethod
     def _per_point(spec, betas, epsilons):
