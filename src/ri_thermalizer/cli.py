@@ -17,7 +17,7 @@ would take more than MAX_STEPS steps a run, or one whose numbers
 overflow a collision unitary or a trace distance or whose powered search
 hands a run to a scan that does not cross within MAX_STEPS collisions,
 raising NoConvergence; for ``spectra``: d outside [2, MAX_D], pA outside
-[0, 1] or a non-finite x), 3 output I/O failure.  --parallel alone
+(0, 1] or a non-finite x), 3 output I/O failure.  --parallel alone
 bounds the sweep's worker processes; the config sets every other value,
 its seed and engine included.
 """
@@ -25,7 +25,7 @@ its seed and engine included.
 from __future__ import annotations
 
 import argparse
-import math
+import re
 import sys
 
 import numpy as np
@@ -51,6 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("validate", help="run the oracle cross-check suite")
 
     p_spectra = sub.add_parser("spectra", help="closed-form vs numeric eigenvalues")
+    # a negative number, -inf and -1e-3 included, is a value and not an option
+    p_spectra._negative_number_matcher = re.compile(r"^-(inf|nan|(\d+\.?\d*|\.\d+)(e[+-]?\d+)?)$", re.IGNORECASE)
     p_spectra.add_argument("d", type=int)
     p_spectra.add_argument("p_a", type=float)
     p_spectra.add_argument("x", type=float, help="interpreted as J*tau and as Gamma")
@@ -91,22 +93,23 @@ def _cmd_validate() -> int:
 
 
 def _cmd_spectra(args) -> int:
-    for bad, message in (
-        (not 2 <= args.d <= MAX_D, f"d must lie in [2, {MAX_D}]"),
-        (not 0.0 <= args.p_a <= 1.0, "pA must lie in [0, 1]"),
-        (not math.isfinite(args.x), "x must be finite"),
-    ):
-        if bad:
-            print(f"error: invalid configuration: {message}", file=sys.stderr)
-            return 2
     spectra = [("# discrete map, J*tau", "xi", xi_closed, stochastic_matrix)]
     if args.x > 0:
         spectra.append(("# SL generator, Gamma", "lambda", lambda_closed, liouvillian_matrix))
-    for title, name, closed, matrix in spectra:
-        numeric = np.sort(np.linalg.eigvals(matrix(args.d, args.p_a, args.x)).real)[::-1]
+    try:
+        if args.d > MAX_D:
+            raise ValueError(f"d must be at most MAX_D = {MAX_D}")
+        # each spectrum is computed before any line is printed
+        tables = [(title, name, closed(args.d, args.p_a, args.x), matrix(args.d, args.p_a, args.x))
+                  for title, name, closed, matrix in spectra]
+    except ValueError as exc:
+        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    for title, name, closed, matrix in tables:
+        numeric = np.sort(np.linalg.eigvals(matrix).real)[::-1]
         print(f"{title} = {args.x:.12g}")
         print(f"m,{name}_closed,{name}_numeric")
-        for m, (a, b) in enumerate(zip(np.sort(closed(args.d, args.p_a, args.x))[::-1], numeric), start=1):
+        for m, (a, b) in enumerate(zip(np.sort(closed)[::-1], numeric), start=1):
             print(f"{m},{a:.12g},{b:.12g}")
     return 0
 

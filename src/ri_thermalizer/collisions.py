@@ -48,11 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, StepTooLarge, SumNotZero
+from .errors import CapExceeded, EpsilonTooLarge, StepTooLarge, SumNotZero
 from .linalg import partial_trace_second, trace_distance, unitary_from_hamiltonian
 from .models import (
     ModelSpec,
     RandomFull,
+    _check_d,
     ancilla_thermal_state,
     system_gibbs_state,
     total_hamiltonian,
@@ -74,8 +75,7 @@ class CollisionConfig:
             raise ValueError("tau must be positive and finite")
         if not (isinstance(self.n_max, numbers.Integral) and self.n_max >= 1):
             raise ValueError("n_max must be an integer >= 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass
@@ -134,6 +134,33 @@ def _check_p_a(p_a: float) -> None:
         raise ValueError("p_A must lie in (0, 1]")
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # a population distance never exceeds 1, and at 1 and above the Lambert
+    # forms return negative times; EpsilonTooLarge is a ValueError
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if not epsilon < 1.0:
+        raise EpsilonTooLarge("epsilon must lie in (0, 1)")
+
+
+def _check_gamma(gamma: float) -> None:
+    # the SL crossings and spectra; the sl_ode_* integrators take Gamma = 0
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("Gamma must be positive and finite")
+
+
+def _check_rates(rates) -> None:
+    # the SL rates of the integrators and the steady state, where Gamma = 0 is allowed
+    if not all(0.0 <= rate < math.inf for rate in rates):
+        raise ValueError("rates must be >= 0 and finite")
+
+
+def _check_collisions(n) -> None:
+    # the collision count of a trajectory or a closed form
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise ValueError("n must be an integer >= 0")
+
+
 def flip_flop_rates(j_tau: float) -> tuple[float, float]:
     """(lambda_+, lambda_-) = (cos^2 J*tau, sin^2 J*tau): the probabilities
     that one collision leaves an excitation in place or swaps it; raises
@@ -144,7 +171,8 @@ def flip_flop_rates(j_tau: float) -> tuple[float, float]:
 
 def eta_coefficients(p_a: float, j_tau: float) -> EtaCoefficients:
     """Population rates; eta12 doubles as eta23 and eta21 as eta32.
-    Raises ValueError for a J*tau that is not finite."""
+    Raises ValueError for a p_A or J*tau outside its domain."""
+    _check_p_a(p_a)
     _check_j_tau(j_tau)
     lam = math.cos(2.0 * j_tau)
     return EtaCoefficients(
@@ -158,7 +186,8 @@ def eta_coefficients(p_a: float, j_tau: float) -> EtaCoefficients:
 
 def psi_coefficients(p_a: float, j_tau: float) -> PsiCoefficients:
     """Coherence rates; at p_A = 1 they reduce to (mu, lambda-, mu, 0, lambda+).
-    Raises ValueError for a J*tau that is not finite."""
+    Raises ValueError for a p_A or J*tau outside its domain."""
+    _check_p_a(p_a)
     _check_j_tau(j_tau)
     lam = math.cos(2.0 * j_tau)
     mu = math.cos(j_tau)
@@ -176,11 +205,9 @@ def population_step_matrix(d: int, p_a: float, j_tau: float) -> np.ndarray:
 
     Column-stochastic; fixes the Gibbs populations and acts identically on
     raw populations and on deviations from them.  Raises ValueError for a
-    p_A outside (0, 1].
+    d, p_A or J*tau outside its domain.
     """
-    if d < 2:
-        raise ValueError("need d >= 2")
-    _check_p_a(p_a)
+    _check_d(d)
     e = eta_coefficients(p_a, j_tau)
     m = np.zeros((d, d))
     # every (d + 1)-th flat entry from 1, d and 0: the super-, sub- and main diagonal
@@ -212,6 +239,7 @@ def evolve_populations(
     p0: np.ndarray, p_a: float, j_tau: float, n: int
 ) -> np.ndarray:
     """Iterate the population map; returns an (n+1, d) trajectory array."""
+    _check_collisions(n)
     p = np.asarray(p0, dtype=float)
     m = population_step_matrix(p.size, p_a, j_tau)
     return np.fromiter(_orbit(lambda p: m @ p, p, n), dtype=(float, p.shape), count=n + 1)
@@ -243,6 +271,7 @@ def evolve_coherences_d3(
     n: int,
 ) -> np.ndarray:
     """Iterate the coherence map; returns an (n+1, 3) complex array."""
+    _check_collisions(n)
     step = lambda c: step_coherences_d3(*c, p_a, j_tau, omega_tau)
     return np.fromiter(_orbit(step, c0, n), dtype=(complex, (3,)), count=n + 1)
 
@@ -306,6 +335,7 @@ def evolve(
     temperature.  RandomFull interactions re-draw couplings (and hence the
     unitary) before every collision; all other variants reuse one unitary.
     """
+    _check_collisions(n)
     if n > cfg.n_max:
         raise CapExceeded(f"n = {n} exceeds cap {cfg.n_max}")
     if target is None:
@@ -331,6 +361,7 @@ def zero_temp_populations_closed(p0: np.ndarray, n: int, j_tau: float) -> np.nda
     Level d-k (1-based) collects binomially weighted decay from the levels
     above it; the ground population follows from normalization.
     """
+    _check_collisions(n)
     p0 = np.asarray(p0, dtype=float)
     d = p0.size
     lp, lm = flip_flop_rates(j_tau)
@@ -356,6 +387,7 @@ def zero_temp_coherences_d3_closed(
     lambda_+ = mu the coefficient collapses to the analytic limit
     n * mu^(n-1) * lambda_- instead of a 0/0 cancellation.
     """
+    _check_collisions(n)
     if n == 0:
         return tuple(c0)
     c12_0, c13_0, c23_0 = c0
@@ -390,8 +422,7 @@ def _resolve_step(t_end: float, dt: float | None, rates) -> float:
     0.01 over the largest rate, or with every rate 0 t_end / 100 (1 where
     that is 0, so t_end = 0 takes one step of length 0, as at any rate); a
     signed rate (Gamma12) comes as |Gamma12|."""
-    if not all(rate >= 0.0 for rate in rates):
-        raise ValueError("rates must be >= 0, not NaN")
+    _check_rates(rates)
     if not 0.0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and >= 0")
     gamma_max = max(rates)
@@ -424,6 +455,8 @@ def _rk4(rhs, y0: np.ndarray, t_end: float, dt: float) -> OdeTrajectory:
 
 def sl_population_generator(d: int, p_a: float, gamma: float) -> np.ndarray:
     """Tridiagonal SL rate matrix: upward rate Gamma*p_A, downward Gamma*(1-p_A)."""
+    _check_d(d)
+    _check_p_a(p_a)
     gen = np.zeros((d, d))
     for k in range(d - 1):
         gen[k, k + 1] = gamma * p_a
@@ -450,6 +483,7 @@ def sl_ode_coherences_d3(
     dt: float | None = None,
 ) -> OdeTrajectory:
     """Integrate the three-level coherence SL ODE for (c12, c13, c23)."""
+    _check_p_a(p_a)
     dt = _resolve_step(t_end, dt, (gamma,))
     # c12 feed into c23 enters with +(1-p_A), per the exact recursion expansion
     gen = gamma * np.array(
@@ -477,6 +511,7 @@ def sl_ode_nonconserving_d3(
     SL limit.  State rows are (p1, p2, p3, Re c13, Im c13); c12/c23 decouple
     from this subsystem and are not propagated.
     """
+    _check_p_a(p_a)
     g1, g2, g12 = gamma1, gamma2, gamma12
     dt = _resolve_step(t_end, dt, (g1, g2, abs(g12)))
     damp = 0.5 * (g1 + g2)

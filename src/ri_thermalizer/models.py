@@ -24,6 +24,28 @@ from typing import Union
 import numpy as np
 
 
+# each model parameter's domain, for the specs and the functions taking it bare
+
+def _check_d(d) -> None:
+    if not (isinstance(d, numbers.Integral) and d >= 2):
+        raise ValueError("need an integer d >= 2")
+
+
+def _check_omega(omega: float) -> None:
+    if not 0 < omega < math.inf:
+        raise ValueError("omega must be positive and finite")
+
+
+def _check_beta(beta: float) -> None:
+    if not beta >= 0:
+        raise ValueError("beta must be >= 0 (use math.inf for zero temperature)")
+
+
+def _check_coupling(j: float) -> None:
+    if not 0 <= j < math.inf:
+        raise ValueError("couplings must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """d-level system with splitting omega (d = 2s+1, energies omega*(k-s))."""
@@ -32,10 +54,8 @@ class SystemSpec:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.d, numbers.Integral) and self.d >= 2):
-            raise ValueError("system needs an integer d of at least two levels")
-        if not 0 < self.omega < math.inf:
-            raise ValueError("omega must be positive and finite")
+        _check_d(self.d)
+        _check_omega(self.omega)
 
 
 @dataclass(frozen=True)
@@ -46,10 +66,8 @@ class AncillaSpec:
     beta: float
 
     def __post_init__(self):
-        if not 0 < self.omega < math.inf:
-            raise ValueError("omega must be positive and finite")
-        if not self.beta >= 0:
-            raise ValueError("beta must be >= 0 (use math.inf for zero temperature)")
+        _check_omega(self.omega)
+        _check_beta(self.beta)
 
     @property
     def ground_population(self) -> float:
@@ -64,8 +82,7 @@ class IsotropicFlipFlop:
     j: float
 
     def __post_init__(self):
-        if not 0 <= self.j < math.inf:
-            raise ValueError("J must be finite and >= 0")
+        _check_coupling(self.j)
 
 
 @dataclass(frozen=True)
@@ -76,8 +93,8 @@ class CounterRotating:
     j_prime: float
 
     def __post_init__(self):
-        if not (0 <= self.j < math.inf and 0 <= self.j_prime < math.inf):
-            raise ValueError("couplings must be finite and >= 0")
+        _check_coupling(self.j)
+        _check_coupling(self.j_prime)
 
 
 @dataclass(frozen=True)
@@ -143,6 +160,9 @@ def system_gibbs_state(spec: SystemSpec, beta: float) -> np.ndarray:
 
 def gibbs_populations(d: int, omega: float, beta: float) -> np.ndarray:
     """Thermal populations exp(-beta E_k)/Z as a real vector."""
+    _check_d(d)
+    _check_omega(omega)
+    _check_beta(beta)
     if math.isinf(beta):
         p = np.zeros(d)
         p[0] = 1.0

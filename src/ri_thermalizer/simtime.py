@@ -55,6 +55,8 @@ import numpy as np
 
 from .collisions import (
     CollisionConfig,
+    _check_epsilon,
+    _check_gamma,
     _check_p_a,
     _collide,
     _resolve_step,
@@ -562,21 +564,6 @@ def bracket_crossing(f, epsilon: float, x: float, cap: float) -> tuple[float, fl
     return lo, x
 
 
-def _check_epsilon(epsilon: float) -> None:
-    # a population distance never exceeds 1, and at 1 and above the Lambert
-    # forms return negative times; EpsilonTooLarge is a ValueError
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not epsilon < 1.0:
-        raise EpsilonTooLarge("epsilon must lie in (0, 1)")
-
-
-def _check_gamma(gamma: float) -> None:
-    # the SL crossings and spectra; the sl_ode_* integrators take Gamma = 0
-    if not 0.0 < gamma < math.inf:
-        raise ValueError("Gamma must be positive and finite")
-
-
 def _sl_steps(p_a: float, gamma: float, epsilon: float, t_max: float, dt: float | None):
     """Check the inputs of an SL crossing; returns the RK4 step h and the
     number of steps up to t_max."""
@@ -786,4 +773,6 @@ def tsim_general_sl_zeroT_solve(p0: np.ndarray, gamma: float, epsilon: float) ->
 
 def ceil_collisions(n_real: float) -> int:
     """Integer collision count from a real-valued closed-form n*."""
+    if not math.isfinite(n_real):
+        raise ValueError("n* must be finite")
     return max(0, math.ceil(n_real - 1e-9))

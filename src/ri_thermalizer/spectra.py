@@ -16,19 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collisions import (
+    _check_epsilon,
+    _check_gamma,
     _check_p_a,
+    _check_rates,
     check_deviation_sum,
     flip_flop_rates,
     population_step_matrix,
     sl_population_generator,
 )
 from .errors import AmplitudeTooSmall, DegenerateTemperature, FrozenDynamics
-from .simtime import _check_epsilon, _check_gamma, bisect_crossing, bracket_crossing
+from .models import _check_d
+from .simtime import bisect_crossing, bracket_crossing
 
 
 def theta(p_a: float) -> float:
     """Temperature factor sqrt(p_A (1 - p_A)), in [0, 1/2]."""
-    return math.sqrt(max(p_a * (1.0 - p_a), 0.0))
+    _check_p_a(p_a)
+    return math.sqrt(p_a * (1.0 - p_a))
 
 
 # the column-stochastic one-collision population map, under its spectral name
@@ -37,14 +42,13 @@ stochastic_matrix = population_step_matrix
 
 def liouvillian_matrix(d: int, p_a: float, gamma: float) -> np.ndarray:
     """Tridiagonal SL population generator; columns sum to zero."""
-    _check_p_a(p_a)
     _check_gamma(gamma)
     return sl_population_generator(d, p_a, gamma)
 
 
 def xi_closed(d: int, p_a: float, j_tau: float) -> np.ndarray:
     """Eigenvalues of the stochastic map: 1, then lambda_+ + 2 theta lambda_- cos(m pi / d)."""
-    _check_p_a(p_a)
+    _check_d(d)
     lp, lm = flip_flop_rates(j_tau)
     th = theta(p_a)
     tail = lp + 2.0 * th * lm * np.cos(np.arange(1, d) * math.pi / d)
@@ -53,7 +57,7 @@ def xi_closed(d: int, p_a: float, j_tau: float) -> np.ndarray:
 
 def lambda_closed(d: int, p_a: float, gamma: float) -> np.ndarray:
     """Eigenvalues of the SL generator: 0, then -Gamma (1 - 2 theta cos(m pi / d))."""
-    _check_p_a(p_a)
+    _check_d(d)
     _check_gamma(gamma)
     th = theta(p_a)
     tail = -gamma * (1.0 - 2.0 * th * np.cos(np.arange(1, d) * math.pi / d))
@@ -67,6 +71,7 @@ def lambda_closed(d: int, p_a: float, gamma: float) -> np.ndarray:
 
 def stationary_populations_d3(p_a: float) -> np.ndarray:
     """Thermal fixed point (p1*, p2*, p3*) expressed through p_A."""
+    _check_p_a(p_a)
     z = 1.0 - p_a + p_a * p_a
     return np.array([p_a * p_a, p_a * (1.0 - p_a), (1.0 - p_a) ** 2]) / z
 
@@ -255,6 +260,7 @@ def c13_steady_state(
     Setting dc13/dt = 0 with the recursion-derived damping (Gamma1+Gamma2)/2
     gives Gamma12/(Gamma1+Gamma2) * (2 p2* - p1* - p3*).
     """
+    _check_rates((gamma1, gamma2, abs(gamma12)))
     if gamma1 + gamma2 <= 0:
         raise ValueError("Gamma1 + Gamma2 must be positive")
     p1, p2, p3 = p_star

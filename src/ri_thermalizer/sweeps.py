@@ -41,14 +41,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collisions import CollisionConfig
+from .collisions import CollisionConfig, _check_epsilon
 from .errors import ConfigInvalid, IoError, StepTooLarge
 from .models import AncillaSpec, IsotropicFlipFlop, ModelSpec, RandomFull, SystemSpec
 from .simtime import MAX_STEPS, _sl_steps, nstar_simulated_batch, tsim_simulated_sl_batch
 
-# each kind's default engine, and the SweepSpec field its grid points replace
+# each kind's default engine, and the config key its grid points replace
 _KIND_TABLE = {
-    "NstarVsJtau": ("Recursion", "j_tau"),
+    "NstarVsJtau": ("Recursion", "jtau"),
     "NstarVsBeta": ("Recursion", "beta"),
     "TsimVsBeta": ("OdeSL", "beta"),
     "TsimVsEpsilon": ("OdeSL", "epsilon"),
@@ -104,7 +104,10 @@ class SweepRecord:
     reachable: bool
 
 
-def _validated(spec: SweepSpec) -> SweepSpec:
+def _validated(spec: SweepSpec) -> tuple[SweepSpec, list]:
+    """The spec with its engine and repetitions set, and the run of each
+    grid point (see _point_runs); raises ConfigInvalid.  The sweep's own
+    rules are checked here, every physical value by the objects built."""
     if spec.kind not in KINDS:
         raise ConfigInvalid(f"unknown kind {spec.kind!r}; expected one of {KINDS}")
     if not spec.grid:
@@ -115,34 +118,25 @@ def _validated(spec: SweepSpec) -> SweepSpec:
     reps = spec.repetitions if spec.kind == "RandomEnsembleVsBeta" else 1
     if len(spec.grid) * reps > MAX_TASKS:
         raise ConfigInvalid(f"grid points times repetitions exceeds MAX_TASKS = {MAX_TASKS}")
-    default_engine, axis = _KIND_TABLE[spec.kind]
-    # +inf is the zero-temperature sentinel of a beta, never of another axis
-    if not all(math.isfinite(x) or (axis == "beta" and x == math.inf) for x in spec.grid):
-        raise ConfigInvalid("grid points must be finite numbers (a beta may be inf)")
     for key in sorted(_FLOAT_KEYS - {"beta"}):
         if not math.isfinite(getattr(spec, _KEY_TO_FIELD.get(key, key))):
             raise ConfigInvalid(f"{key} must be a finite number")
-    if not spec.beta >= 0 or (axis == "beta" and min(spec.grid) < 0):
-        raise ConfigInvalid("beta must be >= 0 (inf for zero temperature)")
     if any(b <= a for a, b in zip(spec.grid, spec.grid[1:])):
         raise ConfigInvalid("grid must be strictly increasing")
-    engine = spec.engine or default_engine
+    engine = spec.engine or _KIND_TABLE[spec.kind][0]
     if engine not in ENGINES:
         raise ConfigInvalid(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if spec.kind in ("NstarVsJtau", "NstarVsBeta") and engine == "OdeSL":
         raise ConfigInvalid(f"engine OdeSL cannot produce collision counts for {spec.kind}")
     if spec.kind == "RandomEnsembleVsBeta" and engine != "BruteForce":
         raise ConfigInvalid("RandomEnsembleVsBeta requires engine BruteForce")
-    if not 0.0 < spec.epsilon < 1.0:
-        raise ConfigInvalid("epsilon must lie in (0, 1)")
-    if spec.kind == "TsimVsEpsilon" and not all(0.0 < e < 1.0 for e in spec.grid):
-        raise ConfigInvalid("epsilon grid values must lie in (0, 1)")
     if not 2 <= spec.d <= MAX_D:
         raise ConfigInvalid(f"d must lie in [2, {MAX_D}]")
-    if not spec.omega > 0:
-        raise ConfigInvalid("omega must be positive")
+    # tau = jtau / j for the flip-flop runs
     if spec.j <= 0 or spec.tau <= 0:
         raise ConfigInvalid("j and tau must be positive")
+    spec = replace(spec, engine=engine, repetitions=reps)
+    points = _point_runs(spec)
     if engine == "OdeSL":
         # the SL scan's own step rule; its p_A check passes for any beta
         try:
@@ -154,20 +148,9 @@ def _validated(spec: SweepSpec) -> SweepSpec:
             raise ConfigInvalid("t_max must be positive, with a finite step count t_max / (0.01 / gamma)") from exc
         if steps > MAX_STEPS:
             raise ConfigInvalid(f"t_max / (0.01 / gamma) = {steps:.3g} RK4 steps exceeds MAX_STEPS = {MAX_STEPS}")
-    elif spec.n_max < 1:
-        raise ConfigInvalid("n_max must be >= 1")
     elif engine == "BruteForce" and spec.n_max > MAX_STEPS:
         raise ConfigInvalid(f"n_max = {spec.n_max} exceeds MAX_STEPS = {MAX_STEPS} for the BruteForce scan")
-    elif spec.kind != "RandomEnsembleVsBeta":
-        # tau = jtau / j, which a tiny j overflows to inf (as floats, silently)
-        j_taus = spec.grid if axis == "j_tau" else (spec.j_tau,)
-        if not all(0.0 < float(jt) / spec.j < math.inf for jt in j_taus):
-            raise ConfigInvalid("tau = jtau / j must be finite and positive")
-    if spec.kind == "RandomEnsembleVsBeta" and not (spec.lo < spec.hi and math.isfinite(spec.hi - spec.lo)):
-        raise ConfigInvalid("need lo < hi, with a finite hi - lo, for the randomized couplings")
-    if spec.kind == "RandomEnsembleVsBeta" and spec.seed < 0:
-        raise ConfigInvalid("seed must be >= 0")
-    return replace(spec, engine=engine, repetitions=reps)
+    return spec, points
 
 
 # ---------------------------------------------------------------------------
@@ -175,28 +158,46 @@ def _validated(spec: SweepSpec) -> SweepSpec:
 # ---------------------------------------------------------------------------
 
 
-def _point_spec(spec: SweepSpec, point_index: int) -> SweepSpec:
-    return replace(spec, **{_KIND_TABLE[spec.kind][1]: spec.grid[point_index]})
+def _point_runs(spec: SweepSpec) -> list[tuple[ModelSpec, CollisionConfig | float]]:
+    """Each grid point's model, with its CollisionConfig or, for OdeSL, its
+    epsilon.  The objects check their own values, and a ValueError becomes
+    ConfigInvalid; the beta and epsilon keys are checked also where the
+    grid replaces them."""
+    axis = _KIND_TABLE[spec.kind][1]
+    ensemble = spec.kind == "RandomEnsembleVsBeta"
+    point = None
+    try:
+        system = SystemSpec(d=spec.d, omega=spec.omega)
+        ancilla = AncillaSpec(omega=spec.omega, beta=spec.beta)
+        _check_epsilon(spec.epsilon)
+        interaction = RandomFull(lo=spec.lo, hi=spec.hi, seed=spec.seed) if ensemble else IsotropicFlipFlop(j=spec.j)
+        runs = []
+        for point in spec.grid:
+            at = {"beta": spec.beta, "epsilon": spec.epsilon, "jtau": spec.j_tau, axis: point}
+            model = ModelSpec(system, AncillaSpec(omega=spec.omega, beta=point) if axis == "beta" else ancilla, interaction)
+            if spec.engine == "OdeSL":
+                _check_epsilon(at["epsilon"])
+                runs.append((model, at["epsilon"]))
+            else:
+                tau = spec.tau if ensemble else float(at["jtau"]) / spec.j
+                runs.append((model, CollisionConfig(tau=tau, n_max=spec.n_max, epsilon=at["epsilon"])))
+    except ValueError as exc:
+        where = "" if point is None else f"at {axis} grid point {point:.12g}: "
+        raise ConfigInvalid(f"{where}{exc}") from exc
+    return runs
 
 
-def _evaluate_tasks(spec: SweepSpec, tasks) -> list[tuple[float, bool]]:
-    """(value, reachable) of each (point index, repetition) task, all
-    run as one batch."""
-    points = [_point_spec(spec, pi) for pi, _ in tasks]
+def _evaluate_tasks(spec: SweepSpec, runs) -> list[tuple[float, bool]]:
+    """(value, reachable) of each task's (model, run) pair from
+    _point_runs, all run as one batch."""
+    models = [model for model, _ in runs]
     if spec.engine == "OdeSL":
-        p_as = [AncillaSpec(omega=s.omega, beta=s.beta).ground_population for s in points]
+        p_as = [model.ancilla.ground_population for model in models]
         p0 = np.full(spec.d, 1.0 / spec.d)
-        results = tsim_simulated_sl_batch(p0, p_as, spec.gamma, [s.epsilon for s in points], spec.t_max)
+        results = tsim_simulated_sl_batch(p0, p_as, spec.gamma, [eps for _, eps in runs], spec.t_max)
         return [(float(res.t_sim if res.reachable else spec.t_max), res.reachable) for res in results]
 
-    models, cfgs = [], []
-    for s, (pi, rep) in zip(points, tasks):
-        tau, interaction = s.j_tau / s.j, IsotropicFlipFlop(j=s.j)
-        if s.kind == "RandomEnsembleVsBeta":
-            seed = int(np.random.SeedSequence([s.seed, pi, rep]).generate_state(1, np.uint64)[0])
-            tau, interaction = s.tau, RandomFull(lo=s.lo, hi=s.hi, seed=seed)
-        models.append(ModelSpec(SystemSpec(d=s.d, omega=s.omega), AncillaSpec(omega=s.omega, beta=s.beta), interaction))
-        cfgs.append(CollisionConfig(tau=tau, n_max=s.n_max, epsilon=s.epsilon))
+    cfgs = [cfg for _, cfg in runs]
     rho0 = np.eye(spec.d, dtype=complex) / spec.d
     results = nstar_simulated_batch(rho0, models, cfgs, engine="brute_force" if spec.engine == "BruteForce" else "recursion")
     # the Tsim kinds turn a collision count into the time n* tau
@@ -215,32 +216,31 @@ def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
     assembled in grid order, so output is deterministic for a given spec
     and seed.
     """
-    spec = _validated(spec)
+    spec, runs = _validated(spec)
     reps = spec.repetitions
-    tasks = [(pi, r) for pi in range(len(spec.grid)) for r in range(reps)]
-    workers = min(parallel, len(tasks), os.cpu_count() or 1)
+    if spec.kind == "RandomEnsembleVsBeta":
+        # repetition r of point i draws its couplings from the seed (seed, i, r)
+        seed = lambda pi, r: int(np.random.SeedSequence([spec.seed, pi, r]).generate_state(1, np.uint64)[0])
+        runs = [(replace(model, interaction=replace(model.interaction, seed=seed(pi, r))), cfg)
+                for pi, (model, cfg) in enumerate(runs) for r in range(reps)]
+    workers = min(parallel, len(runs), os.cpu_count() or 1)
     if workers > 1 and spec.d > _STACK_MAX_D[spec.engine]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shares = list(pool.map(_evaluate_tasks, [spec] * workers, [tasks[w::workers] for w in range(workers)]))
-        outcomes = [None] * len(tasks)
+            shares = list(pool.map(_evaluate_tasks, [spec] * workers, [runs[w::workers] for w in range(workers)]))
+        outcomes = [None] * len(runs)
         for w, share in enumerate(shares):
             outcomes[w::workers] = share
     else:
-        outcomes = _evaluate_tasks(spec, tasks)
+        outcomes = _evaluate_tasks(spec, runs)
 
-    records = []
-    for pi, point in enumerate(spec.grid):
-        chunk = outcomes[pi * reps : (pi + 1) * reps]
-        values = np.array([v for v, _ in chunk])
-        reachable = all(ok for _, ok in chunk)
-        stderr = 0.0
-        if reps > 1:
-            stderr = float(values.std(ddof=1) / math.sqrt(reps))
-        records.append(
-            SweepRecord(point=float(point), value=float(values.mean()),
-                        stderr=stderr, reachable=reachable)
-        )
-    return records
+    # one row of repetitions per point
+    values = np.array([v for v, _ in outcomes]).reshape(-1, reps)
+    reachable = np.array([ok for _, ok in outcomes]).reshape(-1, reps).all(axis=1)
+    stderrs = values.std(ddof=1, axis=1) / math.sqrt(reps) if reps > 1 else np.zeros(len(values))
+    return [
+        SweepRecord(point=float(point), value=float(value), stderr=float(stderr), reachable=bool(ok))
+        for point, value, stderr, ok in zip(spec.grid, values.mean(axis=1), stderrs, reachable)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -335,4 +335,4 @@ def parse_config(text: str) -> SweepSpec:
         raise ConfigInvalid("missing required key 'kind'")
     if "grid" not in values:
         raise ConfigInvalid("missing required key 'grid'")
-    return _validated(SweepSpec(**values))
+    return _validated(SweepSpec(**values))[0]

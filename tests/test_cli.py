@@ -282,8 +282,9 @@ class TestSpectraCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [["3", "0.8", "inf"], ["3", "0.8", "nan"], [str(MAX_D + 1), "0.8", "0.9"]],
-        ids=["x=inf", "x=nan", "d=MAX_D+1"],
+        [["3", "0.8", "inf"], ["3", "0.8", "nan"], [str(MAX_D + 1), "0.8", "0.9"],
+         ["3", "0", "0.5"], ["3", "nan", "0.5"], ["3", "0.8", "-inf"]],
+        ids=["x=inf", "x=nan", "d=MAX_D+1", "pA=0", "pA=nan", "x=-inf"],
     )
     def test_non_finite_x_or_too_many_levels_exit_2(self, argv, capsys):
         assert main(["spectra", *argv]) == 2

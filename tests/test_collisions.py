@@ -393,6 +393,21 @@ class TestZeroTemperatureClosedForms:
         closed = zero_temp_populations_closed(p0, 7, j_tau)
         assert np.max(np.abs(closed - traj[7])) <= 1e-12
 
+    @pytest.mark.parametrize("n", [-1, 1.5, math.nan])
+    def test_a_collision_count_that_is_not_a_count_raises(self, n):
+        # n = -1 used to give the ground state [1, 0, 0] or a trajectory of
+        # no or one state, 1.5 and NaN a TypeError
+        c0 = (0.1, 0.2j, 0.05)
+        for run in (
+            lambda: zero_temp_populations_closed(np.array([0.2, 0.5, 0.3]), n, 0.5),
+            lambda: zero_temp_coherences_d3_closed(c0, n, 0.5, 1.0),
+            lambda: evolve_populations(np.full(3, 1 / 3), 0.8, 0.5, n),
+            lambda: evolve_coherences_d3(c0, 0.8, 0.5, 1.0, n),
+            lambda: evolve(np.eye(3) / 3, flip_flop_model(3, 1.0, 2.0, 1.0), CollisionConfig(1.0, 10, 1e-3), n),
+        ):
+            with pytest.raises(ValueError, match="n must be an integer >= 0"):
+                run()
+
     def test_few_steps_large_dimension_stays_finite(self):
         # binomial terms with j > n must drop out even where lambda_+ is tiny
         p0 = np.full(12, 1 / 12)

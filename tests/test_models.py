@@ -76,6 +76,9 @@ class TestSystemHamiltonian:
         (RandomFull, dict(lo=0.1, hi=0.9, seed=1.5)),
         (RandomFull, dict(lo=0.1, hi=0.9, seed=math.nan)),
         (flip_flop_model, dict(d=3, omega=1.0, beta=math.nan, j=1e-3)),
+        (gibbs_populations, dict(d=0, omega=1.0, beta=1.0)),
+        (gibbs_populations, dict(d=3, omega=1.0, beta=math.nan)),
+        (gibbs_populations, dict(d=3, omega=-1.0, beta=1.0)),
     ],
     ids=lambda x: x.__name__ if callable(x) else ",".join(f"{k}={v}" for k, v in x.items()),
 )

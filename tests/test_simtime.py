@@ -559,6 +559,12 @@ class TestGeneralSolvers:
         with pytest.raises(NoRootBelowCap):
             bracket_crossing(lambda x: 1.0, 0.5, 1.0, 8.0)
 
+    @pytest.mark.parametrize("n_real", [math.inf, -math.inf, math.nan])
+    def test_ceil_collisions_rejects_a_count_that_is_not_finite(self, n_real):
+        # inf used to raise OverflowError, which is not a ValueError
+        with pytest.raises(ValueError, match=r"n\* must be finite"):
+            ceil_collisions(n_real)
+
     def test_nstar_exact_cascade_at_half_pi(self):
         for d in (3, 4, 5, 8):
             p0 = np.full(d, 1 / d)

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from ri_thermalizer.collisions import evolve_populations, population_step_matrix, sl_ode_populations
+from ri_thermalizer.collisions import (
+    eta_coefficients,
+    evolve_populations,
+    population_step_matrix,
+    psi_coefficients,
+    sl_ode_coherences_d3,
+    sl_ode_nonconserving_d3,
+    sl_ode_populations,
+    sl_population_generator,
+)
 from ri_thermalizer.errors import (
     AmplitudeTooSmall,
     DegenerateTemperature,
@@ -413,17 +422,43 @@ class TestC13SteadyState:
 
 
 # the functions of p_A that used to take any value: at p_A = 1.7 the step
-# matrix has a negative entry and xi_closed returns a spectrum
+# matrix has a negative entry and xi_closed returns a spectrum; the SL
+# integrators integrated p_A = 2 and gave NaN rows for NaN, theta gave NaN
 P_A_FUNCTIONS = {
     "population_step_matrix": lambda p_a: population_step_matrix(3, p_a, 0.5),
     "xi_closed": lambda p_a: xi_closed(3, p_a, 0.5),
     "lambda_closed": lambda p_a: lambda_closed(3, p_a, 1.0),
     "liouvillian_matrix": lambda p_a: liouvillian_matrix(3, p_a, 1.0),
+    "eta_coefficients": lambda p_a: eta_coefficients(p_a, 0.5),
+    "psi_coefficients": lambda p_a: psi_coefficients(p_a, 0.5),
+    "theta": theta,
+    "stationary_populations_d3": stationary_populations_d3,
+    "sl_population_generator": lambda p_a: sl_population_generator(3, p_a, 1.0),
+    "sl_ode_populations": lambda p_a: sl_ode_populations(np.full(3, 1 / 3), p_a, 1.0, 1.0),
+    "sl_ode_coherences_d3": lambda p_a: sl_ode_coherences_d3((0.1, 0.1j, 0.0), p_a, 1.0, 1.0),
+    "sl_ode_nonconserving_d3": lambda p_a: sl_ode_nonconserving_d3(np.full(3, 1 / 3), 0.1j, p_a, 1.0, 0.25, 0.5, 1.0),
 }
 
 
 @pytest.mark.parametrize("name", P_A_FUNCTIONS)
-@pytest.mark.parametrize("p_a", [1.7, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("p_a", [1.7, 2.0, 0.0, math.nan, math.inf])
 def test_every_function_of_p_a_rejects_a_value_outside_zero_to_one(name, p_a):
     with pytest.raises(ValueError, match=r"p_A must lie in \(0, 1\]"):
         P_A_FUNCTIONS[name](p_a)
+
+
+# the spectra of d levels: xi_closed and lambda_closed used to return [1.0]
+# and [0.0] for d = 0 or -3
+D_FUNCTIONS = {
+    "stochastic_matrix": lambda d: stochastic_matrix(d, 0.8, 0.5),
+    "liouvillian_matrix": lambda d: liouvillian_matrix(d, 0.8, 1.0),
+    "xi_closed": lambda d: xi_closed(d, 0.8, 0.5),
+    "lambda_closed": lambda d: lambda_closed(d, 0.8, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", D_FUNCTIONS)
+@pytest.mark.parametrize("d", [1, 0, -3, 2.5])
+def test_every_function_of_d_rejects_fewer_than_two_levels(name, d):
+    with pytest.raises(ValueError, match="need an integer d >= 2"):
+        D_FUNCTIONS[name](d)

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from ri_thermalizer.sweeps import (
     parse_csv,
     run_sweep,
 )
-from ri_thermalizer.models import AncillaSpec, RandomFull
+from ri_thermalizer.collisions import CollisionConfig
+from ri_thermalizer.models import AncillaSpec, RandomFull, flip_flop_model
 from ri_thermalizer.simtime import _sl_steps, tsim_simulated_sl
 
 
@@ -196,6 +198,17 @@ def _check_rejected_or_bounded(text):
         assert 1 <= spec.n_max <= MAX_STEPS
     if spec.kind == "RandomEnsembleVsBeta":
         RandomFull(spec.lo, spec.hi, spec.seed)  # the couplings a run draws
+    # every run builds its objects: each domain is an interval and the grid
+    # increases, so its two ends stand for every point
+    field = {"NstarVsJtau": "j_tau", "TsimVsEpsilon": "epsilon"}.get(spec.kind, "beta")
+    for point in {spec.grid[0], spec.grid[-1]}:
+        run = replace(spec, **{field: float(point)})
+        model = flip_flop_model(run.d, run.omega, run.beta, run.j)
+        if run.engine == "OdeSL":
+            _sl_steps(model.ancilla.ground_population, run.gamma, run.epsilon, run.t_max, None)
+        else:
+            tau = run.tau if run.kind == "RandomEnsembleVsBeta" else run.j_tau / run.j
+            CollisionConfig(tau=tau, n_max=run.n_max, epsilon=run.epsilon)
 
 
 class TestRunSweep:
