@@ -128,6 +128,12 @@ def _check_j_tau(j_tau: float) -> None:
         raise ValueError("J*tau must be finite")
 
 
+def _check_omega_tau(omega_tau: float) -> None:
+    # the coherences turn by the phase exp(i omega*tau) each collision
+    if not math.isfinite(omega_tau):
+        raise ValueError("omega*tau must be finite")
+
+
 def _check_p_a(p_a: float) -> None:
     # the ancilla's ground population, 1 / (1 + exp(-beta omega)) for beta >= 0
     if not 0.0 < p_a <= 1.0:
@@ -253,10 +259,17 @@ def step_coherences_d3(
     j_tau: float,
     omega_tau: float,
 ) -> tuple[complex, complex, complex]:
-    """One collision acting on the three-level coherences (c12, c13, c23)."""
+    """One collision acting on the three-level coherences (c12, c13, c23).
+    Raises ValueError for a p_A, J*tau or omega*tau outside its domain."""
+    return _coherence_step(p_a, j_tau, omega_tau)(c12, c13, c23)
+
+
+def _coherence_step(p_a: float, j_tau: float, omega_tau: float):
+    """The one-collision coherence map, after checking its three values."""
     psi = psi_coefficients(p_a, j_tau)
+    _check_omega_tau(omega_tau)
     phase = complex(math.cos(omega_tau), math.sin(omega_tau))
-    return (
+    return lambda c12, c13, c23: (
         phase * (c12 * psi.psi11 + c23 * psi.psi13),
         phase * phase * c13 * psi.psi22,
         phase * (c12 * psi.psi31 + c23 * psi.psi33),
@@ -272,8 +285,8 @@ def evolve_coherences_d3(
 ) -> np.ndarray:
     """Iterate the coherence map; returns an (n+1, 3) complex array."""
     _check_collisions(n)
-    step = lambda c: step_coherences_d3(*c, p_a, j_tau, omega_tau)
-    return np.fromiter(_orbit(step, c0, n), dtype=(complex, (3,)), count=n + 1)
+    step = _coherence_step(p_a, j_tau, omega_tau)
+    return np.fromiter(_orbit(lambda c: step(*c), c0, n), dtype=(complex, (3,)), count=n + 1)
 
 
 def density_matrix_d3(p: np.ndarray, c12: complex, c13: complex, c23: complex) -> np.ndarray:
@@ -388,11 +401,12 @@ def zero_temp_coherences_d3_closed(
     n * mu^(n-1) * lambda_- instead of a 0/0 cancellation.
     """
     _check_collisions(n)
+    lp, lm = flip_flop_rates(j_tau)
+    _check_omega_tau(omega_tau)
     if n == 0:
         return tuple(c0)
     c12_0, c13_0, c23_0 = c0
     mu = math.cos(j_tau)
-    lp, lm = flip_flop_rates(j_tau)
     phase = complex(math.cos(omega_tau), math.sin(omega_tau))
     c13 = phase ** (2 * n) * mu**n * c13_0
     c23 = phase**n * lp**n * c23_0

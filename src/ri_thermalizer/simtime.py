@@ -30,7 +30,12 @@ a sweep's rows together and hand each row to :func:`tsim_simulated_sl`
 are bit for bit those of one run at a time: a scanned row's last step
 (from that step's collision index), and a powered row's last rejected
 lift.  Stacking saves the per-step overhead, which dominates a step at
-small d; it does not split the work across processes.
+small d; it does not split the work across processes.  The finishers
+stay for two reasons: they make each row bit for bit a single run, and
+perfbench's tracer counts one ``nstar_simulated`` or
+``tsim_simulated_sl`` call per sweep task (its ``TASK_ROOTS``), which only
+the finishers make.  The tracer's rule has to change before a batch can
+answer its rows without them.
 
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
@@ -58,6 +63,7 @@ from .collisions import (
     _check_epsilon,
     _check_gamma,
     _check_p_a,
+    _coherence_step,
     _collide,
     _resolve_step,
     density_matrix_d3,
@@ -65,7 +71,6 @@ from .collisions import (
     population_step_matrix,
     rk4_step,
     sl_population_generator,
-    step_coherences_d3,
 )
 from .errors import (
     EpsilonTooLarge,
@@ -397,11 +402,11 @@ def nstar_simulated(
 
         # a coherent d = 3 state, against a one-row stack of its Gibbs target
         states, params = rho0[None], (system_gibbs_state(model.system, model.ancilla.beta)[None],)
-        p_a, j_tau, omega_tau = model.ancilla.ground_population, model.interaction.j * cfg.tau, model.system.omega * cfg.tau
+        coherence_step = _coherence_step(model.ancilla.ground_population, model.interaction.j * cfg.tau, model.system.omega * cfg.tau)
 
         def step(states, _):
             rho = states[0]
-            c = step_coherences_d3(rho[0, 1], rho[0, 2], rho[1, 2], p_a, j_tau, omega_tau)
+            c = coherence_step(rho[0, 1], rho[0, 2], rho[1, 2])
             return density_matrix_d3(m @ rho.diagonal().real, *c)[None]
 
     ((n, dist, _),) = _first_crossings(step, states, params, _trace_distances, [cfg.epsilon], cfg.n_max)

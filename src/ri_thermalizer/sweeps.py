@@ -34,6 +34,7 @@ it exhausts memory rather than running, as does a task count far beyond
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -158,29 +159,38 @@ def _validated(spec: SweepSpec) -> tuple[SweepSpec, list]:
 # ---------------------------------------------------------------------------
 
 
-def _point_runs(spec: SweepSpec) -> list[tuple[ModelSpec, CollisionConfig | float]]:
-    """Each grid point's model, with its CollisionConfig or, for OdeSL, its
-    epsilon.  The objects check their own values, and a ValueError becomes
-    ConfigInvalid; the beta and epsilon keys are checked also where the
-    grid replaces them."""
+def _point_runs(spec: SweepSpec) -> list[tuple]:
+    """Each grid point's run: (p_A, epsilon) for OdeSL, all its batch reads,
+    else (ModelSpec, CollisionConfig).  A point builds the half its grid key
+    changes (beta; J*tau or epsilon) and shares the other, built once from
+    keys the grid does not replace.  An object's ValueError becomes
+    ConfigInvalid, prefixed ``at <key> grid point <x>:`` at a point; the
+    beta and epsilon keys are checked also where the grid replaces them."""
     axis = _KIND_TABLE[spec.kind][1]
     ensemble = spec.kind == "RandomEnsembleVsBeta"
     point = None
     try:
         system = SystemSpec(d=spec.d, omega=spec.omega)
-        ancilla = AncillaSpec(omega=spec.omega, beta=spec.beta)
+        AncillaSpec(omega=spec.omega, beta=spec.beta)
         _check_epsilon(spec.epsilon)
         interaction = RandomFull(lo=spec.lo, hi=spec.hi, seed=spec.seed) if ensemble else IsotropicFlipFlop(j=spec.j)
+        if spec.engine == "OdeSL":
+            model = lambda beta: AncillaSpec(omega=spec.omega, beta=beta).ground_population
+            config = lambda jtau, eps: _check_epsilon(eps) or eps
+        else:
+            model = lambda beta: ModelSpec(system, AncillaSpec(omega=spec.omega, beta=beta), interaction)
+            config = lambda jtau, eps: CollisionConfig(tau=spec.tau if ensemble else float(jtau) / spec.j, n_max=spec.n_max, epsilon=eps)
+        # the half the grid does not vary, built once, at the first point
+        fixed_model = functools.cache(lambda: model(spec.beta))
+        fixed_config = functools.cache(lambda: config(spec.j_tau, spec.epsilon))
+        run = {
+            "beta": lambda x: (model(x), fixed_config()),
+            "jtau": lambda x: (fixed_model(), config(x, spec.epsilon)),
+            "epsilon": lambda x: (fixed_model(), config(spec.j_tau, x)),
+        }[axis]
         runs = []
         for point in spec.grid:
-            at = {"beta": spec.beta, "epsilon": spec.epsilon, "jtau": spec.j_tau, axis: point}
-            model = ModelSpec(system, AncillaSpec(omega=spec.omega, beta=point) if axis == "beta" else ancilla, interaction)
-            if spec.engine == "OdeSL":
-                _check_epsilon(at["epsilon"])
-                runs.append((model, at["epsilon"]))
-            else:
-                tau = spec.tau if ensemble else float(at["jtau"]) / spec.j
-                runs.append((model, CollisionConfig(tau=tau, n_max=spec.n_max, epsilon=at["epsilon"])))
+            runs.append(run(point))
     except ValueError as exc:
         where = "" if point is None else f"at {axis} grid point {point:.12g}: "
         raise ConfigInvalid(f"{where}{exc}") from exc
@@ -188,21 +198,19 @@ def _point_runs(spec: SweepSpec) -> list[tuple[ModelSpec, CollisionConfig | floa
 
 
 def _evaluate_tasks(spec: SweepSpec, runs) -> list[tuple[float, bool]]:
-    """(value, reachable) of each task's (model, run) pair from
-    _point_runs, all run as one batch."""
-    models = [model for model, _ in runs]
+    """(value, reachable) of each task's run from _point_runs, all run as
+    one batch: OdeSL's (p_A, epsilon) pairs, the others' (model, config)."""
     if spec.engine == "OdeSL":
-        p_as = [model.ancilla.ground_population for model in models]
-        p0 = np.full(spec.d, 1.0 / spec.d)
-        results = tsim_simulated_sl_batch(p0, p_as, spec.gamma, [eps for _, eps in runs], spec.t_max)
+        p_as, epsilons = zip(*runs)
+        results = tsim_simulated_sl_batch(np.full(spec.d, 1.0 / spec.d), p_as, spec.gamma, epsilons, spec.t_max)
         return [(float(res.t_sim if res.reachable else spec.t_max), res.reachable) for res in results]
-
-    cfgs = [cfg for _, cfg in runs]
-    rho0 = np.eye(spec.d, dtype=complex) / spec.d
-    results = nstar_simulated_batch(rho0, models, cfgs, engine="brute_force" if spec.engine == "BruteForce" else "recursion")
-    # the Tsim kinds turn a collision count into the time n* tau
-    unit = lambda cfg: cfg.tau if spec.kind.startswith("Tsim") else 1.0
-    return [(float(res.n_star if res.reachable else spec.n_max) * unit(cfg), res.reachable) for res, cfg in zip(results, cfgs)]
+    models, cfgs = zip(*runs)
+    engine = "brute_force" if spec.engine == "BruteForce" else "recursion"
+    results = nstar_simulated_batch(np.eye(spec.d, dtype=complex) / spec.d, models, cfgs, engine=engine)
+    if spec.kind.startswith("Tsim"):
+        # the time n* tau, or the cap n_max tau
+        return [(float(res.t_sim if res.reachable else spec.n_max * cfg.tau), res.reachable) for res, cfg in zip(results, cfgs)]
+    return [(float(res.n_star if res.reachable else spec.n_max), res.reachable) for res in results]
 
 
 def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
@@ -271,20 +279,12 @@ def emit_csv(records: list[SweepRecord], destination) -> None:
 
 def parse_csv(text: str) -> list[SweepRecord]:
     """Inverse of emit_csv, for round-trip checks and downstream tooling."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    records = []
-    for line in lines[1:]:
-        point, value, stderr, flag = line.split(",")
-        records.append(
-            SweepRecord(float(point), float(value), float(stderr), flag == "true")
-        )
-    return records
+    rows = [line.split(",") for line in text.splitlines() if line.strip()][1:]
+    return [SweepRecord(float(point), float(value), float(stderr), flag == "true") for point, value, stderr, flag in rows]
 
 
 _INT_KEYS = {"d", "seed", "repetitions", "n_max"}
-_FLOAT_KEYS = {
-    "omega", "beta", "jtau", "j", "gamma", "epsilon", "t_max", "lo", "hi", "tau",
-}
+_FLOAT_KEYS = {"omega", "beta", "jtau", "j", "gamma", "epsilon", "t_max", "lo", "hi", "tau"}
 _KEY_TO_FIELD = {"jtau": "j_tau"}
 
 

@@ -1,11 +1,11 @@
 """A fuzz over the public API's input contract.
 
 Each checked value of each public function (d, omega, beta, the
-couplings, p_A, J*tau, tau, n_max, epsilon, Gamma, lo, hi, seed and the
-collision counts) is set in turn to NaN, +-inf, 0, -1, a value just past
-its bound and a drawn value.  The call must raise a ValueError or a
-package error, or return a finite result: never another exception, and
-never a NaN or an infinity.
+couplings, p_A, J*tau, omega*tau, tau, n_max, epsilon, Gamma, lo, hi,
+seed and the collision counts) is set in turn to NaN, +-inf, 0, -1, a
+value just past its bound and a drawn value.  The call must raise a
+ValueError or a package error, or return a finite result: never another
+exception, and never a NaN or an infinity.
 """
 
 import dataclasses
@@ -40,11 +40,20 @@ CASES = {
     "psi_coefficients": (rt.psi_coefficients, dict(p_a=0.8, j_tau=0.5)),
     "population_step_matrix": (rt.population_step_matrix, dict(d=3, p_a=0.8, j_tau=0.5)),
     "evolve_populations": (lambda p_a, j_tau, n: rt.evolve_populations(P3, p_a, j_tau, n), dict(p_a=0.8, j_tau=0.5, n=3)),
-    "step_coherences_d3": (lambda p_a, j_tau: rt.step_coherences_d3(*C3, p_a, j_tau, 1.0), dict(p_a=0.8, j_tau=0.5)),
-    "evolve_coherences_d3": (lambda p_a, j_tau, n: rt.evolve_coherences_d3(C3, p_a, j_tau, 1.0, n), dict(p_a=0.8, j_tau=0.5, n=3)),
+    "step_coherences_d3": (
+        lambda p_a, j_tau, omega_tau: rt.step_coherences_d3(*C3, p_a, j_tau, omega_tau),
+        dict(p_a=0.8, j_tau=0.5, omega_tau=1.0),
+    ),
+    "evolve_coherences_d3": (
+        lambda p_a, j_tau, omega_tau, n: rt.evolve_coherences_d3(C3, p_a, j_tau, omega_tau, n),
+        dict(p_a=0.8, j_tau=0.5, omega_tau=1.0, n=3),
+    ),
     "evolve": (lambda n: rt.evolve(np.eye(3) / 3, MODEL, rt.CollisionConfig(1.0, 50, 1e-3), n), dict(n=3)),
     "zero_temp_populations_closed": (lambda n, j_tau: rt.zero_temp_populations_closed(P3, n, j_tau), dict(n=4, j_tau=0.5)),
-    "zero_temp_coherences_d3_closed": (lambda n, j_tau: rt.zero_temp_coherences_d3_closed(C3, n, j_tau, 1.0), dict(n=4, j_tau=0.5)),
+    "zero_temp_coherences_d3_closed": (
+        lambda n, j_tau, omega_tau: rt.zero_temp_coherences_d3_closed(C3, n, j_tau, omega_tau),
+        dict(n=4, j_tau=0.5, omega_tau=1.0),
+    ),
     "sl_ode_populations": (lambda p_a, gamma: rt.sl_ode_populations(P3, p_a, gamma, 1.0), dict(p_a=0.8, gamma=1.0)),
     "sl_ode_coherences_d3": (lambda p_a, gamma: rt.sl_ode_coherences_d3(C3, p_a, gamma, 1.0), dict(p_a=0.8, gamma=1.0)),
     "sl_ode_nonconserving_d3": (
@@ -130,3 +139,20 @@ def test_a_checked_value_raises_or_gives_a_finite_result(name, arg, drawn):
         except (ValueError, RIThermalizerError):
             continue
         assert _finite(out), f"{name}({arg}={value!r}) returned {out!r}"
+
+
+# n = 0 collisions, with one value out of its domain: a trajectory or closed
+# form checks its values before the first collision, whatever n is
+NO_COLLISIONS = {
+    "evolve_coherences_d3-p_a": lambda: rt.evolve_coherences_d3(C3, 2.0, 0.5, 0.3, 0),
+    "evolve_coherences_d3-j_tau": lambda: rt.evolve_coherences_d3(C3, 0.8, math.nan, 0.3, 0),
+    "evolve_coherences_d3-omega_tau": lambda: rt.evolve_coherences_d3(C3, 0.8, 0.5, math.inf, 0),
+    "zero_temp_coherences_d3_closed-j_tau": lambda: rt.zero_temp_coherences_d3_closed(C3, 0, math.nan, 0.3),
+    "zero_temp_coherences_d3_closed-omega_tau": lambda: rt.zero_temp_coherences_d3_closed(C3, 0, 0.5, math.nan),
+}
+
+
+@pytest.mark.parametrize("name", NO_COLLISIONS)
+def test_no_collisions_still_check_their_values(name):
+    with pytest.raises(ValueError):
+        NO_COLLISIONS[name]()

@@ -117,6 +117,28 @@ class TestParseConfig:
         with pytest.raises(ConfigInvalid, match="epsilon grid"):
             parse_config("kind = TsimVsEpsilon\ngrid = 0.5,2\n")
 
+    @pytest.mark.parametrize("kind", ["NstarVsBeta", "RandomEnsembleVsBeta"])
+    def test_a_beta_grid_builds_one_collision_config(self, monkeypatch, kind):
+        # the grid varies only the ancilla, so every point shares one config
+        built = []
+        check = CollisionConfig.__post_init__
+        monkeypatch.setattr(CollisionConfig, "__post_init__", lambda cfg: built.append(cfg) or check(cfg))
+        parse_config(f"kind = {kind}\ngrid = 0.1:10:1000\n")
+        assert len(built) == 1
+
+    def test_a_jtau_the_grid_replaces_builds_no_config(self):
+        # jtau = -1 would be a negative collision time, but every point has its own
+        assert parse_config("kind = NstarVsJtau\ngrid = 1,2\njtau = -1\n").j_tau == -1.0
+
+    @pytest.mark.parametrize("kind", ["TsimVsBeta", "TsimVsEpsilon"])
+    def test_an_sl_run_is_its_p_a_and_epsilon(self, kind):
+        spec = parse_config(f"kind = {kind}\ngrid = 1e-3:0.5:40\nomega = 1.5\nbeta = 2\n")
+        runs = sweeps._validated(spec)[1]
+        assert all(isinstance(p_a, float) and isinstance(eps, float) for p_a, eps in runs)
+        betas, epsilons = (spec.grid, [spec.epsilon] * 40) if kind == "TsimVsBeta" else ([spec.beta] * 40, list(spec.grid))
+        assert [p_a for p_a, _ in runs] == [AncillaSpec(spec.omega, beta).ground_population for beta in betas]
+        assert [eps for _, eps in runs] == epsilons
+
 
 _EXTREME_FLOATS = st.sampled_from(
     ["inf", "-inf", "nan", "0", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "1e308", "5e-324"]
