@@ -86,8 +86,17 @@ def partial_trace_second(rho_joint: np.ndarray, d_sys: int, d_anc: int) -> np.nd
         raise DimensionMismatch(
             f"joint state has shape {rho_joint.shape}, expected (..., {dim}, {dim})"
         )
-    lead = rho_joint.shape[:-2]
-    return rho_joint.reshape(*lead, d_sys, d_anc, d_sys, d_anc).trace(axis1=-3, axis2=-1)
+    r = rho_joint.reshape(*rho_joint.shape[:-2], d_sys, d_anc, d_sys, d_anc)
+    if d_anc > 3 or r.dtype.kind not in "fc":
+        return r.trace(axis1=-3, axis2=-1)
+    # the sum ``trace`` makes, bit for bit and about 3x faster: the diagonal
+    # blocks added left to right from +0.0, so that -0.0 + -0.0 gives +0.0
+    # as there (a plain r0 + r1 gives -0.0).  From d_anc = 4 on trace sums
+    # in another order
+    out = 0.0 + r[..., 0, :, 0]
+    for a in range(1, d_anc):
+        out += r[..., a, :, a]
+    return out
 
 
 def _trace_distances(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:

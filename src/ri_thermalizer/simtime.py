@@ -12,16 +12,20 @@ stacked on axis 0 of one state array, each with its own epsilon; a
 single run is one row.  An engine supplies ``step(states, params)``, one
 step of every row, and ``distance(states, targets)``, one value per row
 against the targets that end params: ``_sl_step`` and
-``_population_distances`` for SL, the step of ``_cptp_scan`` and
+``_column_distances`` for SL, the step of ``_cptp_scan`` and
 ``linalg._trace_distances`` for the CPTP map, and the coherence
-recursion for a coherent three-level row.  A stacked product,
-``eigh`` or ``eigvalsh`` gives each row, bit for bit, what the row alone
-gives.  A fixed-unitary CPTP row builds its unitary once; a
-``RandomFull`` row draws H_I(seed, k) for collision k, and each step
-builds the next unitary of every row in one stacked ``eigh``.  States
-carry no clock: all rows step together, so an SL row's time after n
-steps is ``_sl_clock(h, n)`` and a CPTP row's collision index is the
-first one plus the steps taken.
+recursion for a coherent three-level row.  SL states are (B, d, 1)
+columns, so each RK4 derivative is one ``gens @ y``.  Population rows
+(SL and the recursion's fallback scan) are checked once per chunk of up
+to ``_CHECK_EVERY`` steps, the whole trail of states in one distance
+call; density-matrix rows (CPTP and coherent d = 3) every step, so no
+crossed row steps on.  A stacked product, ``eigh`` or ``eigvalsh`` gives
+each row, bit for bit, what the row alone gives.  A fixed-unitary CPTP
+row builds its unitary once; a ``RandomFull`` row draws H_I(seed, k) for
+collision k, and each step builds the next unitary of every row in one
+stacked ``eigh``.  States carry no clock: all rows step together, so an
+SL row's time after n steps is ``_sl_clock(h, n)`` and a CPTP row's
+collision index is the first one plus the steps taken.
 
 :func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` search
 a sweep's rows together and hand each row to :func:`tsim_simulated_sl`
@@ -100,6 +104,8 @@ _TINY = float(np.finfo(float).tiny)
 MAX_STEPS = 10**8
 # collisions of that fallback scan between checks for a repeated state
 _FALLBACK_CHUNK = 2**12
+# steps a scan of real rows takes between checks of their distances
+_CHECK_EVERY = 32
 # where the general-dimension zero-temperature solvers give up
 _NSTAR_ZEROT_CAP, _TSIM_ZEROT_CAP = 2.0**60, 1e12
 
@@ -109,6 +115,9 @@ _BLOCK_BYTES = 32 * 2**20
 # a CPTP row holds its (2d, 2d) unitary (or H_0), and a stacked step three
 # more arrays of that shape per row at once
 _CPTP_ROW_ARRAYS = 4
+# a scan's trail of real states holds at most 1 / _TRAIL_SHARE of a block,
+# since its one distance call makes about four more arrays of that size
+_TRAIL_SHARE = 16
 
 
 @dataclass(frozen=True)
@@ -215,31 +224,49 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
 
     states = step(states, params) advances the rows; params holds their
     fixed data, their targets last, and distance(states, targets) gives
-    one value per row.
-    Only the rows still above their epsilon are stepped: all arrays are
-    compacted on a step where some row finished.  Returns one (n, distance,
-    previous) per row: the number of steps taken (None when none of them
-    crosses), the distance there, and a copy of that row's state before
-    the last step, so no result keeps a stacked array alive.
+    one value per row.  Real rows (populations) take up to _CHECK_EVERY
+    steps between checks, a trail of at most 1 / _TRAIL_SHARE of a block,
+    and one distance call checks the whole trail, flattened to rows
+    against the targets repeated.  Complex rows (density matrices) are
+    checked every step, so a crossed row takes no further step (a
+    RandomFull row no further draw).  The rows still above their epsilon
+    are compacted after a check where some row finished.  Returns one (n,
+    distance, previous) per row: the number of steps taken (None when none
+    of them crosses), the distance there, and a copy of that row's state
+    before the last step, so no result keeps a stacked array alive.
     """
     epsilons = np.asarray(epsilons, dtype=float)
     results = [None] * epsilons.size
     rows = np.arange(epsilons.size)
-    n, previous, dist = 0, states, distance(states, params[-1])
+    # rows only leave, so the first stack bounds every trail
+    chunk = max(1, min(_CHECK_EVERY, _BLOCK_BYTES // (_TRAIL_SHARE * states.nbytes))) if np.isrealobj(states) else 1
+    # the states from the last check on, and the distances at all but the
+    # first of them (at step 0, at that state alone), the last at step n
+    n, trail, dists = 0, [states], distance(states, params[-1])[None]
     while True:
-        crossed = dist <= epsilons
+        crossed = dists <= epsilons
         if n == n_max or np.count_nonzero(crossed):  # cheaper than .any() on a few rows
-            done = crossed | (n == n_max)
+            hit = crossed.any(axis=0)
+            # each row's first crossing in the trail, else its last state
+            last = np.where(hit, crossed.argmax(axis=0), len(dists) - 1)
+            done = hit | (n == n_max)
             for j in np.flatnonzero(done):
-                results[rows[j]] = (n if crossed[j] else None, float(dist[j]), previous[j].copy())
+                i = int(last[j])
+                results[rows[j]] = (n - len(dists) + 1 + i if hit[j] else None, float(dists[i, j]), trail[i][j].copy())
             if done.all():
                 return results
             keep = ~done
             rows, epsilons = rows[keep], epsilons[keep]
-            states, params = states[keep], tuple(a[keep] for a in params)
-        n += 1
-        previous, states = states, step(states, params)
-        dist = distance(states, params[-1])
+            trail[-1], params = trail[-1][keep], tuple(a[keep] for a in params)
+        k = min(chunk, n_max - n)
+        trail = [trail[-1]]
+        for _ in range(k):
+            trail.append(step(trail[-1], params))
+        n += k
+        if k == 1:
+            dists = distance(trail[1], params[-1])[None]
+        else:
+            dists = distance(np.concatenate(trail[1:]), np.concatenate([params[-1]] * k)).reshape(k, -1)
 
 
 def _matvecs(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -252,9 +279,15 @@ def _population_distances(states, targets) -> np.ndarray:
     return 0.5 * np.abs(states - targets).sum(axis=1)
 
 
+def _column_distances(states, targets) -> np.ndarray:
+    """``_population_distances`` of (B, d, 1) column states to row targets."""
+    return _population_distances(states[:, :, 0], targets)
+
+
 def _sl_step(h: float):
-    """The RK4 step over h of SL rows under their generators params[0]."""
-    return lambda states, params: rk4_step(lambda y: _matvecs(params[0], y), states, h)
+    """The RK4 step over h of (B, d, 1) column SL states under their
+    generators params[0], each derivative one stacked ``gens @ y``."""
+    return lambda states, params: rk4_step(lambda y: params[0] @ y, states, h)
 
 
 def _sl_clock(h: float, n: int) -> float:
@@ -344,13 +377,13 @@ def _powered_crossings(ms: np.ndarray, ps: np.ndarray, targets: np.ndarray, epsi
 
 def _fallback_scan(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: float, n_max: int):
     """(n, distance) of the scan a row goes to when the powered search's
-    rounding guard cannot decide: one collision at a time, a chunk at a
-    time up to MAX_STEPS.  Once a collision returns its state bit for bit
-    the distance stays put, as if the scan went on."""
-    step = lambda states, params: _matvecs(params[0], states)
-    bound, params, state = min(n_max, MAX_STEPS), (m[None], target[None]), p[None]
+    rounding guard cannot decide: one collision at a time on a (1, d, 1)
+    column, a chunk at a time up to MAX_STEPS.  Once a collision returns
+    its state bit for bit the distance stays put, as if the scan went on."""
+    step = lambda states, params: params[0] @ states
+    bound, params, state = min(n_max, MAX_STEPS), (m[None], target[None]), p[None, :, None]
     for n in range(0, bound, _FALLBACK_CHUNK):
-        ((k, dist, previous),) = _first_crossings(step, state, params, _population_distances, [epsilon], min(bound - n, _FALLBACK_CHUNK))
+        ((k, dist, previous),) = _first_crossings(step, state, params, _column_distances, [epsilon], min(bound - n, _FALLBACK_CHUNK))
         if k is not None:
             return n + k, dist
         state = step(previous[None], params)
@@ -611,13 +644,13 @@ def tsim_simulated_sl(
     p0 = np.asarray(p0, dtype=float)
     h, steps = _sl_steps(p_a, gamma, epsilon, t_max, dt)
     _, targets = params = _sl_systems(p0.size, [p_a], gamma)
-    ((n, dist, p),) = _first_crossings(_sl_step(h), p0[None], params, _population_distances, [epsilon], steps)
+    ((n, dist, p),) = _first_crossings(_sl_step(h), p0[None, :, None], params, _column_distances, [epsilon], steps)
     if n is None:
         return ThermalizationResult(None, None, dist, "ode_sl")
     t = 0.0
     if n > 0:
         # the scan's step and distance over x <= h, from the state at step n - 1
-        dist_after = lambda x: float(_population_distances(_sl_step(x)(p[None], params), targets)[0])
+        dist_after = lambda x: float(_column_distances(_sl_step(x)(p[None], params), targets)[0])
         x = bisect_crossing(dist_after, epsilon, 0.0, h)[1]
         t, dist = _sl_clock(h, n - 1) + x, dist_after(x)
     return ThermalizationResult(None, t, dist, "ode_sl")
@@ -643,11 +676,11 @@ def tsim_simulated_sl_batch(
     for p_a, eps in runs:
         h, steps = _sl_steps(p_a, gamma, eps, t_max, None)
     scan = lambda part: _first_crossings(
-        _sl_step(h), np.tile(p0, (len(part), 1)), _sl_systems(d, [p_a for p_a, _ in part], gamma), _population_distances, [eps for _, eps in part], steps
+        _sl_step(h), np.tile(p0[:, None], (len(part), 1, 1)), _sl_systems(d, [p_a for p_a, _ in part], gamma), _column_distances, [eps for _, eps in part], steps
     )
     results = []
     for (p_a, eps), (n, _, p) in _blocked_crossings(runs, 8 * d * d, scan):
-        res = tsim_simulated_sl(p, p_a, gamma, eps, h, dt=h)
+        res = tsim_simulated_sl(p[:, 0], p_a, gamma, eps, h, dt=h)
         results.append(res if res.t_sim is None else replace(res, t_sim=_sl_clock(h, n - 1) + res.t_sim))
     return results
 

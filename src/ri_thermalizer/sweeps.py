@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -222,9 +223,11 @@ def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
     share runs as one batch, and a sweep with d <= _STACK_MAX_D[engine]
     runs all its tasks as one share in this process.  Results are
     assembled in grid order, so output is deterministic for a given spec
-    and seed.
+    and seed.  The spec is validated here unless parse_config returned it,
+    in which case this takes the runs parse_config built.
     """
-    spec, runs = _validated(spec)
+    runs = _PARSED_RUNS.get(id(spec))
+    spec, runs = _validated(spec) if runs is None else (spec, runs)
     reps = spec.repetitions
     if spec.kind == "RandomEnsembleVsBeta":
         # repetition r of point i draws its couplings from the seed (seed, i, r)
@@ -305,6 +308,12 @@ def _parse_grid(raw: str, lineno: int) -> tuple[float, ...]:
         raise ConfigInvalid(f"line {lineno}: bad grid {raw!r} ({exc})") from exc
 
 
+# the runs _validated built for each spec parse_config returned, by the
+# spec's id while it lives: run_sweep of that very (frozen) spec takes them
+# instead of building them again
+_PARSED_RUNS: dict[int, list] = {}
+
+
 def parse_config(text: str) -> SweepSpec:
     """Parse and validate flat key-value sweep configuration text."""
     values: dict = {}
@@ -335,4 +344,7 @@ def parse_config(text: str) -> SweepSpec:
         raise ConfigInvalid("missing required key 'kind'")
     if "grid" not in values:
         raise ConfigInvalid("missing required key 'grid'")
-    return _validated(SweepSpec(**values))[0]
+    spec, runs = _validated(SweepSpec(**values))
+    _PARSED_RUNS[id(spec)] = runs
+    weakref.finalize(spec, _PARSED_RUNS.pop, id(spec))
+    return spec

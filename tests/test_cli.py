@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from ri_thermalizer import sweeps
 from ri_thermalizer.cli import main
 from ri_thermalizer.errors import ConfigInvalid
+from ri_thermalizer.models import AncillaSpec
 from ri_thermalizer.sweeps import MAX_D, MAX_STEPS, MAX_TASKS, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -51,6 +53,22 @@ class TestSweepCommand:
     def test_stdout_when_no_out(self, config_path, capsys):
         assert main(["sweep", str(config_path)]) == 0
         assert capsys.readouterr().out == FIG3A_GOLDEN_CSV
+
+    @pytest.mark.parametrize("kind", ["NstarVsBeta", "TsimVsBeta", "RandomEnsembleVsBeta"])
+    def test_a_sweep_builds_each_grid_points_objects_once(self, tmp_path, monkeypatch, kind):
+        # run_sweep takes the runs parse_config built: one AncillaSpec per
+        # grid point and one for the config's own beta (1.0), not two each
+        built = []
+        check = AncillaSpec.__post_init__
+        monkeypatch.setattr(AncillaSpec, "__post_init__", lambda ancilla: built.append(ancilla.beta) or check(ancilla))
+        runs = []
+        point_runs = sweeps._point_runs
+        monkeypatch.setattr(sweeps, "_point_runs", lambda spec: runs.append(1) or point_runs(spec))
+        cfg = tmp_path / "beta.cfg"
+        cfg.write_text(f"kind = {kind}\ngrid = 0.5,2,4\nd = 3\nepsilon = 0.05\nrepetitions = 2\nn_max = 50\nt_max = 5\n")
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+        assert sorted(built) == [0.5, 1.0, 2.0, 4.0]
+        assert len(runs) == 1
 
     def test_identical_bytes_across_runs(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,7 +6,9 @@ crossing at step 0, at step 1, after many steps and beyond t_max at d =
 2, 3 and 10; ``nstar_simulated`` on a fixed unitary, ``CounterRotating``,
 ``RandomFull`` past a block of its unitary stream, the coherent d = 3
 recursion, and the powered recursion with and without its rounding
-fallback to the scan; and the CSV of a small ``TsimVsBeta`` sweep.
+fallback to the scan; and the CSVs of a small ``TsimVsBeta`` sweep and of
+a small ``NstarVsBeta`` sweep whose rows the rounding guard hands to the
+scan.
 """
 
 import math
@@ -115,3 +117,23 @@ def test_tsim_vs_beta_csv(tmp_path, capsys):
         "2,17.1336949706,0,true\n"
         "inf,12.4868687132,0,true\n"
     )
+
+
+def test_nstar_vs_beta_csv_through_the_fallback_scan(tmp_path, capsys, monkeypatch):
+    # at d = 12 and epsilon = 1e-9 the guard hands three of the five rows
+    # to the scan, which takes up to 8444 collisions one at a time
+    calls = []
+    scan = simtime._fallback_scan
+    monkeypatch.setattr(simtime, "_fallback_scan", lambda *args: calls.append(1) or scan(*args))
+    cfg = tmp_path / "nstar.cfg"
+    cfg.write_text("kind = NstarVsBeta\ngrid = 0.5,1,2,4,8\nd = 12\njtau = 0.19634954084936207\nepsilon = 1e-9\nn_max = 100000\n")
+    assert main(["sweep", str(cfg)]) == 0
+    assert capsys.readouterr().out == (
+        "point,value,stderr,reachable\n"
+        "0.5,8444,0,true\n"
+        "1,3966,0,true\n"
+        "2,1763,0,true\n"
+        "4,1138,0,true\n"
+        "8,1057,0,true\n"
+    )
+    assert len(calls) == 3

@@ -172,6 +172,37 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace_second(np.eye(5, dtype=complex) / 5, 2, 2)
 
+    @pytest.mark.parametrize("d_anc", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_the_bits_of_ndarray_trace(self, d_anc, dtype):
+        # the sum partial_trace_second makes must be trace's, bit for bit:
+        # signed zeros (a third of the entries), infinities, subnormals and
+        # NaN in the same places, on stacks and single matrices
+        rng = np.random.default_rng(d_anc)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -2.2e-308, np.nan, 1e308, -1e308])
+
+        def entries(shape):
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            x = np.where(rng.random(shape) < 0.33, np.where(rng.random(shape) < 0.5, 0.0, -0.0), x)
+            return np.where(rng.random(shape) < 0.1, rng.choice(specials, shape), x)
+
+        def bits(a):
+            a = np.ascontiguousarray(a).view(float)
+            return np.isnan(a), np.where(np.isnan(a), 0.0, a).view(np.uint64)
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            for lead in [(), (1,), (7,), (3, 4)]:
+                for d_sys in (1, 3, 5):
+                    shape = (*lead, d_sys * d_anc, d_sys * d_anc)
+                    rho = entries(shape).astype(dtype)
+                    if dtype is complex:
+                        rho.imag = entries(shape)  # set, since 1j * x loses signed zeros
+                    expected = rho.reshape(*lead, d_sys, d_anc, d_sys, d_anc).trace(axis1=-3, axis2=-1)
+                    out = partial_trace_second(rho, d_sys, d_anc)
+                    assert out.dtype == expected.dtype and out.shape == expected.shape
+                    for got, want in zip(bits(out), bits(expected)):
+                        assert np.array_equal(got, want)
+
 
 class TestTraceDistance:
     def test_identical_states(self):

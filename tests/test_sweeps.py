@@ -238,6 +238,25 @@ class TestRunSweep:
         with pytest.raises(ConfigInvalid, match="grid must be nonempty"):
             run_sweep(SweepSpec(kind="NstarVsBeta", grid=()))
 
+    def test_a_parsed_spec_is_validated_once(self, monkeypatch):
+        # run_sweep takes the runs parse_config built for the spec it
+        # returned; any other spec, an equal one too, is checked and built here
+        built = []
+        validated = sweeps._validated
+        monkeypatch.setattr(sweeps, "_validated", lambda spec: built.append(1) or validated(spec))
+        spec = parse_config("kind = NstarVsBeta\ngrid = 1,2\nd = 3\n")
+        key = id(spec)
+        assert key in sweeps._PARSED_RUNS
+        first, second = run_sweep(spec), run_sweep(spec)
+        assert first == second and len(built) == 1
+        with pytest.raises(ConfigInvalid, match="d must lie"):
+            run_sweep(replace(spec, d=1))
+        assert run_sweep(replace(spec)) == first
+        assert len(built) == 3
+        # the runs go with the spec
+        del spec
+        assert key not in sweeps._PARSED_RUNS
+
     def test_single_point_grid(self):
         spec = SweepSpec(kind="NstarVsBeta", grid=(5.0,), j_tau=math.pi / 2)
         records = run_sweep(spec)
