@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -101,8 +102,9 @@ class CounterRotating:
 class RandomFull:
     """All joint-space off-diagonal couplings drawn fresh from U(lo, hi).
 
-    Draws are re-derived per collision from (seed, collision index), so a
-    given seed reproduces the whole coupling sequence bitwise.
+    Draws are re-derived per collision k from the generator
+    ``default_rng([seed, k])``, so a given seed reproduces the whole
+    coupling sequence bitwise.
     """
 
     lo: float
@@ -190,31 +192,64 @@ def _upper_triangle(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _entropy_words(n) -> list[int]:
+    """The int n as numpy's SeedSequence reads it: little-endian 32-bit
+    words, one word for 0.  A non-integer raises TypeError and a negative
+    n ValueError, as SeedSequence does."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _random_couplings(d: int, interactions, collision: int) -> np.ndarray:
+    """The (B, 2d, 2d) H_I stack of RandomFull interactions at one collision.
+
+    Row b holds ``default_rng([seed_b, collision]).uniform(lo_b, hi_b)``,
+    one draw per strict upper-triangle entry in row-major order, mirrored
+    below the diagonal.  Each generator is built as
+    ``Generator(PCG64(SeedSequence(words)))`` from the uint32 words numpy
+    itself makes of the list [seed, collision] (``_entropy_words``), so
+    its pool, and every draw, is default_rng's bit for bit, without the
+    per-call coercion of the list.
+    """
+    dim = 2 * d
+    rows, cols = _upper_triangle(dim)
+    collision_words = _entropy_words(collision)
+    draws = np.empty((len(interactions), rows.size))
+    for draw, ispec in zip(draws, interactions):
+        words = np.array(_entropy_words(ispec.seed) + collision_words, dtype=np.uint32)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        draw[:] = rng.uniform(ispec.lo, ispec.hi, rows.size)
+    h_i = np.zeros((len(interactions), dim, dim), dtype=complex)
+    h_i[:, rows, cols] = draws
+    h_i[:, cols, rows] = draws
+    return h_i
+
+
 def interaction_hamiltonian(
     sys: SystemSpec, ispec: Interaction, collision: int = 0
 ) -> np.ndarray:
     """Interaction Hamiltonian on the 2d-dimensional joint space.
 
-    For RandomFull the couplings are drawn from the generator keyed by
-    (seed, collision), one draw per strict upper-triangle entry in
-    row-major order.
+    For RandomFull the couplings are drawn from ``default_rng([seed,
+    collision])``, one draw per strict upper-triangle entry in row-major
+    order: the one-row case of ``_random_couplings``.
     """
+    if isinstance(ispec, RandomFull):
+        return _random_couplings(sys.d, [ispec], collision)[0]
+    if not isinstance(ispec, (IsotropicFlipFlop, CounterRotating)):
+        raise TypeError(f"unknown interaction spec {type(ispec).__name__}")
     dim = 2 * sys.d
     h_i = np.zeros((dim, dim), dtype=complex)
-    if isinstance(ispec, (IsotropicFlipFlop, CounterRotating)):
-        for i, j in _flip_flop_pairs(sys.d):
-            h_i[i, j] = h_i[j, i] = ispec.j
-        if isinstance(ispec, CounterRotating):
-            for i, j in _counter_rotating_pairs(sys.d):
-                h_i[i, j] = h_i[j, i] = ispec.j_prime
-    elif isinstance(ispec, RandomFull):
-        rng = np.random.default_rng([ispec.seed, collision])
-        rows, cols = _upper_triangle(dim)
-        couplings = rng.uniform(ispec.lo, ispec.hi, size=rows.size)
-        h_i[rows, cols] = couplings
-        h_i[cols, rows] = couplings
-    else:
-        raise TypeError(f"unknown interaction spec {type(ispec).__name__}")
+    for i, j in _flip_flop_pairs(sys.d):
+        h_i[i, j] = h_i[j, i] = ispec.j
+    if isinstance(ispec, CounterRotating):
+        for i, j in _counter_rotating_pairs(sys.d):
+            h_i[i, j] = h_i[j, i] = ispec.j_prime
     return h_i
 
 

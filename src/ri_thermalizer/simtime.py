@@ -21,11 +21,14 @@ to ``_CHECK_EVERY`` steps, the whole trail of states in one distance
 call; density-matrix rows (CPTP and coherent d = 3) every step, so no
 crossed row steps on.  A stacked product, ``eigh`` or ``eigvalsh`` gives
 each row, bit for bit, what the row alone gives.  A fixed-unitary CPTP
-row builds its unitary once; a ``RandomFull`` row draws H_I(seed, k) for
-collision k, and each step builds the next unitary of every row in one
-stacked ``eigh``.  States carry no clock: all rows step together, so an
-SL row's time after n steps is ``_sl_clock(h, n)`` and a CPTP row's
-collision index is the first one plus the steps taken.
+row builds its unitary once.  A ``RandomFull`` row draws H_I(seed, k) for
+collision k, the draws of ``default_rng([seed, k])``: each step draws
+every row's couplings into one stack (``models._random_couplings``, each
+row's generator built from the 32-bit words numpy makes of [seed, k])
+and builds every row's next unitary in one stacked ``eigh``.  States
+carry no clock: all rows step together, so an SL row's time after n
+steps is ``_sl_clock(h, n)`` and a CPTP row's collision index is the
+first one plus the steps taken.
 
 :func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` search
 a sweep's rows together and hand each row to :func:`tsim_simulated_sl`
@@ -88,6 +91,7 @@ from .models import (
     IsotropicFlipFlop,
     ModelSpec,
     RandomFull,
+    _random_couplings,
     ancilla_thermal_state,
     bare_hamiltonian,
     gibbs_populations,
@@ -471,23 +475,19 @@ def _population_system(model: ModelSpec, cfg: CollisionConfig):
     return m, gibbs_populations(d, model.system.omega, model.ancilla.beta)
 
 
-def _unitaries(models, h0: np.ndarray, taus: np.ndarray, collision: int) -> np.ndarray:
-    """exp(-i (H_0 + H_I) tau) of every row at one collision index, bit for
-    bit ``collision_unitary``'s, from one stacked ``unitary_from_hamiltonian``."""
-    h_i = np.stack([interaction_hamiltonian(m.system, m.interaction, collision) for m in models])
-    return unitary_from_hamiltonian(h0 + h_i, taus)
-
-
 def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     """The step, start states and params of a CPTP scan of runs (model,
     cfg) from rho0, stacked on axis 0; params ends with the rows' rho_A
     and Gibbs targets.
 
     A fixed-unitary row's params start with its unitary, built once.  A
-    RandomFull row's start with its model, H_0 and tau: the step builds
-    every row's next unitary in one stacked eigh, and counts collisions
-    from ``collision`` on, one per call, as a scan calls it.  The rows are
-    all RandomFull or all of fixed unitary.
+    RandomFull row's start with its interaction, H_0 and tau: the step
+    draws every row's H_I at the next collision index k as one
+    ``_random_couplings`` stack (a row's draws are those of
+    ``default_rng([seed, k])``, bit for bit) and builds all their
+    unitaries in one stacked eigh, counting collisions from ``collision``
+    on, one per call, as a scan calls it.  The rows are all RandomFull or
+    all of fixed unitary.
     """
     models = [m for m, _ in runs]
     h0 = np.stack([bare_hamiltonian(m.system, m.ancilla) for m in models])
@@ -496,11 +496,17 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     targets = np.stack([system_gibbs_state(m.system, m.ancilla.beta) for m in models])
     states = np.tile(rho0, (len(runs), 1, 1))
     if not isinstance(models[0].interaction, RandomFull):
+        h_i = np.stack([interaction_hamiltonian(m.system, m.interaction) for m in models])
         step = lambda states, params: _collide(states, *params[:2])
-        return step, states, (_unitaries(models, h0, taus, 0), rho_as, targets)
-    collisions = itertools.count(collision)
-    step = lambda states, params: _collide(states, _unitaries(*params[:3], next(collisions)), params[3])
-    return step, states, (np.array(models), h0, taus, rho_as, targets)
+        return step, states, (unitary_from_hamiltonian(h0 + h_i, taus), rho_as, targets)
+    d, collisions = models[0].system.d, itertools.count(collision)
+
+    def step(states, params):
+        interactions, h0, taus, rho_as, _ = params
+        h_i = _random_couplings(d, interactions, next(collisions))
+        return _collide(states, unitary_from_hamiltonian(h0 + h_i, taus), rho_as)
+
+    return step, states, (np.array([m.interaction for m in models]), h0, taus, rho_as, targets)
 
 
 def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_force") -> list[ThermalizationResult]:

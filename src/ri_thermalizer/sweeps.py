@@ -38,7 +38,6 @@ import functools
 import math
 import os
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -236,6 +235,9 @@ def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
                 for pi, (model, cfg) in enumerate(runs) for r in range(reps)]
     workers = min(parallel, len(runs), os.cpu_count() or 1)
     if workers > 1 and spec.d > _STACK_MAX_D[spec.engine]:
+        # imported here, so a sweep that pools nothing loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shares = list(pool.map(_evaluate_tasks, [spec] * workers, [runs[w::workers] for w in range(workers)]))
         outcomes = [None] * len(runs)

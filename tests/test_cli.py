@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -307,3 +310,15 @@ class TestSpectraCommand:
     def test_non_finite_x_or_too_many_levels_exit_2(self, argv, capsys):
         assert main(["spectra", *argv]) == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_importing_the_cli_starts_no_process_machinery():
+    # a sweep imports the process pool only when it pools, so set-up pays
+    # for none of concurrent.futures, multiprocessing or subprocess
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, ri_thermalizer.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'subprocess') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

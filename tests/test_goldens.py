@@ -6,9 +6,10 @@ crossing at step 0, at step 1, after many steps and beyond t_max at d =
 2, 3 and 10; ``nstar_simulated`` on a fixed unitary, ``CounterRotating``,
 ``RandomFull`` past a block of its unitary stream, the coherent d = 3
 recursion, and the powered recursion with and without its rounding
-fallback to the scan; and the CSVs of a small ``TsimVsBeta`` sweep and of
+fallback to the scan; and the CSVs of a small ``TsimVsBeta`` sweep, of
 a small ``NstarVsBeta`` sweep whose rows the rounding guard hands to the
-scan.
+scan, and of a small ``RandomEnsembleVsBeta`` sweep, which pins the
+``RandomFull`` draws of 64-bit task seeds.
 """
 
 import math
@@ -137,3 +138,15 @@ def test_nstar_vs_beta_csv_through_the_fallback_scan(tmp_path, capsys, monkeypat
         "8,1057,0,true\n"
     )
     assert len(calls) == 3
+
+
+def test_random_ensemble_vs_beta_csv(tmp_path, capsys):
+    # a sweep seed of two 32-bit words; each task's seed is a 64-bit one
+    cfg = tmp_path / "ensemble.cfg"
+    cfg.write_text("kind = RandomEnsembleVsBeta\ngrid = 0.5,4\nd = 3\nrepetitions = 3\nepsilon = 0.05\nseed = 4294967301\n")
+    assert main(["sweep", str(cfg)]) == 0
+    assert capsys.readouterr().out == (
+        "point,value,stderr,reachable\n"
+        "0.5,53.6666666667,2.84800124844,true\n"
+        "4,79,3.0550504633,true\n"
+    )

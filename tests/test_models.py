@@ -1,9 +1,12 @@
 """Unit tests for Hamiltonian and state construction."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ri_thermalizer.collisions import CollisionConfig
 from ri_thermalizer.linalg import unitary_from_hamiltonian
@@ -13,6 +16,7 @@ from ri_thermalizer.models import (
     IsotropicFlipFlop,
     RandomFull,
     SystemSpec,
+    _random_couplings,
     ancilla_thermal_state,
     bare_hamiltonian,
     flip_flop_model,
@@ -176,6 +180,64 @@ class TestInteractionHamiltonian:
         vals = h[rows, cols].real
         assert np.all((vals >= 0.5) & (vals <= 0.9))
         assert np.allclose(np.diag(h), 0.0, atol=0)
+
+
+# seeds and collision indices at the edges of numpy's 32-bit seed words
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1, 2**70, np.uint64(2**64 - 1), np.int64(7), np.uint32(2**32 - 1)]
+EDGE_INDICES = [0, 1, 2**32 - 1, 2**32, 2**40, np.int64(2**40), np.uint32(2**32 - 1)]
+
+
+def _default_rng_couplings(d, interactions, collision):
+    """The H_I stack as one default_rng([seed, collision]) per row draws it."""
+    rows, cols = np.triu_indices(2 * d, k=1)
+    stack = []
+    for ispec in interactions:
+        couplings = np.random.default_rng([ispec.seed, collision]).uniform(ispec.lo, ispec.hi, size=rows.size)
+        h_i = np.zeros((2 * d, 2 * d), dtype=complex)
+        h_i[rows, cols] = couplings
+        h_i[cols, rows] = couplings
+        stack.append(h_i)
+    return np.stack(stack)
+
+
+class TestRandomCouplings:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(2, 5),
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**96)),
+                st.floats(-10.0, 10.0),
+                st.floats(1e-6, 10.0),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        collision=st.one_of(st.sampled_from(EDGE_INDICES), st.integers(0, 2**64)),
+    )
+    def test_the_stack_is_default_rngs_draws_byte_for_byte(self, d, rows, collision):
+        interactions = [RandomFull(lo=lo, hi=lo + width, seed=seed) for seed, lo, width in rows]
+        expected = _default_rng_couplings(d, interactions, collision)
+        assert _random_couplings(d, interactions, collision).tobytes() == expected.tobytes()
+        one = interaction_hamiltonian(SystemSpec(d=d), interactions[0], collision)
+        assert one.tobytes() == expected[0].tobytes()
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("collision", EDGE_INDICES)
+    def test_every_word_edge(self, seed, collision):
+        interactions = [RandomFull(lo=1e-3, hi=math.pi * 1e-3, seed=seed)] * 2
+        expected = _default_rng_couplings(3, interactions, collision)
+        assert _random_couplings(3, interactions, collision).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, -(2**70), np.int64(-3), 1.5, np.float64(2.0), None])
+    @pytest.mark.parametrize("as_seed", [True, False])
+    def test_a_bad_seed_or_index_raises_what_default_rng_raises(self, bad, as_seed):
+        # RandomFull rejects a bad seed itself, so the seed comes in a bare namespace
+        seed, collision = (bad, 0) if as_seed else (5, bad)
+        with pytest.raises((TypeError, ValueError)) as expected:
+            np.random.default_rng([seed, collision])
+        with pytest.raises(expected.type):
+            _random_couplings(3, [SimpleNamespace(lo=0.0, hi=1.0, seed=seed)], collision)
 
 
 class TestBareHamiltonian:

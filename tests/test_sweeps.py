@@ -1,5 +1,6 @@
 """Unit tests for sweep configuration, execution, and CSV emission."""
 
+import concurrent.futures
 import importlib.util
 import io
 import math
@@ -35,8 +36,9 @@ from ri_thermalizer.simtime import _sl_steps, tsim_simulated_sl
 
 @pytest.fixture
 def pools(monkeypatch):
-    """A stand-in executor in sweeps: it records max_workers and maps in
-    this process, so no pool, let alone a large one, is ever started."""
+    """A stand-in for concurrent.futures' executor, which sweeps imports
+    when it pools: it records max_workers and maps in this process, so no
+    pool, let alone a large one, is ever started."""
     started = []
 
     class SerialPool:
@@ -52,7 +54,7 @@ def pools(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return started
 
 
