@@ -53,7 +53,10 @@ from .linalg import partial_trace_second, trace_distance, unitary_from_hamiltoni
 from .models import (
     ModelSpec,
     RandomFull,
+    _check_beta,
     _check_d,
+    _check_omega,
+    _level_energies,
     ancilla_thermal_state,
     system_gibbs_state,
     total_hamiltonian,
@@ -223,6 +226,34 @@ def population_step_matrix(d: int, p_a: float, j_tau: float) -> np.ndarray:
     m[0, 0] = e.eta11
     m[d - 1, d - 1] = e.eta33
     return m
+
+
+def _population_systems(d: int, rows):
+    """The (B, d, d) maps and (B, d) Gibbs populations of rows (p_A, J tau,
+    omega, beta) of one d in a fixed number of numpy calls: bit for bit
+    ``population_step_matrix`` and ``gibbs_populations``, with their checks."""
+    _check_d(d)
+    scalars = []
+    for p_a, j_tau, omega, beta in rows:
+        e = eta_coefficients(p_a, j_tau)
+        _check_omega(omega)
+        _check_beta(beta)
+        scalars.append((e.eta11, e.eta12, e.eta21, e.eta22, e.eta33, omega, beta))
+    eta11, eta12, eta21, eta22, eta33, omega, beta = np.array(scalars).T
+    ms = np.zeros((len(scalars), d, d))
+    # every (d + 1)-th flat entry from 1, d and 0, then the corners m[0, 0] and m[d - 1, d - 1]
+    flat = ms.reshape(len(scalars), d * d)
+    flat[:, 1 :: d + 1] = eta12[:, None]
+    flat[:, d :: d + 1] = eta21[:, None]
+    flat[:, :: d + 1] = eta22[:, None]
+    flat[:, :: d * d - 1] = np.stack([eta11, eta33], axis=1)
+    # a zero-temperature row is e_0, written over weights at beta = 0
+    cold = beta == math.inf
+    energies = _level_energies(d, omega[:, None])
+    weights = np.exp(-np.where(cold, 0.0, beta)[:, None] * (energies - energies[:, :1]))
+    targets = weights / weights.sum(axis=1, keepdims=True)
+    targets[cold] = np.eye(1, d)
+    return ms, targets
 
 
 def check_deviation_sum(delta_p: np.ndarray) -> None:

@@ -21,14 +21,14 @@ to ``_CHECK_EVERY`` steps, the whole trail of states in one distance
 call; density-matrix rows (CPTP and coherent d = 3) every step, so no
 crossed row steps on.  A stacked product, ``eigh`` or ``eigvalsh`` gives
 each row, bit for bit, what the row alone gives.  A fixed-unitary CPTP
-row builds its unitary once.  A ``RandomFull`` row draws H_I(seed, k) for
-collision k, the draws of ``default_rng([seed, k])``: each step draws
-every row's couplings into one stack (``models._random_couplings``, each
-row's generator built from the 32-bit words numpy makes of [seed, k])
-and builds every row's next unitary in one stacked ``eigh``.  States
-carry no clock: all rows step together, so an SL row's time after n
-steps is ``_sl_clock(h, n)`` and a CPTP row's collision index is the
-first one plus the steps taken.
+row builds its unitary once, from arrays built once per distinct model.
+A ``RandomFull`` row draws H_I(seed, k) for collision k, the draws of
+``default_rng([seed, k])``: each step draws every row's couplings into
+one stack (``models._random_couplings``, each row's generator built from
+the 32-bit words numpy makes of [seed, k]) and builds every row's next
+unitary in one stacked ``eigh``.  States carry no clock: all rows step
+together, so an SL row's time after n steps is ``_sl_clock(h, n)`` and a
+CPTP row's collision index is the first one plus the steps taken.
 
 :func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` search
 a sweep's rows together and hand each row to :func:`tsim_simulated_sl`
@@ -54,7 +54,8 @@ n*, so a finisher that starts at n* - 2^t with n_max = 2^t squares the
 same powers and replays that lift.  A rounding guard keeps n* equal to
 the scan's: when a row's distance just before or at the crossing it
 found lies within a forward-error bound of epsilon, it hands the row to
-the scan, which stops at ``MAX_STEPS`` collisions.
+the scan, which stops at ``MAX_STEPS`` collisions.  A batch builds its
+maps and targets as one stack; a single run, a finisher too, row by row.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .collisions import (
     _check_p_a,
     _coherence_step,
     _collide,
+    _population_systems,
     _resolve_step,
     density_matrix_d3,
     flip_flop_rates,
@@ -430,7 +432,8 @@ def nstar_simulated(
     if engine == "brute_force":
         step, states, params = _cptp_scan([(model, cfg)], rho0, collision)
     else:
-        m, target_p = _population_system(model, cfg)
+        m = population_step_matrix(d, model.ancilla.ground_population, model.interaction.j * cfg.tau)
+        target_p = gibbs_populations(d, model.system.omega, model.ancilla.beta)
         if diagonal:
             p = np.diag(rho0).real
             (found,) = _powered_crossings(m[None], p[None], target_p[None], [cfg.epsilon], cfg.n_max)
@@ -467,14 +470,6 @@ def _resonant(model: ModelSpec) -> bool:
     return isinstance(model.interaction, IsotropicFlipFlop) and model.system.omega == model.ancilla.omega
 
 
-def _population_system(model: ModelSpec, cfg: CollisionConfig):
-    """The one-collision population map and Gibbs populations of a
-    recursion run."""
-    d = model.system.d
-    m = population_step_matrix(d, model.ancilla.ground_population, model.interaction.j * cfg.tau)
-    return m, gibbs_populations(d, model.system.omega, model.ancilla.beta)
-
-
 def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     """The step, start states and params of a CPTP scan of runs (model,
     cfg) from rho0, stacked on axis 0; params ends with the rows' rho_A
@@ -489,16 +484,18 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     on, one per call, as a scan calls it.  The rows are all RandomFull or
     all of fixed unitary.
     """
-    models = [m for m, _ in runs]
+    index = {}
+    rows = [index.setdefault(model, len(index)) for model, _ in runs]
+    models = list(index)
     h0 = np.stack([bare_hamiltonian(m.system, m.ancilla) for m in models])
     taus = np.array([cfg.tau for _, cfg in runs])[:, None]
-    rho_as = np.stack([ancilla_thermal_state(m.ancilla) for m in models])
-    targets = np.stack([system_gibbs_state(m.system, m.ancilla.beta) for m in models])
+    rho_as = np.stack([ancilla_thermal_state(m.ancilla) for m in models])[rows]
+    targets = np.stack([system_gibbs_state(m.system, m.ancilla.beta) for m in models])[rows]
     states = np.tile(rho0, (len(runs), 1, 1))
     if not isinstance(models[0].interaction, RandomFull):
         h_i = np.stack([interaction_hamiltonian(m.system, m.interaction) for m in models])
         step = lambda states, params: _collide(states, *params[:2])
-        return step, states, (unitary_from_hamiltonian(h0 + h_i, taus), rho_as, targets)
+        return step, states, (unitary_from_hamiltonian((h0 + h_i)[rows], taus), rho_as, targets)
     d, collisions = models[0].system.d, itertools.count(collision)
 
     def step(states, params):
@@ -506,7 +503,7 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
         h_i = _random_couplings(d, interactions, next(collisions))
         return _collide(states, unitary_from_hamiltonian(h0 + h_i, taus), rho_as)
 
-    return step, states, (np.array([m.interaction for m in models]), h0, taus, rho_as, targets)
+    return step, states, (np.array([m.interaction for m, _ in runs]), h0[rows], taus, rho_as, targets)
 
 
 def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_force") -> list[ThermalizationResult]:
@@ -535,8 +532,9 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_f
         raise ValueError(f"unknown engine {engine!r}")
     rho0 = np.asarray(rho0, dtype=complex)
     runs = list(zip(models, cfgs, strict=True))
+    for d in sorted({model.system.d for model, _ in runs}):
+        _checked_state(rho0, d)
     for model, cfg in runs:
-        _checked_state(rho0, model.system.d)
         if cfg.n_max != runs[0][1].n_max:
             raise ValueError("the rows of a batch share n_max")
         if engine == "recursion" and not _resonant(model):
@@ -562,7 +560,8 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_f
         p = np.diag(rho0).real
 
         def scan(part):
-            ms, targets = (np.stack(a) for a in zip(*(_population_system(model, cfg) for model, cfg in part)))
+            rows = [(m.ancilla.ground_population, m.interaction.j * cfg.tau, m.system.omega, m.ancilla.beta) for m, cfg in part]
+            ms, targets = _population_systems(d, rows)
             crossings = _powered_crossings(ms, np.tile(p, (len(part), 1)), targets, epsilons(part), n_max)
             return [(0, n_max, rho0) if c is None or c[2] is None else (c[0] - c[3], c[3], np.diag(c[2])) for c in crossings]
 

@@ -5,10 +5,14 @@ the results of ``nstar_simulated(..., engine="recursion")`` called run by
 run.  That rests on the identities pinned here: a stacked square and a
 stacked matrix-vector product give each row what the 2-D ``@`` gives it,
 and a finisher that replays a row's last rejected lift squares the same
-powers and lifts from the same state.
+powers and lifts from the same state.  The batch builds a block's maps and
+Gibbs targets as one stack (``collisions._population_systems``), pinned here
+bit for bit to ``population_step_matrix`` and ``gibbs_populations`` row by
+row, and to their exception types for a row they reject.
 """
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -17,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ri_thermalizer import simtime
-from ri_thermalizer.collisions import CollisionConfig, evolve_populations, population_step_matrix
+from ri_thermalizer.collisions import CollisionConfig, _population_systems, evolve_populations, population_step_matrix
 from ri_thermalizer.models import (
     AncillaSpec,
     CounterRotating,
@@ -27,7 +31,14 @@ from ri_thermalizer.models import (
     gibbs_populations,
     random_density_matrix,
 )
-from ri_thermalizer.simtime import _matvecs, _population_distances, nstar_simulated, nstar_simulated_batch, population_distance
+from ri_thermalizer.models import IsotropicFlipFlop
+from ri_thermalizer.simtime import (
+    _matvecs,
+    _population_distances,
+    nstar_simulated,
+    nstar_simulated_batch,
+    population_distance,
+)
 from ri_thermalizer.sweeps import MAX_D
 
 
@@ -174,3 +185,72 @@ def test_stacked_squares_and_matvecs_equal_matrix_by_matrix(rows):
             assert np.array_equal(squares[i], square), d
             assert np.array_equal(moved[i], one), d
             assert distances[i] == population_distance(one, targets[i]), d
+
+
+# beta at both ends: 0, the smallest subnormal and normal, large enough that
+# every excited weight underflows, and zero temperature
+BETAS = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e3, 1e300, math.inf]), st.floats(0.0, 50.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    # every pairwise-sum regime of a row's sum: below 8, up to 128 and at MAX_D
+    st.one_of(st.integers(2, 9), st.integers(2, MAX_D), st.sampled_from([127, MAX_D])),
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(1.0), st.floats(1e-12, 1.0)),
+            st.one_of(st.sampled_from([5e-324, math.pi / 2, math.pi]), st.floats(-12.0, 3.0).map(lambda x: 10.0**x)),
+            st.one_of(st.just(1.0), st.floats(-3.0, 3.0).map(lambda x: 10.0**x)),
+            BETAS,
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_the_stacked_systems_equal_the_per_row_builders(d, rows):
+    with np.errstate(over="ignore"):  # beta omega E_k past the float range, as a row alone
+        ms, targets = _population_systems(d, rows)
+        for (p_a, j_tau, omega, beta), m, target in zip(rows, ms, targets):
+            assert m.tobytes() == population_step_matrix(d, p_a, j_tau).tobytes()
+            assert target.tobytes() == gibbs_populations(d, omega, beta).tobytes()
+
+
+GOOD = (0.7, 0.9, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "d, bad",
+    [
+        (1, GOOD),
+        (3.0, GOOD),
+        (3, (0.0, 0.9, 1.0, 1.0)),
+        (3, (1.5, 0.9, 1.0, 1.0)),
+        (3, (math.nan, 0.9, 1.0, 1.0)),
+        (3, (0.7, math.inf, 1.0, 1.0)),
+        (3, (0.7, math.nan, 1.0, 1.0)),
+        (3, (0.7, 0.9, 0.0, 1.0)),
+        (3, (0.7, 0.9, math.inf, 1.0)),
+        (3, (0.7, 0.9, 1.0, -1.0)),
+        (3, (0.7, 0.9, 1.0, math.nan)),
+        (3, (0.7, "0.9", 1.0, 1.0)),
+    ],
+)
+def test_the_stacked_systems_reject_what_a_row_alone_rejects(d, bad):
+    def per_row(p_a, j_tau, omega, beta):
+        population_step_matrix(d, p_a, j_tau)
+        gibbs_populations(d, omega, beta)
+
+    with pytest.raises(Exception) as alone:
+        per_row(*bad)
+    with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+        _population_systems(d, [GOOD, bad, GOOD])
+
+
+def test_a_batch_row_whose_j_tau_overflows_raises_as_its_run_does():
+    rho0 = np.eye(3, dtype=complex) / 3
+    models = [flip_flop_model(3, 1.0, 1.0, 1.0), ModelSpec(SystemSpec(3, 1.0), AncillaSpec(1.0, 1.0), IsotropicFlipFlop(1e300))]
+    cfgs = [CollisionConfig(tau=1e10, n_max=50, epsilon=1e-3)] * 2
+    with pytest.raises(ValueError) as alone:
+        nstar_simulated(rho0, models[1], cfgs[1], engine="recursion")
+    with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+        nstar_simulated_batch(rho0, models, cfgs, engine="recursion")
