@@ -57,12 +57,17 @@ from .models import (
     _check_d,
     _check_omega,
     _level_energies,
+    _random_couplings,
     ancilla_thermal_state,
+    bare_hamiltonian,
     system_gibbs_state,
     total_hamiltonian,
 )
 
 DEVIATION_SUM_TOL = 1e-12
+# a RandomFull trajectory draws as many collisions at once as fill this many
+# (2d, 2d) entries: 455 at d = 3, one at d = 128
+_DRAW_CHUNK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -343,6 +348,17 @@ def collision_unitary(model: ModelSpec, tau: float, collision: int = 0) -> np.nd
     return unitary_from_hamiltonian(h_tot, tau)
 
 
+def _random_unitaries(model: ModelSpec, tau: float, n: int):
+    """Yield collision_unitary(model, tau, k) for k = 0..n-1, bit for bit,
+    a chunk of collisions' couplings drawn as one stack and their
+    unitaries built in one stacked eigh."""
+    d, h0 = model.system.d, bare_hamiltonian(model.system, model.ancilla)
+    chunk = max(1, _DRAW_CHUNK_ENTRIES // (2 * d) ** 2)
+    for start in range(0, n, chunk):
+        ks = range(start, min(start + chunk, n))
+        yield from unitary_from_hamiltonian(h0 + _random_couplings(d, [model.interaction] * len(ks), ks), tau)
+
+
 def collide_once(rho_s: np.ndarray, model: ModelSpec, cfg: CollisionConfig, collision: int = 0) -> np.ndarray:
     """Apply one CPTP collision: Tr_A[U (rho_S x rho_A) U^dagger].
 
@@ -377,7 +393,9 @@ def evolve(
 
     The target defaults to the system Gibbs state at the ancilla
     temperature.  RandomFull interactions re-draw couplings (and hence the
-    unitary) before every collision; all other variants reuse one unitary.
+    unitary) before every collision, those of collision k at index k, as
+    ``collide_once(..., collision=k)`` draws them, a chunk of collisions
+    at a time; all other variants reuse one unitary.
     """
     _check_collisions(n)
     if n > cfg.n_max:
@@ -385,7 +403,7 @@ def evolve(
     if target is None:
         target = system_gibbs_state(model.system, model.ancilla.beta)
     if isinstance(model.interaction, RandomFull):
-        unitaries = (collision_unitary(model, cfg.tau, k) for k in itertools.count())
+        unitaries = _random_unitaries(model, cfg.tau, n)
     else:
         unitaries = itertools.repeat(collision_unitary(model, cfg.tau))
     rho_a = ancilla_thermal_state(model.ancilla)

@@ -205,25 +205,91 @@ def _entropy_words(n) -> list[int]:
     return words
 
 
-def _random_couplings(d: int, interactions, collision: int) -> np.ndarray:
-    """The (B, 2d, 2d) H_I stack of RandomFull interactions at one collision.
+# numpy's SeedSequence hash (numpy.random.bit_generator), on uint32 arrays that
+# wrap as its C code does; PCG64 seeds from 128-bit (seed, stream) with
+# inc = 2 stream + 1 and state = ((inc + seed) * MULT + inc) mod 2^128
+_POOL, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 4, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG64_MULT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), 0x2360ED051FC65DA44385DF649FCCF645
 
-    Row b holds ``default_rng([seed_b, collision]).uniform(lo_b, hi_b)``,
-    one draw per strict upper-triangle entry in row-major order, mirrored
-    below the diagonal.  Each generator is built as
-    ``Generator(PCG64(SeedSequence(words)))`` from the uint32 words numpy
-    itself makes of the list [seed, collision] (``_entropy_words``), so
-    its pool, and every draw, is default_rng's bit for bit, without the
-    per-call coercion of the list.
+
+@functools.lru_cache(maxsize=64)
+def _hash_pairs(hash_const: int, mult: int, n: int) -> np.ndarray:
+    """The (2, n) uint32 (xor, mul) pairs of n successive hashmix calls."""
+    pairs = [(hash_const, hash_const := hash_const * mult & 0xFFFFFFFF) for _ in range(n)]
+    return np.array(pairs, dtype=np.uint32).T
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_pairs(width: int) -> np.ndarray:
+    """mix_entropy's pairs for width >= 4 words, (2, width + 1, 4) by step
+    and pool word: the first four words, each pool word mixed into the
+    others (a dummy pair in its own lane), then each further word."""
+    return np.insert(_hash_pairs(_INIT_A, _MULT_A, 4 * width), [4, 8, 12, 16], 0, axis=1).reshape(2, width + 1, 4)
+
+
+def _hashmix(value: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    value = (value ^ pairs[0]) * pairs[1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> 16)
+
+
+def _seed_states(entropy, n_words: int) -> np.ndarray:
+    """``np.random.SeedSequence(words).generate_state(n_words, np.uint64)``
+    of each list of uint32 words in entropy, as one (B, n_words) stack.  A
+    row hashes as if zero-padded to the pool, as in numpy, and its words
+    past the pool are mixed in under a mask of the rows that have them."""
+    lengths = [len(words) for words in entropy]
+    width = max([_POOL, *lengths])
+    words = np.array([w + [0] * (width - len(w)) for w in entropy], dtype=np.uint32).reshape(len(entropy), width)
+    pairs = _pool_pairs(width)
+    pool = _hashmix(words[:, :_POOL], pairs[:, 0])
+    for src in range(_POOL):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], pairs[:, 1 + src]))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    for src in range(_POOL, width):
+        pool = np.where(np.greater(lengths, src)[:, None], _mix(pool, _hashmix(words[:, src, None], pairs[:, 1 + src])), pool)
+    n = 2 * n_words
+    state = _hashmix(np.concatenate([pool] * -(-n // _POOL), axis=1)[:, :n], _hash_pairs(_INIT_B, _MULT_B, n))
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)  # as numpy reads the words
+
+
+@functools.cache
+def _reused_generator() -> np.random.Generator:
+    # made on first use, so that importing the package leaves numpy.random unloaded
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _random_couplings(d: int, interactions, collision) -> np.ndarray:
+    """The (B, 2d, 2d) H_I stack of RandomFull interactions at collision
+    index collision, or at collision[b] for row b if it is a list, tuple
+    or range.
+
+    Row b holds ``default_rng([seed_b, k_b]).uniform(lo_b, hi_b)``, one
+    draw per strict upper-triangle entry in row-major order, mirrored
+    below the diagonal: the SeedSequence hashes of every row's [seed, k]
+    (``_entropy_words``) run as one stack, and one reused PCG64, given
+    each row's state as PCG64 seeds itself, draws with numpy's ``uniform``.
     """
     dim = 2 * d
     rows, cols = _upper_triangle(dim)
-    collision_words = _entropy_words(collision)
+    if isinstance(collision, (list, tuple, range)):
+        collision_words = [_entropy_words(k) for k in collision]
+    else:
+        collision_words = [_entropy_words(collision)] * len(interactions)
+    entropy = [_entropy_words(ispec.seed) + words for ispec, words in zip(interactions, collision_words, strict=True)]
     draws = np.empty((len(interactions), rows.size))
-    for draw, ispec in zip(draws, interactions):
-        words = np.array(_entropy_words(ispec.seed) + collision_words, dtype=np.uint32)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
-        draw[:] = rng.uniform(ispec.lo, ispec.hi, rows.size)
+    rng = _reused_generator()
+    with rng.bit_generator.lock:
+        for draw, ispec, (s_hi, s_lo, i_hi, i_lo) in zip(draws, interactions, _seed_states(entropy, 4).tolist()):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % 2**128
+            rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            draw[:] = rng.uniform(ispec.lo, ispec.hi, rows.size)
     h_i = np.zeros((len(interactions), dim, dim), dtype=complex)
     h_i[:, rows, cols] = draws
     h_i[:, cols, rows] = draws

@@ -20,15 +20,16 @@ columns, so each RK4 derivative is one ``gens @ y``.  Population rows
 to ``_CHECK_EVERY`` steps, the whole trail of states in one distance
 call; density-matrix rows (CPTP and coherent d = 3) every step, so no
 crossed row steps on.  A stacked product, ``eigh`` or ``eigvalsh`` gives
-each row, bit for bit, what the row alone gives.  A fixed-unitary CPTP
-row builds its unitary once, from arrays built once per distinct model.
-A ``RandomFull`` row draws H_I(seed, k) for collision k, the draws of
+each row, bit for bit, what the row alone gives.  CPTP rows of one
+model share H_0, rho_A and the target, RandomFull rows those of one
+(system, ancilla), and a fixed-unitary row builds its unitary once.  A
+``RandomFull`` row draws H_I(seed, k) for collision k, the draws of
 ``default_rng([seed, k])``: each step draws every row's couplings into
-one stack (``models._random_couplings``, each row's generator built from
-the 32-bit words numpy makes of [seed, k]) and builds every row's next
-unitary in one stacked ``eigh``.  States carry no clock: all rows step
-together, so an SL row's time after n steps is ``_sl_clock(h, n)`` and a
-CPTP row's collision index is the first one plus the steps taken.
+one stack (``models._random_couplings``, all rows' seeds hashed as one
+stack) and builds every row's next unitary in one stacked ``eigh``.
+States carry no clock: all rows step together, so an SL row's time after
+n steps is ``_sl_clock(h, n)`` and a CPTP row's collision index is the
+first one plus the steps taken.
 
 :func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` search
 a sweep's rows together and hand each row to :func:`tsim_simulated_sl`
@@ -473,26 +474,29 @@ def _resonant(model: ModelSpec) -> bool:
 def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     """The step, start states and params of a CPTP scan of runs (model,
     cfg) from rho0, stacked on axis 0; params ends with the rows' rho_A
-    and Gibbs targets.
+    and Gibbs targets.  These and H_0 are built once per distinct model,
+    or, for RandomFull rows, each with its own seed, once per distinct
+    (system, ancilla).
 
-    A fixed-unitary row's params start with its unitary, built once.  A
-    RandomFull row's start with its interaction, H_0 and tau: the step
-    draws every row's H_I at the next collision index k as one
-    ``_random_couplings`` stack (a row's draws are those of
-    ``default_rng([seed, k])``, bit for bit) and builds all their
-    unitaries in one stacked eigh, counting collisions from ``collision``
-    on, one per call, as a scan calls it.  The rows are all RandomFull or
-    all of fixed unitary.
+    A fixed-unitary row's params start with its unitary, from H_0 + H_I
+    summed per model and indexed out once.  A RandomFull row's start with
+    its interaction, H_0 and tau: the step draws every row's H_I at the
+    next collision index k as one ``_random_couplings`` stack (a row's
+    draws are those of ``default_rng([seed, k])``, bit for bit) and builds
+    all their unitaries in one stacked eigh, counting collisions from
+    ``collision`` on, one per call, as a scan calls it.  The rows are all
+    RandomFull or all of fixed unitary.
     """
+    random = isinstance(runs[0][0].interaction, RandomFull)
     index = {}
-    rows = [index.setdefault(model, len(index)) for model, _ in runs]
-    models = list(index)
+    rows = [index.setdefault((m.system, m.ancilla) if random else m, (len(index), m))[0] for m, _ in runs]
+    models = [m for _, m in index.values()]
     h0 = np.stack([bare_hamiltonian(m.system, m.ancilla) for m in models])
     taus = np.array([cfg.tau for _, cfg in runs])[:, None]
     rho_as = np.stack([ancilla_thermal_state(m.ancilla) for m in models])[rows]
     targets = np.stack([system_gibbs_state(m.system, m.ancilla.beta) for m in models])[rows]
     states = np.tile(rho0, (len(runs), 1, 1))
-    if not isinstance(models[0].interaction, RandomFull):
+    if not random:
         h_i = np.stack([interaction_hamiltonian(m.system, m.interaction) for m in models])
         step = lambda states, params: _collide(states, *params[:2])
         return step, states, (unitary_from_hamiltonian((h0 + h_i)[rows], taus), rho_as, targets)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .collisions import CollisionConfig, _check_epsilon
 from .errors import ConfigInvalid, IoError, StepTooLarge
-from .models import AncillaSpec, IsotropicFlipFlop, ModelSpec, RandomFull, SystemSpec, _entropy_words
+from .models import AncillaSpec, IsotropicFlipFlop, ModelSpec, RandomFull, SystemSpec, _entropy_words, _seed_states
 from .simtime import MAX_STEPS, _sl_steps, nstar_simulated_batch, tsim_simulated_sl_batch
 
 # each kind's default engine, and the config key its grid points replace
@@ -229,10 +229,10 @@ def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
     spec, runs = _validated(spec) if runs is None else (spec, runs)
     reps = spec.repetitions
     if spec.kind == "RandomEnsembleVsBeta":
-        # point i's repetition r: the seed SeedSequence([seed, i, r]) makes (i, r < 2^32)
-        seed = lambda pi, r, words=_entropy_words(spec.seed): int(np.random.SeedSequence(np.array(words + [pi, r], dtype=np.uint32)).generate_state(1, np.uint64)[0])
-        runs = [(ModelSpec(model.system, model.ancilla, RandomFull(spec.lo, spec.hi, seed(pi, r))), cfg)
-                for pi, (model, cfg) in enumerate(runs) for r in range(reps)]
+        # point i's repetition r: the seed SeedSequence([seed, i, r]) makes (i, r < 2^32), all in one stacked hash
+        seeds = iter(_seed_states([_entropy_words(spec.seed) + [pi, r] for pi in range(len(runs)) for r in range(reps)], 1)[:, 0].tolist())
+        runs = [(ModelSpec(model.system, model.ancilla, RandomFull(spec.lo, spec.hi, next(seeds))), cfg)
+                for model, cfg in runs for _ in range(reps)]
     workers = min(parallel, len(runs), os.cpu_count() or 1)
     if workers > 1 and spec.d > _STACK_MAX_D[spec.engine]:
         # imported here, so a sweep that pools nothing loads no multiprocessing

@@ -254,6 +254,22 @@ class TestEvolve:
         for state, dist in zip(rec.states, rec.distances):
             assert dist == pytest.approx(trace_distance(state, target), abs=1e-14)
 
+    @pytest.mark.parametrize("d,chunk_entries", [(2, 2**14), (3, 100), (5, 200), (16, 2**14)])
+    def test_random_full_states_are_a_chain_of_collide_once(self, monkeypatch, d, chunk_entries):
+        # evolve draws a chunk of collisions at a time (2, 2, 16 and 1024 of
+        # them here); each state must be collide_once's at that collision
+        # index, byte for byte, across the chunk edges
+        monkeypatch.setattr(collisions, "_DRAW_CHUNK_ENTRIES", chunk_entries)
+        model = ModelSpec(
+            SystemSpec(d=d, omega=1.0), AncillaSpec(omega=1.0, beta=0.8), RandomFull(lo=0.05, hi=0.9, seed=2**40 + d)
+        )
+        cfg = CollisionConfig(tau=2.5, n_max=40, epsilon=1e-4)
+        rec = evolve(np.eye(d, dtype=complex) / d, model, cfg, 40)
+        rho = rec.states[0]
+        for k, state in enumerate(rec.states[1:]):
+            rho = collide_once(rho, model, cfg, collision=k)
+            assert state.tobytes() == rho.tobytes(), k
+
     def test_a_nan_state_raises_no_convergence(self):
         rho0 = np.full((3, 3), np.nan, dtype=complex)
         with pytest.raises(NoConvergence):

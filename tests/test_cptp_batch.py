@@ -163,6 +163,15 @@ class TestNamedCases:
         monkeypatch.setattr(simtime, "_BLOCK_BYTES", 2 * simtime._CPTP_ROW_ARRAYS * 16 * 6 * 6)
         assert _assert_batch_matches(self.RHO0, models, cfgs) == whole
 
+    def test_random_full_rows_of_one_temperature_share_their_arrays(self, monkeypatch):
+        # H_0, rho_A and the Gibbs target depend on (system, ancilla) only:
+        # six rows with their own seeds at two betas build two of each
+        made = []
+        monkeypatch.setattr(simtime, "ancilla_thermal_state", lambda spec: made.append(spec) or ancilla_thermal_state(spec))
+        models = [_random_full(3, beta, seed) for beta in (0.5, 2.0) for seed in range(3)]
+        simtime._cptp_scan([(m, CollisionConfig(tau=100.0, n_max=5, epsilon=1e-3)) for m in models], self.RHO0)
+        assert sorted(spec.beta for spec in made) == [0.5, 2.0]
+
     @pytest.mark.parametrize("random_first", [True, False])
     @pytest.mark.parametrize("rows_per_block", [None, 1])
     def test_rejects_random_full_and_fixed_rows_together(self, monkeypatch, random_first, rows_per_block):

@@ -17,6 +17,7 @@ from ri_thermalizer.models import (
     RandomFull,
     SystemSpec,
     _random_couplings,
+    _seed_states,
     ancilla_thermal_state,
     bare_hamiltonian,
     flip_flop_model,
@@ -238,6 +239,64 @@ class TestRandomCouplings:
             np.random.default_rng([seed, collision])
         with pytest.raises(expected.type):
             _random_couplings(3, [SimpleNamespace(lo=0.0, hi=1.0, seed=seed)], collision)
+
+
+# words at the edges of a uint32, for the stacked SeedSequence hash
+EDGE_WORDS = [0, 1, 2**16, 2**31, 2**32 - 1]
+
+
+class TestStackedSeedHash:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        entropy=st.lists(
+            st.lists(st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**32 - 1)), min_size=1, max_size=8),
+            min_size=1,
+            max_size=64,
+        ),
+        n_words=st.integers(1, 6),
+    )
+    def test_each_row_is_seed_sequences_state(self, entropy, n_words):
+        # rows of 1 to 8 words: short rows hash zero-padded, long ones take
+        # the extra-entropy steps under a mask
+        expected = np.stack([np.random.SeedSequence(words).generate_state(n_words, np.uint64) for words in entropy])
+        states = _seed_states(entropy, n_words)
+        assert states.dtype == expected.dtype and states.tobytes() == expected.tobytes()
+
+    def test_an_empty_stack(self):
+        assert _seed_states([], 4).shape == (0, 4)
+        assert _random_couplings(3, [], 0).shape == (0, 6, 6)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(2, 4),
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**96)),
+                st.one_of(st.sampled_from(EDGE_INDICES), st.integers(0, 2**64)),
+                st.floats(-10.0, 10.0),
+                st.floats(1e-6, 10.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        as_tuple=st.booleans(),
+    )
+    def test_one_collision_index_per_row(self, d, rows, as_tuple):
+        interactions = [RandomFull(lo=lo, hi=lo + width, seed=seed) for seed, _, lo, width in rows]
+        indices = [k for _, k, _, _ in rows]
+        expected = np.concatenate([_default_rng_couplings(d, [ispec], k) for ispec, k in zip(interactions, indices)])
+        stack = _random_couplings(d, interactions, tuple(indices) if as_tuple else indices)
+        assert stack.tobytes() == expected.tobytes()
+
+    def test_a_range_of_indices_is_one_row_per_collision(self):
+        ispec = RandomFull(lo=0.2, hi=0.7, seed=2**40 + 9)
+        stack = _random_couplings(3, [ispec] * 5, range(2**32 - 2, 2**32 + 3))
+        for h_i, k in zip(stack, range(2**32 - 2, 2**32 + 3)):
+            assert h_i.tobytes() == interaction_hamiltonian(SystemSpec(d=3), ispec, k).tobytes()
+
+    def test_indices_and_rows_must_pair_up(self):
+        with pytest.raises(ValueError):
+            _random_couplings(3, [RandomFull(lo=0.0, hi=1.0, seed=1)] * 2, [0, 1, 2])
 
 
 class TestBareHamiltonian:
