@@ -15,11 +15,12 @@ Exit codes: 0 success, 1 failed validation, 2 invalid configuration
 (for ``sweep`` also one with more than MAX_TASKS tasks, one whose scan
 would take more than MAX_STEPS steps a run, or one whose numbers
 overflow a collision unitary or a trace distance or whose powered search
-hands a run to a scan that does not cross within MAX_STEPS collisions,
-raising NoConvergence; for ``spectra``: d outside [2, MAX_D], pA outside
-(0, 1] or a non-finite x), 3 output I/O failure.  --parallel alone
-bounds the sweep's worker processes; the config sets every other value,
-its seed and engine included.
+hands a run to a scan that MAX_STEPS collisions cut off while its state
+still moves, raising NoConvergence, and a --parallel below 1; for
+``spectra``: d outside [2, MAX_D], pA outside (0, 1] or a non-finite x),
+3 output I/O failure.  --parallel alone bounds the sweep's worker
+processes; the config sets every other value, its seed and engine
+included.
 """
 
 from __future__ import annotations

@@ -385,8 +385,9 @@ def _powered_crossings(ms: np.ndarray, ps: np.ndarray, targets: np.ndarray, epsi
 def _fallback_scan(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: float, n_max: int):
     """(n, distance) of the scan a row goes to when the powered search's
     rounding guard cannot decide: one collision at a time on a (1, d, 1)
-    column, a chunk at a time up to MAX_STEPS.  Once a collision returns
-    its state bit for bit the distance stays put, as if the scan went on."""
+    column, a chunk at a time up to MAX_STEPS.  An orbit whose collision
+    returns its state bit for bit never crosses, whatever n_max; only one
+    that MAX_STEPS cuts off while still moving raises NoConvergence."""
     step = lambda states, params: params[0] @ states
     bound, params, state = min(n_max, MAX_STEPS), (m[None], target[None]), p[None, :, None]
     for n in range(0, bound, _FALLBACK_CHUNK):
@@ -395,7 +396,7 @@ def _fallback_scan(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: fl
             return n + k, dist
         state = step(previous[None], params)
         if np.array_equal(step(state, params), state):
-            break
+            return None, dist
     if n_max > MAX_STEPS:
         raise NoConvergence(f"the powered search's fallback scan does not reach epsilon = {epsilon:.3g} within MAX_STEPS = {MAX_STEPS} collisions")
     return None, dist

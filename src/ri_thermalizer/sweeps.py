@@ -1,8 +1,9 @@
 """Parameter sweeps over the collision model, with CSV output.
 
 Sweep configurations are flat ``key = value`` text (``#`` starts a
-comment).  Grids are either ``start:stop:count`` (linear) or an explicit
-comma list.  Supported kinds:
+comment), parsed into a ``SweepSpec`` that checks itself and builds each
+grid point's run when it is made.  Grids are either ``start:stop:count``
+(linear) or an explicit comma list.  Supported kinds:
 
 * ``NstarVsJtau``       n* against the interaction product J*tau
 * ``NstarVsBeta``       n* against the target inverse temperature
@@ -37,8 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,11 @@ _STACK_MAX_D = {"OdeSL": 32, "BruteForce": 4, "Recursion": 16}
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Validated sweep description; see module docstring for the kinds."""
+    """A sweep (kinds in the module docstring) that checks itself when made:
+    its own rules, then each grid point's objects (``runs``), then its
+    engine's scan bound; raises ConfigInvalid.  ``engine`` and
+    ``repetitions`` become what the sweep runs.  The runs are no field, so
+    ``==``, ``hash`` and ``repr`` ignore them, and pickling drops them."""
 
     kind: str
     grid: tuple[float, ...]
@@ -94,6 +98,58 @@ class SweepSpec:
     hi: float = math.pi * 1e-3
     tau: float = 100.0
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigInvalid(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        if not self.grid:
+            raise ConfigInvalid("grid must be nonempty")
+        if self.repetitions < 1:
+            raise ConfigInvalid("repetitions must be >= 1")
+        # only the random ensemble repeats a grid point
+        if self.kind != "RandomEnsembleVsBeta":
+            object.__setattr__(self, "repetitions", 1)
+        if len(self.grid) * self.repetitions > MAX_TASKS:
+            raise ConfigInvalid(f"grid points times repetitions exceeds MAX_TASKS = {MAX_TASKS}")
+        for key in sorted(_FLOAT_KEYS - {"beta"}):
+            if not math.isfinite(getattr(self, _KEY_TO_FIELD.get(key, key))):
+                raise ConfigInvalid(f"{key} must be a finite number")
+        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+            raise ConfigInvalid("grid must be strictly increasing")
+        object.__setattr__(self, "engine", self.engine or _KIND_TABLE[self.kind][0])
+        if self.engine not in ENGINES:
+            raise ConfigInvalid(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
+        if self.kind in ("NstarVsJtau", "NstarVsBeta") and self.engine == "OdeSL":
+            raise ConfigInvalid(f"engine OdeSL cannot produce collision counts for {self.kind}")
+        if self.kind == "RandomEnsembleVsBeta" and self.engine != "BruteForce":
+            raise ConfigInvalid("RandomEnsembleVsBeta requires engine BruteForce")
+        if not 2 <= self.d <= MAX_D:
+            raise ConfigInvalid(f"d must lie in [2, {MAX_D}]")
+        # tau = jtau / j for the flip-flop runs
+        if self.j <= 0 or self.tau <= 0:
+            raise ConfigInvalid("j and tau must be positive")
+        self.runs  # builds, and so checks, every grid point's run
+        if self.engine == "OdeSL":
+            # the SL scan's own step rule; its p_A check passes for any beta
+            try:
+                steps = _sl_steps(1.0, self.gamma, self.epsilon, self.t_max, None)[1]
+            except (ValueError, StepTooLarge) as exc:
+                # a default step 0.01 / gamma that is not finite is StepTooLarge
+                if not self.gamma > 0 or isinstance(exc, StepTooLarge):
+                    raise ConfigInvalid("gamma must be positive, with a finite default step 0.01 / gamma") from exc
+                raise ConfigInvalid("t_max must be positive, with a finite step count t_max / (0.01 / gamma)") from exc
+            if steps > MAX_STEPS:
+                raise ConfigInvalid(f"t_max / (0.01 / gamma) = {steps:.3g} RK4 steps exceeds MAX_STEPS = {MAX_STEPS}")
+        elif self.engine == "BruteForce" and self.n_max > MAX_STEPS:
+            raise ConfigInvalid(f"n_max = {self.n_max} exceeds MAX_STEPS = {MAX_STEPS} for the BruteForce scan")
+
+    @functools.cached_property
+    def runs(self) -> list[tuple]:
+        """Each grid point's run (see _point_runs), built once a spec."""
+        return _point_runs(self)
+
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items() if key != "runs"}
+
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -103,55 +159,6 @@ class SweepRecord:
     value: float
     stderr: float
     reachable: bool
-
-
-def _validated(spec: SweepSpec) -> tuple[SweepSpec, list]:
-    """The spec with its engine and repetitions set, and the run of each
-    grid point (see _point_runs); raises ConfigInvalid.  The sweep's own
-    rules are checked here, every physical value by the objects built."""
-    if spec.kind not in KINDS:
-        raise ConfigInvalid(f"unknown kind {spec.kind!r}; expected one of {KINDS}")
-    if not spec.grid:
-        raise ConfigInvalid("grid must be nonempty")
-    if spec.repetitions < 1:
-        raise ConfigInvalid("repetitions must be >= 1")
-    # only the random ensemble repeats a grid point
-    reps = spec.repetitions if spec.kind == "RandomEnsembleVsBeta" else 1
-    if len(spec.grid) * reps > MAX_TASKS:
-        raise ConfigInvalid(f"grid points times repetitions exceeds MAX_TASKS = {MAX_TASKS}")
-    for key in sorted(_FLOAT_KEYS - {"beta"}):
-        if not math.isfinite(getattr(spec, _KEY_TO_FIELD.get(key, key))):
-            raise ConfigInvalid(f"{key} must be a finite number")
-    if any(b <= a for a, b in zip(spec.grid, spec.grid[1:])):
-        raise ConfigInvalid("grid must be strictly increasing")
-    engine = spec.engine or _KIND_TABLE[spec.kind][0]
-    if engine not in ENGINES:
-        raise ConfigInvalid(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if spec.kind in ("NstarVsJtau", "NstarVsBeta") and engine == "OdeSL":
-        raise ConfigInvalid(f"engine OdeSL cannot produce collision counts for {spec.kind}")
-    if spec.kind == "RandomEnsembleVsBeta" and engine != "BruteForce":
-        raise ConfigInvalid("RandomEnsembleVsBeta requires engine BruteForce")
-    if not 2 <= spec.d <= MAX_D:
-        raise ConfigInvalid(f"d must lie in [2, {MAX_D}]")
-    # tau = jtau / j for the flip-flop runs
-    if spec.j <= 0 or spec.tau <= 0:
-        raise ConfigInvalid("j and tau must be positive")
-    spec = replace(spec, engine=engine, repetitions=reps)
-    points = _point_runs(spec)
-    if engine == "OdeSL":
-        # the SL scan's own step rule; its p_A check passes for any beta
-        try:
-            steps = _sl_steps(1.0, spec.gamma, spec.epsilon, spec.t_max, None)[1]
-        except (ValueError, StepTooLarge) as exc:
-            # a default step 0.01 / gamma that is not finite is StepTooLarge
-            if not spec.gamma > 0 or isinstance(exc, StepTooLarge):
-                raise ConfigInvalid("gamma must be positive, with a finite default step 0.01 / gamma") from exc
-            raise ConfigInvalid("t_max must be positive, with a finite step count t_max / (0.01 / gamma)") from exc
-        if steps > MAX_STEPS:
-            raise ConfigInvalid(f"t_max / (0.01 / gamma) = {steps:.3g} RK4 steps exceeds MAX_STEPS = {MAX_STEPS}")
-    elif engine == "BruteForce" and spec.n_max > MAX_STEPS:
-        raise ConfigInvalid(f"n_max = {spec.n_max} exceeds MAX_STEPS = {MAX_STEPS} for the BruteForce scan")
-    return spec, points
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +221,19 @@ def _evaluate_tasks(spec: SweepSpec, runs) -> list[tuple[float, bool]]:
 
 
 def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
-    """Evaluate every grid point (and repetition) of a validated sweep.
+    """Evaluate every grid point (and repetition) of a sweep from its runs.
 
     Tasks are independent; a pool of min(parallel, tasks, CPUs) worker
-    processes runs them when that is more than one, so parallel is an
-    upper bound.  Worker w takes every w-th task as one share.  Each
-    share runs as one batch, and a sweep with d <= _STACK_MAX_D[engine]
-    runs all its tasks as one share in this process.  Results are
-    assembled in grid order, so output is deterministic for a given spec
-    and seed.  The spec is validated here unless parse_config returned it,
-    in which case this takes the runs parse_config built.
+    processes runs them when that is more than one, so parallel, an
+    integer >= 1 (else ConfigInvalid), is an upper bound.  Worker w takes
+    every w-th task as one share.  Each share runs as one batch, and a
+    sweep with d <= _STACK_MAX_D[engine] runs all its tasks as one share
+    in this process.  Results are assembled in grid order, so output is
+    deterministic for a given spec and seed.
     """
-    runs = _PARSED_RUNS.get(id(spec))
-    spec, runs = _validated(spec) if runs is None else (spec, runs)
+    if not isinstance(parallel, (int, np.integer)) or parallel < 1:
+        raise ConfigInvalid(f"parallel must be an integer >= 1, got {parallel!r}")
+    runs = spec.runs
     reps = spec.repetitions
     if spec.kind == "RandomEnsembleVsBeta":
         # point i's repetition r: the seed SeedSequence([seed, i, r]) makes (i, r < 2^32), all in one stacked hash
@@ -302,7 +309,7 @@ def _parse_grid(raw: str, lineno: int) -> tuple[float, ...]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if not 1 <= count <= MAX_TASKS:
                 raise ValueError(f"count must lie in [1, MAX_TASKS = {MAX_TASKS}]")
-            # a grid that overflows holds inf or NaN, which _validated rejects
+            # a grid that overflows holds inf or NaN, which SweepSpec rejects
             with np.errstate(over="ignore", invalid="ignore"):
                 return tuple(np.linspace(start, stop, count))
         return tuple(float(tok) for tok in raw.split(","))
@@ -310,14 +317,9 @@ def _parse_grid(raw: str, lineno: int) -> tuple[float, ...]:
         raise ConfigInvalid(f"line {lineno}: bad grid {raw!r} ({exc})") from exc
 
 
-# the runs _validated built for each spec parse_config returned, by the
-# spec's id while it lives: run_sweep of that very (frozen) spec takes them
-# instead of building them again
-_PARSED_RUNS: dict[int, list] = {}
-
-
 def parse_config(text: str) -> SweepSpec:
-    """Parse and validate flat key-value sweep configuration text."""
+    """The SweepSpec of flat key-value sweep configuration text, which
+    checks itself as it is made; raises ConfigInvalid."""
     values: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -346,7 +348,4 @@ def parse_config(text: str) -> SweepSpec:
         raise ConfigInvalid("missing required key 'kind'")
     if "grid" not in values:
         raise ConfigInvalid("missing required key 'grid'")
-    spec, runs = _validated(SweepSpec(**values))
-    _PARSED_RUNS[id(spec)] = runs
-    weakref.finalize(spec, _PARSED_RUNS.pop, id(spec))
-    return spec
+    return SweepSpec(**values)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ri_thermalizer import sweeps
+from ri_thermalizer import simtime, sweeps
 from ri_thermalizer.cli import main
 from ri_thermalizer.errors import ConfigInvalid
 from ri_thermalizer.models import AncillaSpec
@@ -85,6 +86,13 @@ class TestSweepCommand:
         main(["sweep", str(config_path), "--out", str(out2), "--parallel", "3"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_parallel_below_one_exits_2(self, config_path, capsys, parallel):
+        assert main(["sweep", str(config_path), "--parallel", parallel]) == 2
+        captured = capsys.readouterr()
+        assert "invalid configuration: parallel must be an integer >= 1" in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("kind = NstarVsBeta\ngrid = 1,2\nbogus = 3\n")
@@ -157,7 +165,6 @@ class TestSweepCommand:
             "kind = RandomEnsembleVsBeta\nlo = 1e307\nhi = 1e308\ngrid = 1.0\n",
             "kind = TsimVsBeta\ngrid = 1.0\nt_max = 1e300\nepsilon = 1e-300\n",
             "kind = NstarVsJtau\nengine = BruteForce\nn_max = 1000000000000\nepsilon = 1e-300\ngrid = 1.0\n",
-            "kind = NstarVsJtau\ngrid = 1.0\nn_max = 1000000000000\nepsilon = 1e-300\n",
             "kind = NstarVsBeta\ngrid = 0:1:1000000000000000\n",
             "kind = RandomEnsembleVsBeta\ngrid = 1.0\nlo = -1e308\nhi = 1e308\nn_max = 5\n",
             "kind = NstarVsBeta\ngrid = -1e308:1e308:3\n",
@@ -167,7 +174,7 @@ class TestSweepCommand:
              "jtau-0-grid", "jtau-negative-grid", "jtau-negative-key", "n-max-0", "t-max-negative",
              "subnormal-gamma", "seed-negative", "sl-steps-overflow-gamma", "sl-steps-overflow-t-max",
              "unitary-overflow-omega", "unitary-overflow-couplings", "sl-steps-above-max-steps",
-             "n-max-above-max-steps", "recursion-scan-above-max-steps", "grid-count-above-max-tasks",
+             "n-max-above-max-steps", "grid-count-above-max-tasks",
              "coupling-range-overflow", "grid-overflow"],
     )
     def test_value_out_of_range_exits_2(self, tmp_path, capsys, text):
@@ -181,6 +188,23 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert "invalid configuration" in captured.err and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("beta, jtau, code, out", [(3, math.pi / 2, 2, ""), (1, 1.0, 0, "1,1e+12,0,false\n")],
+                             ids=["moving", "frozen"])
+    def test_a_recursion_scan_exits_2_only_when_max_steps_cuts_it_off(self, tmp_path, capsys, monkeypatch,
+                                                                       beta, jtau, code, out):
+        # epsilon = 1e-300 hands the run to the scan.  At beta = 3, J tau =
+        # pi/2 its state never repeats, so MAX_STEPS cuts off a moving orbit;
+        # at beta = 1, J tau = 1 the state repeats from collision 84 on, and
+        # the orbit never crosses, whatever n_max
+        monkeypatch.setattr(simtime, "MAX_STEPS", 5000)
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"kind = NstarVsJtau\ngrid = {jtau!r}\nbeta = {beta}\nn_max = 1000000000000\nepsilon = 1e-300\n")
+        assert main(["sweep", str(cfg)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == (out and "point,value,stderr,reachable\n" + out)
+        assert captured.err == ("" if out else "error: invalid configuration: the powered search's fallback scan does "
+                                "not reach epsilon = 1e-300 within MAX_STEPS = 5000 collisions\n")
 
     @pytest.mark.parametrize("d", [MAX_D + 1, 100_000, 1, 0, -3])
     def test_level_count_outside_bound_is_rejected(self, d):

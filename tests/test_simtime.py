@@ -318,9 +318,16 @@ class TestFallbackScan:
 
     @pytest.mark.parametrize("beta, j_tau", ORBITS)
     def test_a_scan_that_does_not_cross_by_max_steps_raises(self, monkeypatch, scans, beta, j_tau):
+        # unless its state repeats: that orbit never crosses, whatever n_max
         monkeypatch.setattr(simtime, "MAX_STEPS", 5000)
-        with pytest.raises(NoConvergence, match="MAX_STEPS"):
-            self._run(beta, j_tau, 10**6)
+        if beta == 1.0:
+            res = self._run(beta, j_tau, 10**6)
+            orbit = evolve_populations(np.full(3, 1 / 3), AncillaSpec(1.0, beta).ground_population, j_tau, 100)
+            assert res.n_star is None
+            assert res.final_distance == population_distance(orbit[-1], gibbs_populations(3, 1.0, beta))
+        else:
+            with pytest.raises(NoConvergence, match="MAX_STEPS"):
+                self._run(beta, j_tau, 10**6)
         assert sum(scans) <= 5000
 
     @pytest.mark.parametrize("chunk", [simtime._FALLBACK_CHUNK, 7])

@@ -4,6 +4,7 @@ import concurrent.futures
 import importlib.util
 import io
 import math
+import pickle
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -135,7 +136,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("kind", ["TsimVsBeta", "TsimVsEpsilon"])
     def test_an_sl_run_is_its_p_a_and_epsilon(self, kind):
         spec = parse_config(f"kind = {kind}\ngrid = 1e-3:0.5:40\nomega = 1.5\nbeta = 2\n")
-        runs = sweeps._validated(spec)[1]
+        runs = spec.runs
         assert all(isinstance(p_a, float) and isinstance(eps, float) for p_a, eps in runs)
         betas, epsilons = (spec.grid, [spec.epsilon] * 40) if kind == "TsimVsBeta" else ([spec.beta] * 40, list(spec.grid))
         assert [p_a for p_a, _ in runs] == [AncillaSpec(spec.omega, beta).ground_population for beta in betas]
@@ -240,24 +241,34 @@ class TestRunSweep:
         with pytest.raises(ConfigInvalid, match="grid must be nonempty"):
             run_sweep(SweepSpec(kind="NstarVsBeta", grid=()))
 
-    def test_a_parsed_spec_is_validated_once(self, monkeypatch):
-        # run_sweep takes the runs parse_config built for the spec it
-        # returned; any other spec, an equal one too, is checked and built here
+    def test_a_spec_checks_itself_and_builds_its_runs_once(self, monkeypatch):
+        # a spec builds its runs when made and run_sweep takes them; replace
+        # makes a new spec, which checks itself and builds its own
         built = []
-        validated = sweeps._validated
-        monkeypatch.setattr(sweeps, "_validated", lambda spec: built.append(1) or validated(spec))
+        point_runs = sweeps._point_runs
+        monkeypatch.setattr(sweeps, "_point_runs", lambda spec: built.append(1) or point_runs(spec))
         spec = parse_config("kind = NstarVsBeta\ngrid = 1,2\nd = 3\n")
-        key = id(spec)
-        assert key in sweeps._PARSED_RUNS
-        first, second = run_sweep(spec), run_sweep(spec)
+        first, second = format_csv(run_sweep(spec)), format_csv(run_sweep(spec))
         assert first == second and len(built) == 1
         with pytest.raises(ConfigInvalid, match="d must lie"):
-            run_sweep(replace(spec, d=1))
-        assert run_sweep(replace(spec)) == first
-        assert len(built) == 3
-        # the runs go with the spec
-        del spec
-        assert key not in sweeps._PARSED_RUNS
+            replace(spec, d=1)
+        with pytest.raises(ConfigInvalid, match="d must lie"):
+            SweepSpec(kind="NstarVsBeta", grid=(1.0, 2.0), d=1)
+        copy = replace(spec)
+        assert len(built) == 2 and format_csv(run_sweep(copy)) == first
+        # the runs are no field
+        assert copy == spec and hash(copy) == hash(spec) and repr(copy) == repr(spec)
+        # a pickled spec, as a pool worker gets it, carries no runs and sweeps the same
+        loaded = pickle.loads(pickle.dumps(spec))
+        assert "runs" not in loaded.__dict__ and loaded == spec
+        assert format_csv(run_sweep(loaded)) == first
+
+    @pytest.mark.parametrize("parallel", [0, -3, np.int64(0), 2.0])
+    def test_parallel_must_be_an_integer_of_at_least_one(self, parallel):
+        spec = SweepSpec(kind="NstarVsBeta", grid=(1.0, 2.0))
+        with pytest.raises(ConfigInvalid, match="parallel must be an integer >= 1"):
+            run_sweep(spec, parallel=parallel)
+        assert run_sweep(spec, parallel=np.int64(1)) == run_sweep(spec)
 
     def test_single_point_grid(self):
         spec = SweepSpec(kind="NstarVsBeta", grid=(5.0,), j_tau=math.pi / 2)
@@ -304,6 +315,22 @@ class TestRunSweep:
         a = format_csv(run_sweep(spec))
         b = format_csv(run_sweep(spec))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "spec, csv",
+        [
+            (SweepSpec(kind="TsimVsEpsilon", grid=(1e-4, 1e-3, 1e-2), engine="BruteForce", d=3, beta=2.0, j=1.0,
+                       j_tau=0.5),
+             "0.0001,26.5,0,true\n0.001,19.5,0,true\n0.01,13,0,true\n"),
+            (SweepSpec(kind="TsimVsBeta", grid=(0.5, 2.0, math.inf), engine="Recursion", d=4, j=1.0, j_tau=0.9,
+                       epsilon=1e-4, n_max=30),
+             "0.5,27,0,false\n2,20.7,0,true\ninf,13.5,0,true\n"),
+        ],
+        ids=["epsilon-BruteForce", "beta-Recursion"],
+    )
+    def test_a_tsim_sweep_on_a_collision_engine_gives_n_star_tau(self, spec, csv):
+        # T_sim = n* tau with tau = jtau / j, or the cap n_max tau
+        assert format_csv(run_sweep(spec)) == "point,value,stderr,reachable\n" + csv
 
     def test_parallel_matches_serial(self):
         spec = SweepSpec(kind="NstarVsBeta", grid=(1.0, 3.0, 7.0), j_tau=math.pi / 4)
