@@ -12,15 +12,15 @@ Subcommands::
 reading x once as J*tau (discrete map) and once as Gamma (SL generator).
 
 Exit codes: 0 success, 1 failed validation, 2 invalid configuration
-(for ``sweep`` also one with more than MAX_TASKS tasks, one whose scan
-would take more than MAX_STEPS steps a run, or one whose numbers
-overflow a collision unitary or a trace distance or whose powered search
-hands a run to a scan that MAX_STEPS collisions cut off while its state
-still moves, raising NoConvergence, and a --parallel below 1; for
-``spectra``: d outside [2, MAX_D], pA outside (0, 1] or a non-finite x),
-3 output I/O failure.  --parallel alone bounds the sweep's worker
-processes; the config sets every other value, its seed and engine
-included.
+(for ``sweep`` also a config that cannot be read or is not UTF-8, one
+with more than MAX_TASKS tasks, one whose scan would take more than
+MAX_STEPS steps a run, or one whose numbers overflow a collision unitary
+or a trace distance or whose powered search hands a run to a scan that
+MAX_STEPS collisions cut off while its state still moves, raising
+NoConvergence, and a --parallel below 1; for ``spectra``: d outside [2,
+MAX_D], pA outside (0, 1] or a non-finite x), 3 output I/O failure.
+--parallel alone bounds the sweep's worker processes; the config sets
+every other value, its seed and engine included.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _cmd_sweep(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:

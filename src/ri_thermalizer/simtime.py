@@ -12,51 +12,46 @@ stacked on axis 0 of one state array, each with its own epsilon; a
 single run is one row.  An engine supplies ``step(states, params)``, one
 step of every row, and ``distance(states, targets)``, one value per row
 against the targets that end params: ``_sl_step`` and
-``_column_distances`` for SL, the step of ``_cptp_scan`` and
+``_column_distances`` for SL ((B, d, 1) columns, so each RK4 derivative
+is one ``gens @ y``), the step of ``_cptp_scan`` and
 ``linalg._trace_distances`` for the CPTP map, and the coherence
-recursion for a coherent three-level row.  SL states are (B, d, 1)
-columns, so each RK4 derivative is one ``gens @ y``.  Population rows
-(SL and the recursion's fallback scan) are checked once per chunk of up
-to ``_CHECK_EVERY`` steps, the whole trail of states in one distance
-call; density-matrix rows (CPTP and coherent d = 3) every step, so no
-crossed row steps on.  A stacked product, ``eigh`` or ``eigvalsh`` gives
-each row, bit for bit, what the row alone gives.  CPTP rows of one
-model share H_0, rho_A and the target, RandomFull rows those of one
-(system, ancilla), and a fixed-unitary row builds its unitary once.  A
+recursion for a coherent three-level row.  Population rows are checked
+once per chunk of up to ``_CHECK_EVERY`` steps, the whole trail in one
+distance call; density-matrix rows every step, so no crossed row steps
+on.  A stacked product, ``eigh`` or ``eigvalsh`` gives each row, bit for
+bit, what the row alone gives.  CPTP rows of one model share H_0, rho_A
+and the target, RandomFull rows those of one (system, ancilla).  A
 ``RandomFull`` row draws H_I(seed, k) for collision k, the draws of
-``default_rng([seed, k])``: each step draws every row's couplings into
-one stack (``models._random_couplings``, all rows' seeds hashed as one
-stack) and builds every row's next unitary in one stacked ``eigh``.
-States carry no clock: all rows step together, so an SL row's time after
-n steps is ``_sl_clock(h, n)`` and a CPTP row's collision index is the
-first one plus the steps taken.
+``default_rng([seed, k])``, every row's into one stack
+(``models._random_couplings``), and builds every row's next unitary in
+one stacked ``eigh``.  States carry no clock: an SL row's time after n
+steps is ``_sl_clock(h, n)``, a CPTP row's collision index the first one
+plus the steps taken.
 
 :func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` search
-a sweep's rows together and hand each row to :func:`tsim_simulated_sl`
-(which bisects the crossing step with :func:`bisect_crossing`) or
-:func:`nstar_simulated` for the last span of its search, so the answers
-are bit for bit those of one run at a time: a scanned row's last step
-(from that step's collision index), and a powered row's last rejected
-lift.  Stacking saves the per-step overhead, which dominates a step at
-small d; it does not split the work across processes.  The finishers
-stay for two reasons: they make each row bit for bit a single run, and
-perfbench's tracer counts one ``nstar_simulated`` or
-``tsim_simulated_sl`` call per sweep task (its ``TASK_ROOTS``), which only
-the finishers make.  The tracer's rule has to change before a batch can
-answer its rows without them.
+a sweep's rows together and answer every crossed row from that search,
+bit for bit as one run at a time: a scanned row from its trail, an SL
+row from one stacked bisection of the crossing steps (``_sl_crossings``,
+which a single SL run calls on one row), and a powered row from its last
+rejected lift.  Stacking saves the per-step overhead, which dominates a
+step at small d; it does not split the work across processes.  Each row
+still makes one single-run call, because perfbench's tracer counts one
+``nstar_simulated`` or ``tsim_simulated_sl`` call per sweep task (its
+``TASK_ROOTS``); from a crossed row's state at its crossing that call is
+a zero-step report.  A row unreachable at the cap takes its last step
+again; a powered row the guard hands over, or one unreachable, runs
+again from rho0.
 
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
 never grows, and ``_powered_crossings`` finds each row's first crossing
 by binary lifting over the squared powers m^(2^k): O(log n_max) stacked
-matrix products instead of n* matrix-vector steps.  The crossing n* is
-the row's last rejected lift, by 2^t with t the trailing zero bits of
-n*, so a finisher that starts at n* - 2^t with n_max = 2^t squares the
-same powers and replays that lift.  A rounding guard keeps n* equal to
-the scan's: when a row's distance just before or at the crossing it
-found lies within a forward-error bound of epsilon, it hands the row to
-the scan, which stops at ``MAX_STEPS`` collisions.  A batch builds its
-maps and targets as one stack; a single run, a finisher too, row by row.
+matrix products instead of n* matrix-vector steps.  A rounding guard
+keeps n* equal to the scan's: when a row's distance just before or at
+the crossing it found lies within a forward-error bound of epsilon, it
+hands the row to the scan, which stops at ``MAX_STEPS`` collisions.  A
+batch builds its maps and targets as one stack; a single run row by
+row.
 """
 
 from __future__ import annotations
@@ -237,10 +232,10 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
     against the targets repeated.  Complex rows (density matrices) are
     checked every step, so a crossed row takes no further step (a
     RandomFull row no further draw).  The rows still above their epsilon
-    are compacted after a check where some row finished.  Returns one (n,
-    distance, previous) per row: the number of steps taken (None when none
-    of them crosses), the distance there, and a copy of that row's state
-    before the last step, so no result keeps a stacked array alive.
+    are compacted after a check where some row finished.  Returns per row
+    (n, distance, previous, state): the steps taken (None when none
+    crosses), the distance there, and copies of the row's state before
+    the last step and at n, so no result keeps a stacked array alive.
     """
     epsilons = np.asarray(epsilons, dtype=float)
     results = [None] * epsilons.size
@@ -259,7 +254,7 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
             done = hit | (n == n_max)
             for j in np.flatnonzero(done):
                 i = int(last[j])
-                results[rows[j]] = (n - len(dists) + 1 + i if hit[j] else None, float(dists[i, j]), trail[i][j].copy())
+                results[rows[j]] = (n - len(dists) + 1 + i if hit[j] else None, float(dists[i, j]), trail[i][j].copy(), trail[len(trail) - len(dists) + i][j].copy())
             if done.all():
                 return results
             keep = ~done
@@ -315,31 +310,30 @@ def _powered_crossings(ms: np.ndarray, ps: np.ndarray, targets: np.ndarray, epsi
     Binary lifting over P_k = m^(2^k): from n = 0, each power, largest
     first, advances a row when the distance after it is still above the
     row's epsilon.  The exact distance never grows, so a row ends at its
-    last n above epsilon, and its crossing is n + 1 unless n = n_max.
-    Below n_max that crossing is the row's last rejected lift, by span =
-    2^t with t the trailing zero bits of n + 1, from its state at n + 1 -
-    span.  Returns per row None where the rounding guard hands the row to
-    the scan, else (n, distance, start, span): the crossing (None when
-    none comes by n_max), the distance there, and for a row that crosses
-    after step 0 that start state and span (both None otherwise).
+    last n above epsilon, and its crossing is n + 1 unless n = n_max: the
+    row's last rejected lift, by 2^t with t the trailing zero bits of n +
+    1, whose product is the state there.  Returns per row None where the
+    rounding guard hands the row to the scan, else (n, distance, state)
+    at the crossing, n and state None when none comes by n_max.
     """
     epsilons = np.asarray(epsilons, dtype=float)
     first = _population_distances(ps, targets)
-    powers = [ms]
     # rows within epsilon at once need no powers (count_nonzero is cheaper than .all())
-    if np.count_nonzero(first <= epsilons) < len(ps):
-        while 2 ** len(powers) <= n_max:
-            powers.append(powers[-1] @ powers[-1])
+    if np.count_nonzero(first <= epsilons) == len(ps):
+        return [(0, dist, p) for dist, p in zip(first.tolist(), ps)]
+    powers = [ms]
+    while 2 ** len(powers) <= n_max:
+        powers.append(powers[-1] @ powers[-1])
     # an n_max past int64 keeps the counts exact as Python ints
     n = np.zeros(len(ps), dtype=np.int64 if n_max < 2**62 else object)
-    # each power's probe distances, and the states it was applied to
-    states, before, probes = ps, [None] * len(powers), [None] * len(powers)
+    # each power's products and their distances
+    states, aheads, probes = ps, [None] * len(powers), [None] * len(powers)
     for k in reversed(range(len(powers))):
-        ahead = _matvecs(powers[k], states)
-        before[k], probes[k] = states, _population_distances(ahead, targets)
+        aheads[k] = _matvecs(powers[k], states)
+        probes[k] = _population_distances(aheads[k], targets)
         lift = (probes[k] > epsilons) & (n <= n_max - 2**k)
         n = np.where(lift, n + 2**k, n)
-        states = np.where(lift[:, None], ahead, states)
+        states = np.where(lift[:, None], aheads[k], states)
 
     # Rounding guard, row by row.  u is the unit roundoff and gamma_d = d u
     # / (1 - d u).  m rounds, entry by entry in a few operations, an exactly
@@ -371,14 +365,14 @@ def _powered_crossings(ms: np.ndarray, ps: np.ndarray, targets: np.ndarray, epsi
         # the distance at n is that of the row's last lift, by n's lowest set bit
         dist = float(probes[(n & -n).bit_length() - 1][i]) if n else first
         if first <= epsilon:
-            results.append((0, first, None, None))
+            results.append((0, first, ps[i]))
         elif n == n_max:
-            results.append((None, dist, None, None) if dist - epsilon > delta(n) else None)
+            results.append((None, dist, None) if dist - epsilon > delta(n) else None)
         else:
             t = ((n + 1) & -(n + 1)).bit_length() - 1
             crossed = float(probes[t][i])
             guarded = dist - epsilon > delta(n) and epsilon - crossed > delta(n + 1)
-            results.append((n + 1, crossed, before[t][i], 2**t) if guarded else None)
+            results.append((n + 1, crossed, aheads[t][i]) if guarded else None)
     return results
 
 
@@ -389,26 +383,19 @@ def _fallback_scan(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: fl
     returns its state bit for bit never crosses, whatever n_max; only one
     that MAX_STEPS cuts off while still moving raises NoConvergence."""
     step = lambda states, params: params[0] @ states
-    bound, params, state = min(n_max, MAX_STEPS), (m[None], target[None]), p[None, :, None]
+    bound, params, state = min(n_max, MAX_STEPS), (m[None], target[None]), p[:, None]
     for n in range(0, bound, _FALLBACK_CHUNK):
-        ((k, dist, previous),) = _first_crossings(step, state, params, _column_distances, [epsilon], min(bound - n, _FALLBACK_CHUNK))
+        ((k, dist, _, state),) = _first_crossings(step, state[None], params, _column_distances, [epsilon], min(bound - n, _FALLBACK_CHUNK))
         if k is not None:
             return n + k, dist
-        state = step(previous[None], params)
-        if np.array_equal(step(state, params), state):
+        if np.array_equal(step(state[None], params)[0], state):
             return None, dist
     if n_max > MAX_STEPS:
         raise NoConvergence(f"the powered search's fallback scan does not reach epsilon = {epsilon:.3g} within MAX_STEPS = {MAX_STEPS} collisions")
     return None, dist
 
 
-def nstar_simulated(
-    rho0: np.ndarray,
-    model: ModelSpec,
-    cfg: CollisionConfig,
-    engine: str = "auto",
-    collision: int = 0,
-) -> ThermalizationResult:
+def nstar_simulated(rho0: np.ndarray, model: ModelSpec, cfg: CollisionConfig, engine: str = "auto", collision: int = 0) -> ThermalizationResult:
     """First collision count n with D(rho^(n), Gibbs target) <= epsilon.
 
     engine is one of "auto", "recursion", "brute_force".  The recursion
@@ -451,7 +438,7 @@ def nstar_simulated(
             c = coherence_step(rho[0, 1], rho[0, 2], rho[1, 2])
             return density_matrix_d3(m @ rho.diagonal().real, *c)[None]
 
-    ((n, dist, _),) = _first_crossings(step, states, params, _trace_distances, [cfg.epsilon], cfg.n_max)
+    ((n, dist, *_),) = _first_crossings(step, states, params, _trace_distances, [cfg.epsilon], cfg.n_max)
     return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
 
@@ -523,15 +510,12 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_f
     resonant flip-flop and a diagonal rho0; one ``_powered_crossings``
     lifts them, a row holding its floor(log2 n_max) + 1 powers.
 
-    Each row is then finished by one ``nstar_simulated`` over the last
-    span of its search, from the state at its n* (or cap) less the span,
-    at that collision index, and its n* is that offset plus the
-    finisher's.  A CPTP row's span is its last step.  A recursion row
-    that crosses after step 0 replays its last rejected lift: the
-    finisher squares the same powers and lifts from the same state, and
-    its own guard, over fewer steps from a state of no larger L1 norm up
-    to rounding, holds where the row's did.  Other rows start from rho0,
-    a CPTP row with n_max = 1 and a recursion row with the whole n_max.
+    The search answers each crossed row; its ``nstar_simulated`` call,
+    from its state at n* with its own cfg, is within epsilon at once and
+    returns n* = 0 and the same distance, with no collision or draw.  A
+    CPTP row unreachable by n_max takes its last collision again, at
+    index n_max - 1; an unreachable or guard-handed recursion row runs
+    again from rho0.
     """
     if engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -556,7 +540,7 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_f
 
         def scan(part):
             crossings = _first_crossings(*_cptp_scan(part, rho0), _trace_distances, epsilons(part), n_max)
-            return [(n_max - 1 if n is None else max(n - 1, 0), 1, previous) for n, _, previous in crossings]
+            return [(n_max - 1, 1, previous) if n is None else (n, None, state) for n, _, previous, state in crossings]
 
     else:
         if not _is_diagonal(rho0):
@@ -568,11 +552,12 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_f
             rows = [(m.ancilla.ground_population, m.interaction.j * cfg.tau, m.system.omega, m.ancilla.beta) for m, cfg in part]
             ms, targets = _population_systems(d, rows)
             crossings = _powered_crossings(ms, np.tile(p, (len(part), 1)), targets, epsilons(part), n_max)
-            return [(0, n_max, rho0) if c is None or c[2] is None else (c[0] - c[3], c[3], np.diag(c[2])) for c in crossings]
+            return [(0, None, rho0) if c is None or c[0] is None else (c[0], None, np.diag(c[2])) for c in crossings]
 
     results = []
+    # each row's collision offset, the n_max of its call (None: its own), and its start
     for (model, cfg), (offset, span, start) in _blocked_crossings(runs, row_bytes, scan):
-        res = nstar_simulated(start, model, replace(cfg, n_max=span), engine=engine, collision=offset)
+        res = nstar_simulated(start, model, cfg if span is None else replace(cfg, n_max=span), engine=engine, collision=offset)
         n = None if res.n_star is None else offset + res.n_star
         results.append(res if n is None else ThermalizationResult(n, n * cfg.tau, res.final_distance, engine))
     return results
@@ -636,14 +621,45 @@ def _sl_systems(d: int, p_as, gamma: float):
     return gens, targets / targets.sum(axis=1, keepdims=True)
 
 
-def tsim_simulated_sl(
-    p0: np.ndarray,
-    p_a: float,
-    gamma: float,
-    epsilon: float,
-    t_max: float,
-    dt: float | None = None,
-) -> ThermalizationResult:
+def _sl_crossings(p0: np.ndarray, p_as, gamma: float, epsilons, h: float, steps: int):
+    """(t, distance, state) of every row (p_a, epsilon) from p0, stacked on
+    axis 0: an RK4 scan of at most ``steps`` steps h, then one stacked
+    bisection of the rows that cross at a step n > 0.  Each narrows its
+    (lo, hi) from (0, h) as ``bisect_crossing`` does, stepping from its
+    state at n - 1 (RK4 takes a (B, 1, 1) stack of step sizes), until no
+    float lies between; t = ``_sl_clock(h, n - 1) + hi`` (0.0 at step 0).
+    At the cap t is None and the state one step before it.  Their
+    generators are built again: the scan's, held through its compactions,
+    would double the block."""
+    d, epsilons = p0.size, np.asarray(epsilons, dtype=float)
+    crossings = _first_crossings(_sl_step(h), np.tile(p0[:, None], (len(p_as), 1, 1)), _sl_systems(d, p_as, gamma), _column_distances, epsilons, steps)
+    results = [(None, dist, previous) if n is None else (0.0, dist, state) for n, dist, previous, state in crossings]
+    late = [i for i, (n, *_) in enumerate(crossings) if n]
+    if not late:
+        return results
+    # each bisected row's lo and hi, and the distance and state at hi, from the scan's step h
+    (gens, targets), epsilons, rows = _sl_systems(d, [p_as[i] for i in late], gamma), epsilons[late], np.arange(len(late))
+    los, his, dists = np.zeros(len(late)), np.full(len(late), h), np.array([crossings[i][1] for i in late])
+    starts, ends = (np.stack([crossings[i][k] for i in late]) for k in (2, 3))
+    while True:
+        mid = 0.5 * (los[rows] + his[rows])
+        moving = (los[rows] < mid) & (mid < his[rows])
+        if not moving.all():
+            rows, mid = rows[moving], mid[moving]
+            if not rows.size:
+                break
+            gens, targets, starts, epsilons = (a[moving] for a in (gens, targets, starts, epsilons))
+        after = _sl_step(mid[:, None, None])(starts, (gens,))
+        ahead = _column_distances(after, targets)
+        below = ahead <= epsilons
+        his[rows[below]], dists[rows[below]], ends[rows[below]] = mid[below], ahead[below], after[below]
+        los[rows[~below]] = mid[~below]
+    for i, x, dist, end in zip(late, his.tolist(), dists.tolist(), ends):
+        results[i] = (_sl_clock(h, crossings[i][0] - 1) + x, dist, end)
+    return results
+
+
+def tsim_simulated_sl(p0: np.ndarray, p_a: float, gamma: float, epsilon: float, t_max: float, dt: float | None = None) -> ThermalizationResult:
     """Crossing time of the SL population ODE below trace distance epsilon.
 
     Fixed-step RK4 scan; the bracketing step is then refined by bisection,
@@ -653,45 +669,29 @@ def tsim_simulated_sl(
     """
     p0 = np.asarray(p0, dtype=float)
     h, steps = _sl_steps(p_a, gamma, epsilon, t_max, dt)
-    _, targets = params = _sl_systems(p0.size, [p_a], gamma)
-    ((n, dist, p),) = _first_crossings(_sl_step(h), p0[None, :, None], params, _column_distances, [epsilon], steps)
-    if n is None:
-        return ThermalizationResult(None, None, dist, "ode_sl")
-    t = 0.0
-    if n > 0:
-        # the scan's step and distance over x <= h, from the state at step n - 1
-        dist_after = lambda x: float(_column_distances(_sl_step(x)(p[None], params), targets)[0])
-        x = bisect_crossing(dist_after, epsilon, 0.0, h)[1]
-        t, dist = _sl_clock(h, n - 1) + x, dist_after(x)
+    ((t, dist, _),) = _sl_crossings(p0, [p_a], gamma, [epsilon], h, steps)
     return ThermalizationResult(None, t, dist, "ode_sl")
 
 
-def tsim_simulated_sl_batch(
-    p0: np.ndarray, p_as, gamma: float, epsilons, t_max: float
-) -> list[ThermalizationResult]:
+def tsim_simulated_sl_batch(p0: np.ndarray, p_as, gamma: float, epsilons, t_max: float) -> list[ThermalizationResult]:
     """``tsim_simulated_sl(p0, p_as[i], gamma, epsilons[i], t_max)`` for
-    every i, bit for bit, from one stacked RK4 scan.
+    every i, bit for bit, from one stacked RK4 scan and bisection.
 
     The rows share p0, gamma and t_max, and so the step h, and step as a
     single run does, a block of _BLOCK_BYTES of generators at a time.
-    Every row is then finished by ``tsim_simulated_sl`` over one step h,
-    from its state before the scan's last step (p0 for a row within
-    epsilon at once): that step crosses and is bisected, or, at t_max,
-    does not.  A crossed row's time is the clock there, ``_sl_clock(h,
-    n - 1)`` for a crossing at step n, plus the finisher's.
+    ``_sl_crossings`` answers each crossed row; its ``tsim_simulated_sl``
+    call over one step h, from its state at the crossing, is within
+    epsilon at once and adds time 0.0.  A row unreachable by t_max takes
+    its last step again from its state before it.
     """
-    p0 = np.asarray(p0, dtype=float)
-    d = p0.size
-    runs = list(zip(p_as, epsilons, strict=True))
+    p0, runs = np.asarray(p0, dtype=float), list(zip(p_as, epsilons, strict=True))
     for p_a, eps in runs:
         h, steps = _sl_steps(p_a, gamma, eps, t_max, None)
-    scan = lambda part: _first_crossings(
-        _sl_step(h), np.tile(p0[:, None], (len(part), 1, 1)), _sl_systems(d, [p_a for p_a, _ in part], gamma), _column_distances, [eps for _, eps in part], steps
-    )
+    scan = lambda part: _sl_crossings(p0, [p_a for p_a, _ in part], gamma, [eps for _, eps in part], h, steps)
     results = []
-    for (p_a, eps), (n, _, p) in _blocked_crossings(runs, 8 * d * d, scan):
-        res = tsim_simulated_sl(p[:, 0], p_a, gamma, eps, h, dt=h)
-        results.append(res if res.t_sim is None else replace(res, t_sim=_sl_clock(h, n - 1) + res.t_sim))
+    for (p_a, eps), (t, _, start) in _blocked_crossings(runs, 8 * p0.size**2, scan):
+        res = tsim_simulated_sl(start[:, 0], p_a, gamma, eps, h, dt=h)
+        results.append(res if res.t_sim is None else replace(res, t_sim=t + res.t_sim))
     return results
 
 

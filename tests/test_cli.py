@@ -264,6 +264,15 @@ class TestSweepCommand:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_a_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # a byte 0xff in a comment: one line on stderr, not a traceback and exit 1
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(FIG3A_STYLE_CONFIG.encode() + b"# caf\xff\n")
+        assert main(["sweep", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot read config: ") and "0xff" in err
+        assert err.count("\n") == 1
+
     def test_unwritable_output_exits_3(self, config_path):
         assert main(["sweep", str(config_path), "--out", "/nonexistent-dir/x.csv"]) == 3
 

@@ -163,6 +163,29 @@ class TestNamedCases:
         monkeypatch.setattr(simtime, "_BLOCK_BYTES", 2 * simtime._CPTP_ROW_ARRAYS * 16 * 6 * 6)
         assert _assert_batch_matches(self.RHO0, models, cfgs) == whole
 
+    def test_crossed_random_full_rows_take_no_collision_after_the_scan(self, monkeypatch):
+        # one draw and one collision per step of the batch's scan, none in
+        # the rows' single runs, which start within epsilon
+        calls, steps = {"draws": 0, "collisions": 0}, []
+        draw, collide, scan = simtime._random_couplings, simtime._collide, simtime._first_crossings
+
+        def counted(name, fn):
+            return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+
+        def counted_scan(step, *args):
+            steps.append(0)
+            return scan(lambda *a: steps.__setitem__(-1, steps[-1] + 1) or step(*a), *args)
+
+        monkeypatch.setattr(simtime, "_random_couplings", counted("draws", draw))
+        monkeypatch.setattr(simtime, "_collide", counted("collisions", collide))
+        monkeypatch.setattr(simtime, "_first_crossings", counted_scan)
+        models, cfgs, res = self._random_full_batch()
+        calls["draws"] = calls["collisions"] = 0
+        steps.clear()
+        assert nstar_simulated_batch(self.RHO0, models, cfgs) == res
+        assert steps == [max(r.n_star for r in res)] + [0] * len(res)
+        assert calls == {"draws": steps[0], "collisions": steps[0]}
+
     def test_random_full_rows_of_one_temperature_share_their_arrays(self, monkeypatch):
         # H_0, rho_A and the Gibbs target depend on (system, ancilla) only:
         # six rows with their own seeds at two betas build two of each

@@ -5,7 +5,8 @@ Real rows (SL populations as (B, d, 1) columns, and population maps as
 the whole trail of states in one distance call; complex rows check every
 step.  Either way each row's (n, distance, previous) must be, bit for
 bit, what a search of that row alone gives when it steps and checks one
-step at a time, and no row may take more than n_max steps.
+step at a time, and no row may take more than n_max steps.  The state
+at n comes back too, a copy, as does the state before the last step.
 """
 
 import math
@@ -32,7 +33,7 @@ def _one_step_at_a_time(step, states, params, distance, epsilons, n_max):
         while not dist <= epsilon and n < n_max:
             n, previous, state = n + 1, state, step(state, row)
             dist = distance(state, row[-1])[0]
-        results.append((n if dist <= epsilon else None, float(dist), previous[0]))
+        results.append((n if dist <= epsilon else None, float(dist), previous[0], state[0]))
     return results
 
 
@@ -66,17 +67,20 @@ def _epsilons(scan, crossings):
             epsilons.append(1e-300)
             continue
         row = tuple(a[i : i + 1] for a in params)
-        ((_, dist, _),) = _one_step_at_a_time(step, states[i : i + 1], row, distance, [-1.0], at)
+        ((_, dist, *_),) = _one_step_at_a_time(step, states[i : i + 1], row, distance, [-1.0], at)
         epsilons.append(dist if nudge == 0 else math.nextafter(dist, nudge * math.inf))
     return epsilons
 
 
 def _assert_same_bits(got, expected):
     assert len(got) == len(expected)
-    for (n, dist, previous), (n_ref, dist_ref, previous_ref) in zip(got, expected):
+    for (n, dist, previous, state), (n_ref, dist_ref, previous_ref, state_ref) in zip(got, expected):
         assert n == n_ref and type(n) is type(n_ref)
         assert np.float64(dist).tobytes() == np.float64(dist_ref).tobytes()
         assert previous.shape == previous_ref.shape and previous.tobytes() == previous_ref.tobytes()
+        assert state.shape == state_ref.shape and state.tobytes() == state_ref.tobytes()
+        # copies, which keep no stacked array alive
+        assert previous.base is None and state.base is None
 
 
 def _search(kind, d, betas, crossings, n_max, check_every):
@@ -134,9 +138,9 @@ def test_named_crossings(kind, n_max, crossings):
     got, calls = _search(kind, 6, betas, crossings, n_max, 32)
     # each distance falls at every step here, so a row crosses at its step,
     # or one later when epsilon lies just below it
-    assert [n for n, _, _ in got] == [at if at is None or nudge >= 0 else (at + 1 if at < n_max else None) for at, nudge in crossings]
+    assert [n for n, *_ in got] == [at if at is None or nudge >= 0 else (at + 1 if at < n_max else None) for at, nudge in crossings]
     # the search stops at its last row's check, and one call checks a chunk
-    last = max(n_max if n is None else n for n, _, _ in got)
+    last = max(n_max if n is None else n for n, *_ in got)
     assert calls["step"] == min(n_max, math.ceil(last / 32) * 32)
     assert calls["distance"] == 1 + math.ceil(calls["step"] / 32)
 
@@ -150,8 +154,12 @@ def test_complex_rows_are_checked_every_step():
     step = lambda s, params: calls.append(len(s)) or 0.5 * s
     distance = lambda s, t: np.abs(s - t).sum(axis=(1, 2))
     got = simtime._first_crossings(step, states, (targets,), distance, [0.1, 0.1, 0.1], 50)
-    assert [n for n, _, _ in got] == [5, 6, 7]
+    assert [n for n, *_ in got] == [5, 6, 7]
     assert calls == [3] * 5 + [2, 1]
+    # the state at n, one step on from the state before it
+    for (n, dist, previous, state), s in zip(got, (1.0, 2.0, 4.0)):
+        assert np.array_equal(state, np.eye(3) * s / 2**n) and np.array_equal(state, 0.5 * previous)
+        assert dist == 3 * s / 2**n and previous.base is None and state.base is None
 
 
 def test_a_trail_stays_within_one_block_at_max_d(monkeypatch):
@@ -169,5 +177,9 @@ def test_a_trail_stays_within_one_block_at_max_d(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(n is None for n, _, _ in got)
+    assert all(n is None for n, *_ in got)
+    # each row's state at the cap, one step on from the state before it
+    for i, (_, _, previous, state) in enumerate(got):
+        assert np.array_equal(state, step(previous[None], tuple(a[i : i + 1] for a in params))[0])
+        assert previous.base is None and state.base is None
     assert peak < block

@@ -4,8 +4,8 @@
 the results of ``nstar_simulated(..., engine="recursion")`` called run by
 run.  That rests on the identities pinned here: a stacked square and a
 stacked matrix-vector product give each row what the 2-D ``@`` gives it,
-and a finisher that replays a row's last rejected lift squares the same
-powers and lifts from the same state.  The batch builds a block's maps and
+and a stacked distance what a row's own gives it, so a crossed row's
+single run from its state at n* reports n* = 0 and the same distance.  The batch builds a block's maps and
 Gibbs targets as one stack (``collisions._population_systems``), pinned here
 bit for bit to ``population_step_matrix`` and ``gibbs_populations`` row by
 row, and to their exception types for a row they reject.
@@ -126,6 +126,18 @@ class TestNamedCases:
         assert _assert_batch_matches(self.RHO0, *_runs(4, self.ROWS, 5000)) == whole
         # three blocks, and one single run per row in the batch and beside it
         assert sorted(calls) == [1] * 12 + [2] * 3
+
+    def test_crossed_rows_take_no_product_after_the_stacked_search(self, monkeypatch):
+        # the search squares and lifts once for the batch; each row's single
+        # run starts within epsilon and returns at once
+        events = []
+        search, matvecs = simtime._powered_crossings, simtime._matvecs
+        monkeypatch.setattr(simtime, "_powered_crossings", lambda ms, *args: events.append(len(ms)) or search(ms, *args))
+        monkeypatch.setattr(simtime, "_matvecs", lambda *args: events.append("matvec") or matvecs(*args))
+        rows = [row for row in self.ROWS if row[1] != math.pi]
+        res = nstar_simulated_batch(self.RHO0, *_runs(4, rows, 5000), engine="recursion")
+        assert all(r.reachable for r in res) and len({r.n_star for r in res}) == len(rows)
+        assert events == [len(rows)] + ["matvec"] * (5000).bit_length() + [1] * len(rows)
 
     def test_a_row_the_guard_hands_to_the_scan(self, monkeypatch):
         # finished from rho0 with the whole n_max, whose run takes the scan

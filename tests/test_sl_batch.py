@@ -97,6 +97,28 @@ class TestNamedCases:
     def test_an_empty_batch(self):
         assert tsim_simulated_sl_batch(self.P0, [], 1.0, [], 10.0) == []
 
+    def test_crossed_rows_take_no_step_after_the_block(self, monkeypatch):
+        # RK4 steps are the scan's plus one stacked bisection of all the
+        # crossing steps, about 54 for the block and not per row; each row's
+        # single run starts within epsilon and takes no step
+        steps, bisections = [], []
+        rk4, scan = simtime.rk4_step, simtime._first_crossings
+
+        def counted_rk4(rhs, y, h):
+            (bisections if np.ndim(h) else steps).append(len(y))
+            return rk4(rhs, y, h)
+
+        scans = []
+        monkeypatch.setattr(simtime, "rk4_step", counted_rk4)
+        monkeypatch.setattr(simtime, "_first_crossings", lambda *args: scans.append(len(steps)) or scan(*args))
+        betas = [0.3, 0.8, 1.5, 2.5, 4.0, 7.0]
+        res = tsim_simulated_sl_batch(np.full(4, 0.25), [_p_a(b) for b in betas], 1.0, [1e-5] * 6, 60.0)
+        assert all(r.reachable and r.t_sim > 0.0 for r in res) and len({r.t_sim for r in res}) == 6
+        # the rows' single runs, after the block's scan, step nothing
+        assert len(scans) == 1 + len(betas) and scans[1:] == [len(steps)] * len(betas)
+        assert 0 < len(steps) <= math.ceil(60.0 / 0.01) and 50 <= len(bisections) <= 64
+        assert bisections[0] == len(betas)
+
     @pytest.mark.parametrize("p_a, epsilon", [(0.0, 1e-4), (0.8, 0.0), (0.8, math.nan), (0.8, 1.0)])
     def test_rejects_what_one_scan_rejects(self, p_a, epsilon):
         # checked up front, also for a row the scan would never finish
@@ -118,15 +140,16 @@ def test_first_crossings_of_a_population_map():
     step = lambda s, params: (params[0] @ s[:, :, None])[:, :, 0]
     distance = lambda s, targets: 0.5 * np.abs(s - targets).sum(axis=1)
     batch = _first_crossings(step, p0, (np.stack(maps), np.stack(targets)), distance, epsilons, n_max)
-    for i, (n, dist, previous) in enumerate(batch):
+    for i, (n, dist, previous, state) in enumerate(batch):
         orbit = evolve_populations(p0[i], p_as[i], j_tau, n_max)
         distances = [population_distance(p, targets[i]) for p in orbit]
         first = next((k for k, x in enumerate(distances) if x <= epsilons[i]), None)
         last = n_max if first is None else first
         assert (n, dist) == (first, distances[last])
         assert np.array_equal(previous, orbit[max(last - 1, 0)])
-        # a copy, which keeps no stacked array alive
-        assert previous.base is None
+        assert np.array_equal(state, orbit[last])
+        # copies, which keep no stacked array alive
+        assert previous.base is None and state.base is None
     assert batch[4][0] is None and batch[3][0] is not None
 
 

@@ -461,7 +461,7 @@ class TestRunSweep:
         assert roots == 9
 
     def test_a_traced_recursion_sweep_has_one_task_root_per_task(self, tmp_path):
-        # one nstar_simulated span per task from the batch's finishers: a
+        # one nstar_simulated span per task from the batch's per-row calls: a
         # point at step 0 (beta = 0), one left at the cap and two crossed
         spec = SweepSpec(kind="NstarVsBeta", grid=(0.0, 0.5, 2.0, 8.0), d=4, j=1.0, j_tau=0.9,
                          epsilon=1e-4, n_max=30)
