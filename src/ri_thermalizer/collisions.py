@@ -518,14 +518,21 @@ def _rk4(rhs, y0: np.ndarray, t_end: float, dt: float) -> OdeTrajectory:
 
 def sl_population_generator(d: int, p_a: float, gamma: float) -> np.ndarray:
     """Tridiagonal SL rate matrix: upward rate Gamma*p_A, downward Gamma*(1-p_A)."""
+    return _sl_generators(d, [p_a], gamma)[0]
+
+
+def _sl_generators(d: int, p_as, gamma: float) -> np.ndarray:
+    """``sl_population_generator`` of each p_A in p_as, stacked on axis 0."""
     _check_d(d)
-    _check_p_a(p_a)
-    gen = np.zeros((d, d))
-    for k in range(d - 1):
-        gen[k, k + 1] = gamma * p_a
-        gen[k + 1, k] = gamma * (1.0 - p_a)
-    np.fill_diagonal(gen, -gen.sum(axis=0))
-    return gen
+    for p_a in p_as:
+        _check_p_a(p_a)
+    p_as = np.asarray(p_as, dtype=float)[:, None]
+    flat = np.zeros((len(p_as), d * d))
+    # every (d + 1)-th entry from 1, d and 0: up and down rates, minus column sums
+    flat[:, 1 :: d + 1] = gamma * p_as
+    flat[:, d :: d + 1] = gamma * (1.0 - p_as)
+    flat[:, :: d + 1] = -flat.reshape(-1, d, d).sum(axis=1)
+    return flat.reshape(-1, d, d)
 
 
 def sl_ode_populations(

@@ -35,12 +35,11 @@ row from one stacked bisection of the crossing steps (``_sl_crossings``,
 which a single SL run calls on one row), and a powered row from its last
 rejected lift.  Stacking saves the per-step overhead, which dominates a
 step at small d; it does not split the work across processes.  Each row
-still makes one single-run call, because perfbench's tracer counts one
-``nstar_simulated`` or ``tsim_simulated_sl`` call per sweep task (its
-``TASK_ROOTS``); from a crossed row's state at its crossing that call is
-a zero-step report.  A row unreachable at the cap takes its last step
-again; a powered row the guard hands over, or one unreachable, runs
-again from rho0.
+still makes the single-run call perfbench's tracer counts as its task
+(``TASK_ROOTS``): one Gibbs target and one distance from a crossed row's
+state at its crossing.  A scanned row unreachable at the cap takes its
+last step again; a powered row the guard hands over, or one unreachable,
+runs again from rho0.
 
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
@@ -71,11 +70,11 @@ from .collisions import (
     _collide,
     _population_systems,
     _resolve_step,
+    _sl_generators,
     density_matrix_d3,
     flip_flop_rates,
     population_step_matrix,
     rk4_step,
-    sl_population_generator,
 )
 from .errors import (
     EpsilonTooLarge,
@@ -318,9 +317,6 @@ def _powered_crossings(ms: np.ndarray, ps: np.ndarray, targets: np.ndarray, epsi
     """
     epsilons = np.asarray(epsilons, dtype=float)
     first = _population_distances(ps, targets)
-    # rows within epsilon at once need no powers (count_nonzero is cheaper than .all())
-    if np.count_nonzero(first <= epsilons) == len(ps):
-        return [(0, dist, p) for dist, p in zip(first.tolist(), ps)]
     powers = [ms]
     while 2 ** len(powers) <= n_max:
         powers.append(powers[-1] @ powers[-1])
@@ -403,7 +399,8 @@ def nstar_simulated(rho0: np.ndarray, model: ModelSpec, cfg: CollisionConfig, en
     when valid (falling back to the full CPTP map for coherent initial
     states above d = 3, where no coherence recursion is implemented).
     collision is the index of the run's first collision, on which only
-    the draws of a RandomFull model depend.
+    RandomFull draws depend.  A start within epsilon returns n* = 0 before
+    any map, unitary or draw, so nothing only they would reject raises.
     """
     d = model.system.d
     rho0 = _checked_state(rho0, d)
@@ -418,19 +415,26 @@ def nstar_simulated(rho0: np.ndarray, model: ModelSpec, cfg: CollisionConfig, en
     elif engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
 
+    if engine == "recursion" and diagonal:
+        p, target = np.diag(rho0).real, gibbs_populations(d, model.system.omega, model.ancilla.beta)
+        (dist,) = _population_distances(p[None], target[None]).tolist()
+    else:
+        target = system_gibbs_state(model.system, model.ancilla.beta)
+        (dist,) = _trace_distances(rho0[None], target[None]).tolist()
+    if dist <= cfg.epsilon:
+        return ThermalizationResult(0, 0 * cfg.tau, dist, engine)
+
     if engine == "brute_force":
         step, states, params = _cptp_scan([(model, cfg)], rho0, collision)
     else:
         m = population_step_matrix(d, model.ancilla.ground_population, model.interaction.j * cfg.tau)
-        target_p = gibbs_populations(d, model.system.omega, model.ancilla.beta)
         if diagonal:
-            p = np.diag(rho0).real
-            (found,) = _powered_crossings(m[None], p[None], target_p[None], [cfg.epsilon], cfg.n_max)
-            n, dist = _fallback_scan(m, p, target_p, cfg.epsilon, cfg.n_max) if found is None else found[:2]
+            (found,) = _powered_crossings(m[None], p[None], target[None], [cfg.epsilon], cfg.n_max)
+            n, dist = _fallback_scan(m, p, target, cfg.epsilon, cfg.n_max) if found is None else found[:2]
             return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
         # a coherent d = 3 state, against a one-row stack of its Gibbs target
-        states, params = rho0[None], (system_gibbs_state(model.system, model.ancilla.beta)[None],)
+        states, params = rho0[None], (target[None],)
         coherence_step = _coherence_step(model.ancilla.ground_population, model.interaction.j * cfg.tau, model.system.omega * cfg.tau)
 
         def step(states, _):
@@ -511,11 +515,10 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_f
     lifts them, a row holding its floor(log2 n_max) + 1 powers.
 
     The search answers each crossed row; its ``nstar_simulated`` call,
-    from its state at n* with its own cfg, is within epsilon at once and
-    returns n* = 0 and the same distance, with no collision or draw.  A
-    CPTP row unreachable by n_max takes its last collision again, at
-    index n_max - 1; an unreachable or guard-handed recursion row runs
-    again from rho0.
+    from its state at n* with its own cfg, returns n* = 0 and the same
+    distance from one target and distance.  A CPTP row unreachable by
+    n_max takes its last collision again, at index n_max - 1; an
+    unreachable or guard-handed recursion row runs again from rho0.
     """
     if engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -615,7 +618,7 @@ def _sl_steps(p_a: float, gamma: float, epsilon: float, t_max: float, dt: float 
 def _sl_systems(d: int, p_as, gamma: float):
     """The SL population generators and Gibbs populations for the ancilla
     ground populations p_as, stacked on axis 0."""
-    gens = np.stack([sl_population_generator(d, p_a, gamma) for p_a in p_as])
+    gens = _sl_generators(d, p_as, gamma)
     ratios = np.array([(1.0 - p_a) / p_a for p_a in p_as])
     targets = ratios[:, None] ** np.arange(d)
     return gens, targets / targets.sum(axis=1, keepdims=True)

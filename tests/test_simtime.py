@@ -3,13 +3,24 @@
 import math
 import sys
 import time
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ri_thermalizer import simtime
-from ri_thermalizer.collisions import CollisionConfig, evolve_populations
+from ri_thermalizer.collisions import (
+    CollisionConfig,
+    _coherence_step,
+    density_matrix_d3,
+    evolve_populations,
+    population_step_matrix,
+)
 from ri_thermalizer.errors import (
     EpsilonTooLarge,
     FrozenDynamics,
@@ -18,14 +29,20 @@ from ri_thermalizer.errors import (
     OutOfDomain,
     StepTooLarge,
 )
+from ri_thermalizer.linalg import _trace_distances
 from ri_thermalizer.models import (
     AncillaSpec,
     CounterRotating,
+    ModelSpec,
+    RandomFull,
+    SystemSpec,
     flip_flop_model,
     gibbs_populations,
     random_density_matrix,
+    system_gibbs_state,
 )
 from ri_thermalizer.simtime import (
+    ThermalizationResult,
     bracket_crossing,
     ceil_collisions,
     lambert_w,
@@ -242,6 +259,120 @@ class TestEngineRecorded:
         res = tsim_simulated_sl(np.full(3, 1 / 3), 0.8, 1.0, 1e-4, t_max=t_max)
         assert res.engine == "ode_sl"
         assert res.reachable == (t_max > 1)
+
+
+class TestStartWithinEpsilon:
+    """A single run answers a start within epsilon before it builds any
+    dynamics, with what its engine's search returns at step 0."""
+
+    ENGINES = {"diagonal": "recursion", "coherent": "recursion", "fixed": "brute_force", "random": "brute_force"}
+
+    @staticmethod
+    def _model(path, d, beta, j_tau, seed):
+        if path == "random":
+            return ModelSpec(SystemSpec(d, 1.0), AncillaSpec(1.0, beta), RandomFull(lo=1e-3, hi=math.pi * 1e-3, seed=seed)), 100.0
+        return flip_flop_model(d, omega=1.0, beta=beta, j=1.0), j_tau
+
+    @staticmethod
+    def _searched(rho0, model, cfg, path):
+        # the path's search called directly on the one row, as nstar_simulated calls it
+        d, beta, j_tau = model.system.d, model.ancilla.beta, getattr(model.interaction, "j", 0.0) * cfg.tau
+        if path in ("diagonal", "coherent"):
+            m = population_step_matrix(d, model.ancilla.ground_population, j_tau)
+        if path == "diagonal":
+            p, target = np.diag(rho0).real, gibbs_populations(d, 1.0, beta)
+            (found,) = simtime._powered_crossings(m[None], p[None], target[None], [cfg.epsilon], cfg.n_max)
+            n, dist = simtime._fallback_scan(m, p, target, cfg.epsilon, cfg.n_max) if found is None else found[:2]
+        else:
+            if path == "coherent":
+                coherence = _coherence_step(model.ancilla.ground_population, j_tau, cfg.tau)
+                step = lambda states, _: density_matrix_d3(m @ states[0].diagonal().real, *coherence(states[0, 0, 1], states[0, 0, 2], states[0, 1, 2]))[None]
+                states, params = rho0[None], (system_gibbs_state(model.system, beta)[None],)
+            else:
+                step, states, params = simtime._cptp_scan([(model, cfg)], rho0)
+            ((n, dist, *_),) = simtime._first_crossings(step, states, params, _trace_distances, [cfg.epsilon], cfg.n_max)
+        return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, TestStartWithinEpsilon.ENGINES[path])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["diagonal", "coherent", "fixed", "random"]),
+        st.integers(2, 6),
+        st.one_of(st.just(math.inf), st.floats(0.0, 5.0)),
+        st.floats(0.1, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_epsilon_at_the_start_distance(self, path, d, beta, j_tau, seed):
+        # epsilon at the start's distance and one float either side of it
+        d = 3 if path == "coherent" else d
+        model, tau = self._model(path, d, beta, j_tau, seed)
+        rho0 = random_density_matrix(d, np.random.default_rng(seed))
+        rho0 = np.diag(np.diag(rho0)) if path == "diagonal" else rho0
+        start = self._searched(rho0, model, CollisionConfig(tau=tau, n_max=200, epsilon=math.nextafter(1.0, 0.0)), path)
+        assert start.n_star == 0
+        for eps in (math.nextafter(start.final_distance, 0.0), start.final_distance, math.nextafter(start.final_distance, 1.0)):
+            cfg = CollisionConfig(tau=tau, n_max=200, epsilon=eps)
+            built = []
+            with ExitStack() as patches:
+                for name in ("_cptp_scan", "population_step_matrix", "_powered_crossings", "_first_crossings"):
+                    counted = lambda *args, fn=getattr(simtime, name), name=name: built.append(name) or fn(*args)
+                    patches.enter_context(mock.patch.object(simtime, name, counted))
+                res = nstar_simulated(rho0, model, cfg, engine=self.ENGINES[path])
+            assert repr(res) == repr(self._searched(rho0, model, cfg, path))
+            # only a start above epsilon builds and runs the search
+            assert bool(built) == (eps < start.final_distance)
+
+    @pytest.mark.parametrize(
+        "interaction, rho0, message",
+        [
+            (CounterRotating(j=0.7, j_prime=0.2), np.eye(3) / 3, "recursion engine unavailable"),
+            (None, np.eye(3)[None] / 3, r"shape \(1, 3, 3\)"),
+        ],
+        ids=["non-resonant", "shape"],
+    )
+    def test_a_start_within_epsilon_still_raises(self, interaction, rho0, message):
+        # the maximally mixed start is the beta = 0 target itself
+        model = flip_flop_model(3, omega=1.0, beta=0.0, j=0.7)
+        model = model if interaction is None else replace(model, interaction=interaction)
+        with pytest.raises(ValueError, match=message):
+            nstar_simulated(rho0, model, CollisionConfig(tau=1.0, n_max=10, epsilon=0.5), engine="recursion")
+
+    @pytest.mark.parametrize("kind", ["fixed", "random", "recursion"])
+    def test_a_batch_whose_rows_all_cross_searches_once_per_block(self, monkeypatch, kind):
+        # two rows a block: each block makes one search, and each row's
+        # report, from its state at n*, builds no map, unitary or draw
+        if kind == "random":
+            rows = [(0.0, 7, 0.05), (0.5, 8, 0.05), (2.0, 9, 0.05), (2.0, 10, 0.02), (math.inf, 11, 0.05)]
+            models = [self._model("random", 3, beta, None, seed)[0] for beta, seed, _ in rows]
+            cfgs = [CollisionConfig(tau=100.0, n_max=400, epsilon=eps) for *_, eps in rows]
+        else:
+            rows = [(0.5, 0.9, 1e-4), (2.0, 0.9, 1e-4), (1.0, 1.2, 1e-3), (3.0, 0.7, 1e-5), (math.inf, 1.5, 1e-4)]
+            models = [flip_flop_model(3, omega=1.0, beta=beta, j=1.0) for beta, *_ in rows]
+            cfgs = [CollisionConfig(tau=j_tau, n_max=5000, epsilon=eps) for _, j_tau, eps in rows]
+        engine = "recursion" if kind == "recursion" else "brute_force"
+        row_bytes = (5000).bit_length() * 8 * 3 * 3 if kind == "recursion" else simtime._CPTP_ROW_ARRAYS * 16 * 6 * 6
+        monkeypatch.setattr(simtime, "_BLOCK_BYTES", 2 * row_bytes)
+        calls, reporting = Counter(), []
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: calls.update([(name, bool(reporting))]) or fn(*args, **kwargs)
+
+        def report(*args, **kwargs):
+            reporting.append(True)
+            try:
+                return single(*args, **kwargs)
+            finally:
+                reporting.pop()
+
+        names = ("_cptp_scan", "_powered_crossings", "unitary_from_hamiltonian", "population_step_matrix", "_random_couplings", "_first_crossings")
+        for name in names:
+            monkeypatch.setattr(simtime, name, counted(name, getattr(simtime, name)))
+        single = simtime.nstar_simulated
+        monkeypatch.setattr(simtime, "nstar_simulated", report)
+        res = simtime.nstar_simulated_batch(np.eye(3, dtype=complex) / 3, models, cfgs, engine=engine)
+        assert all(r.reachable for r in res) and len({r.n_star for r in res}) == len(rows)
+        search = "_powered_crossings" if kind == "recursion" else "_cptp_scan"
+        assert calls[search, False] == 3
+        assert not [name for name, in_report in calls if in_report]
 
 
 class TestPoweredCrossing:
