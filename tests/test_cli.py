@@ -355,3 +355,20 @@ def test_importing_the_cli_starts_no_process_machinery():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_short_row_ensemble_sweep_leaves_numpy_random_unloaded(tmp_path):
+    # RandomFull rows of at most models._JUMP_MAX_DRAWS draws draw without
+    # a numpy Generator, so a d = 3 ensemble sweep never imports numpy.random
+    cfg = tmp_path / "ensemble.toml"
+    cfg.write_text("kind = RandomEnsembleVsBeta\nengine = BruteForce\ngrid = 0.5,4.0\nd = 3\nrepetitions = 3\n"
+                   "epsilon = 0.05\ntau = 100.0\nlo = 0.001\nhi = 0.003\nn_max = 100000\nseed = 0\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys; from ri_thermalizer.cli import main; "
+            "code = main(['sweep', sys.argv[1], '--out', sys.argv[2]]); print(code, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 3

@@ -1,6 +1,8 @@
 """Every demo script, and ``python -m ri_thermalizer validate``, runs to
-completion and prints the bytes pinned in ``pins/<name>.stdout``, under
-the platform rule of ``conftest.py``."""
+completion under ``python -W error`` and prints the bytes pinned in
+``pins/<name>.stdout``, under the platform rule of ``conftest.py``.  Any
+warning fails it, as in the test suite: a numpy scalar that wraps, for
+one, warns where an array wraps silently."""
 
 import os
 import subprocess
@@ -20,7 +22,7 @@ def test_demo_runs(name):
     pythonpath = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
     proc = subprocess.run(
-        [sys.executable, *COMMANDS[name]], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", *COMMANDS[name]], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -16,6 +16,8 @@ from ri_thermalizer.models import (
     IsotropicFlipFlop,
     RandomFull,
     SystemSpec,
+    _JUMP_MAX_DRAWS,
+    _PCG64_MULT,
     _random_couplings,
     _seed_states,
     ancilla_thermal_state,
@@ -201,10 +203,24 @@ def _default_rng_couplings(d, interactions, collision):
     return np.stack(stack)
 
 
+# (seed, k) whose d = 2 row hits one edge of the jump-ahead draw (_jump_draws)
+# in one of its six draws: an XSL-RR rotation of 0 or 63, or a carry out of
+# the low word of P_j s + Q_j c
+JUMP_EDGES = {
+    "rotation 0": (2**96 - 26, 2**64 - 1),
+    "rotation 63": (2**96 - 8, 2**64 - 1),
+    "low-word carry": (2**96 - 13, 2**64 - 1),
+}
+
+
 class TestRandomCouplings:
+    def test_the_draw_counts_tested_span_both_routes(self):
+        # d = 2..12 draws 6..276 couplings a row (d = 32: 2,016)
+        assert 2 * 3 <= _JUMP_MAX_DRAWS < 12 * 23
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        d=st.integers(2, 5),
+        d=st.integers(2, 12),
         rows=st.lists(
             st.tuples(
                 st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**96)),
@@ -212,7 +228,7 @@ class TestRandomCouplings:
                 st.floats(1e-6, 10.0),
             ),
             min_size=1,
-            max_size=4,
+            max_size=70,
         ),
         collision=st.one_of(st.sampled_from(EDGE_INDICES), st.integers(0, 2**64)),
     )
@@ -229,6 +245,30 @@ class TestRandomCouplings:
         interactions = [RandomFull(lo=1e-3, hi=math.pi * 1e-3, seed=seed)] * 2
         expected = _default_rng_couplings(3, interactions, collision)
         assert _random_couplings(3, interactions, collision).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("edge", JUMP_EDGES)
+    def test_each_edge_of_the_jump_ahead_draw(self, edge):
+        seed, k = JUMP_EDGES[edge]
+        s_hi, s_lo, _, _ = np.random.SeedSequence([seed, k]).generate_state(4, np.uint64).tolist()
+        bit_generator = np.random.default_rng([seed, k]).bit_generator
+        hits = []
+        for j in range(1, 7):
+            bit_generator.random_raw()
+            state = bit_generator.state["state"]["state"]
+            # a carry: the low word of P_j s (P_j = M^(j+1)) exceeds the state's
+            p_s = pow(_PCG64_MULT, j + 1, 2**64) * s_lo % 2**64
+            hits.append({"rotation 0": state >> 122 == 0, "rotation 63": state >> 122 == 63,
+                         "low-word carry": p_s > state % 2**64}[edge])
+        assert any(hits)
+        interactions = [RandomFull(lo=-1.0, hi=3.0, seed=s) for s in (seed, 1, seed)]
+        expected = _default_rng_couplings(2, interactions, k)
+        assert _random_couplings(2, interactions, k).tobytes() == expected.tobytes()
+
+    def test_a_long_row_at_d_32(self):
+        interactions = [RandomFull(lo=0.5, hi=0.75, seed=seed) for seed in (0, 2**64 - 1, 2**96)]
+        for collision in (0, 2**64):
+            expected = _default_rng_couplings(32, interactions, collision)
+            assert _random_couplings(32, interactions, collision).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad", [-1, -(2**70), np.int64(-3), 1.5, np.float64(2.0), None])
     @pytest.mark.parametrize("as_seed", [True, False])
@@ -268,7 +308,7 @@ class TestStackedSeedHash:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
-        d=st.integers(2, 4),
+        d=st.integers(2, 12),
         rows=st.lists(
             st.tuples(
                 st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**96)),
@@ -277,7 +317,7 @@ class TestStackedSeedHash:
                 st.floats(1e-6, 10.0),
             ),
             min_size=1,
-            max_size=40,
+            max_size=70,
         ),
         as_tuple=st.booleans(),
     )
