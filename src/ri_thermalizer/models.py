@@ -258,9 +258,6 @@ def _seed_states(entropy, n_words: int) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)  # as numpy reads the words
 
 
-# rows of at most this many draws (d <= 7) draw by jump-ahead, longer ones by the
-# reused generator: about 50 ns a draw, against numpy's 3 ns a draw and 6 us a row
-_JUMP_MAX_DRAWS = 100
 # 0-d uint64 arrays, which a ufunc takes about 0.7 us faster than Python ints
 _U1, _U11, _U32, _U58, _U63, _U64, _LOW32 = (np.array(x, dtype=np.uint64) for x in (1, 11, 32, 58, 63, 64, 2**32 - 1))
 
@@ -283,10 +280,9 @@ def _jump_constants(n: int) -> np.ndarray:
 
 def _jump_draws(states: np.ndarray, interactions, n: int) -> np.ndarray:
     """The (B, n) ``uniform(lo, hi, n)`` draws of interactions' PCG64s from
-    their (B, 4) SeedSequence states, each draw's state from its closed
-    form: then XSL-RR, and lo + (hi - lo) u with u = (out >> 11) 2^-53.
-    numpy's C gives the same bytes where it does not fuse lo + (hi - lo) u
-    into an FMA, as on x86-64; the default_rng tests check it elsewhere."""
+    their (B, 4) SeedSequence states: each draw's state in closed form, then
+    XSL-RR and lo + (hi - lo) u, u = (out >> 11) 2^-53, as numpy's C where it
+    does not fuse that into an FMA (x86-64); the default_rng tests check it."""
     words = states.T.copy()  # (s_hi, s_lo, i_hi, i_lo), then i -> c = 2i + 1
     words[2], words[3] = words[2] << _U1 | words[3] >> _U63, words[3] << _U1 | _U1
     b_hi, b_lo = words.reshape(2, 2, -1, 1).swapaxes(0, 1)
@@ -305,12 +301,6 @@ def _jump_draws(states: np.ndarray, interactions, n: int) -> np.ndarray:
     return lo + (hi - lo) * ((out >> _U11) * 2.0**-53)
 
 
-@functools.cache
-def _reused_generator() -> np.random.Generator:
-    # made on first use, so that importing the package or short rows leave numpy.random unloaded
-    return np.random.Generator(np.random.PCG64(0))
-
-
 def _random_couplings(d: int, interactions, collision) -> np.ndarray:
     """The (B, 2d, 2d) H_I stack of RandomFull interactions at collision
     index collision, or at collision[b] for row b if it is a list, tuple
@@ -319,9 +309,8 @@ def _random_couplings(d: int, interactions, collision) -> np.ndarray:
     Row b holds ``default_rng([seed_b, k_b]).uniform(lo_b, hi_b)``, one
     draw per strict upper-triangle entry in row-major order, mirrored
     below the diagonal: the SeedSequence hashes of every row's [seed, k]
-    (``_entropy_words``) run as one stack.  Rows of at most
-    ``_JUMP_MAX_DRAWS`` draws draw as one stack by ``_jump_draws``; longer
-    ones by one reused PCG64, given each row's state as PCG64 seeds itself.
+    (``_entropy_words``) run as one stack, and ``_jump_draws`` draws in
+    stacks of whole rows, about 2^12 draws, whose temporaries stay in cache.
     """
     dim = 2 * d
     rows, cols = _upper_triangle(dim)
@@ -330,21 +319,10 @@ def _random_couplings(d: int, interactions, collision) -> np.ndarray:
     else:
         collision_words = [_entropy_words(collision)] * len(interactions)
     entropy = [_entropy_words(ispec.seed) + words for ispec, words in zip(interactions, collision_words, strict=True)]
-    states = _seed_states(entropy, 4)
-    if rows.size <= _JUMP_MAX_DRAWS:
-        draws = _jump_draws(states, interactions, rows.size)
-    else:
-        draws = np.empty((len(interactions), rows.size))
-        rng = _reused_generator()
-        with rng.bit_generator.lock:
-            for draw, ispec, (s_hi, s_lo, i_hi, i_lo) in zip(draws, interactions, states.tolist()):
-                inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
-                state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % 2**128
-                rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-                draw[:] = rng.uniform(ispec.lo, ispec.hi, rows.size)
+    states, step = _seed_states(entropy, 4), max(1, 2**12 // rows.size)
     h_i = np.zeros((len(interactions), dim, dim), dtype=complex)
-    h_i[:, rows, cols] = draws
-    h_i[:, cols, rows] = draws
+    for b in range(0, len(interactions), step):
+        h_i[b:b + step, rows, cols] = h_i[b:b + step, cols, rows] = _jump_draws(states[b:b + step], interactions[b:b + step], rows.size)
     return h_i
 
 

@@ -23,12 +23,10 @@ bit, what the row alone gives.  CPTP rows of one model share H_0, rho_A
 and the target, RandomFull rows those of one (system, ancilla).  A
 ``RandomFull`` row draws H_I(seed, k) for collision k, the draws of
 ``default_rng([seed, k])``, every row's into one stack
-(``models._random_couplings``: a row of up to ``_JUMP_MAX_DRAWS`` draws
-by PCG64 jump-ahead on uint64 arrays, a longer one by a reused numpy
-generator), and builds every row's next unitary in one stacked
-``eigh``.  States carry no clock: an SL row's time after n steps is
-``_sl_clock(h, n)``, a CPTP row's collision index the first one plus
-the steps taken.
+(``models._random_couplings``, by PCG64 jump-ahead with no generator),
+and builds every row's next unitary in one stacked ``eigh``.  States
+carry no clock: an SL row's time after n steps is ``_sl_clock(h, n)``, a
+CPTP row's collision index the first one plus the steps taken.
 
 :func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` search
 a sweep's rows together and answer every crossed row from that search,

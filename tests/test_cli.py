@@ -357,9 +357,9 @@ def test_importing_the_cli_starts_no_process_machinery():
     assert proc.stdout.strip() == "[]"
 
 
-def test_a_short_row_ensemble_sweep_leaves_numpy_random_unloaded(tmp_path):
-    # RandomFull rows of at most models._JUMP_MAX_DRAWS draws draw without
-    # a numpy Generator, so a d = 3 ensemble sweep never imports numpy.random
+def test_an_ensemble_sweep_leaves_numpy_random_unloaded(tmp_path):
+    # RandomFull rows draw without a numpy Generator, so an ensemble sweep
+    # never imports numpy.random
     cfg = tmp_path / "ensemble.toml"
     cfg.write_text("kind = RandomEnsembleVsBeta\nengine = BruteForce\ngrid = 0.5,4.0\nd = 3\nrepetitions = 3\n"
                    "epsilon = 0.05\ntau = 100.0\nlo = 0.001\nhi = 0.003\nn_max = 100000\nseed = 0\n")

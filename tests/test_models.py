@@ -16,7 +16,6 @@ from ri_thermalizer.models import (
     IsotropicFlipFlop,
     RandomFull,
     SystemSpec,
-    _JUMP_MAX_DRAWS,
     _PCG64_MULT,
     _random_couplings,
     _seed_states,
@@ -214,10 +213,6 @@ JUMP_EDGES = {
 
 
 class TestRandomCouplings:
-    def test_the_draw_counts_tested_span_both_routes(self):
-        # d = 2..12 draws 6..276 couplings a row (d = 32: 2,016)
-        assert 2 * 3 <= _JUMP_MAX_DRAWS < 12 * 23
-
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         d=st.integers(2, 12),
@@ -264,8 +259,9 @@ class TestRandomCouplings:
         expected = _default_rng_couplings(2, interactions, k)
         assert _random_couplings(2, interactions, k).tobytes() == expected.tobytes()
 
-    def test_a_long_row_at_d_32(self):
-        interactions = [RandomFull(lo=0.5, hi=0.75, seed=seed) for seed in (0, 2**64 - 1, 2**96)]
+    def test_long_rows_at_d_32_across_stacks(self):
+        # 2,016 draws a row, so the draw takes 2 rows a stack and these 11 in six
+        interactions = [RandomFull(lo=0.5, hi=0.75, seed=seed) for seed in (0, 2**64 - 1, 2**96, *range(7, 15))]
         for collision in (0, 2**64):
             expected = _default_rng_couplings(32, interactions, collision)
             assert _random_couplings(32, interactions, collision).tobytes() == expected.tobytes()
