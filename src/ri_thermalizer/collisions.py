@@ -53,10 +53,7 @@ from .linalg import partial_trace_second, trace_distance, unitary_from_hamiltoni
 from .models import (
     ModelSpec,
     RandomFull,
-    _check_beta,
     _check_d,
-    _check_omega,
-    _level_energies,
     _random_couplings,
     ancilla_thermal_state,
     bare_hamiltonian,
@@ -218,53 +215,33 @@ def population_step_matrix(d: int, p_a: float, j_tau: float) -> np.ndarray:
     """Tridiagonal one-collision map acting on population vectors.
 
     Column-stochastic; fixes the Gibbs populations and acts identically on
-    raw populations and on deviations from them.  Raises ValueError for a
-    d, p_A or J*tau outside its domain.
+    raw populations and on deviations from them; the one-row case of
+    ``_population_maps``.  Raises ValueError for a d, p_A or J*tau out of domain.
     """
-    _check_d(d)
-    e = eta_coefficients(p_a, j_tau)
-    m = np.zeros((d, d))
-    # every (d + 1)-th flat entry from 1, d and 0: the super-, sub- and main diagonal
-    m.flat[1 :: d + 1] = e.eta12
-    m.flat[d :: d + 1] = e.eta21
-    m.flat[:: d + 1] = e.eta22
-    m[0, 0] = e.eta11
-    m[d - 1, d - 1] = e.eta33
-    return m
+    return _population_maps(d, [p_a], [j_tau])[0]
 
 
-def _population_systems(d: int, rows):
-    """The (B, d, d) maps and (B, d) Gibbs populations of rows (p_A, J tau,
-    omega, beta) of one d in a fixed number of numpy calls: bit for bit
-    ``population_step_matrix`` and ``gibbs_populations``, with their checks."""
+def _population_maps(d: int, p_as, j_taus) -> np.ndarray:
+    """``population_step_matrix`` of each (p_A, J tau) pair, stacked on axis
+    0 and filled by flat slices, after checking every pair."""
     _check_d(d)
-    scalars = []
-    for p_a, j_tau, omega, beta in rows:
-        e = eta_coefficients(p_a, j_tau)
-        _check_omega(omega)
-        _check_beta(beta)
-        scalars.append((e.eta11, e.eta12, e.eta21, e.eta22, e.eta33, omega, beta))
-    eta11, eta12, eta21, eta22, eta33, omega, beta = np.array(scalars).T
-    ms = np.zeros((len(scalars), d, d))
-    # every (d + 1)-th flat entry from 1, d and 0, then the corners m[0, 0] and m[d - 1, d - 1]
-    flat = ms.reshape(len(scalars), d * d)
-    flat[:, 1 :: d + 1] = eta12[:, None]
-    flat[:, d :: d + 1] = eta21[:, None]
-    flat[:, :: d + 1] = eta22[:, None]
-    flat[:, :: d * d - 1] = np.stack([eta11, eta33], axis=1)
-    # a zero-temperature row is e_0, written over weights at beta = 0
-    cold = beta == math.inf
-    energies = _level_energies(d, omega[:, None])
-    weights = np.exp(-np.where(cold, 0.0, beta)[:, None] * (energies - energies[:, :1]))
-    targets = weights / weights.sum(axis=1, keepdims=True)
-    targets[cold] = np.eye(1, d)
-    return ms, targets
+    etas = [eta_coefficients(p_a, j_tau) for p_a, j_tau in zip(p_as, j_taus, strict=True)]
+    eta11, eta12, eta21, eta22, eta33 = np.array([(e.eta11, e.eta12, e.eta21, e.eta22, e.eta33) for e in etas]).T[:, :, None]
+    flat = np.zeros((len(etas), d * d))
+    # every (d + 1)-th entry from 1, d and 0, then the corners m[0, 0] and m[d - 1, d - 1]
+    flat[:, 1 :: d + 1] = eta12
+    flat[:, d :: d + 1] = eta21
+    flat[:, :: d + 1] = eta22
+    flat[:, :: d * d - 1] = np.concatenate([eta11, eta33], axis=1)
+    return flat.reshape(-1, d, d)
 
 
 def check_deviation_sum(delta_p: np.ndarray) -> None:
-    """Reject a deviation-from-equilibrium vector that does not sum to zero."""
-    total = float(delta_p.sum())
-    if abs(total) > DEVIATION_SUM_TOL:
+    """Reject a deviation-from-equilibrium vector whose sum is not within
+    DEVIATION_SUM_TOL of zero; a sum over a NaN or infinite entry never is."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or finite entries whose sum overflows
+        total = float(delta_p.sum())
+    if not abs(total) <= DEVIATION_SUM_TOL:
         raise SumNotZero(f"deviations sum to {total:.3e}")
 
 

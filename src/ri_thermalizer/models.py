@@ -161,17 +161,26 @@ def system_gibbs_state(spec: SystemSpec, beta: float) -> np.ndarray:
 
 
 def gibbs_populations(d: int, omega: float, beta: float) -> np.ndarray:
-    """Thermal populations exp(-beta E_k)/Z as a real vector."""
+    """Thermal populations exp(-beta E_k)/Z, the one-row case of ``_gibbs_stack``."""
+    return _gibbs_stack(d, [omega], [beta])[0]
+
+
+def _gibbs_stack(d: int, omegas, betas) -> np.ndarray:
+    """``gibbs_populations`` of each (omega, beta) pair, stacked on axis 0,
+    after checking every pair.  The ground weight is exp(0) = 1 exactly;
+    at zero temperature every excited exponent stays -inf, also where a
+    subnormal omega rounds an excited energy onto the ground's."""
     _check_d(d)
-    _check_omega(omega)
-    _check_beta(beta)
-    if math.isinf(beta):
-        p = np.zeros(d)
-        p[0] = 1.0
-        return p
-    energies = _level_energies(d, omega)
-    weights = np.exp(-beta * (energies - energies[0]))
-    return weights / weights.sum()
+    for omega, beta in zip(omegas, betas, strict=True):
+        _check_omega(omega)
+        _check_beta(beta)
+    omegas, betas = np.array(omegas, dtype=float)[:, None], np.array(betas, dtype=float)[:, None]
+    energies = _level_energies(d, omegas)
+    exponents = np.full((len(betas), d), -math.inf)
+    exponents[:, 0] = 0.0
+    np.multiply(-betas, energies[:, 1:] - energies[:, :1], out=exponents[:, 1:], where=betas < math.inf)
+    weights = np.exp(exponents)
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def _flip_flop_pairs(d: int):
@@ -369,6 +378,7 @@ def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     Convention for "random initial state" runs; the underlying ensemble is
     not pinned by the physics.
     """
+    _check_d(d)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real

@@ -49,8 +49,8 @@ matrix products instead of n* matrix-vector steps.  A rounding guard
 keeps n* equal to the scan's: when a row's distance just before or at
 the crossing it found lies within a forward-error bound of epsilon, it
 hands the row to the scan, which stops at ``MAX_STEPS`` collisions.  A
-batch builds its maps and targets as one stack; a single run row by
-row.
+batch builds its maps and Gibbs targets as one stack each, and a single
+run as one-row stacks.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .collisions import (
     _check_p_a,
     _coherence_step,
     _collide,
-    _population_systems,
+    _population_maps,
     _resolve_step,
     _sl_generators,
     density_matrix_d3,
@@ -88,6 +88,7 @@ from .models import (
     IsotropicFlipFlop,
     ModelSpec,
     RandomFull,
+    _gibbs_stack,
     _random_couplings,
     ancilla_thermal_state,
     bare_hamiltonian,
@@ -552,8 +553,8 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_f
         p = np.diag(rho0).real
 
         def scan(part):
-            rows = [(m.ancilla.ground_population, m.interaction.j * cfg.tau, m.system.omega, m.ancilla.beta) for m, cfg in part]
-            ms, targets = _population_systems(d, rows)
+            ms = _population_maps(d, [m.ancilla.ground_population for m, _ in part], [m.interaction.j * cfg.tau for m, cfg in part])
+            targets = _gibbs_stack(d, [m.system.omega for m, _ in part], [m.ancilla.beta for m, _ in part])
             crossings = _powered_crossings(ms, np.tile(p, (len(part), 1)), targets, epsilons(part), n_max)
             return [(0, None, rho0) if c is None or c[0] is None else (c[0], None, np.diag(c[2])) for c in crossings]
 

@@ -281,9 +281,11 @@ class TestPopulationRecursion:
         out = step_populations_recursive(np.zeros(3), 0.8, 0.7)
         assert np.array_equal(out, np.zeros(3))
 
-    def test_rejects_nonzero_sum(self):
+    # a sum off zero, a NaN entry, entries whose sum is NaN, finite entries whose sum overflows
+    @pytest.mark.parametrize("delta_p", [[0.1, 0.0, 0.0], [math.nan, 0.0, 0.0], [math.inf, -math.inf, 0.0], [1e308, 1e308, -1e308]])
+    def test_rejects_nonzero_sum(self, delta_p):
         with pytest.raises(SumNotZero):
-            step_populations_recursive(np.array([0.1, 0.0, 0.0]), 0.8, 0.7)
+            step_populations_recursive(np.array(delta_p), 0.8, 0.7)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 33, 128])
     def test_step_matrix_equals_the_entry_by_entry_map(self, d):

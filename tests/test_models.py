@@ -133,6 +133,12 @@ class TestGibbsState:
         expected[0, 0] = 1.0
         assert np.array_equal(rho.real, expected)
 
+    @pytest.mark.parametrize("d, omega", [(2, 5e-324), (3, 5e-324), (128, 5e-324)])
+    def test_zero_temperature_is_the_ground_state_where_levels_round_together(self, d, omega):
+        # the excited energies of a subnormal omega round onto the ground's,
+        # so only the zero-temperature sentinel can tell the levels apart
+        assert np.array_equal(gibbs_populations(d, omega, math.inf), np.eye(1, d)[0])
+
     def test_populations_sum_to_one(self):
         for beta in (0.0, 0.3, 2.0, 50.0, math.inf):
             p = gibbs_populations(6, 1.0, beta)
@@ -418,6 +424,12 @@ class TestTotalHamiltonian:
         h = system_hamiltonian(sys)
         rho = system_gibbs_state(sys, 0.8)
         assert np.max(np.abs(h @ rho - rho @ h)) == 0.0
+
+
+@pytest.mark.parametrize("d", [0, 1, -1, 1.5, 3.0])
+def test_random_density_matrix_rejects_a_bad_d(d):
+    with pytest.raises(ValueError, match="need an integer d >= 2"):
+        random_density_matrix(d, np.random.default_rng(12))
 
 
 def test_random_density_matrix_valid():

@@ -6,10 +6,12 @@ a CPTP map with the Gibbs state as fixed point (trace-distance
 contraction, Ruskai 1994), and the RK4 step at h Gamma = 0.01 is itself
 a stochastic matrix.  A collision keeps the trace and positivity.  The
 engines must agree on n*, the powered search of the population
-recursion must find the linear scan's n*, and the zero-temperature
-closed form must round to the simulated n*.  A RandomFull run, which
-builds each collision's unitary in a stacked step, must give, bit for
-bit, the crossing of ``evolve``'s one unitary per collision.
+recursion must find the linear scan's n*, every stacked population map
+must fix its stacked Gibbs target up to the rounding the search's guard
+allows, and the zero-temperature closed form must round to the simulated
+n*.  A RandomFull run, which builds each collision's unitary in a stacked
+step, must give, bit for bit, the crossing of ``evolve``'s one unitary per
+collision.
 """
 
 import math
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from ri_thermalizer.collisions import (
     CollisionConfig,
     _collide,
+    _population_maps,
     collide_once,
     collision_unitary,
     evolve,
@@ -39,6 +42,7 @@ from ri_thermalizer.models import (
     ModelSpec,
     RandomFull,
     SystemSpec,
+    _gibbs_stack,
     ancilla_thermal_state,
     flip_flop_model,
     gibbs_populations,
@@ -51,6 +55,7 @@ from ri_thermalizer.simtime import (
     nstar_simulated,
     population_distance,
 )
+from ri_thermalizer.sweeps import MAX_D
 
 SLACK = 1e-14
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -143,6 +148,30 @@ def test_collision_keeps_trace_and_positivity(d, beta, interaction, tau, seed):
     rho = collide_once(random_density_matrix(d, np.random.default_rng(seed)), model, cfg)
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()) >= -1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.integers(2, 9), st.integers(2, MAX_D)),
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0.0, 50.0)),
+            st.one_of(st.just(1.0), st.floats(-3.0, 3.0).map(lambda x: 10.0**x)),
+            st.one_of(j_taus, st.floats(-12.0, 0.0).map(lambda x: 10.0**x)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_every_stacked_map_fixes_its_stacked_gibbs_target(d, rows):
+    # |m g - g|_1 <= d (d + 8) u, the rounding of the fixed point that the
+    # powered search's rounding guard assumes
+    betas, omegas, taus = zip(*rows)
+    ms = _population_maps(d, [AncillaSpec(omega, beta).ground_population for beta, omega, _ in rows], taus)
+    targets = _gibbs_stack(d, omegas, betas)
+    bound = d * (d + 8) * (0.5 * np.finfo(float).eps)
+    for m, g in zip(ms, targets):
+        assert float(np.abs(m @ g - g).sum()) <= bound
 
 
 @PROPERTY

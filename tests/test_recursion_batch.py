@@ -5,13 +5,14 @@ the results of ``nstar_simulated(..., engine="recursion")`` called run by
 run.  That rests on the identities pinned here: a stacked square and a
 stacked matrix-vector product give each row what the 2-D ``@`` gives it,
 and a stacked distance what a row's own gives it, so a crossed row's
-single run from its state at n* reports n* = 0 and the same distance.  The batch builds a block's maps and
-Gibbs targets as one stack (``collisions._population_systems``), pinned here
-bit for bit to ``population_step_matrix`` and ``gibbs_populations`` row by
-row, and to their exception types for a row they reject.  The SL scans'
-stacked generators (``collisions._sl_generators``), of which
-``sl_population_generator`` is the one-row case, are pinned to an
-entry-by-entry coding kept here.
+single run from its state at n* reports n* = 0 and the same distance.  The
+batch builds a block's maps and Gibbs targets as one stack each
+(``collisions._population_maps``, ``models._gibbs_stack``), and the SL
+scans their generators (``collisions._sl_generators``).  The public
+``population_step_matrix``, ``gibbs_populations`` and
+``sl_population_generator`` are their one-row cases.  All three stacks are
+pinned here bit for bit to independent per-row codings kept here, and to
+the exception of a row they reject.
 """
 
 import math
@@ -26,8 +27,9 @@ from hypothesis import strategies as st
 from ri_thermalizer import simtime
 from ri_thermalizer.collisions import (
     CollisionConfig,
-    _population_systems,
+    _population_maps,
     _sl_generators,
+    eta_coefficients,
     evolve_populations,
     population_step_matrix,
     sl_population_generator,
@@ -37,6 +39,8 @@ from ri_thermalizer.models import (
     CounterRotating,
     ModelSpec,
     SystemSpec,
+    _gibbs_stack,
+    _level_energies,
     flip_flop_model,
     gibbs_populations,
     random_density_matrix,
@@ -231,16 +235,43 @@ BETAS = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e3, 1e
     ),
 )
 def test_the_stacked_systems_equal_the_per_row_builders(d, rows):
+    p_as, j_taus, omegas, betas = zip(*rows)
     with np.errstate(over="ignore"):  # beta omega E_k past the float range, as a row alone
-        ms, targets = _population_systems(d, rows)
+        ms, targets = _population_maps(d, p_as, j_taus), _gibbs_stack(d, omegas, betas)
         for (p_a, j_tau, omega, beta), m, target in zip(rows, ms, targets):
-            assert m.tobytes() == population_step_matrix(d, p_a, j_tau).tobytes()
-            assert target.tobytes() == gibbs_populations(d, omega, beta).tobytes()
+            assert m.tobytes() == _population_step_matrix_by_diagonals(d, p_a, j_tau).tobytes()
+            assert target.tobytes() == _gibbs_populations_per_row(d, omega, beta).tobytes()
+            assert population_step_matrix(d, p_a, j_tau).tobytes() == m.tobytes()
+            assert gibbs_populations(d, omega, beta).tobytes() == target.tobytes()
     # the SL generators of the rows' p_A, at Gamma = the first row's omega
     gamma = rows[0][2]
     for (p_a, *_), gen in zip(rows, _sl_generators(d, [row[0] for row in rows], gamma)):
         assert gen.tobytes() == _sl_generator_entry_by_entry(d, p_a, gamma).tobytes()
         assert sl_population_generator(d, p_a, gamma).tobytes() == gen.tobytes()
+
+
+def _population_step_matrix_by_diagonals(d, p_a, j_tau):
+    # an independent coding of population_step_matrix: one diagonal at a time
+    e = eta_coefficients(p_a, j_tau)
+    m = np.zeros((d, d))
+    m.flat[1 :: d + 1] = e.eta12
+    m.flat[d :: d + 1] = e.eta21
+    m.flat[:: d + 1] = e.eta22
+    m[0, 0] = e.eta11
+    m[d - 1, d - 1] = e.eta33
+    return m
+
+
+def _gibbs_populations_per_row(d, omega, beta):
+    # an independent coding of gibbs_populations: zero temperature apart,
+    # every weight, the ground's too, from its energy above the ground
+    if math.isinf(beta):
+        p = np.zeros(d)
+        p[0] = 1.0
+        return p
+    energies = _level_energies(d, omega)
+    weights = np.exp(-beta * (energies - energies[0]))
+    return weights / weights.sum()
 
 
 def _sl_generator_entry_by_entry(d, p_a, gamma):
@@ -278,10 +309,15 @@ def test_the_stacked_systems_reject_what_a_row_alone_rejects(d, bad):
         population_step_matrix(d, p_a, j_tau)
         gibbs_populations(d, omega, beta)
 
+    def stacked(rows):
+        p_as, j_taus, omegas, betas = zip(*rows)
+        _population_maps(d, p_as, j_taus)
+        _gibbs_stack(d, omegas, betas)
+
     with pytest.raises(Exception) as alone:
         per_row(*bad)
     with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
-        _population_systems(d, [GOOD, bad, GOOD])
+        stacked([GOOD, bad, GOOD])
 
 
 def test_a_batch_row_whose_j_tau_overflows_raises_as_its_run_does():

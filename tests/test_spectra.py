@@ -242,8 +242,15 @@ class TestSlowMode:
         assert s.amplitude == pytest.approx(k_form, rel=1e-12)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(SumNotZero):
-            slow_mode_projection(np.array([0.1, 0.0, 0.0]), 0.8)
+        estimates = (
+            lambda dp: slow_mode_projection(dp, 0.8),
+            lambda dp: tsim_estimate_sl(dp, 0.8, 1.0, 1e-4),
+            lambda dp: nstar_estimate_discrete(dp, 0.8, 0.5, 1e-4),
+        )
+        for bad in ([0.1, 0.0, 0.0], [math.nan, 0.0, 0.0], [math.inf, -math.inf, 0.0]):
+            for estimate in estimates:
+                with pytest.raises(SumNotZero):
+                    estimate(np.array(bad))
         with pytest.raises(DegenerateTemperature):
             slow_mode_projection(np.zeros(3), 1.0)
         with pytest.raises(DegenerateTemperature):
