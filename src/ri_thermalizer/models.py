@@ -37,6 +37,14 @@ def _check_omega(omega: float) -> None:
         raise ValueError("omega must be positive and finite")
 
 
+def _check_levels(d, omega: float) -> None:
+    """d levels omega apart, whose span omega * (d - 1) is a finite float."""
+    _check_d(d)
+    _check_omega(omega)
+    if not omega * (d - 1) < math.inf:
+        raise ValueError(f"the level span omega * (d - 1) = {omega!r} * {d - 1} is not finite")
+
+
 def _check_beta(beta: float) -> None:
     if not beta >= 0:
         raise ValueError("beta must be >= 0 (use math.inf for zero temperature)")
@@ -55,8 +63,7 @@ class SystemSpec:
     omega: float = 1.0
 
     def __post_init__(self):
-        _check_d(self.d)
-        _check_omega(self.omega)
+        _check_levels(self.d, self.omega)
 
 
 @dataclass(frozen=True)
@@ -170,9 +177,8 @@ def _gibbs_stack(d: int, omegas, betas) -> np.ndarray:
     after checking every pair.  The ground weight is exp(0) = 1 exactly;
     at zero temperature every excited exponent stays -inf, also where a
     subnormal omega rounds an excited energy onto the ground's."""
-    _check_d(d)
     for omega, beta in zip(omegas, betas, strict=True):
-        _check_omega(omega)
+        _check_levels(d, omega)
         _check_beta(beta)
     omegas, betas = np.array(omegas, dtype=float)[:, None], np.array(betas, dtype=float)[:, None]
     energies = _level_energies(d, omegas)

@@ -38,8 +38,7 @@ step at small d; it does not split the work across processes.  Each row
 still makes the single-run call perfbench's tracer counts as its task
 (``TASK_ROOTS``): one Gibbs target and one distance from a crossed row's
 state at its crossing.  A scanned row unreachable at the cap takes its
-last step again; a powered row the guard hands over, or one unreachable,
-runs again from rho0.
+last step again; an unreachable powered row runs again from rho0.
 
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
@@ -48,9 +47,9 @@ by binary lifting over the squared powers m^(2^k): O(log n_max) stacked
 matrix products instead of n* matrix-vector steps.  A rounding guard
 keeps n* equal to the scan's: when a row's distance just before or at
 the crossing it found lies within a forward-error bound of epsilon, it
-hands the row to the scan, which stops at ``MAX_STEPS`` collisions.  A
-batch builds its maps and Gibbs targets as one stack each, and a single
-run as one-row stacks.
+hands the row to one scan of all handed rows, which stops at
+``MAX_STEPS`` collisions.  A batch builds its maps and Gibbs targets as
+one stack each, and a single run as one-row stacks.
 """
 
 from __future__ import annotations
@@ -102,10 +101,8 @@ _TINY = float(np.finfo(float).tiny)
 
 # most steps a scan may take per run: a sweep checks OdeSL's RK4 steps and
 # BruteForce's n_max, not Recursion's, whose powered search takes O(log
-# n_max) products and whose fallback scan stops here
+# n_max) products and whose scan of the rows its guard hands over stops here
 MAX_STEPS = 10**8
-# collisions of that fallback scan between checks for a repeated state
-_FALLBACK_CHUNK = 2**12
 # steps a scan of real rows takes between checks of their distances
 _CHECK_EVERY = 32
 # where the general-dimension zero-temperature solvers give up
@@ -232,7 +229,9 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
     against the targets repeated.  Complex rows (density matrices) are
     checked every step, so a crossed row takes no further step (a
     RandomFull row no further draw).  The rows still above their epsilon
-    are compacted after a check where some row finished.  Returns per row
+    are compacted after a check where some row finished.  A real row whose
+    last step returned its state leaves then, unreachable with the cap's
+    bits, as every later state equals it.  Returns per row
     (n, distance, previous, state): the steps taken (None when none
     crosses), the distance there, and copies of the row's state before
     the last step and at n, so no result keeps a stacked array alive.
@@ -240,18 +239,20 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
     epsilons = np.asarray(epsilons, dtype=float)
     results = [None] * epsilons.size
     rows = np.arange(epsilons.size)
+    real = np.isrealobj(states)
     # rows only leave, so the first stack bounds every trail
-    chunk = max(1, min(_CHECK_EVERY, _BLOCK_BYTES // (_TRAIL_SHARE * states.nbytes))) if np.isrealobj(states) else 1
+    chunk = max(1, min(_CHECK_EVERY, _BLOCK_BYTES // (_TRAIL_SHARE * states.nbytes))) if real else 1
     # the states from the last check on, and the distances at all but the
     # first of them (at step 0, at that state alone), the last at step n
     n, trail, dists = 0, [states], distance(states, params[-1])[None]
     while True:
         crossed = dists <= epsilons
-        if n == n_max or np.count_nonzero(crossed):  # cheaper than .any() on a few rows
+        frozen = real and n > 0 and (trail[-1] == trail[-2]).reshape(len(rows), -1).all(axis=1)
+        if n == n_max or np.count_nonzero(crossed) or real and np.count_nonzero(frozen):  # cheaper than .any() on a few rows
             hit = crossed.any(axis=0)
             # each row's first crossing in the trail, else its last state
             last = np.where(hit, crossed.argmax(axis=0), len(dists) - 1)
-            done = hit | (n == n_max)
+            done = hit | frozen | (n == n_max)
             for j in np.flatnonzero(done):
                 i = int(last[j])
                 results[rows[j]] = (n - len(dists) + 1 + i if hit[j] else None, float(dists[i, j]), trail[i][j].copy(), trail[len(trail) - len(dists) + i][j].copy())
@@ -312,9 +313,10 @@ def _powered_crossings(ms: np.ndarray, ps: np.ndarray, targets: np.ndarray, epsi
     row's epsilon.  The exact distance never grows, so a row ends at its
     last n above epsilon, and its crossing is n + 1 unless n = n_max: the
     row's last rejected lift, by 2^t with t the trailing zero bits of n +
-    1, whose product is the state there.  Returns per row None where the
-    rounding guard hands the row to the scan, else (n, distance, state)
-    at the crossing, n and state None when none comes by n_max.
+    1, whose product is the state there.  The rows the rounding guard hands
+    over take one scan from p, cut at MAX_STEPS, where a row still moving
+    raises NoConvergence if n_max lies beyond.  Returns per row (n,
+    distance, state) at the crossing, n and state None when none comes.
     """
     epsilons = np.asarray(epsilons, dtype=float)
     first = _population_distances(ps, targets)
@@ -370,26 +372,17 @@ def _powered_crossings(ms: np.ndarray, ps: np.ndarray, targets: np.ndarray, epsi
             crossed = float(probes[t][i])
             guarded = dist - epsilon > delta(n) and epsilon - crossed > delta(n + 1)
             results.append((n + 1, crossed, aheads[t][i]) if guarded else None)
-    return results
 
-
-def _fallback_scan(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: float, n_max: int):
-    """(n, distance) of the scan a row goes to when the powered search's
-    rounding guard cannot decide: one collision at a time on a (1, d, 1)
-    column, a chunk at a time up to MAX_STEPS.  An orbit whose collision
-    returns its state bit for bit never crosses, whatever n_max; only one
-    that MAX_STEPS cuts off while still moving raises NoConvergence."""
+    # the rows handed over: one scan from p of (F, d, 1) columns, up to MAX_STEPS
+    handed = [i for i, found in enumerate(results) if found is None]
     step = lambda states, params: params[0] @ states
-    bound, params, state = min(n_max, MAX_STEPS), (m[None], target[None]), p[:, None]
-    for n in range(0, bound, _FALLBACK_CHUNK):
-        ((k, dist, _, state),) = _first_crossings(step, state[None], params, _column_distances, [epsilon], min(bound - n, _FALLBACK_CHUNK))
-        if k is not None:
-            return n + k, dist
-        if np.array_equal(step(state[None], params)[0], state):
-            return None, dist
-    if n_max > MAX_STEPS:
-        raise NoConvergence(f"the powered search's fallback scan does not reach epsilon = {epsilon:.3g} within MAX_STEPS = {MAX_STEPS} collisions")
-    return None, dist
+    scan = _first_crossings(step, ps[handed][:, :, None], (ms[handed], targets[handed]), _column_distances, epsilons[handed], min(n_max, MAX_STEPS)) if handed else []
+    for i, (n, dist, _, state) in zip(handed, scan):
+        # a row at the cap that the next collision still moves
+        if n is None and n_max > MAX_STEPS and not np.array_equal(step(state[None], (ms[i : i + 1],))[0], state):
+            raise NoConvergence(f"the powered search's fallback scan does not reach epsilon = {epsilons[i]:.3g} within MAX_STEPS = {MAX_STEPS} collisions")
+        results[i] = (n, dist, None if n is None else state[:, 0])
+    return results
 
 
 def nstar_simulated(rho0: np.ndarray, model: ModelSpec, cfg: CollisionConfig, engine: str = "auto", collision: int = 0) -> ThermalizationResult:
@@ -430,8 +423,7 @@ def nstar_simulated(rho0: np.ndarray, model: ModelSpec, cfg: CollisionConfig, en
     else:
         m = population_step_matrix(d, model.ancilla.ground_population, model.interaction.j * cfg.tau)
         if diagonal:
-            (found,) = _powered_crossings(m[None], p[None], target[None], [cfg.epsilon], cfg.n_max)
-            n, dist = _fallback_scan(m, p, target, cfg.epsilon, cfg.n_max) if found is None else found[:2]
+            ((n, dist, _),) = _powered_crossings(m[None], p[None], target[None], [cfg.epsilon], cfg.n_max)
             return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
         # a coherent d = 3 state, against a one-row stack of its Gibbs target
@@ -519,7 +511,7 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_f
     from its state at n* with its own cfg, returns n* = 0 and the same
     distance from one target and distance.  A CPTP row unreachable by
     n_max takes its last collision again, at index n_max - 1; an
-    unreachable or guard-handed recursion row runs again from rho0.
+    unreachable recursion row runs again from rho0.
     """
     if engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -556,7 +548,7 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_f
             ms = _population_maps(d, [m.ancilla.ground_population for m, _ in part], [m.interaction.j * cfg.tau for m, cfg in part])
             targets = _gibbs_stack(d, [m.system.omega for m, _ in part], [m.ancilla.beta for m, _ in part])
             crossings = _powered_crossings(ms, np.tile(p, (len(part), 1)), targets, epsilons(part), n_max)
-            return [(0, None, rho0) if c is None or c[0] is None else (c[0], None, np.diag(c[2])) for c in crossings]
+            return [(0, None, rho0) if n is None else (n, None, np.diag(state)) for n, _, state in crossings]
 
     results = []
     # each row's collision offset, the n_max of its call (None: its own), and its start

@@ -168,6 +168,7 @@ class TestSweepCommand:
             "kind = NstarVsBeta\ngrid = 0:1:1000000000000000\n",
             "kind = RandomEnsembleVsBeta\ngrid = 1.0\nlo = -1e308\nhi = 1e308\nn_max = 5\n",
             "kind = NstarVsBeta\ngrid = -1e308:1e308:3\n",
+            "kind = NstarVsBeta\nd = 3\nomega = 1e308\ngrid = 0, 1\n",
         ],
         ids=["omega-0", "omega-negative", "omega-0-ensemble", "omega-negative-ensemble",
              "omega-0-tsim", "subnormal-j", "subnormal-j-jtau-grid", "subnormal-j-tsim-recursion",
@@ -175,7 +176,7 @@ class TestSweepCommand:
              "subnormal-gamma", "seed-negative", "sl-steps-overflow-gamma", "sl-steps-overflow-t-max",
              "unitary-overflow-omega", "unitary-overflow-couplings", "sl-steps-above-max-steps",
              "n-max-above-max-steps", "grid-count-above-max-tasks",
-             "coupling-range-overflow", "grid-overflow"],
+             "coupling-range-overflow", "grid-overflow", "level-span-overflow"],
     )
     def test_value_out_of_range_exits_2(self, tmp_path, capsys, text):
         # each of these used to end in a traceback with exit 1, a warning

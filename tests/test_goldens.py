@@ -122,10 +122,10 @@ def test_tsim_vs_beta_csv(tmp_path, capsys):
 
 def test_nstar_vs_beta_csv_through_the_fallback_scan(tmp_path, capsys, monkeypatch):
     # at d = 12 and epsilon = 1e-9 the guard hands three of the five rows
-    # to the scan, which takes up to 8444 collisions one at a time
+    # to one stacked scan, which takes up to 8444 collisions one at a time
     calls = []
-    scan = simtime._fallback_scan
-    monkeypatch.setattr(simtime, "_fallback_scan", lambda *args: calls.append(1) or scan(*args))
+    scan = simtime._first_crossings
+    monkeypatch.setattr(simtime, "_first_crossings", lambda step, states, *args: calls.append(len(states)) or scan(step, states, *args))
     cfg = tmp_path / "nstar.cfg"
     cfg.write_text("kind = NstarVsBeta\ngrid = 0.5,1,2,4,8\nd = 12\njtau = 0.19634954084936207\nepsilon = 1e-9\nn_max = 100000\n")
     assert main(["sweep", str(cfg)]) == 0
@@ -137,7 +137,7 @@ def test_nstar_vs_beta_csv_through_the_fallback_scan(tmp_path, capsys, monkeypat
         "4,1138,0,true\n"
         "8,1057,0,true\n"
     )
-    assert len(calls) == 3
+    assert calls == [3]
 
 
 def test_random_ensemble_vs_beta_csv(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Unit tests for Hamiltonian and state construction."""
 
 import math
+import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,12 +87,28 @@ class TestSystemHamiltonian:
         (gibbs_populations, dict(d=0, omega=1.0, beta=1.0)),
         (gibbs_populations, dict(d=3, omega=1.0, beta=math.nan)),
         (gibbs_populations, dict(d=3, omega=-1.0, beta=1.0)),
+        # a level span omega * (d - 1) past the float range
+        (SystemSpec, dict(d=3, omega=1e308)),
+        (SystemSpec, dict(d=128, omega=1e307)),
+        (gibbs_populations, dict(d=3, omega=1e308, beta=0.0)),
+        (gibbs_populations, dict(d=128, omega=1e307, beta=0.0)),
     ],
     ids=lambda x: x.__name__ if callable(x) else ",".join(f"{k}={v}" for k, v in x.items()),
 )
 def test_rejects_nan_and_meaningless_inf(make, kwargs):
     with pytest.raises(ValueError):
         make(**kwargs)
+
+
+@pytest.mark.parametrize("d, omega", [(2, 1e308), (3, 8e307), (128, 1.4e306)])
+def test_a_wide_finite_level_span_is_valid(d, omega):
+    # at beta = 0 the populations are uniform, where a span past the float
+    # range gave NaN
+    assert omega * (d - 1) < sys.float_info.max
+    assert SystemSpec(d, omega).omega == omega
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(gibbs_populations(d, omega, 0.0), np.full(d, 1.0 / d))
 
 
 def test_integer_fields_take_numpy_integers():

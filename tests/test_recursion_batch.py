@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ri_thermalizer import simtime
+from ri_thermalizer import collisions, simtime
 from ri_thermalizer.collisions import (
     CollisionConfig,
     _population_maps,
@@ -155,7 +155,7 @@ class TestNamedCases:
         assert events == [len(rows)] + ["matvec"] * (5000).bit_length()
 
     def test_a_row_the_guard_hands_to_the_scan(self, monkeypatch):
-        # finished from rho0 with the whole n_max, whose run takes the scan
+        # answered by the batch's own scan, so its report takes no step
         calls = []
         scan = simtime._first_crossings
         monkeypatch.setattr(simtime, "_first_crossings", lambda *args: calls.append(1) or scan(*args))
@@ -164,6 +164,38 @@ class TestNamedCases:
         assert len(calls) == 1
         assert repr(batch[0]) == "ThermalizationResult(n_star=60, t_sim=66.0, final_distance=1.7742467431566822e-06, engine='recursion')"
         assert [repr(r) for r in batch] == [repr(nstar_simulated(P5, m, c, engine="recursion")) for m, c in zip(models, cfgs)]
+
+    def test_handed_rows_of_one_block_take_one_scan_and_no_report_builds(self, monkeypatch):
+        # the d = 12 golden sweep's rows, three of which the guard hands over:
+        # one stacked scan answers all three, and no row's report builds a
+        # map or searches
+        models, cfgs = _runs(12, [(beta, 0.19634954084936207, 1e-9) for beta in (0.5, 1.0, 2.0, 4.0, 8.0)], 100_000)
+        rho0 = np.eye(12, dtype=complex) / 12
+        expected = [repr(nstar_simulated(rho0, m, c, engine="recursion")) for m, c in zip(models, cfgs)]
+        events, reporting = [], []
+
+        def spy(module, name, rows=False):
+            # each call's name, or the rows it scans, and whether a report made it
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: events.append((len(args[1]) if rows else name, bool(reporting))) or fn(*args))
+
+        for module, name in ((simtime, "_population_maps"), (collisions, "_population_maps"), (simtime, "_powered_crossings")):
+            spy(module, name)
+        spy(simtime, "_first_crossings", rows=True)
+        run = simtime.nstar_simulated
+
+        def report(*args, **kw):
+            reporting.append(1)
+            try:
+                return run(*args, **kw)
+            finally:
+                reporting.pop()
+
+        monkeypatch.setattr(simtime, "nstar_simulated", report)
+        batch = nstar_simulated_batch(rho0, models, cfgs, engine="recursion")
+        assert [repr(r) for r in batch] == expected
+        assert [r.n_star for r in batch] == [8444, 3966, 1763, 1138, 1057]
+        assert events == [("_population_maps", False), ("_powered_crossings", False), (3, False)]
 
     # the top powers overflow, as they do in any run at such an n_max
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ri_thermalizer import simtime
@@ -281,8 +281,7 @@ class TestStartWithinEpsilon:
             m = population_step_matrix(d, model.ancilla.ground_population, j_tau)
         if path == "diagonal":
             p, target = np.diag(rho0).real, gibbs_populations(d, 1.0, beta)
-            (found,) = simtime._powered_crossings(m[None], p[None], target[None], [cfg.epsilon], cfg.n_max)
-            n, dist = simtime._fallback_scan(m, p, target, cfg.epsilon, cfg.n_max) if found is None else found[:2]
+            ((n, dist, _),) = simtime._powered_crossings(m[None], p[None], target[None], [cfg.epsilon], cfg.n_max)
         else:
             if path == "coherent":
                 coherence = _coherence_step(model.ancilla.ground_population, j_tau, cfg.tau)
@@ -424,27 +423,83 @@ class TestPoweredCrossing:
             assert 0 < sum(calls) <= 3 * math.log2(n_max) + 3
 
 
+# the reference for the powered search's scan of the rows its guard hands
+# over: one row at a time, a chunk at a time, with its own repeated-state test
+_FALLBACK_CHUNK = 2**12
+
+
+def _fallback_scan(m: np.ndarray, p: np.ndarray, target: np.ndarray, epsilon: float, n_max: int):
+    """(n, distance) of the scan a row goes to when the powered search's
+    rounding guard cannot decide: one collision at a time on a (1, d, 1)
+    column, a chunk at a time up to MAX_STEPS.  An orbit whose collision
+    returns its state bit for bit never crosses, whatever n_max; only one
+    that MAX_STEPS cuts off while still moving raises NoConvergence."""
+    step = lambda states, params: params[0] @ states
+    bound, params, state = min(n_max, simtime.MAX_STEPS), (m[None], target[None]), p[:, None]
+    for n in range(0, bound, _FALLBACK_CHUNK):
+        ((k, dist, _, state),) = simtime._first_crossings(step, state[None], params, simtime._column_distances, [epsilon], min(bound - n, _FALLBACK_CHUNK))
+        if k is not None:
+            return n + k, dist
+        if np.array_equal(step(state[None], params)[0], state):
+            return None, dist
+    if n_max > simtime.MAX_STEPS:
+        raise NoConvergence(f"the powered search's fallback scan does not reach epsilon = {epsilon:.3g} within MAX_STEPS = {simtime.MAX_STEPS} collisions")
+    return None, dist
+
+
+def _outcome(run):
+    """repr of run()'s result, or the type and message of its NoConvergence."""
+    try:
+        return repr(run())
+    except NoConvergence as err:
+        return ("NoConvergence", str(err))
+
+
+def _scan_spy(calls):
+    """A stand-in for ``_first_crossings`` that appends [rows, collisions
+    allowed, steps taken] for each call."""
+    scan = simtime._first_crossings
+
+    def spy(step, states, params, distance, epsilons, n_max):
+        calls.append([len(states), n_max, 0])
+
+        def counted(states, params):
+            calls[-1][2] += 1
+            return step(states, params)
+
+        return scan(counted, states, params, distance, epsilons, n_max)
+
+    return spy
+
+
 class TestFallbackScan:
-    """The scan the powered search hands a run to when rounding cannot
-    decide, over at most MAX_STEPS collisions."""
+    """The scan the powered search gives its rows when rounding cannot
+    decide: one stacked scan of every handed row, over at most MAX_STEPS
+    collisions."""
 
     # epsilon far below the distance's rounding floor: the guard fails at
     # every n_max and the scan never crosses.  At beta = 1, J tau = 1 the
     # scan's state repeats bit for bit from collision 84 on; at beta = 3,
     # J tau = pi/2 it never does
     ORBITS = [(1.0, 1.0), (3.0, math.pi / 2)]
+    # epsilon on the scanned distance at collision 60 fails the guard
+    P5, CROSSING = np.array([0.05, 0.3, 0.1, 0.4, 0.15]), (0.7, 1.1, 60)
 
     @staticmethod
     def _run(beta, j_tau, n_max, epsilon=1e-300, p0=np.full(3, 1 / 3)):
         model = flip_flop_model(p0.size, omega=1.0, beta=beta, j=1.0)
         return nstar_simulated(np.diag(p0).astype(complex), model, CollisionConfig(tau=j_tau, n_max=n_max, epsilon=epsilon))
 
+    @staticmethod
+    def _on_scan(p0, beta, j_tau, n):
+        orbit = evolve_populations(p0, AncillaSpec(1.0, beta).ground_population, j_tau, n)
+        return population_distance(orbit[-1], gibbs_populations(p0.size, 1.0, beta))
+
     @pytest.fixture
     def scans(self, monkeypatch):
-        """The collisions each call of the scan is allowed, one entry a call."""
+        """[rows, collisions allowed, steps taken] of each call of the scan."""
         calls = []
-        scan = simtime._first_crossings
-        monkeypatch.setattr(simtime, "_first_crossings", lambda *args: calls.append(args[-1]) or scan(*args))
+        monkeypatch.setattr(simtime, "_first_crossings", _scan_spy(calls))
         return calls
 
     @pytest.mark.parametrize("beta, j_tau", ORBITS)
@@ -459,31 +514,139 @@ class TestFallbackScan:
         else:
             with pytest.raises(NoConvergence, match="MAX_STEPS"):
                 self._run(beta, j_tau, 10**6)
-        assert sum(scans) <= 5000
+        assert [rows for rows, *_ in scans] == [1] and sum(steps for *_, steps in scans) <= 5000
 
-    @pytest.mark.parametrize("chunk", [simtime._FALLBACK_CHUNK, 7])
     @pytest.mark.parametrize("beta, j_tau", ORBITS)
-    def test_within_max_steps_it_gives_the_scan(self, monkeypatch, scans, beta, j_tau, chunk):
-        monkeypatch.setattr(simtime, "_FALLBACK_CHUNK", chunk)
+    def test_within_max_steps_it_gives_the_scan(self, scans, beta, j_tau):
         n_max = 10_000
         res = self._run(beta, j_tau, n_max)
         orbit = evolve_populations(np.full(3, 1 / 3), AncillaSpec(1.0, beta).ground_population, j_tau, n_max)
         assert res.n_star is None
         assert res.final_distance == population_distance(orbit[-1], gibbs_populations(3, 1.0, beta))
-        # a state that repeats ends the scan after the chunk it repeats in
+        # a state that repeats from collision 84 on ends the scan at the
+        # first check after its collision 85
         fixed = beta == 1.0
-        assert len(scans) == (math.ceil(84 / chunk) if fixed else math.ceil(n_max / chunk))
+        assert scans == [[1, n_max, simtime._CHECK_EVERY * math.ceil(85 / simtime._CHECK_EVERY) if fixed else n_max]]
 
     def test_a_crossing_before_max_steps_is_returned(self, monkeypatch, scans):
-        # epsilon on the scanned distance at collision 60 fails the guard
-        p0 = np.array([0.05, 0.3, 0.1, 0.4, 0.15])
-        target = gibbs_populations(5, 1.0, 0.7)
-        orbit = evolve_populations(p0, AncillaSpec(1.0, 0.7).ground_population, 1.1, 100)
-        eps = population_distance(orbit[60], target)
+        beta, j_tau, at = self.CROSSING
+        target = gibbs_populations(5, 1.0, beta)
+        orbit = evolve_populations(self.P5, AncillaSpec(1.0, beta).ground_population, j_tau, 100)
+        eps = self._on_scan(self.P5, beta, j_tau, at)
         expected = next(k for k, p in enumerate(orbit) if population_distance(p, target) <= eps)
         monkeypatch.setattr(simtime, "MAX_STEPS", 1000)
-        assert self._run(0.7, 1.1, 10**6, eps, p0).n_star == expected
-        assert scans == [1000]
+        assert self._run(beta, j_tau, 10**6, eps, self.P5).n_star == expected
+        assert [allowed for _, allowed, _ in scans] == [1000]
+
+    @pytest.mark.parametrize("n_max", [10_000, 10**6])
+    def test_the_handed_rows_of_a_batch_take_one_stacked_scan(self, monkeypatch, n_max):
+        # a frozen orbit, a moving one and a crossing at collision 40, all at
+        # d = 3 from the maximally mixed state; past MAX_STEPS the moving
+        # row raises from that one scan
+        monkeypatch.setattr(simtime, "MAX_STEPS", 5000)
+        p0 = np.full(3, 1 / 3)
+        rows = [(*self.ORBITS[0], 1e-300), (*self.ORBITS[1], 1e-300), (0.7, 1.1, self._on_scan(p0, 0.7, 1.1, 40))]
+        models = [flip_flop_model(3, omega=1.0, beta=beta, j=1.0) for beta, _, _ in rows]
+        cfgs = [CollisionConfig(tau=j_tau, n_max=n_max, epsilon=eps) for _, j_tau, eps in rows]
+        rho0 = np.diag(p0).astype(complex)
+        singles = [_outcome(lambda: nstar_simulated(rho0, m, c)) for m, c in zip(models, cfgs)]
+        calls = []
+        monkeypatch.setattr(simtime, "_first_crossings", _scan_spy(calls))
+        batch = _outcome(lambda: [repr(r) for r in simtime.nstar_simulated_batch(rho0, models, cfgs, engine="recursion")])
+        if n_max > simtime.MAX_STEPS:
+            assert batch == singles[1] and batch[0] == "NoConvergence"
+        else:
+            assert batch == repr(singles) and "n_star=None" in singles[0] + singles[1]
+        # the frozen row's report runs again from rho0, and scans alone
+        assert calls[0][:2] == [3, min(n_max, simtime.MAX_STEPS)]
+        assert [rows for rows, *_ in calls[1:]] == ([1] if n_max <= simtime.MAX_STEPS else [])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.integers(2, 3), st.integers(2, 12)),
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.5, 1.0, 3.0, 8.0]), st.floats(0.0, 8.0)),
+            # pi/2 keeps the d = 2 and 3 orbits moving; the others freeze
+            st.one_of(st.just(math.pi / 2), st.sampled_from([1.0, 2.0]), st.floats(0.2, 2.5)),
+            # below the rounding floor, or on the scanned distance at a collision
+            st.one_of(st.just(None), st.integers(1, 300)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from([1, 40, 1500, 2000, 10**6, 10**7]),
+    st.integers(0, 2**32 - 1),
+)
+def test_handed_rows_give_the_fallback_scan(d, rows, n_max, seed):
+    # every single run the guard hands to the scan gives the reference's
+    # result or NoConvergence, and the batch gives the single runs'
+    p0 = np.random.default_rng(seed).dirichlet(np.ones(d))
+    models = [flip_flop_model(d, omega=1.0, beta=beta, j=1.0) for beta, _, _ in rows]
+    cfgs = []
+    for model, (beta, j_tau, at) in zip(models, rows):
+        eps = 1e-300 if at is None else TestFallbackScan._on_scan(p0, beta, j_tau, at)
+        cfgs.append(CollisionConfig(tau=j_tau, n_max=n_max, epsilon=eps if 0.0 < eps < 1.0 else 1e-300))
+    rho0 = np.diag(p0).astype(complex)
+    with mock.patch.object(simtime, "MAX_STEPS", 2000):
+        singles = []
+        for model, cfg in zip(models, cfgs):
+            calls = []
+            with mock.patch.object(simtime, "_first_crossings", _scan_spy(calls)):
+                singles.append(_outcome(lambda: nstar_simulated(rho0, model, cfg)))
+            if calls:
+                m = population_step_matrix(d, model.ancilla.ground_population, cfg.tau)
+
+                def reference():
+                    n, dist = _fallback_scan(m, p0, gibbs_populations(d, 1.0, model.ancilla.beta), cfg.epsilon, n_max)
+                    return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, "recursion")
+
+                expected = _outcome(reference)
+                assert singles[-1] == expected
+                event("raised" if isinstance(expected, tuple) else "reached" if "n_star=None" not in expected else "unreachable")
+        batch = _outcome(lambda: [repr(r) for r in simtime.nstar_simulated_batch(rho0, models, cfgs, engine="recursion")])
+    raised = [r for r in singles if isinstance(r, tuple)]
+    assert batch == (raised[0] if raised else repr(singles))
+
+
+def _capped_sl(p0, p_as, h, steps):
+    """Each SL row's distance after all its steps from p0, stepped with no
+    check on the way, and the step whose state first repeats (None when none
+    does)."""
+    gens, targets = simtime._sl_systems(p0.size, p_as, 1.0)
+    state, step, frozen = np.tile(p0[:, None], (len(p_as), 1, 1)), simtime._sl_step(h), [None] * len(p_as)
+    for n in range(1, steps + 1):
+        after = step(state, (gens,))
+        for i in np.flatnonzero((after == state).all(axis=(1, 2))):
+            frozen[i] = n if frozen[i] is None else frozen[i]
+        state = after
+    return simtime._column_distances(state, targets).tolist(), frozen
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 4),
+    st.lists(st.one_of(st.just(math.inf), st.floats(0.0, 8.0)), min_size=1, max_size=3),
+    st.sampled_from([10.0, 40.0, 80.0]),
+)
+def test_an_sl_row_below_the_rounding_floor_gives_the_capped_scan(d, betas, t_max):
+    # most of these rows stop moving within t_max; each still reports the
+    # distance after its last RK4 step, and a single run's scan stops at
+    # its first check after its state repeats
+    p0, p_as = np.linspace(2.0, 1.0, d) / (1.5 * d), [AncillaSpec(1.0, beta).ground_population for beta in betas]
+    h, steps = simtime._sl_steps(p_as[0], 1.0, 1e-300, t_max, None)
+    dists, frozen = _capped_sl(p0, p_as, h, steps)
+    expected = [repr(ThermalizationResult(None, None, dist, "ode_sl")) for dist in dists]
+    singles = []
+    for p_a, f in zip(p_as, frozen):
+        event("moving" if f is None else "frozen")
+        calls = []
+        with mock.patch.object(simtime, "_first_crossings", _scan_spy(calls)):
+            singles.append(repr(tsim_simulated_sl(p0, p_a, 1.0, 1e-300, t_max)))
+        assert calls == [[1, steps, steps if f is None else min(steps, simtime._CHECK_EVERY * math.ceil(f / simtime._CHECK_EVERY))]]
+    assert singles == expected
+    assert [repr(r) for r in simtime.tsim_simulated_sl_batch(p0, p_as, 1.0, [1e-300] * len(p_as), t_max)] == expected
 
 
 class TestTsimSimulatedInputs:
