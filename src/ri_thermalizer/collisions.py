@@ -503,6 +503,7 @@ def _sl_generators(d: int, p_as, gamma: float) -> np.ndarray:
     _check_d(d)
     for p_a in p_as:
         _check_p_a(p_a)
+    _check_rates((gamma,))
     p_as = np.asarray(p_as, dtype=float)[:, None]
     flat = np.zeros((len(p_as), d * d))
     # every (d + 1)-th entry from 1, d and 0: up and down rates, minus column sums

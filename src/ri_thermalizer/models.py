@@ -184,7 +184,8 @@ def _gibbs_stack(d: int, omegas, betas) -> np.ndarray:
     energies = _level_energies(d, omegas)
     exponents = np.full((len(betas), d), -math.inf)
     exponents[:, 0] = 0.0
-    np.multiply(-betas, energies[:, 1:] - energies[:, :1], out=exponents[:, 1:], where=betas < math.inf)
+    with np.errstate(over="ignore"):  # -beta times a huge span may round to -inf, of weight 0
+        np.multiply(-betas, energies[:, 1:] - energies[:, :1], out=exponents[:, 1:], where=betas < math.inf)
     weights = np.exp(exponents)
     return weights / weights.sum(axis=1, keepdims=True)
 

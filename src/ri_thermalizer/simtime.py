@@ -28,17 +28,17 @@ and builds every row's next unitary in one stacked ``eigh``.  States
 carry no clock: an SL row's time after n steps is ``_sl_clock(h, n)``, a
 CPTP row's collision index the first one plus the steps taken.
 
-:func:`tsim_simulated_sl_batch` and :func:`nstar_simulated_batch` search
-a sweep's rows together and answer every crossed row from that search,
-bit for bit as one run at a time: a scanned row from its trail, an SL
-row from one stacked bisection of the crossing steps (``_sl_crossings``,
-which a single SL run calls on one row), and a powered row from its last
-rejected lift.  Stacking saves the per-step overhead, which dominates a
-step at small d; it does not split the work across processes.  Each row
-still makes the single-run call perfbench's tracer counts as its task
-(``TASK_ROOTS``): one Gibbs target and one distance from a crossed row's
-state at its crossing.  A scanned row unreachable at the cap takes its
-last step again; an unreachable powered row runs again from rho0.
+A single run is its engine's one search on one row: ``_nstar_searches``
+for n*, ``_sl_crossings`` (an RK4 scan, then one stacked bisection of the
+crossing steps) for T_sim.  The batches search a sweep's rows together
+and answer every crossed row from that search, bit for bit as one run at
+a time: a scanned row from its trail, an SL row from the bisection, and a
+powered row from its last rejected lift.  Stacking saves the per-step
+overhead, which dominates a step at small d; it does not split the work
+across processes.  Each row still makes the single-run call perfbench's
+tracer counts as its task (``TASK_ROOTS``), a zero-step report from a
+crossed row's state at its crossing; an unreachable row takes its last
+step again, or, powered, runs again from rho0.
 
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
@@ -48,8 +48,7 @@ matrix products instead of n* matrix-vector steps.  A rounding guard
 keeps n* equal to the scan's: when a row's distance just before or at
 the crossing it found lies within a forward-error bound of epsilon, it
 hands the row to one scan of all handed rows, which stops at
-``MAX_STEPS`` collisions.  A batch builds its maps and Gibbs targets as
-one stack each, and a single run as one-row stacks.
+``MAX_STEPS`` collisions.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ from .collisions import (
     _sl_generators,
     density_matrix_d3,
     flip_flop_rates,
-    population_step_matrix,
     rk4_step,
 )
 from .errors import (
@@ -417,26 +415,39 @@ def nstar_simulated(rho0: np.ndarray, model: ModelSpec, cfg: CollisionConfig, en
         (dist,) = _trace_distances(rho0[None], target[None]).tolist()
     if dist <= cfg.epsilon:
         return ThermalizationResult(0, 0 * cfg.tau, dist, engine)
+    ((n, dist, _),) = _nstar_searches(rho0, [(model, cfg)], engine, collision)
+    return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
+
+def _nstar_searches(rho0: np.ndarray, runs, engine: str, collision: int = 0):
+    """(n*, distance, start) of every run (model, cfg) from rho0, stacked
+    on axis 0, by its engine's search: the CPTP scan from collision index
+    ``collision``, the powered recursion, or the scan of one coherent d = 3
+    run.  n* is None when none comes by the runs' shared n_max; start is
+    the state the batch's report call starts from, the state at n*, or at
+    the cap the CPTP state a collision before it and the recursion's rho0."""
+    d, n_max, epsilons = rho0.shape[0], runs[0][1].n_max, [cfg.epsilon for _, cfg in runs]
     if engine == "brute_force":
-        step, states, params = _cptp_scan([(model, cfg)], rho0, collision)
+        step, states, params = _cptp_scan(runs, rho0, collision)
     else:
-        m = population_step_matrix(d, model.ancilla.ground_population, model.interaction.j * cfg.tau)
-        if diagonal:
-            ((n, dist, _),) = _powered_crossings(m[None], p[None], target[None], [cfg.epsilon], cfg.n_max)
-            return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
+        ms = _population_maps(d, [m.ancilla.ground_population for m, _ in runs], [m.interaction.j * cfg.tau for m, cfg in runs])
+        if _is_diagonal(rho0):
+            targets = _gibbs_stack(d, [m.system.omega for m, _ in runs], [m.ancilla.beta for m, _ in runs])
+            crossings = _powered_crossings(ms, np.tile(np.diag(rho0).real, (len(runs), 1)), targets, epsilons, n_max)
+            return [(n, dist, rho0 if n is None else np.diag(state)) for n, dist, state in crossings]
 
-        # a coherent d = 3 state, against a one-row stack of its Gibbs target
-        states, params = rho0[None], (target[None],)
+        # one coherent d = 3 run, against a one-row stack of its Gibbs target
+        ((model, cfg),) = runs
+        states, params = rho0[None], (system_gibbs_state(model.system, model.ancilla.beta)[None],)
         coherence_step = _coherence_step(model.ancilla.ground_population, model.interaction.j * cfg.tau, model.system.omega * cfg.tau)
 
         def step(states, _):
             rho = states[0]
             c = coherence_step(rho[0, 1], rho[0, 2], rho[1, 2])
-            return density_matrix_d3(m @ rho.diagonal().real, *c)[None]
+            return density_matrix_d3(ms[0] @ rho.diagonal().real, *c)[None]
 
-    ((n, dist, *_),) = _first_crossings(step, states, params, _trace_distances, [cfg.epsilon], cfg.n_max)
-    return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
+    crossings = _first_crossings(step, states, params, _trace_distances, epsilons, n_max)
+    return [(n, dist, previous if n is None else state) for n, dist, previous, state in crossings]
 
 
 def _checked_state(rho0, d: int) -> np.ndarray:
@@ -497,21 +508,18 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
 
 def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_force") -> list[ThermalizationResult]:
     """``nstar_simulated(rho0, models[i], cfgs[i], engine=engine)`` for
-    every i, bit for bit, from one stacked search of a block of
-    _BLOCK_BYTES of rows at a time; engine is "brute_force" or
+    every i, bit for bit, from the single run's ``_nstar_searches`` on a
+    block of _BLOCK_BYTES of rows at a time; engine is "brute_force" or
     "recursion", and the rows share d, rho0 and n_max.
 
-    "brute_force" rows are all RandomFull or all of fixed unitary; one
-    CPTP scan steps them, a row holding its (2d, 2d) unitary or H_0 and
-    the ones of that shape a step makes.  "recursion" rows need the
-    resonant flip-flop and a diagonal rho0; one ``_powered_crossings``
-    lifts them, a row holding its floor(log2 n_max) + 1 powers.
-
-    The search answers each crossed row; its ``nstar_simulated`` call,
-    from its state at n* with its own cfg, returns n* = 0 and the same
-    distance from one target and distance.  A CPTP row unreachable by
-    n_max takes its last collision again, at index n_max - 1; an
-    unreachable recursion row runs again from rho0.
+    "brute_force" rows are all RandomFull or all of fixed unitary, a row
+    holding its (2d, 2d) unitary or H_0 and the ones of that shape a CPTP
+    step makes; "recursion" rows need the resonant flip-flop and a
+    diagonal rho0, a row holding its floor(log2 n_max) + 1 powers.  Each
+    row's ``nstar_simulated`` call, with its own cfg from the start the
+    search gives it, reports it: a crossed row's returns n* = 0 and the
+    same distance, an unreachable CPTP row takes its last collision again,
+    at index n_max - 1, and an unreachable recursion row runs again.
     """
     if engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -528,31 +536,15 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_f
             raise ValueError("the rows of a batch are all RandomFull or all of fixed unitary")
     if not runs:
         return []
+    if engine == "recursion" and not _is_diagonal(rho0):
+        raise ValueError("the recursion batch needs a diagonal rho0")
     d, n_max = rho0.shape[0], runs[0][1].n_max
-    epsilons = lambda part: [cfg.epsilon for _, cfg in part]
-
-    if engine == "brute_force":
-        row_bytes = _CPTP_ROW_ARRAYS * 16 * (2 * d) ** 2
-
-        def scan(part):
-            crossings = _first_crossings(*_cptp_scan(part, rho0), _trace_distances, epsilons(part), n_max)
-            return [(n_max - 1, 1, previous) if n is None else (n, None, state) for n, _, previous, state in crossings]
-
-    else:
-        if not _is_diagonal(rho0):
-            raise ValueError("the recursion batch needs a diagonal rho0")
-        row_bytes = int(n_max).bit_length() * 8 * d * d
-        p = np.diag(rho0).real
-
-        def scan(part):
-            ms = _population_maps(d, [m.ancilla.ground_population for m, _ in part], [m.interaction.j * cfg.tau for m, cfg in part])
-            targets = _gibbs_stack(d, [m.system.omega for m, _ in part], [m.ancilla.beta for m, _ in part])
-            crossings = _powered_crossings(ms, np.tile(p, (len(part), 1)), targets, epsilons(part), n_max)
-            return [(0, None, rho0) if n is None else (n, None, np.diag(state)) for n, _, state in crossings]
+    row_bytes = _CPTP_ROW_ARRAYS * 16 * (2 * d) ** 2 if engine == "brute_force" else int(n_max).bit_length() * 8 * d * d
 
     results = []
-    # each row's collision offset, the n_max of its call (None: its own), and its start
-    for (model, cfg), (offset, span, start) in _blocked_crossings(runs, row_bytes, scan):
+    for (model, cfg), (n, _, start) in _blocked_crossings(runs, row_bytes, lambda part: _nstar_searches(rho0, part, engine)):
+        # each row's collision offset and the n_max of its call (None: its own)
+        offset, span = (n, None) if n is not None else (n_max - 1, 1) if engine == "brute_force" else (0, None)
         res = nstar_simulated(start, model, cfg if span is None else replace(cfg, n_max=span), engine=engine, collision=offset)
         n = None if res.n_star is None else offset + res.n_star
         results.append(res if n is None else ThermalizationResult(n, n * cfg.tau, res.final_distance, engine))
@@ -622,11 +614,14 @@ def _sl_crossings(p0: np.ndarray, p_as, gamma: float, epsilons, h: float, steps:
     axis 0: an RK4 scan of at most ``steps`` steps h, then one stacked
     bisection of the rows that cross at a step n > 0.  Each narrows its
     (lo, hi) from (0, h) as ``bisect_crossing`` does, stepping from its
-    state at n - 1 (RK4 takes a (B, 1, 1) stack of step sizes), until no
-    float lies between; t = ``_sl_clock(h, n - 1) + hi`` (0.0 at step 0).
-    At the cap t is None and the state one step before it.  Their
-    generators are built again: the scan's, held through its compactions,
-    would double the block."""
+    state at n - 1 (RK4 takes a (B, 1, 1) stack of step sizes): all step
+    until no row has a float strictly between, and only those that do
+    move.  t = ``_sl_clock(h, n - 1) + hi`` (0.0 at step 0), None at the
+    cap, with the state one step before it.  Their generators are built
+    again: the scan's, held through its compactions, would double the
+    block."""
+    if p0.ndim != 1 or not np.isfinite(p0).all():
+        raise ValueError(f"p0 must be a finite 1-D vector, not {p0!r}")
     d, epsilons = p0.size, np.asarray(epsilons, dtype=float)
     crossings = _first_crossings(_sl_step(h), np.tile(p0[:, None], (len(p_as), 1, 1)), _sl_systems(d, p_as, gamma), _column_distances, epsilons, steps)
     results = [(None, dist, previous) if n is None else (0.0, dist, state) for n, dist, previous, state in crossings]
@@ -634,22 +629,19 @@ def _sl_crossings(p0: np.ndarray, p_as, gamma: float, epsilons, h: float, steps:
     if not late:
         return results
     # each bisected row's lo and hi, and the distance and state at hi, from the scan's step h
-    (gens, targets), epsilons, rows = _sl_systems(d, [p_as[i] for i in late], gamma), epsilons[late], np.arange(len(late))
+    (gens, targets), epsilons = _sl_systems(d, [p_as[i] for i in late], gamma), epsilons[late]
     los, his, dists = np.zeros(len(late)), np.full(len(late), h), np.array([crossings[i][1] for i in late])
     starts, ends = (np.stack([crossings[i][k] for i in late]) for k in (2, 3))
     while True:
-        mid = 0.5 * (los[rows] + his[rows])
-        moving = (los[rows] < mid) & (mid < his[rows])
-        if not moving.all():
-            rows, mid = rows[moving], mid[moving]
-            if not rows.size:
-                break
-            gens, targets, starts, epsilons = (a[moving] for a in (gens, targets, starts, epsilons))
+        mid = 0.5 * (los + his)
+        moving = (los < mid) & (mid < his)
+        if not moving.any():
+            break
         after = _sl_step(mid[:, None, None])(starts, (gens,))
         ahead = _column_distances(after, targets)
-        below = ahead <= epsilons
-        his[rows[below]], dists[rows[below]], ends[rows[below]] = mid[below], ahead[below], after[below]
-        los[rows[~below]] = mid[~below]
+        below = moving & (ahead <= epsilons)
+        his[below], dists[below], ends[below] = mid[below], ahead[below], after[below]
+        los[moving & ~below] = mid[moving & ~below]
     for i, x, dist, end in zip(late, his.tolist(), dists.tolist(), ends):
         results[i] = (_sl_clock(h, crossings[i][0] - 1) + x, dist, end)
     return results

@@ -358,6 +358,19 @@ def test_importing_the_cli_starts_no_process_machinery():
     assert proc.stdout.strip() == "[]"
 
 
+def test_a_gibbs_exponent_past_the_float_range_sweeps_under_warnings_as_errors(tmp_path):
+    # at beta = 10 the excited weight exp(-10 * 1e308) is 0: n* = 0 from the
+    # ground state, with no overflow warning on stderr
+    cfg = tmp_path / "span.cfg"
+    cfg.write_text("kind = NstarVsBeta\nd = 2\nomega = 1e308\ngrid = 0, 10\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "ri_thermalizer", "sweep", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1:] == ["0,0,0,true", "10,1,0,true"]
+
+
 def test_an_ensemble_sweep_leaves_numpy_random_unloaded(tmp_path):
     # RandomFull rows draw without a numpy Generator, so an ensemble sweep
     # never imports numpy.random

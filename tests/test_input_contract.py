@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ri_thermalizer as rt
+from ri_thermalizer.collisions import sl_population_generator
 from ri_thermalizer.errors import RIThermalizerError
 
 P3 = np.full(3, 1 / 3)
@@ -54,6 +55,7 @@ CASES = {
         lambda n, j_tau, omega_tau: rt.zero_temp_coherences_d3_closed(C3, n, j_tau, omega_tau),
         dict(n=4, j_tau=0.5, omega_tau=1.0),
     ),
+    "sl_population_generator": (sl_population_generator, dict(d=3, p_a=0.8, gamma=1.0)),
     "sl_ode_populations": (lambda p_a, gamma: rt.sl_ode_populations(P3, p_a, gamma, 1.0), dict(p_a=0.8, gamma=1.0)),
     "sl_ode_coherences_d3": (lambda p_a, gamma: rt.sl_ode_coherences_d3(C3, p_a, gamma, 1.0), dict(p_a=0.8, gamma=1.0)),
     "sl_ode_nonconserving_d3": (
@@ -156,3 +158,28 @@ NO_COLLISIONS = {
 def test_no_collisions_still_check_their_values(name):
     with pytest.raises(ValueError):
         NO_COLLISIONS[name]()
+
+
+@pytest.mark.parametrize("gamma", [math.nan, -1.0])
+def test_an_sl_generator_rejects_a_rate_that_is_not_finite_and_nonnegative(gamma):
+    # NaN gave a NaN matrix and -1 negative rates; Gamma = 0 is the zero generator
+    with pytest.raises(ValueError, match="rates must be >= 0 and finite"):
+        sl_population_generator(3, 0.9, gamma)
+    assert not sl_population_generator(3, 0.9, 0.0).any()
+
+
+SL_CROSSINGS = {
+    "tsim_simulated_sl": lambda p0: rt.tsim_simulated_sl(p0, 0.9, 1.0, 1e-3, 1e4),
+    "tsim_simulated_sl_batch": lambda p0: rt.tsim_simulated_sl_batch(p0, [0.9, 0.8], 1.0, [1e-3, 1e-3], 1e4),
+}
+
+
+@pytest.mark.parametrize("name", SL_CROSSINGS)
+@pytest.mark.parametrize("p0", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0], np.eye(3) / 3], ids=["nan", "inf", "2-d"])
+def test_an_sl_crossing_rejects_a_start_that_is_not_a_finite_vector(monkeypatch, name, p0):
+    # a NaN start scanned all 10^6 RK4 steps to the cap; a 2-D one failed in matmul
+    built = []
+    monkeypatch.setattr(rt.simtime, "_sl_generators", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="p0 must be a finite 1-D vector"):
+        SL_CROSSINGS[name](np.array(p0))
+    assert built == []

@@ -111,6 +111,13 @@ def test_a_wide_finite_level_span_is_valid(d, omega):
         assert np.array_equal(gibbs_populations(d, omega, 0.0), np.full(d, 1.0 / d))
 
 
+def test_an_exponent_past_the_float_range_gives_weight_0_without_a_warning():
+    # -beta times the span 1e308 overflows to -inf, whose weight is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gibbs_populations(2, 1e308, 10.0).tolist() == [1.0, 0.0]
+
+
 def test_integer_fields_take_numpy_integers():
     assert SystemSpec(d=np.int64(3)).d == 3
     assert CollisionConfig(tau=1.0, n_max=np.int32(5), epsilon=1e-3).n_max == 5

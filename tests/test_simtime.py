@@ -312,7 +312,7 @@ class TestStartWithinEpsilon:
             cfg = CollisionConfig(tau=tau, n_max=200, epsilon=eps)
             built = []
             with ExitStack() as patches:
-                for name in ("_cptp_scan", "population_step_matrix", "_powered_crossings", "_first_crossings"):
+                for name in ("_cptp_scan", "_population_maps", "_powered_crossings", "_first_crossings"):
                     counted = lambda *args, fn=getattr(simtime, name), name=name: built.append(name) or fn(*args)
                     patches.enter_context(mock.patch.object(simtime, name, counted))
                 res = nstar_simulated(rho0, model, cfg, engine=self.ENGINES[path])
@@ -362,7 +362,7 @@ class TestStartWithinEpsilon:
             finally:
                 reporting.pop()
 
-        names = ("_cptp_scan", "_powered_crossings", "unitary_from_hamiltonian", "population_step_matrix", "_random_couplings", "_first_crossings")
+        names = ("_cptp_scan", "_powered_crossings", "unitary_from_hamiltonian", "_population_maps", "_random_couplings", "_first_crossings")
         for name in names:
             monkeypatch.setattr(simtime, name, counted(name, getattr(simtime, name)))
         single = simtime.nstar_simulated

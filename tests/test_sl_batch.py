@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ri_thermalizer import simtime
-from ri_thermalizer.collisions import evolve_populations, population_step_matrix, sl_population_generator
+from ri_thermalizer.collisions import evolve_populations, population_step_matrix, rk4_step, sl_population_generator
 from ri_thermalizer.models import AncillaSpec
 from ri_thermalizer.simtime import (
     _first_crossings,
+    _sl_clock,
+    bisect_crossing,
     population_distance,
     tsim_simulated_sl,
     tsim_simulated_sl_batch,
@@ -62,6 +64,51 @@ def test_batch_equals_one_scan_per_point(d, rows, gamma, t_max, w):
     p0 = np.array(w[:d]) / sum(w[:d])
     betas, epsilons = zip(*rows)
     _assert_batch_matches(p0, betas, gamma, epsilons, t_max)
+
+
+def _bisected_crossing(p0, p_a, gamma, epsilon, t_max):
+    """One row's crossing by its scalar definition: RK4 one step h at a time
+    to the first step n within epsilon, then ``bisect_crossing`` of
+    f(x), the distance after one step of length x from the state at n - 1.
+    Returns (n, T_sim, distance), n = 0 at the start and None at the cap."""
+    h, steps = simtime._sl_steps(p_a, gamma, epsilon, t_max, None)
+    (gen,), (target,) = simtime._sl_systems(p0.size, [p_a], gamma)
+    before = p0[:, None]
+    f = lambda x: population_distance(rk4_step(lambda y: gen @ y, before, x)[:, 0], target)
+    if population_distance(p0, target) <= epsilon:
+        return 0, 0.0, population_distance(p0, target)
+    for n in range(1, steps + 1):
+        if f(h) <= epsilon:
+            hi = bisect_crossing(f, epsilon, 0.0, h)[1]
+            return n, _sl_clock(h, n - 1) + hi, f(hi)
+        before = rk4_step(lambda y: gen @ y, before, h)
+    return None, None, None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 8),
+    st.lists(
+        st.tuples(st.one_of(st.just(math.inf), st.floats(0.0, 8.0)), st.floats(-4.0, -1.0).map(lambda x: 10.0**x)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.floats(0.2, 2.0),
+    st.floats(10.0, 40.0),
+    st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+)
+def test_the_stacked_bisection_gives_each_rows_scalar_crossing(d, rows, gamma, gamma_t_max, w):
+    # every row that crosses after step 0 has T_sim = _sl_clock(h, n - 1) +
+    # hi and the distance f(hi), with hi from bisect_crossing on (0, h)
+    p0, (betas, epsilons) = np.array(w[:d]) / sum(w[:d]), zip(*rows)
+    p_as, t_max = [_p_a(b) for b in betas], gamma_t_max / gamma
+    batch = tsim_simulated_sl_batch(p0, p_as, gamma, epsilons, t_max)
+    for res, p_a, eps in zip(batch, p_as, epsilons):
+        n, t_sim, dist = _bisected_crossing(p0, p_a, gamma, eps, t_max)
+        if n is None:
+            assert not res.reachable
+        else:
+            assert (res.t_sim, res.final_distance) == (t_sim, dist)
 
 
 class TestNamedCases:
