@@ -20,15 +20,12 @@ for three levels), :func:`collide_once` to a density matrix and
 :func:`rk4_step` to an SL state.  Every trajectory is the :func:`_orbit` of
 its step, and :mod:`.simtime` scans the same steps for the first crossing.
 
-A brute-force collision forms the joint state rho_S (x) rho_A as the
-outer product ``rho[:, None, :, None] * rho_A[None, :, None, :]``
-reshaped to 2d x 2d: the same element-wise products, in the same
-broadcast, that ``np.kron`` forms, without its reshaping overhead, so
-the joint state is bit-identical to the Kronecker product.  A stack of
-states collides in one call, each state under its own unitary and rho_A:
-:mod:`.simtime` steps its stacked scans so, and a ``RandomFull`` stack
-with a new stack of unitaries, from one
-:func:`.linalg.unitary_from_hamiltonian` call, every collision.
+A brute-force collision fills only rho_A's two diagonal blocks of the
+joint state, bit-identical to the Kronecker product (:func:`_collide`).
+A stack of states collides in one call, each under its own unitary and
+rho_A: :mod:`.simtime` steps its stacked scans so, and a ``RandomFull``
+stack with new unitaries from one :func:`.linalg.unitary_from_hamiltonian`
+call every collision.
 
 A note on two SL equations transcribed from one-collision recursions
 rather than from their printed ODE forms: the c23 equation carries a
@@ -57,7 +54,6 @@ from .models import (
     _random_couplings,
     ancilla_thermal_state,
     bare_hamiltonian,
-    system_gibbs_state,
     total_hamiltonian,
 )
 
@@ -164,6 +160,13 @@ def _check_rates(rates) -> None:
     # the SL rates of the integrators and the steady state, where Gamma = 0 is allowed
     if not all(0.0 <= rate < math.inf for rate in rates):
         raise ValueError("rates must be >= 0 and finite")
+
+
+def _check_finite(array, dtype=complex) -> np.ndarray:
+    """array as a dtype array, after checking that its entries are finite."""
+    if not np.isfinite(array := np.asarray(array, dtype=dtype)).all():
+        raise ValueError(f"expected finite entries, not {array!r}")
+    return array
 
 
 def _check_collisions(n) -> None:
@@ -343,17 +346,21 @@ def collide_once(rho_s: np.ndarray, model: ModelSpec, cfg: CollisionConfig, coll
     rho_A and hands them to :func:`_collide`, the kernel :func:`evolve`
     and the scans run with theirs.  rho_s may be a (..., d, d) stack.
     """
-    unitary = collision_unitary(model, cfg.tau, collision)
-    return _collide(np.asarray(rho_s, dtype=complex), unitary, ancilla_thermal_state(model.ancilla))
+    return _collide(_check_finite(rho_s), collision_unitary(model, cfg.tau, collision), ancilla_thermal_state(model.ancilla).diagonal())
 
 
-def _collide(rho_s: np.ndarray, unitary: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
-    """Tr_A[U (rho_S x rho_A) U^dagger] for a complex state or a (..., d, d)
-    stack of them, each with its own (..., 2d, 2d) unitary and (..., 2, 2)
-    rho_A.  The products are stacked matmuls, one BLAS call per matrix, so
-    each state of a stack comes out as it alone would, bit for bit."""
+def _collide(rho_s: np.ndarray, unitary: np.ndarray, p_a: np.ndarray) -> np.ndarray:
+    """Tr_A[U (rho_S x rho_A) U^dagger] for a finite complex state or a
+    (..., d, d) stack, each with its own (..., 2d, 2d) unitary and (..., 2)
+    populations p_a, ``ancilla_thermal_state``'s diagonal.  The products are
+    stacked matmuls, so each state comes out as it alone would, bit for bit."""
     d = rho_s.shape[-1]
-    joint = (rho_s[..., :, None, :, None] * rho_a[..., None, :, None, :]).reshape(*rho_s.shape[:-2], 2 * d, 2 * d)
+    # rho_S p_a[a] at (2k + a, 2l + a), zero elsewhere: rho_S (x) rho_A's bits up to signs of zeros,
+    # as (x + iy)(p + 0i) rounds to round(xp) + i round(yp) in numpy's scalar and FMA loops alike;
+    # those signs reach only zero entries of the two products, which partial_trace_second's 0.0 + clears
+    joint = np.zeros((*rho_s.shape[:-2], 2 * d, 2 * d), dtype=complex)
+    for a in range(2):
+        joint[..., a::2, a::2] = rho_s * p_a[..., a, None, None]
     evolved = unitary @ joint
     del joint  # a stack then holds three (2d, 2d) arrays per state at once, not four
     return partial_trace_second(evolved @ unitary.conj().swapaxes(-1, -2), d, 2)
@@ -368,24 +375,23 @@ def evolve(
 ) -> TrajectoryRecord:
     """Run n brute-force collisions, recording states and distances to target.
 
-    The target defaults to the system Gibbs state at the ancilla
-    temperature.  RandomFull interactions re-draw couplings (and hence the
-    unitary) before every collision, those of collision k at index k, as
-    ``collide_once(..., collision=k)`` draws them, a chunk of collisions
-    at a time; all other variants reuse one unitary.
+    The target defaults to the model's cached ``gibbs_target``.  RandomFull
+    interactions re-draw couplings (and hence the unitary) before every
+    collision, those of collision k at index k, as ``collide_once(...,
+    collision=k)`` draws them, a chunk at a time; all other variants reuse one unitary.
     """
     _check_collisions(n)
+    rho0 = _check_finite(rho0)
     if n > cfg.n_max:
         raise CapExceeded(f"n = {n} exceeds cap {cfg.n_max}")
-    if target is None:
-        target = system_gibbs_state(model.system, model.ancilla.beta)
+    target = model.gibbs_target if target is None else target
     if isinstance(model.interaction, RandomFull):
         unitaries = _random_unitaries(model, cfg.tau, n)
     else:
         unitaries = itertools.repeat(collision_unitary(model, cfg.tau))
-    rho_a = ancilla_thermal_state(model.ancilla)
-    step = lambda rho: _collide(rho, next(unitaries), rho_a)
-    states = list(_orbit(step, np.asarray(rho0, dtype=complex), n))
+    p_a = ancilla_thermal_state(model.ancilla).diagonal()
+    step = lambda rho: _collide(rho, next(unitaries), p_a)
+    states = list(_orbit(step, rho0, n))
     return TrajectoryRecord(states, [trace_distance(rho, target) for rho in states])
 
 

@@ -136,6 +136,18 @@ class ModelSpec:
     ancilla: AncillaSpec
     interaction: Interaction
 
+    @functools.cached_property
+    def gibbs_target(self) -> np.ndarray:
+        """``system_gibbs_state`` of the system at the ancilla's beta, read-only and built once per spec."""
+        rho = system_gibbs_state(self.system, self.ancilla.beta)
+        rho.flags.writeable = False
+        return rho
+
+    def __setstate__(self, state: dict) -> None:  # numpy unpickles the cached target writeable
+        vars(self).update(state)
+        if "gibbs_target" in state:
+            state["gibbs_target"].flags.writeable = False
+
 
 def flip_flop_model(d: int, omega: float, beta: float, j: float) -> ModelSpec:
     """Resonant energy-conserving model, the paper's default configuration."""

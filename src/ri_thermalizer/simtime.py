@@ -19,10 +19,10 @@ recursion for a coherent three-level row.  Population rows are checked
 once per chunk of up to ``_CHECK_EVERY`` steps, the whole trail in one
 distance call; density-matrix rows every step, so no crossed row steps
 on.  A stacked product, ``eigh`` or ``eigvalsh`` gives each row, bit for
-bit, what the row alone gives.  CPTP rows of one model share H_0, rho_A
-and the target, RandomFull rows those of one (system, ancilla).  A
-``RandomFull`` row draws H_I(seed, k) for collision k, the draws of
-``default_rng([seed, k])``, every row's into one stack
+bit, what the row alone gives.  CPTP rows of one model share H_0, rho_A's
+populations and the model's cached ``gibbs_target``, RandomFull rows those
+of one (system, ancilla).  A RandomFull row draws H_I(seed, k) at collision k,
+the draws of ``default_rng([seed, k])``, every row's into one stack
 (``models._random_couplings``, by PCG64 jump-ahead with no generator),
 and builds every row's next unitary in one stacked ``eigh``.  States
 carry no clock: an SL row's time after n steps is ``_sl_clock(h, n)``, a
@@ -37,8 +37,8 @@ powered row from its last rejected lift.  Stacking saves the per-step
 overhead, which dominates a step at small d; it does not split the work
 across processes.  Each row still makes the single-run call perfbench's
 tracer counts as its task (``TASK_ROOTS``), a zero-step report from a
-crossed row's state at its crossing; an unreachable row takes its last
-step again, or, powered, runs again from rho0.
+crossed row's state at its crossing (a CPTP row's against its model's
+cached target); an unreachable row repeats its last step, or, powered, runs again.
 
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
@@ -62,6 +62,7 @@ import numpy as np
 from .collisions import (
     CollisionConfig,
     _check_epsilon,
+    _check_finite,
     _check_gamma,
     _check_p_a,
     _coherence_step,
@@ -91,7 +92,6 @@ from .models import (
     bare_hamiltonian,
     gibbs_populations,
     interaction_hamiltonian,
-    system_gibbs_state,
 )
 
 _NEG_INV_E = -math.exp(-1.0)
@@ -407,12 +407,10 @@ def nstar_simulated(rho0: np.ndarray, model: ModelSpec, cfg: CollisionConfig, en
     elif engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
 
-    if engine == "recursion" and diagonal:
-        p, target = np.diag(rho0).real, gibbs_populations(d, model.system.omega, model.ancilla.beta)
-        (dist,) = _population_distances(p[None], target[None]).tolist()
+    if engine == "recursion" and diagonal:  # the populations alone cost less than a first gibbs_target
+        (dist,) = _population_distances(np.diag(rho0).real[None], gibbs_populations(d, model.system.omega, model.ancilla.beta)[None]).tolist()
     else:
-        target = system_gibbs_state(model.system, model.ancilla.beta)
-        (dist,) = _trace_distances(rho0[None], target[None]).tolist()
+        (dist,) = _trace_distances(rho0[None], model.gibbs_target[None]).tolist()
     if dist <= cfg.epsilon:
         return ThermalizationResult(0, 0 * cfg.tau, dist, engine)
     ((n, dist, _),) = _nstar_searches(rho0, [(model, cfg)], engine, collision)
@@ -438,7 +436,7 @@ def _nstar_searches(rho0: np.ndarray, runs, engine: str, collision: int = 0):
 
         # one coherent d = 3 run, against a one-row stack of its Gibbs target
         ((model, cfg),) = runs
-        states, params = rho0[None], (system_gibbs_state(model.system, model.ancilla.beta)[None],)
+        states, params = rho0[None], (model.gibbs_target[None],)
         coherence_step = _coherence_step(model.ancilla.ground_population, model.interaction.j * cfg.tau, model.system.omega * cfg.tau)
 
         def step(states, _):
@@ -451,11 +449,11 @@ def _nstar_searches(rho0: np.ndarray, runs, engine: str, collision: int = 0):
 
 
 def _checked_state(rho0, d: int) -> np.ndarray:
-    """rho0 as a complex array, after checking that it is (d, d)."""
+    """rho0 as a complex array, after checking that it is a finite (d, d) one."""
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d, d):
         raise ValueError(f"rho0 has shape {rho0.shape}, the model's system needs {(d, d)}")
-    return rho0
+    return _check_finite(rho0)
 
 
 def _is_diagonal(rho0: np.ndarray) -> bool:
@@ -470,9 +468,8 @@ def _resonant(model: ModelSpec) -> bool:
 def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     """The step, start states and params of a CPTP scan of runs (model,
     cfg) from rho0, stacked on axis 0; params ends with the rows' rho_A
-    and Gibbs targets.  These and H_0 are built once per distinct model,
-    or, for RandomFull rows, each with its own seed, once per distinct
-    (system, ancilla).
+    populations and cached Gibbs targets, taken with H_0 once per distinct
+    model or, for RandomFull rows (each with its own seed), (system, ancilla).
 
     A fixed-unitary row's params start with its unitary, from H_0 + H_I
     summed per model and indexed out once.  A RandomFull row's start with
@@ -489,21 +486,21 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     models = [m for _, m in index.values()]
     h0 = np.stack([bare_hamiltonian(m.system, m.ancilla) for m in models])
     taus = np.array([cfg.tau for _, cfg in runs])[:, None]
-    rho_as = np.stack([ancilla_thermal_state(m.ancilla) for m in models])[rows]
-    targets = np.stack([system_gibbs_state(m.system, m.ancilla.beta) for m in models])[rows]
+    p_as = np.stack([ancilla_thermal_state(m.ancilla).diagonal() for m in models])[rows]
+    targets = np.stack([m.gibbs_target for m in models])[rows]
     states = np.tile(rho0, (len(runs), 1, 1))
     if not random:
         h_i = np.stack([interaction_hamiltonian(m.system, m.interaction) for m in models])
         step = lambda states, params: _collide(states, *params[:2])
-        return step, states, (unitary_from_hamiltonian((h0 + h_i)[rows], taus), rho_as, targets)
+        return step, states, (unitary_from_hamiltonian((h0 + h_i)[rows], taus), p_as, targets)
     d, collisions = models[0].system.d, itertools.count(collision)
 
     def step(states, params):
-        interactions, h0, taus, rho_as, _ = params
+        interactions, h0, taus, p_as, _ = params
         h_i = _random_couplings(d, interactions, next(collisions))
-        return _collide(states, unitary_from_hamiltonian(h0 + h_i, taus), rho_as)
+        return _collide(states, unitary_from_hamiltonian(h0 + h_i, taus), p_as)
 
-    return step, states, (np.array([m.interaction for m, _ in runs]), h0[rows], taus, rho_as, targets)
+    return step, states, (np.array([m.interaction for m, _ in runs]), h0[rows], taus, p_as, targets)
 
 
 def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_force") -> list[ThermalizationResult]:
@@ -696,10 +693,10 @@ def _lambdas(j_tau: float) -> tuple[float, float]:
 
 
 def _excited_d3(p0: np.ndarray) -> tuple[float, float]:
-    """(p2, p3) of a three-level population vector."""
+    """(p2, p3) of a finite three-level population vector."""
     if np.shape(p0) != (3,):
         raise ValueError(f"the Lambert closed forms are derived for d = 3 only, not p0 of shape {np.shape(p0)}")
-    return float(p0[1]), float(p0[2])
+    return tuple(_check_finite(p0, float)[1:].tolist())
 
 
 def nstar_closed_d3_zeroT(p0: np.ndarray, j_tau: float, epsilon: float) -> float:
@@ -758,7 +755,7 @@ def nstar_general_zeroT_solve(p0: np.ndarray, j_tau: float, epsilon: float) -> f
     and the integer crossing is returned directly.  NoRootBelowCap past 2^60.
     """
     _check_epsilon(epsilon)
-    p0 = np.asarray(p0, dtype=float)
+    p0 = _check_finite(p0, float)
     d = p0.size
     lp, lm = _lambdas(j_tau)
     if lp < 1e-30:
@@ -788,7 +785,7 @@ def tsim_general_sl_zeroT_solve(p0: np.ndarray, gamma: float, epsilon: float) ->
     NoRootBelowCap past 1e12 / Gamma."""
     _check_epsilon(epsilon)
     _check_gamma(gamma)
-    p0 = np.asarray(p0, dtype=float)
+    p0 = _check_finite(p0, float)
     d = p0.size
     tail = [float(p0[k + 1 :].sum()) for k in range(d - 1)]
 

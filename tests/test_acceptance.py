@@ -77,7 +77,7 @@ def test_criterion_01_oracle_equivalence():
         model = flip_flop_model(d, omega=1.0, beta=beta, j=j)
         p_a = model.ancilla.ground_population
         unitary = collision_unitary(model, tau)
-        rho_a = ancilla_thermal_state(model.ancilla)
+        ancilla_pops = ancilla_thermal_state(model.ancilla).diagonal()
         for _ in range(20):
             rho = random_density_matrix(d, rng)
             pops = evolve_populations(np.diag(rho).real, p_a, j * tau, 50)
@@ -86,7 +86,7 @@ def test_criterion_01_oracle_equivalence():
                     (rho[0, 1], rho[0, 2], rho[1, 2]), p_a, j * tau, tau, 50
                 )
             for n in range(1, 51):
-                rho = _collide(rho, unitary, rho_a)
+                rho = _collide(rho, unitary, ancilla_pops)
                 worst = max(worst, float(np.max(np.abs(np.diag(rho).real - pops[n]))))
                 if d == 3:
                     got = np.array([rho[0, 1], rho[0, 2], rho[1, 2]])

@@ -5,7 +5,9 @@
 rests on two identities of the running numpy, BLAS and LAPACK, pinned
 here for level counts up to ``MAX_D``: a stacked ``_collide`` equals the
 one-matrix ``collide_once`` state by state, and the stacked
-``_trace_distances`` equals ``trace_distance``.
+``_trace_distances`` equals ``trace_distance``.  ``_collide`` fills only
+rho_A's two diagonal blocks of the joint state; it must give the bytes of
+the full outer product rho_S (x) rho_A, the formula kept here as reference.
 """
 
 import math
@@ -18,16 +20,18 @@ from hypothesis import strategies as st
 
 from ri_thermalizer import simtime
 from ri_thermalizer.collisions import CollisionConfig, _collide, collide_once, collision_unitary
-from ri_thermalizer.linalg import _trace_distances, partial_trace_second, trace_distance
+from ri_thermalizer.linalg import _trace_distances, partial_trace_second, trace_distance, unitary_from_hamiltonian
 from ri_thermalizer.models import (
     AncillaSpec,
     CounterRotating,
+    IsotropicFlipFlop,
     ModelSpec,
     RandomFull,
     SystemSpec,
     ancilla_thermal_state,
     flip_flop_model,
     random_density_matrix,
+    total_hamiltonian,
 )
 from ri_thermalizer.simtime import nstar_simulated, nstar_simulated_batch
 from ri_thermalizer.sweeps import MAX_D
@@ -233,11 +237,11 @@ def test_a_batch_holds_one_block_at_max_d(monkeypatch):
     model = flip_flop_model(d, 1.0, 1.0, 1.0)
     rho0 = np.eye(d, dtype=complex) / d
     cfg = CollisionConfig(tau=0.3, n_max=8, epsilon=0.5)
-    _, _, ((unitary,), (rho_a,), (target,)) = simtime._cptp_scan([(model, cfg)], rho0)
+    _, _, ((unitary,), (p_a,), (target,)) = simtime._cptp_scan([(model, cfg)], rho0)
     distances = [trace_distance(rho0, target)]
     rho = rho0
     for _ in range(6):
-        rho = _collide(rho, unitary, rho_a)
+        rho = _collide(rho, unitary, p_a)
         distances.append(trace_distance(rho, target))
     # epsilons between the distances after 0 and 6 collisions
     epsilons = np.interp(np.linspace(0.5, 5.5, rows), np.arange(7), distances)
@@ -260,18 +264,18 @@ def test_stacked_collisions_and_distances_equal_matrix_by_matrix(rows):
         models = [flip_flop_model(d, 1.0, beta, 1.0) for beta in rng.uniform(0.0, 4.0, rows)]
         cfgs = [CollisionConfig(tau=tau, n_max=1, epsilon=0.5) for tau in rng.uniform(0.2, 2.0, rows)]
         # the batch's systems: one stacked eigh, one tau per row
-        _, _, (unitaries, rho_as, _) = simtime._cptp_scan(list(zip(models, cfgs)), np.eye(d) / d)
+        _, _, (unitaries, p_as, _) = simtime._cptp_scan(list(zip(models, cfgs)), np.eye(d) / d)
         states = np.stack([random_density_matrix(d, rng) for _ in range(rows)])
         targets = np.stack([random_density_matrix(d, rng) for _ in range(rows)])
-        stacked = _collide(states, unitaries, rho_as)
+        stacked = _collide(states, unitaries, p_as)
         distances = _trace_distances(stacked, targets)
         # a one-row stack under a shared (2d, 2d) unitary and (2, 2) rho_A:
         # a RandomFull run's step
-        one_row = _collide(states[:1], unitaries[0], rho_as[0])
+        one_row = _collide(states[:1], unitaries[0], p_as[0])
         assert np.array_equal(one_row[0], collide_once(states[0], models[0], cfgs[0])), d
         for i in range(rows):
             assert np.array_equal(unitaries[i], collision_unitary(models[i], cfgs[i].tau)), d
-            assert np.array_equal(rho_as[i], ancilla_thermal_state(models[i].ancilla)), d
+            assert np.array_equal(p_as[i], ancilla_thermal_state(models[i].ancilla).diagonal()), d
             one = collide_once(states[i], models[i], cfgs[i])
             assert np.array_equal(stacked[i], one), d
             assert distances[i] == trace_distance(one, targets[i]), d
@@ -285,3 +289,47 @@ def test_a_stacked_partial_trace_equals_matrix_by_matrix():
     for i in range(2):
         for k in range(2):
             assert np.array_equal(stacked[i, k], partial_trace_second(joint[i, k], 3, 2))
+
+
+def _outer_product_collide(rho_s, unitary, rho_a):
+    """Tr_A[U (rho_S x rho_A) U^dagger] from the full outer product, every
+    entry of rho_S times every entry of the (..., 2, 2) rho_A."""
+    d = rho_s.shape[-1]
+    joint = (rho_s[..., :, None, :, None] * rho_a[..., None, :, None, :]).reshape(*rho_s.shape[:-2], 2 * d, 2 * d)
+    return partial_trace_second(unitary @ joint @ unitary.conj().swapaxes(-1, -2), d, 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 5),
+    d=st.integers(2, 16),
+    beta=st.sampled_from([0.0, math.inf]) | st.floats(0.0, 8.0),
+    real=st.booleans(),
+    shared=st.booleans(),
+    flip_flop=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_two_block_joint_state_gives_the_outer_products_bytes(rows, d, beta, real, shared, flip_flop, seed):
+    # states with exact and signed zeros, real (imaginary parts +-0) or complex,
+    # under one unitary per row or one shared, dense or the flip-flop's, whose
+    # blocks keep many entries exactly 0; beta = inf is p_A = 1
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=(2, rows, d, d))
+    if real:
+        parts[1] = 0.0
+    zeros = rng.integers(0, 3, size=parts.shape)  # 1: +0.0, 2: -0.0
+    parts[zeros == 1], parts[zeros == 2] = 0.0, -0.0
+    rho_s = parts[0] + 1j * parts[1]
+    rho_s.imag[(zeros[1] == 2)] = -0.0  # complex addition turns -0.0 imaginary parts into +0.0
+    h = rng.normal(size=(1 if shared else rows, 2 * d, 2 * d))
+    if flip_flop:  # the flip-flop Hamiltonian, scaled by one draw per matrix
+        h = total_hamiltonian(SystemSpec(d), AncillaSpec(1.0, beta), IsotropicFlipFlop(1.0)) * h[:, :1, :1]
+    else:
+        h = h + h.swapaxes(-1, -2)
+    unitary = unitary_from_hamiltonian(h.astype(complex), 0.7)
+    unitary = unitary[0] if shared else unitary
+    rho_a = np.stack([ancilla_thermal_state(AncillaSpec(1.0, beta))] * rows)
+    expected = _outer_product_collide(rho_s, unitary, rho_a)
+    got = _collide(rho_s, unitary, rho_a.diagonal(axis1=-2, axis2=-1))
+    assert got.tobytes() == expected.tobytes()
+    assert got[0].tobytes() == _collide(rho_s[0], unitary if shared else unitary[0], rho_a[0].diagonal()).tobytes()

@@ -183,3 +183,83 @@ def test_an_sl_crossing_rejects_a_start_that_is_not_a_finite_vector(monkeypatch,
     with pytest.raises(ValueError, match="p0 must be a finite 1-D vector"):
         SL_CROSSINGS[name](np.array(p0))
     assert built == []
+
+
+def _with_entry(value, where):
+    """The maximally mixed three-level state with one entry set to value."""
+    rho = np.eye(3, dtype=complex) / 3
+    rho[(1, 1) if where == "diagonal" else (0, 2)] = value
+    return rho
+
+
+def _model():
+    # a fresh spec per call, so no Gibbs target cached by an earlier test hides a build
+    return rt.flip_flop_model(3, 1.0, 2.0, 1.0)
+
+
+CFG = rt.CollisionConfig(tau=1.0, n_max=10, epsilon=1e-3)
+RANDOM = [rt.ModelSpec(rt.SystemSpec(3), rt.AncillaSpec(1.0, 2.0), rt.RandomFull(0.1, 0.9, seed)) for seed in (1, 2)]
+# every simulated run from a density matrix, on each engine it takes
+STATE_RUNS = {
+    "nstar_simulated-auto": lambda rho0: rt.nstar_simulated(rho0, _model(), CFG),
+    "nstar_simulated-recursion": lambda rho0: rt.nstar_simulated(rho0, _model(), CFG, engine="recursion"),
+    "nstar_simulated-brute_force": lambda rho0: rt.nstar_simulated(rho0, _model(), CFG, engine="brute_force"),
+    "nstar_simulated_batch-recursion": lambda rho0: rt.nstar_simulated_batch(rho0, [_model()] * 2, [CFG] * 2, engine="recursion"),
+    "nstar_simulated_batch-brute_force": lambda rho0: rt.nstar_simulated_batch(rho0, [_model()] * 2, [CFG] * 2),
+    "nstar_simulated_batch-RandomFull": lambda rho0: rt.nstar_simulated_batch(rho0, RANDOM, [CFG] * 2),
+    "collide_once": lambda rho0: rt.collide_once(rho0, _model(), CFG),
+    "evolve": lambda rho0: rt.evolve(rho0, _model(), CFG, 3),
+}
+# what a run builds from its model: Gibbs targets, population maps, unitaries
+BUILDERS = [
+    (rt.models, "_gibbs_stack"),
+    (rt.simtime, "_gibbs_stack"),
+    (rt.simtime, "_population_maps"),
+    (rt.collisions, "unitary_from_hamiltonian"),
+    (rt.simtime, "unitary_from_hamiltonian"),
+]
+
+
+def _recorded(function, name, calls):
+    def recorded(*args):
+        calls.append(name)
+        return function(*args)
+
+    return recorded
+
+
+@pytest.mark.parametrize("name", STATE_RUNS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)], ids=["nan", "inf", "-inf", "nan-imag"])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_a_state_with_an_entry_that_is_not_finite_raises_before_any_build(monkeypatch, name, value, where):
+    # inf ended in a RuntimeWarning (from _is_diagonal or the joint state's
+    # multiply) and NaN in NoConvergence from eigvalsh, or, from collide_once,
+    # in an all-NaN state
+    built = []
+    for module, attr in BUILDERS:
+        monkeypatch.setattr(module, attr, _recorded(getattr(module, attr), attr, built))
+    with pytest.raises(ValueError, match="expected finite entries"):
+        STATE_RUNS[name](_with_entry(value, where))
+    assert built == []
+
+
+# each zero-temperature closed form, with one entry of its p0 set to a value
+CLOSED_FORMS = {
+    "nstar_closed_d3_zeroT": lambda p0: rt.nstar_closed_d3_zeroT(p0, 0.3, 1e-3),
+    "tsim_closed_sl_zeroT": lambda p0: rt.tsim_closed_sl_zeroT(p0, 1.0, 1e-3),
+    "nstar_general_zeroT_solve": lambda p0: rt.nstar_general_zeroT_solve(p0, 0.3, 1e-3),
+    "tsim_general_sl_zeroT_solve": lambda p0: rt.tsim_general_sl_zeroT_solve(p0, 1.0, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [0, 1, 2])
+def test_a_closed_form_rejects_a_p0_entry_that_is_not_finite(name, value, entry):
+    # each returned a number: tsim_general_sl_zeroT_solve([0.2, nan, 0.5], 1,
+    # 1e-3) gave 1.0 and nstar_general_zeroT_solve([0.2, 0.3, inf], 0.3, 1e-3)
+    # 8192.0; an unused p1 was never read
+    p0 = [0.2, 0.3, 0.5]
+    p0[entry] = value
+    with pytest.raises(ValueError, match="expected finite entries"):
+        CLOSED_FORMS[name](p0)

@@ -1,6 +1,9 @@
 """Unit tests for Hamiltonian and state construction."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 import warnings
 from types import SimpleNamespace
@@ -10,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ri_thermalizer import models
 from ri_thermalizer.collisions import CollisionConfig
 from ri_thermalizer.linalg import unitary_from_hamiltonian
 from ri_thermalizer.models import (
     AncillaSpec,
     CounterRotating,
     IsotropicFlipFlop,
+    ModelSpec,
     RandomFull,
     SystemSpec,
     _PCG64_MULT,
@@ -31,6 +36,7 @@ from ri_thermalizer.models import (
     system_hamiltonian,
     total_hamiltonian,
 )
+from ri_thermalizer.simtime import nstar_simulated_batch
 from ri_thermalizer.sweeps import MAX_D
 
 
@@ -169,6 +175,64 @@ class TestGibbsState:
             p = gibbs_populations(6, 1.0, beta)
             assert p.sum() == pytest.approx(1.0, abs=1e-15)
             assert np.all(p >= 0)
+
+
+class TestCachedGibbsTarget:
+    """``ModelSpec.gibbs_target``: built once per spec, read-only, and the
+    bits of ``system_gibbs_state``, whose diagonal is ``gibbs_populations``."""
+
+    MODEL = ModelSpec(SystemSpec(4, 0.7), AncillaSpec(0.7, 1.3), IsotropicFlipFlop(0.5))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.3, 40.0, math.inf])
+    def test_it_is_the_bits_of_the_two_builders(self, beta):
+        model = dataclasses.replace(self.MODEL, ancilla=AncillaSpec(0.7, beta))
+        rho = model.gibbs_target
+        assert rho.dtype == complex and rho.tobytes() == system_gibbs_state(model.system, beta).tobytes()
+        assert rho.diagonal().real.tobytes() == gibbs_populations(4, 0.7, beta).tobytes()
+
+    def test_it_is_read_only(self):
+        rho = dataclasses.replace(self.MODEL).gibbs_target
+        with pytest.raises(ValueError, match="read-only"):
+            rho[0, 0] = 0.5
+
+    def test_it_is_built_once_per_spec(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(models, "system_gibbs_state", lambda *args: built.append(args) or system_gibbs_state(*args))
+        model = dataclasses.replace(self.MODEL)
+        assert model.gibbs_target is model.gibbs_target
+        assert len(built) == 1
+        # equal specs give equal targets, each its own; replace makes a fresh one
+        twin, other = dataclasses.replace(model), dataclasses.replace(model, ancilla=AncillaSpec(0.7, 2.6))
+        assert twin == model and twin.gibbs_target is not model.gibbs_target
+        assert twin.gibbs_target.tobytes() == model.gibbs_target.tobytes()
+        assert not np.array_equal(other.gibbs_target, model.gibbs_target)
+        assert len(built) == 3
+
+    def test_it_leaves_equality_hash_and_repr_alone(self):
+        model = dataclasses.replace(self.MODEL)
+        fresh = dataclasses.replace(model)
+        assert model.gibbs_target is not None  # cached on model, not on fresh
+        assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
+
+    def test_a_spec_pickles_with_its_cached_target(self):
+        # as a pool worker receives it
+        model = dataclasses.replace(self.MODEL)
+        rho = model.gibbs_target
+        back = pickle.loads(pickle.dumps(model))
+        assert back == model and "gibbs_target" in vars(back)
+        assert back.gibbs_target.tobytes() == rho.tobytes()
+        assert not back.gibbs_target.flags.writeable  # numpy alone would unpickle it writeable
+        assert not copy.deepcopy(model).gibbs_target.flags.writeable
+
+    def test_a_one_model_sweep_builds_it_once(self, monkeypatch):
+        # the CPTP batch and its 24 per-row reports read the one cached target
+        built = []
+        monkeypatch.setattr(models, "system_gibbs_state", lambda *args: built.append(args) or system_gibbs_state(*args))
+        model = flip_flop_model(3, 1.0, 1.0, 1.0)
+        cfgs = [CollisionConfig(tau=tau, n_max=200, epsilon=1e-3) for tau in np.linspace(0.3, 1.2, 24)]
+        results = nstar_simulated_batch(np.eye(3) / 3, [model] * 24, cfgs)
+        assert all(r.reachable for r in results)
+        assert len(built) == 1
 
 
 class TestInteractionHamiltonian:

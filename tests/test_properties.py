@@ -11,7 +11,9 @@ must fix its stacked Gibbs target up to the rounding the search's guard
 allows, and the zero-temperature closed form must round to the simulated
 n*.  A RandomFull run, which builds each collision's unitary in a stacked
 step, must give, bit for bit, the crossing of ``evolve``'s one unitary per
-collision.
+collision.  In the Lindblad limit a collision is one Euler step of the SL
+generator at Gamma = 1 over a time sin^2(J tau): the population map and
+its spectrum must match that identity within a few units of roundoff.
 """
 
 import math
@@ -55,6 +57,7 @@ from ri_thermalizer.simtime import (
     nstar_simulated,
     population_distance,
 )
+from ri_thermalizer.spectra import lambda_closed, xi_closed
 from ri_thermalizer.sweeps import MAX_D
 
 SLACK = 1e-14
@@ -89,12 +92,12 @@ def test_population_map_contracts_in_l1(d, beta, j_tau, w):
 def test_fixed_unitary_collision_contracts_in_trace_distance(d, beta, j, tau, seed):
     model = flip_flop_model(d, 1.0, beta, j)
     unitary = collision_unitary(model, tau)
-    rho_a = ancilla_thermal_state(model.ancilla)
+    p_a = ancilla_thermal_state(model.ancilla).diagonal()
     target = system_gibbs_state(model.system, beta)
     rho = random_density_matrix(d, np.random.default_rng(seed))
     distances = [trace_distance(rho, target)]
     for _ in range(30):
-        rho = _collide(rho, unitary, rho_a)
+        rho = _collide(rho, unitary, p_a)
         distances.append(trace_distance(rho, target))
     assert _never_grows(distances)
 
@@ -298,3 +301,26 @@ def test_random_full_crossings_around_a_block_boundary():
         res = nstar_simulated(rho0, model, CollisionConfig(tau=100.0, n_max=cap, epsilon=distances[n_max]))
         assert res.n_star is None
         assert res.final_distance == distances[cap]
+
+
+# The collision map is m = I + sin^2(J tau) L with L the SL generator at
+# Gamma = 1, exactly; the two builders round differently (m through cos 2 J
+# tau, L through p_A), so each side is within a few u of the exact value.
+FEW_U = 8 * (0.5 * np.finfo(float).eps)
+lindblad_p_as = st.floats(0.0, 1.0, exclude_min=True)
+lindblad_j_taus = st.floats(-10.0, 10.0)
+
+
+@PROPERTY
+@given(st.integers(2, MAX_D), lindblad_p_as, lindblad_j_taus)
+def test_a_collision_is_an_euler_step_of_the_sl_generator(d, p_a, j_tau):
+    step = population_step_matrix(d, p_a, j_tau) - np.eye(d)
+    euler = math.sin(j_tau) ** 2 * sl_population_generator(d, p_a, 1.0)
+    assert np.abs(step - euler).max() <= FEW_U
+
+
+@PROPERTY
+@given(st.integers(2, MAX_D), lindblad_p_as, lindblad_j_taus)
+def test_the_map_spectrum_is_one_plus_sin_squared_the_sl_spectrum(d, p_a, j_tau):
+    euler = 1.0 + math.sin(j_tau) ** 2 * lambda_closed(d, p_a, 1.0)
+    assert np.abs(xi_closed(d, p_a, j_tau) - euler).max() <= FEW_U

@@ -135,11 +135,12 @@ class TestNstarSimulated:
         res = nstar_simulated(system_gibbs_state(model.system, 1.0), model, cfg)
         assert res.n_star == 0 and res.t_sim == 0.0
 
-    def test_a_distance_eigvalsh_cannot_take_raises_no_convergence(self):
-        # numpy's LinAlgError from the trace distance's eigvalsh, typed
+    def test_a_nan_start_raises_value_error_before_any_distance(self):
+        # it ended in NoConvergence from the trace distance's eigvalsh, which
+        # test_linalg still checks on a NaN pair
         model = flip_flop_model(3, omega=1.0, beta=1.0, j=1.0)
         rho0 = np.full((3, 3), math.nan, dtype=complex)
-        with pytest.raises(NoConvergence, match="trace distance"):
+        with pytest.raises(ValueError, match="expected finite entries"):
             nstar_simulated(rho0, model, CollisionConfig(tau=1.0, n_max=5, epsilon=1e-3), engine="brute_force")
 
     def test_two_collisions_at_optimal_point(self):
