@@ -137,16 +137,34 @@ class ModelSpec:
     interaction: Interaction
 
     @functools.cached_property
-    def gibbs_target(self) -> np.ndarray:
-        """``system_gibbs_state`` of the system at the ancilla's beta, read-only and built once per spec."""
-        rho = system_gibbs_state(self.system, self.ancilla.beta)
-        rho.flags.writeable = False
-        return rho
+    def gibbs_populations(self) -> np.ndarray:
+        """``gibbs_populations`` at the ancilla's beta, read-only, built once per spec (here or by ``_gibbs_rows``)."""
+        return _read_only(gibbs_populations(self.system.d, self.system.omega, self.ancilla.beta))
 
-    def __setstate__(self, state: dict) -> None:  # numpy unpickles the cached target writeable
+    @functools.cached_property
+    def gibbs_target(self) -> np.ndarray:
+        """``system_gibbs_state`` at the ancilla's beta, read-only: the diagonal of the cached ``gibbs_populations``."""
+        return _read_only(_diagonal_state(self.gibbs_populations))
+
+    def __setstate__(self, state: dict) -> None:  # numpy unpickles the cached arrays writeable
         vars(self).update(state)
-        if "gibbs_target" in state:
-            state["gibbs_target"].flags.writeable = False
+        for name in state.keys() & {"gibbs_populations", "gibbs_target"}:
+            state[name].flags.writeable = False
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _gibbs_rows(models) -> np.ndarray:
+    """The (B, d) stack of the ``gibbs_populations`` of models of one d: those
+    lacking theirs (each once, by identity) fill them from one ``_gibbs_stack``."""
+    lacking = list({id(m): m for m in models if "gibbs_populations" not in vars(m)}.values())
+    stack = _read_only(_gibbs_stack(lacking[0].system.d, [m.system.omega for m in lacking], [m.ancilla.beta for m in lacking])) if lacking else []
+    for m, row in zip(lacking, stack):
+        vars(m)["gibbs_populations"] = row
+    return np.stack([m.gibbs_populations for m in models])
 
 
 def flip_flop_model(d: int, omega: float, beta: float, j: float) -> ModelSpec:
@@ -176,7 +194,11 @@ def ancilla_thermal_state(spec: AncillaSpec) -> np.ndarray:
 
 def system_gibbs_state(spec: SystemSpec, beta: float) -> np.ndarray:
     """Canonical thermal state of the system at inverse temperature beta."""
-    return np.diag(gibbs_populations(spec.d, spec.omega, beta).astype(complex))
+    return _diagonal_state(gibbs_populations(spec.d, spec.omega, beta))
+
+
+def _diagonal_state(populations: np.ndarray) -> np.ndarray:
+    return np.diag(populations.astype(complex))
 
 
 def gibbs_populations(d: int, omega: float, beta: float) -> np.ndarray:
@@ -200,16 +222,6 @@ def _gibbs_stack(d: int, omegas, betas) -> np.ndarray:
         np.multiply(-betas, energies[:, 1:] - energies[:, :1], out=exponents[:, 1:], where=betas < math.inf)
     weights = np.exp(exponents)
     return weights / weights.sum(axis=1, keepdims=True)
-
-
-def _flip_flop_pairs(d: int):
-    # |k+1, down> <-> |k, up>: joint indices (2k+2, 2k+1)
-    return [(2 * k + 2, 2 * k + 1) for k in range(d - 1)]
-
-
-def _counter_rotating_pairs(d: int):
-    # |k+1, up> <-> |k, down>: joint indices (2k+3, 2k)
-    return [(2 * k + 3, 2 * k) for k in range(d - 1)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -369,11 +381,10 @@ def interaction_hamiltonian(
         raise TypeError(f"unknown interaction spec {type(ispec).__name__}")
     dim = 2 * sys.d
     h_i = np.zeros((dim, dim), dtype=complex)
-    for i, j in _flip_flop_pairs(sys.d):
-        h_i[i, j] = h_i[j, i] = ispec.j
-    if isinstance(ispec, CounterRotating):
-        for i, j in _counter_rotating_pairs(sys.d):
-            h_i[i, j] = h_i[j, i] = ispec.j_prime
+    for k in range(sys.d - 1):  # joint indices: |k+1, down> is 2k+2, |k, up> 2k+1
+        h_i[2 * k + 2, 2 * k + 1] = h_i[2 * k + 1, 2 * k + 2] = ispec.j
+        if isinstance(ispec, CounterRotating):  # |k+1, up> <-> |k, down>
+            h_i[2 * k + 3, 2 * k] = h_i[2 * k, 2 * k + 3] = ispec.j_prime
     return h_i
 
 

@@ -37,8 +37,8 @@ powered row from its last rejected lift.  Stacking saves the per-step
 overhead, which dominates a step at small d; it does not split the work
 across processes.  Each row still makes the single-run call perfbench's
 tracer counts as its task (``TASK_ROOTS``), a zero-step report from a
-crossed row's state at its crossing (a CPTP row's against its model's
-cached target); an unreachable row repeats its last step, or, powered, runs again.
+crossed row's state that builds nothing: its search cached the row's Gibbs
+target on its model.  An unreachable row repeats its last step, or, powered, runs again.
 
 The diagonal population recursion does not scan.  Its one-collision map
 m is column-stochastic, so the L1 distance to the Gibbs populations
@@ -86,11 +86,10 @@ from .models import (
     IsotropicFlipFlop,
     ModelSpec,
     RandomFull,
-    _gibbs_stack,
+    _gibbs_rows,
     _random_couplings,
     ancilla_thermal_state,
     bare_hamiltonian,
-    gibbs_populations,
     interaction_hamiltonian,
 )
 
@@ -407,30 +406,30 @@ def nstar_simulated(rho0: np.ndarray, model: ModelSpec, cfg: CollisionConfig, en
     elif engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
 
-    if engine == "recursion" and diagonal:  # the populations alone cost less than a first gibbs_target
-        (dist,) = _population_distances(np.diag(rho0).real[None], gibbs_populations(d, model.system.omega, model.ancilla.beta)[None]).tolist()
+    if engine == "recursion" and diagonal:
+        (dist,) = _population_distances(np.diag(rho0).real[None], model.gibbs_populations[None]).tolist()
     else:
         (dist,) = _trace_distances(rho0[None], model.gibbs_target[None]).tolist()
     if dist <= cfg.epsilon:
         return ThermalizationResult(0, 0 * cfg.tau, dist, engine)
-    ((n, dist, _),) = _nstar_searches(rho0, [(model, cfg)], engine, collision)
+    ((n, dist, _),) = _nstar_searches(rho0, [(model, cfg)], engine, collision, diagonal)
     return ThermalizationResult(n, None if n is None else n * cfg.tau, dist, engine)
 
 
-def _nstar_searches(rho0: np.ndarray, runs, engine: str, collision: int = 0):
+def _nstar_searches(rho0: np.ndarray, runs, engine: str, collision: int = 0, diagonal: bool = True):
     """(n*, distance, start) of every run (model, cfg) from rho0, stacked
     on axis 0, by its engine's search: the CPTP scan from collision index
-    ``collision``, the powered recursion, or the scan of one coherent d = 3
-    run.  n* is None when none comes by the runs' shared n_max; start is
-    the state the batch's report call starts from, the state at n*, or at
-    the cap the CPTP state a collision before it and the recursion's rho0."""
+    ``collision``, the powered recursion, or (not diagonal) the scan of one
+    coherent d = 3 run.  n* is None when none comes by the runs' n_max;
+    start is the state the batch's report call starts from, the state at
+    n*, or at the cap the CPTP state a collision before it and rho0."""
     d, n_max, epsilons = rho0.shape[0], runs[0][1].n_max, [cfg.epsilon for _, cfg in runs]
     if engine == "brute_force":
         step, states, params = _cptp_scan(runs, rho0, collision)
     else:
         ms = _population_maps(d, [m.ancilla.ground_population for m, _ in runs], [m.interaction.j * cfg.tau for m, cfg in runs])
-        if _is_diagonal(rho0):
-            targets = _gibbs_stack(d, [m.system.omega for m, _ in runs], [m.ancilla.beta for m, _ in runs])
+        if diagonal:
+            targets = _gibbs_rows([m for m, _ in runs])
             crossings = _powered_crossings(ms, np.tile(np.diag(rho0).real, (len(runs), 1)), targets, epsilons, n_max)
             return [(n, dist, rho0 if n is None else np.diag(state)) for n, dist, state in crossings]
 
@@ -468,8 +467,9 @@ def _resonant(model: ModelSpec) -> bool:
 def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     """The step, start states and params of a CPTP scan of runs (model,
     cfg) from rho0, stacked on axis 0; params ends with the rows' rho_A
-    populations and cached Gibbs targets, taken with H_0 once per distinct
-    model or, for RandomFull rows (each with its own seed), (system, ancilla).
+    populations and Gibbs targets, taken with H_0 once per distinct model
+    or, for RandomFull rows (each with its own seed), (system, ancilla): one
+    ``_gibbs_rows``, and each row's model caches its group's target array.
 
     A fixed-unitary row's params start with its unitary, from H_0 + H_I
     summed per model and indexed out once.  A RandomFull row's start with
@@ -487,7 +487,8 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     h0 = np.stack([bare_hamiltonian(m.system, m.ancilla) for m in models])
     taus = np.array([cfg.tau for _, cfg in runs])[:, None]
     p_as = np.stack([ancilla_thermal_state(m.ancilla).diagonal() for m in models])[rows]
-    targets = np.stack([m.gibbs_target for m in models])[rows]
+    _gibbs_rows(models)  # the groups' populations, as one stack
+    targets = np.stack([vars(m).setdefault("gibbs_target", models[row].gibbs_target) for (m, _), row in zip(runs, rows)])
     states = np.tile(rho0, (len(runs), 1, 1))
     if not random:
         h_i = np.stack([interaction_hamiltonian(m.system, m.interaction) for m in models])
@@ -514,9 +515,9 @@ def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_f
     step makes; "recursion" rows need the resonant flip-flop and a
     diagonal rho0, a row holding its floor(log2 n_max) + 1 powers.  Each
     row's ``nstar_simulated`` call, with its own cfg from the start the
-    search gives it, reports it: a crossed row's returns n* = 0 and the
-    same distance, an unreachable CPTP row takes its last collision again,
-    at index n_max - 1, and an unreachable recursion row runs again.
+    search gives it and the target the search cached on its model, reports
+    it: a crossed row's returns n* = 0 and the same distance; unreachable,
+    a CPTP row collides again at index n_max - 1, a recursion row reruns.
     """
     if engine not in ("recursion", "brute_force"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -599,11 +600,16 @@ def _sl_steps(p_a: float, gamma: float, epsilon: float, t_max: float, dt: float 
 
 def _sl_systems(d: int, p_as, gamma: float):
     """The SL population generators and Gibbs populations for the ancilla
-    ground populations p_as, stacked on axis 0."""
+    ground populations p_as, stacked on axis 0; ValueError if a p_A's
+    Gibbs weights ((1 - p_A) / p_A)^k sum past the float range."""
     gens = _sl_generators(d, p_as, gamma)
     ratios = np.array([(1.0 - p_a) / p_a for p_a in p_as])
-    targets = ratios[:, None] ** np.arange(d)
-    return gens, targets / targets.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        targets = ratios[:, None] ** np.arange(d)
+        totals = targets.sum(axis=1, keepdims=True)
+    if math.inf in totals:
+        raise ValueError(f"p_A = {float(p_as[totals.argmax()])!r} at d = {d} gives Gibbs weights ((1 - p_A) / p_A)^k past the float range")
+    return gens, targets / totals
 
 
 def _sl_crossings(p0: np.ndarray, p_as, gamma: float, epsilons, h: float, steps: int):
@@ -672,6 +678,8 @@ def tsim_simulated_sl_batch(p0: np.ndarray, p_as, gamma: float, epsilons, t_max:
     p0, runs = np.asarray(p0, dtype=float), list(zip(p_as, epsilons, strict=True))
     for p_a, eps in runs:
         h, steps = _sl_steps(p_a, gamma, eps, t_max, None)
+    if runs and p0.ndim == 1 and np.isfinite(p0).all():  # the least p_A weighs most: its overflow raises before any block
+        _sl_systems(p0.size, [min(p_as)], gamma)
     scan = lambda part: _sl_crossings(p0, [p_a for p_a, _ in part], gamma, [eps for _, eps in part], h, steps)
     results = []
     for (p_a, eps), (t, _, start) in _blocked_crossings(runs, 8 * p0.size**2, scan):

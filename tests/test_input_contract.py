@@ -213,7 +213,7 @@ STATE_RUNS = {
 # what a run builds from its model: Gibbs targets, population maps, unitaries
 BUILDERS = [
     (rt.models, "_gibbs_stack"),
-    (rt.simtime, "_gibbs_stack"),
+    (rt.simtime, "_gibbs_rows"),
     (rt.simtime, "_population_maps"),
     (rt.collisions, "unitary_from_hamiltonian"),
     (rt.simtime, "unitary_from_hamiltonian"),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ri_thermalizer import models
+from ri_thermalizer import models, simtime
 from ri_thermalizer.collisions import CollisionConfig
 from ri_thermalizer.linalg import unitary_from_hamiltonian
 from ri_thermalizer.models import (
@@ -178,10 +178,30 @@ class TestGibbsState:
 
 
 class TestCachedGibbsTarget:
-    """``ModelSpec.gibbs_target``: built once per spec, read-only, and the
-    bits of ``system_gibbs_state``, whose diagonal is ``gibbs_populations``."""
+    """``ModelSpec.gibbs_populations`` and ``ModelSpec.gibbs_target``: built
+    once per spec, read-only, and the bits of ``gibbs_populations`` and
+    ``system_gibbs_state``; the searches fill a block's caches in one stack."""
 
     MODEL = ModelSpec(SystemSpec(4, 0.7), AncillaSpec(0.7, 1.3), IsotropicFlipFlop(0.5))
+
+    @staticmethod
+    def _hook_builds(monkeypatch):
+        # each _gibbs_stack call's row count, and whether a per-row report made it
+        built, reporting = [], []
+        build, single = models._gibbs_stack, simtime.nstar_simulated
+        counted = lambda d, omegas, betas: built.append((len(omegas), bool(reporting))) or build(d, omegas, betas)
+        for module in (models, simtime):  # also where a search would import the builder by name
+            monkeypatch.setattr(module, "_gibbs_stack", counted, raising=False)
+
+        def report(*args, **kwargs):
+            reporting.append(True)
+            try:
+                return single(*args, **kwargs)
+            finally:
+                reporting.pop()
+
+        monkeypatch.setattr(simtime, "nstar_simulated", report)
+        return built
 
     @pytest.mark.parametrize("beta", [0.0, 1.3, 40.0, math.inf])
     def test_it_is_the_bits_of_the_two_builders(self, beta):
@@ -189,17 +209,19 @@ class TestCachedGibbsTarget:
         rho = model.gibbs_target
         assert rho.dtype == complex and rho.tobytes() == system_gibbs_state(model.system, beta).tobytes()
         assert rho.diagonal().real.tobytes() == gibbs_populations(4, 0.7, beta).tobytes()
+        assert model.gibbs_populations.tobytes() == gibbs_populations(4, 0.7, beta).tobytes()
 
     def test_it_is_read_only(self):
-        rho = dataclasses.replace(self.MODEL).gibbs_target
-        with pytest.raises(ValueError, match="read-only"):
-            rho[0, 0] = 0.5
+        model = dataclasses.replace(self.MODEL)
+        for cached in (model.gibbs_target, model.gibbs_populations):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.5
 
     def test_it_is_built_once_per_spec(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(models, "system_gibbs_state", lambda *args: built.append(args) or system_gibbs_state(*args))
+        built = self._hook_builds(monkeypatch)
         model = dataclasses.replace(self.MODEL)
         assert model.gibbs_target is model.gibbs_target
+        assert model.gibbs_populations is model.gibbs_populations
         assert len(built) == 1
         # equal specs give equal targets, each its own; replace makes a fresh one
         twin, other = dataclasses.replace(model), dataclasses.replace(model, ancilla=AncillaSpec(0.7, 2.6))
@@ -214,25 +236,57 @@ class TestCachedGibbsTarget:
         assert model.gibbs_target is not None  # cached on model, not on fresh
         assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
 
-    def test_a_spec_pickles_with_its_cached_target(self):
+    @pytest.mark.parametrize("name", ["gibbs_populations", "gibbs_target"])
+    def test_a_spec_pickles_with_its_cached_target(self, name):
         # as a pool worker receives it
         model = dataclasses.replace(self.MODEL)
-        rho = model.gibbs_target
+        cached = getattr(model, name)
         back = pickle.loads(pickle.dumps(model))
-        assert back == model and "gibbs_target" in vars(back)
-        assert back.gibbs_target.tobytes() == rho.tobytes()
-        assert not back.gibbs_target.flags.writeable  # numpy alone would unpickle it writeable
-        assert not copy.deepcopy(model).gibbs_target.flags.writeable
+        assert back == model and name in vars(back)
+        assert getattr(back, name).tobytes() == cached.tobytes()
+        assert not getattr(back, name).flags.writeable  # numpy alone would unpickle it writeable
+        assert not getattr(copy.deepcopy(model), name).flags.writeable
 
     def test_a_one_model_sweep_builds_it_once(self, monkeypatch):
         # the CPTP batch and its 24 per-row reports read the one cached target
-        built = []
-        monkeypatch.setattr(models, "system_gibbs_state", lambda *args: built.append(args) or system_gibbs_state(*args))
+        built = self._hook_builds(monkeypatch)
         model = flip_flop_model(3, 1.0, 1.0, 1.0)
         cfgs = [CollisionConfig(tau=tau, n_max=200, epsilon=1e-3) for tau in np.linspace(0.3, 1.2, 24)]
         results = nstar_simulated_batch(np.eye(3) / 3, [model] * 24, cfgs)
         assert all(r.reachable for r in results)
         assert len(built) == 1
+
+    def test_a_distinct_beta_recursion_batch_builds_once_per_block(self, monkeypatch):
+        # the nstar_recursion sweep's 120 rows, three blocks of 40: each
+        # block's search fills its rows' caches, and the reports build nothing
+        built = self._hook_builds(monkeypatch)
+        models_ = [flip_flop_model(8, 1.0, beta, 1e-3) for beta in np.linspace(0.2, 10.0, 120)]
+        cfgs = [CollisionConfig(tau=(math.pi / 16) / 1e-3, n_max=100_000, epsilon=1e-6)] * 120
+        monkeypatch.setattr(simtime, "_BLOCK_BYTES", 40 * (100_000).bit_length() * 8 * 8 * 8)
+        results = nstar_simulated_batch(np.eye(8) / 8, models_, cfgs, engine="recursion")
+        assert all(r.reachable for r in results)
+        assert built == [(40, False)] * 3
+        assert all(not m.gibbs_populations.flags.writeable for m in models_)
+
+    @pytest.mark.parametrize("start", ["above", "within"])
+    def test_a_single_recursion_run_builds_once(self, monkeypatch, start):
+        built = self._hook_builds(monkeypatch)
+        epsilon = 1e-6 if start == "above" else 0.9
+        res = simtime.nstar_simulated(np.diag([1.0, 0.0, 0.0, 0.0]), dataclasses.replace(self.MODEL), CollisionConfig(tau=1.0, n_max=10_000, epsilon=epsilon))
+        assert (res.n_star > 0) == (start == "above")
+        assert len(built) == 1
+
+    def test_random_full_rows_share_their_groups_target(self, monkeypatch):
+        # 8 rows a beta, each with its own seed: one stacked build of 2 rows,
+        # and each row's model holds its group's array
+        built = self._hook_builds(monkeypatch)
+        rows = [ModelSpec(SystemSpec(3), AncillaSpec(1.0, beta), RandomFull(1e-3, math.pi * 1e-3, seed)) for beta in (0.5, 2.0) for seed in range(8)]
+        results = nstar_simulated_batch(np.eye(3) / 3, rows, [CollisionConfig(tau=100.0, n_max=400, epsilon=0.05)] * 16)
+        assert all(r.reachable for r in results)
+        assert built == [(2, False)]
+        for group in (rows[:8], rows[8:]):
+            assert all(m.gibbs_target is group[0].gibbs_target for m in group)
+        assert rows[0].gibbs_target.tobytes() == system_gibbs_state(SystemSpec(3), 0.5).tobytes()
 
 
 class TestInteractionHamiltonian:

@@ -173,6 +173,58 @@ class TestNamedCases:
             tsim_simulated_sl_batch(self.P0, [0.9, p_a], 1.0, [1e-4, epsilon], 1e-3)
 
 
+# the runs whose Gibbs weights ((1 - p_A) / p_A)^k pass the float range: a
+# subnormal p_A (ratio inf), and at d = 10 a p_A whose ninth power overflows;
+# both gave NaN targets with a RuntimeWarning
+OVERFLOWING = {
+    "single": (lambda: tsim_simulated_sl(np.full(10, 0.1), 1e-40, 1.0, 1e-3, 1.0), r"p_A = 1e-40 at d = 10 "),
+    "batch": (lambda: tsim_simulated_sl_batch(np.full(3, 1 / 3), [0.9, 2.2250738585e-313], 1.0, [1e-3, 1e-3], 1.0), r"p_A = 2.2250738585e-313 at d = 3 "),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING)
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_a_p_a_whose_gibbs_weights_overflow_raises_before_any_scan(monkeypatch, name, one_row_blocks):
+    # also where the batch's row lies in its second block, of one d = 3 row each
+    if one_row_blocks:
+        monkeypatch.setattr(simtime, "_BLOCK_BYTES", 8 * 3 * 3)
+    scans = []
+    monkeypatch.setattr(simtime, "_first_crossings", lambda *args: scans.append(args))
+    run, message = OVERFLOWING[name]
+    with pytest.raises(ValueError, match=message + r"gives Gibbs weights"):
+        run()
+    assert scans == []
+
+
+def _smallest_answering_p_a(d):
+    # bisect the positive floats by their bit patterns, which they order
+    bits = lambda x: int(np.float64(x).view(np.int64))
+    lo, hi = bits(5e-324), bits(0.5)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            simtime._sl_systems(d, [float(np.int64(mid).view(np.float64))], 1.0)
+            hi = mid
+        except ValueError:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 64])
+def test_a_p_a_just_inside_the_float_range_still_answers(d):
+    p_a = _smallest_answering_p_a(d)
+    with pytest.raises(ValueError, match="past the float range"):
+        tsim_simulated_sl(np.full(d, 1 / d), math.nextafter(p_a, 0.0), 1.0, 1e-3, 1.0)
+    batch = tsim_simulated_sl_batch(np.full(d, 1 / d), [0.9, p_a], 1.0, [1e-3, 1e-3], 1.0)
+    assert batch == _per_point(np.full(d, 1 / d), [0.9, p_a], 1.0, [1e-3, 1e-3], 1.0)
+    assert math.isfinite(batch[1].final_distance)
+    # the targets of finite rows keep the bits of the unchecked formula
+    p_as = [0.9, 0.5, p_a, 1.0]
+    ratios = np.array([(1.0 - x) / x for x in p_as])
+    weights = ratios[:, None] ** np.arange(d)
+    assert simtime._sl_systems(d, p_as, 1.0)[1].tobytes() == (weights / weights.sum(axis=1, keepdims=True)).tobytes()
+
+
 def test_first_crossings_of_a_population_map():
     # the generic search on a step other than RK4: rows of the diagonal
     # recursion, each with its own map, target and epsilon, against the

@@ -18,8 +18,11 @@ metric of BENCHMARK.json, the parent's and the change's medians, the
 parent's interquartile range, their ratio (change / parent), the number of
 pairs and the pairs the change won.  --claim adds the gain rule: the change
 wins at least nine pairs in ten and its median beats the parent's by more
-than the parent's IQR.  Exits 1 when a run fails or its check reports an
-incorrect CSV.
+than the parent's IQR.  Exits 2, before any tree is exported, on a
+workload or end-to-end metric that BENCHMARK.json does not name, a
+workload named twice, a pair count that is not a whole number >= 1, or a
+claim without ":" or on a workload the run does not run; exits 1 when a
+run fails or its check reports an incorrect CSV.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ SIDES = ("parent", "change")
 PAIRS = 6  # pairs of a workload named without its own count
 
 
-def parse_args(argv):
+def parse_args(argv, bench: dict):
+    """The options, with ``plan``, the (workload, pairs) to run, checked
+    against bench (BENCHMARK.json) before anything runs: a bad option exits 2."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
     parser.add_argument("--workload", action="append", default=[], help="NAME or NAME:PAIRS; repeatable")
@@ -51,7 +56,27 @@ def parse_args(argv):
     parser.add_argument("--claim", help="WORKLOAD:METRIC whose gain the rule checks")
     parser.add_argument("--what", default="", help="what the change does, for the record")
     parser.add_argument("--out", type=Path, help="output path (default BENCH_<tag>.json in the checkout)")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    workloads = [w["name"] for w in bench["workloads"]]
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    args.plan = []
+    for name, _, count in (w.partition(":") for w in args.workload or workloads):
+        if name not in workloads:
+            parser.error(f"unknown workload {name!r}; BENCHMARK.json names {', '.join(workloads)}")
+        if name in dict(args.plan):
+            parser.error(f"workload {name!r} is named twice")
+        if count and not (count.isdecimal() and int(count) >= 1):
+            parser.error(f"workload {name!r} needs a whole number of pairs >= 1, not {count!r}")
+        args.plan.append((name, int(count or PAIRS)))
+    if args.claim:
+        workload, colon, metric = args.claim.partition(":")
+        if not colon:
+            parser.error(f"--claim takes WORKLOAD:METRIC, not {args.claim!r}")
+        if workload not in dict(args.plan):
+            parser.error(f"--claim names workload {workload!r}, which this run does not run")
+        if metric not in metrics:
+            parser.error(f"--claim names metric {metric!r}; BENCHMARK.json's end-to-end metrics are {', '.join(metrics)}")
+    return args
 
 
 def git(*args, **kwargs) -> subprocess.CompletedProcess:
@@ -134,11 +159,10 @@ def claim_record(summary: dict, claim: str, lower_is_better: bool) -> dict:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    args = parse_args(argv, bench)
     metrics = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
-    named = args.workload or [w["name"] for w in bench["workloads"]]
-    plan = [(name, int(count or PAIRS)) for name, _, count in (w.partition(":") for w in named)]
+    plan = args.plan
     parent_commit = git("rev-parse", "HEAD", text=True).stdout.strip()
 
     runs, ok = {name: [] for name, _ in plan}, True
