@@ -16,9 +16,9 @@ as plain probability vectors.
 
 Each path is one step ``step(state)`` applied over and over: the
 population matrix to a probability vector (plus :func:`step_coherences_d3`
-for three levels), :func:`collide_once` to a density matrix and
-:func:`rk4_step` to an SL state.  Every trajectory is the :func:`_orbit` of
-its step, and :mod:`.simtime` scans the same steps for the first crossing.
+for three levels), :func:`collide_once` to a density matrix and an
+:func:`rk4_stepper` step to an SL state.  Each trajectory is the
+:func:`_orbit` of its step; :mod:`.simtime` scans them for the first crossing.
 
 A brute-force collision fills only rho_A's two diagonal blocks of the
 joint state, bit-identical to the Kronecker product (:func:`_collide`).
@@ -481,20 +481,24 @@ def _resolve_step(t_end: float, dt: float | None, rates) -> float:
     return dt
 
 
-def rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of y' = rhs(y) over a time h."""
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_stepper(h):
+    """``step(y, gen)``: one classical Runge-Kutta step over h of the linear
+    ODE y' = gen @ y, where h is a float or an array broadcasting against y."""
+    half, full, sixth, two = (np.asarray(c, dtype=float) for c in (0.5 * h, h, h / 6.0, 2.0))  # numpy multiplies by a 0-d array faster than by a float, to the same bits
+    def step(y, gen):
+        k1 = gen @ y
+        k2 = gen @ (y + half * k1)
+        k3 = gen @ (y + half * k2)
+        k4 = gen @ (y + full * k3)
+        return y + sixth * (k1 + two * k2 + two * k3 + k4)
+    return step
 
 
-def _rk4(rhs, y0: np.ndarray, t_end: float, dt: float) -> OdeTrajectory:
+def _rk4(gen: np.ndarray, y0: np.ndarray, t_end: float, dt: float) -> OdeTrajectory:
     steps = max(1, math.ceil(t_end / dt - 1e-12))
-    h = t_end / steps
+    step = rk4_stepper(t_end / steps)
     y = np.array(y0)
-    orbit = _orbit(lambda y: rk4_step(rhs, y, h), y, steps)
+    orbit = _orbit(lambda y: step(y, gen), y, steps)
     values = np.fromiter(orbit, dtype=(y.dtype, y.shape), count=steps + 1)
     return OdeTrajectory(times=np.linspace(0.0, t_end, steps + 1), values=values)
 
@@ -526,7 +530,7 @@ def sl_ode_populations(
     p0 = np.asarray(p0, dtype=float)
     dt = _resolve_step(t_end, dt, (gamma,))
     gen = sl_population_generator(p0.size, p_a, gamma)
-    return _rk4(lambda p: gen @ p, p0, t_end, dt)
+    return _rk4(gen, p0, t_end, dt)
 
 
 def sl_ode_coherences_d3(
@@ -548,7 +552,7 @@ def sl_ode_coherences_d3(
         ],
         dtype=complex,
     )
-    return _rk4(lambda c: gen @ c, np.asarray(c0, dtype=complex), t_end, dt)
+    return _rk4(gen, np.asarray(c0, dtype=complex), t_end, dt)
 
 
 def sl_ode_nonconserving_d3(
@@ -579,4 +583,4 @@ def sl_ode_nonconserving_d3(
         ]
     )
     y0 = np.array([p0[0], p0[1], p0[2], c13_0.real, c13_0.imag], dtype=float)
-    return _rk4(lambda y: gen @ y, y0, t_end, dt)
+    return _rk4(gen, y0, t_end, dt)

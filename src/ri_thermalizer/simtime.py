@@ -72,7 +72,7 @@ from .collisions import (
     _sl_generators,
     density_matrix_d3,
     flip_flop_rates,
-    rk4_step,
+    rk4_stepper,
 )
 from .errors import (
     EpsilonTooLarge,
@@ -287,7 +287,8 @@ def _column_distances(states, targets) -> np.ndarray:
 def _sl_step(h: float):
     """The RK4 step over h of (B, d, 1) column SL states under their
     generators params[0], each derivative one stacked ``gens @ y``."""
-    return lambda states, params: rk4_step(lambda y: params[0] @ y, states, h)
+    step = rk4_stepper(h)
+    return lambda states, params: step(states, params[0])
 
 
 def _sl_clock(h: float, n: int) -> float:

@@ -3,6 +3,7 @@ synthetic runs, with no benchmark run."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -66,11 +67,38 @@ def _runs(pairs):
 def test_summarize_pairs_runs_by_seed():
     runs = _runs([(10.0, 8.0), (12.0, 9.0), (11.0, None), (14.0, 15.0), (13.0, 7.0)])
     s = bench_pairs.summarize(runs, "sweep_s", lower_is_better=True)
+    pair_ratios = s.pop("pair_ratio_median"), s.pop("pair_ratio_q1"), s.pop("pair_ratio_q3")
     # seeds 0, 1, 3 and 4: the parent's 10, 12, 14, 13 against 8, 9, 15, 7;
     # inclusive quartiles of 10, 12, 13, 14 are 11.5 and 13.25
     assert s == {"parent_median": 12.5, "change_median": 8.5, "ratio": 0.68, "parent_iqr": 1.75, "pairs": 4, "change_wins": 3}
+    # the pairs' ratios 8/10, 9/12, 15/14 and 7/13, sorted 7/13, 3/4, 4/5, 15/14
+    assert pair_ratios == pytest.approx((0.775, 7 / 13 + 0.75 * (0.75 - 7 / 13), 0.8 + 0.25 * (15 / 14 - 0.8)))
     assert bench_pairs.summarize(runs, "sweep_s", lower_is_better=False)["change_wins"] == 1
     assert bench_pairs.summarize(_runs([(1.0, None)]), "sweep_s", True) == {"pairs": 0, "change_wins": 0}
+
+
+def test_a_workload_summary_reports_each_sides_raw_medians():
+    runs = _runs([(10.0, 8.0), (12.0, 9.0), (11.0, 6.0)])
+    for run in runs:  # perfbench's unscaled medians, twice and thrice the scaled sweep_s
+        run.update(raw_sweep_s_median=2 * run["sweep_s"], raw_cpu_s_median=3 * run["sweep_s"])
+    summary = bench_pairs.workload_summary(runs, {"sweep_s": True})
+    assert list(summary) == ["sweep_s", *bench_pairs.RAW]
+    assert (summary["raw_sweep_s_median"]["parent_median"], summary["raw_sweep_s_median"]["change_median"]) == (22.0, 16.0)
+    assert (summary["raw_cpu_s_median"]["parent_median"], summary["raw_cpu_s_median"]["change_median"]) == (33.0, 24.0)
+    assert summary["raw_cpu_s_median"]["pair_ratio_median"] == pytest.approx(0.75)
+    # a run without the field, as from a perfbench that does not print it, leaves it unsummarized
+    assert summary["raw_setup_s_median"] == {"pairs": 0, "change_wins": 0}
+
+
+@pytest.mark.parametrize("info_line", [True, False])
+def test_a_run_keeps_perfbench_raw_medians(monkeypatch, info_line):
+    info = {"sweeps": 9, "raw_sweep_s_median": 0.31, "raw_cpu_s_median": 0.32, "raw_setup_s_median": 0.17, "sweep_samples": [[0.3, 0.3]]}
+    result = {"correct": True, "attempted": 48, "failed": 0, "metrics": {"sweep_s": {"value": 0.29, "unit": "s"}, "cpu_s": {"value": 0.3, "unit": "s"}}}
+    stdout = (json.dumps({"perfbench": info}) + "\n") * info_line + json.dumps(result) + "\n"
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: subprocess.CompletedProcess(args, 0, stdout, ""))
+    run = bench_pairs.run_once(Path("."), "tsim_sl_pool", 3, 1.0, True, ["sweep_s", "cpu_s"])
+    raw = {name: info[name] for name in bench_pairs.RAW} if info_line else {}
+    assert run == {"seed": 3, "correct": True, "failed": 0, "sweep_s": 0.29, "cpu_s": 0.3, **raw}
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from ri_thermalizer.collisions import (
     evolve,
     evolve_populations,
     population_step_matrix,
-    rk4_step,
+    rk4_stepper,
     sl_population_generator,
 )
 from ri_thermalizer.errors import EpsilonTooLarge
@@ -108,9 +108,10 @@ def test_rk4_step_contracts_in_l1(d, beta, gamma, w):
     gen = sl_population_generator(d, AncillaSpec(1.0, beta).ground_population, gamma)
     target = gibbs_populations(d, 1.0, beta)
     p = _populations(w, d)
+    step = rk4_stepper(0.01 / gamma)
     distances = [population_distance(p, target)]
     for _ in range(300):
-        p = rk4_step(lambda y: gen @ y, p, 0.01 / gamma)
+        p = step(p, gen)
         distances.append(population_distance(p, target))
     assert _never_grows(distances)
 

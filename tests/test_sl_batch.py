@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ri_thermalizer import simtime
-from ri_thermalizer.collisions import evolve_populations, population_step_matrix, rk4_step, sl_population_generator
+from ri_thermalizer.collisions import evolve_populations, population_step_matrix, rk4_stepper, sl_population_generator
 from ri_thermalizer.models import AncillaSpec
 from ri_thermalizer.simtime import (
     _first_crossings,
@@ -66,6 +66,58 @@ def test_batch_equals_one_scan_per_point(d, rows, gamma, t_max, w):
     _assert_batch_matches(p0, betas, gamma, epsilons, t_max)
 
 
+def _rk4_step(gen, y, h):
+    """The classical RK4 step of y' = gen @ y by its textbook formula, with
+    Python-float coefficients: the reference of ``rk4_stepper``."""
+    k1 = gen @ y
+    k2 = gen @ (y + 0.5 * h * k1)
+    k3 = gen @ (y + 0.5 * h * k2)
+    k4 = gen @ (y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _entries(rng, shape, dtype, zeros):
+    """Normal entries of a dtype, each real and imaginary part +0.0 or -0.0
+    with probability zeros."""
+    parts = rng.standard_normal((1 if dtype is float else 2, *shape))
+    hit = rng.random(parts.shape) < zeros
+    parts[hit] = np.copysign(0.0, parts[hit])
+    if dtype is float:
+        return parts[0]
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = parts
+    return z
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 8),
+    st.one_of(st.integers(2, 9), st.integers(2, MAX_D)),
+    st.booleans(),
+    st.sampled_from([float, complex]),
+    st.sampled_from([float, complex]),
+    st.sampled_from(["float", "stacked", "scan"]),
+    st.sampled_from([0.0, 0.2, 0.6]),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_stepper_has_the_bits_of_the_textbook_step(rows, d, columns, state_dtype, gen_dtype, h_kind, zeros, seed):
+    # (B, d, 1) columns under (B, d, d) generators as the SL scan and its
+    # bisection step them, with one h or a (B, 1, 1) stack of them, or the
+    # (d, d) @ (d,) form of the sl_ode_* integrators; a "scan" h is t_max
+    # over the scan's step count
+    rng = np.random.default_rng(seed)
+    lead, tail = ((rows,), (1,)) if columns else ((), ())
+    gen, y = _entries(rng, (*lead, d, d), gen_dtype, zeros), _entries(rng, (*lead, d, *tail), state_dtype, zeros)
+    if h_kind == "stacked" and columns:
+        h = rng.uniform(0.0, 0.1, (rows, 1, 1))
+    elif h_kind == "scan":
+        h = simtime._sl_steps(0.9, rng.uniform(0.1, 10.0), 1e-4, rng.uniform(1.0, 100.0), None)[0]
+    else:
+        h = float(rng.uniform(0.0, 0.1))
+    out, ref = rk4_stepper(h)(y, gen), _rk4_step(gen, y, h)
+    assert (out.dtype, out.shape, out.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
 def _bisected_crossing(p0, p_a, gamma, epsilon, t_max):
     """One row's crossing by its scalar definition: RK4 one step h at a time
     to the first step n within epsilon, then ``bisect_crossing`` of
@@ -74,14 +126,14 @@ def _bisected_crossing(p0, p_a, gamma, epsilon, t_max):
     h, steps = simtime._sl_steps(p_a, gamma, epsilon, t_max, None)
     (gen,), (target,) = simtime._sl_systems(p0.size, [p_a], gamma)
     before = p0[:, None]
-    f = lambda x: population_distance(rk4_step(lambda y: gen @ y, before, x)[:, 0], target)
+    f = lambda x: population_distance(_rk4_step(gen, before, x)[:, 0], target)
     if population_distance(p0, target) <= epsilon:
         return 0, 0.0, population_distance(p0, target)
     for n in range(1, steps + 1):
         if f(h) <= epsilon:
             hi = bisect_crossing(f, epsilon, 0.0, h)[1]
             return n, _sl_clock(h, n - 1) + hi, f(hi)
-        before = rk4_step(lambda y: gen @ y, before, h)
+        before = _rk4_step(gen, before, h)
     return None, None, None
 
 
@@ -149,14 +201,19 @@ class TestNamedCases:
         # crossing steps, about 54 for the block and not per row; each row's
         # single run starts within epsilon and takes no step
         steps, bisections = [], []
-        rk4, scan = simtime.rk4_step, simtime._first_crossings
+        stepper, scan = simtime.rk4_stepper, simtime._first_crossings
 
-        def counted_rk4(rhs, y, h):
-            (bisections if np.ndim(h) else steps).append(len(y))
-            return rk4(rhs, y, h)
+        def counted_stepper(h):
+            step = stepper(h)
+
+            def counted_step(y, gen):
+                (bisections if np.ndim(h) else steps).append(len(y))
+                return step(y, gen)
+
+            return counted_step
 
         scans = []
-        monkeypatch.setattr(simtime, "rk4_step", counted_rk4)
+        monkeypatch.setattr(simtime, "rk4_stepper", counted_stepper)
         monkeypatch.setattr(simtime, "_first_crossings", lambda *args: scans.append(len(steps)) or scan(*args))
         betas = [0.3, 0.8, 1.5, 2.5, 4.0, 7.0]
         res = tsim_simulated_sl_batch(np.full(4, 0.25), [_p_a(b) for b in betas], 1.0, [1e-5] * 6, 60.0)

@@ -15,14 +15,19 @@ workload in BENCHMARK.json when none is named).
 The result, ``BENCH_<tag>.json`` at the root of the checkout unless --out
 names another path, holds every run and, per workload and end-to-end
 metric of BENCHMARK.json, the parent's and the change's medians, the
-parent's interquartile range, their ratio (change / parent), the number of
-pairs and the pairs the change won.  --claim adds the gain rule: the change
-wins at least nine pairs in ten and its median beats the parent's by more
-than the parent's IQR.  Exits 2, before any tree is exported, on a
-workload or end-to-end metric that BENCHMARK.json does not name, a
-workload named twice, a pair count that is not a whole number >= 1, or a
-claim without ":" or on a workload the run does not run; exits 1 when a
-run fails or its check reports an incorrect CSV.
+parent's interquartile range, their ratio (change / parent), the median
+and quartiles of the per-pair ratios (change / parent of one seed), the
+number of pairs and the pairs the change won.  Each run also keeps
+perfbench's unscaled medians (``RAW``, from its ``{"perfbench": ...}``
+line), summarized the same way; they are for reading only.  The per-pair
+ratios matter where a workload's seeds differ in work, which widens the
+parent's IQR across seeds.  --claim adds the gain rule, on the end-to-end
+metric alone: the change wins at least nine pairs in ten and its median
+beats the parent's by more than the parent's IQR.  Exits 2, before any
+tree is exported, on a workload or end-to-end metric that BENCHMARK.json
+does not name, a workload named twice, a pair count that is not a whole
+number >= 1, or a claim without ":" or on a workload the run does not
+run; exits 1 when a run fails or its check reports an incorrect CSV.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 6  # pairs of a workload named without its own count
+# perfbench's medians of the unscaled samples behind sweep_s, cpu_s and setup_s
+RAW = ("raw_sweep_s_median", "raw_cpu_s_median", "raw_setup_s_median")
 
 
 def parse_args(argv, bench: dict):
@@ -106,8 +113,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, quick: bool, 
         sys.stderr.write(proc.stderr)
         return {"seed": seed, "correct": False, "failed": None, "returncode": proc.returncode}
     result = json.loads(lines[-1])
+    info = next((json.loads(line)["perfbench"] for line in lines if line.startswith('{"perfbench"')), {})
     values = {name: result["metrics"][name]["value"] for name in metrics}
-    return {"seed": seed, "correct": result["correct"], "failed": result["failed"], **values}
+    raw = {name: info[name] for name in RAW if name in info}
+    return {"seed": seed, "correct": result["correct"], "failed": result["failed"], **values, **raw}
 
 
 def quartiles(values) -> tuple[float, float]:
@@ -127,14 +136,25 @@ def summarize(runs, metric: str, lower_is_better: bool) -> dict:
     q1, q3 = quartiles(parent)
     wins = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
     parent_median, change_median = statistics.median(parent), statistics.median(change)
+    ratios = [c / p for p, c in zip(parent, change) if p]  # one per pair
+    ratio_median, (ratio_q1, ratio_q3) = (statistics.median(ratios), quartiles(ratios)) if ratios else (None, (None, None))
     return {
         "parent_median": parent_median,
         "change_median": change_median,
         "ratio": round(change_median / parent_median, 4) if parent_median else None,
         "parent_iqr": q3 - q1,
+        "pair_ratio_median": ratio_median,
+        "pair_ratio_q1": ratio_q1,
+        "pair_ratio_q3": ratio_q3,
         "pairs": len(seeds),
         "change_wins": wins,
     }
+
+
+def workload_summary(runs, metrics: dict) -> dict:
+    """``summarize`` of each end-to-end metric (name: lower is better), then
+    of each ``RAW`` median."""
+    return {m: summarize(runs, m, lower) for m, lower in {**metrics, **dict.fromkeys(RAW, True)}.items()}
 
 
 def claim_record(summary: dict, claim: str, lower_is_better: bool) -> dict:
@@ -179,7 +199,7 @@ def main(argv=None) -> int:
                     shown = ", ".join(f"{k} {run[k]:.4g}" for k in metrics if k in run)
                     print(f"{name} seed {seed} {side}: correct={run['correct']} {shown}", flush=True)
 
-    summary = {name: {m: summarize(runs[name], m, lower) for m, lower in metrics.items()} for name, _ in plan}
+    summary = {name: workload_summary(runs[name], metrics) for name, _ in plan}
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}" + " --quick" * args.quick
     record = {
         "tag": args.tag,
