@@ -51,16 +51,14 @@ from .models import (
     ModelSpec,
     RandomFull,
     _check_d,
-    _random_couplings,
+    _draw_couplings,
+    _draw_inputs,
     ancilla_thermal_state,
     bare_hamiltonian,
     total_hamiltonian,
 )
 
 DEVIATION_SUM_TOL = 1e-12
-# a RandomFull trajectory draws as many collisions at once as fill this many
-# (2d, 2d) entries: 455 at d = 3, one at d = 128
-_DRAW_CHUNK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -330,13 +328,13 @@ def collision_unitary(model: ModelSpec, tau: float, collision: int = 0) -> np.nd
 
 def _random_unitaries(model: ModelSpec, tau: float, n: int):
     """Yield collision_unitary(model, tau, k) for k = 0..n-1, bit for bit,
-    a chunk of collisions' couplings drawn as one stack and their
-    unitaries built in one stacked eigh."""
-    d, h0 = model.system.d, bare_hamiltonian(model.system, model.ancilla)
-    chunk = max(1, _DRAW_CHUNK_ENTRIES // (2 * d) ** 2)
-    for start in range(0, n, chunk):
-        ks = range(start, min(start + chunk, n))
-        yield from unitary_from_hamiltonian(h0 + _random_couplings(d, [model.interaction] * len(ks), ks), tau)
+    a chunk of collisions' couplings drawn ahead as one stack
+    (``_draw_couplings``) and their unitaries built in one stacked eigh."""
+    d, h0, inputs, k = model.system.d, bare_hamiltonian(model.system, model.ancilla), _draw_inputs([model.interaction]), 0
+    while k < n:
+        (h_i,) = _draw_couplings(d, inputs, range(k, n))
+        k += len(h_i)
+        yield from unitary_from_hamiltonian(h0 + h_i, tau)
 
 
 def collide_once(rho_s: np.ndarray, model: ModelSpec, cfg: CollisionConfig, collision: int = 0) -> np.ndarray:

@@ -232,24 +232,26 @@ def _upper_triangle(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _entropy_words(n) -> list[int]:
-    """The int n as numpy's SeedSequence reads it: little-endian 32-bit
-    words, one word for 0.  A non-integer raises TypeError and a negative
-    n ValueError, as SeedSequence does."""
-    n = operator.index(n)
-    if n < 0:
+def _entropy_array(ints) -> tuple[np.ndarray, np.ndarray]:
+    """Each int's little-endian 32-bit words (one for 0), as SeedSequence reads
+    and checks them, zero-padded to one (N, W) uint32 array, and their counts."""
+    ints = [operator.index(n) for n in ints]
+    if any(n < 0 for n in ints):
         raise ValueError("expected non-negative integer")
-    words = [n & 0xFFFFFFFF]
-    while n := n >> 32:
-        words.append(n & 0xFFFFFFFF)
-    return words
+    counts = [(n.bit_length() + 31) // 32 or 1 for n in ints]
+    shifts = range(0, 32 * max(counts, default=1), 32)
+    return np.array([n >> s & 0xFFFFFFFF for n in ints for s in shifts], dtype=np.uint32).reshape(-1, len(shifts)), np.array(counts, dtype=int)
 
 
+# RandomFull rows draw as many collisions ahead as fill this many (2d, 2d)
+# entries: 455 of one row at d = 3, 7 of 64 rows, one of 64 rows at d = 12
+_DRAW_CHUNK_ENTRIES = 2**14
 # numpy's SeedSequence hash (numpy.random.bit_generator), on uint32 arrays that
 # wrap as its C code does; PCG64 seeds from 128-bit (seed, stream) with
 # inc = 2 stream + 1 and state = ((inc + seed) * MULT + inc) mod 2^128
 _POOL, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 4, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _PCG64_MULT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L, _MIX_R, _U16 = (np.array(x, dtype=np.uint32) for x in (0xCA01F9DD, 0x4973F715, 16))  # 0-d, as _U1 below
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @functools.lru_cache(maxsize=64)
@@ -269,36 +271,34 @@ def _pool_pairs(width: int) -> np.ndarray:
 
 def _hashmix(value: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     value = (value ^ pairs[0]) * pairs[1]
-    return value ^ (value >> 16)
+    return value ^ (value >> _U16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_L * x - _MIX_R * y
-    return result ^ (result >> 16)
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> _U16)
 
 
-def _seed_states(entropy, n_words: int) -> np.ndarray:
-    """``np.random.SeedSequence(words).generate_state(n_words, np.uint64)``
-    of each list of uint32 words in entropy, as one (B, n_words) stack.  A
-    row hashes as if zero-padded to the pool, as in numpy, and its words
-    past the pool are mixed in under a mask of the rows that have them."""
-    lengths = [len(words) for words in entropy]
-    width = max([_POOL, *lengths])
-    words = np.array([w + [0] * (width - len(w)) for w in entropy], dtype=np.uint32).reshape(len(entropy), width)
-    pairs = _pool_pairs(width)
+def _seed_states(words: np.ndarray, lengths, n_words: int) -> np.ndarray:
+    """``SeedSequence(row[:length]).generate_state(n_words, np.uint64)`` of
+    each row of the (B, W) uint32 words, zero past its length, as one (B,
+    n_words) stack.  A row hashes as if zero-padded to the pool, as in numpy,
+    and its words past the pool are mixed in under a mask of the rows."""
+    words = words if words.shape[1] >= _POOL else np.concatenate([words, np.zeros((len(words), _POOL - words.shape[1]), np.uint32)], axis=1)
+    pairs = _pool_pairs(words.shape[1])
     pool = _hashmix(words[:, :_POOL], pairs[:, 0])
     for src in range(_POOL):
         mixed = _mix(pool, _hashmix(pool[:, src, None], pairs[:, 1 + src]))
         mixed[:, src] = pool[:, src]
         pool = mixed
-    for src in range(_POOL, width):
+    for src in range(_POOL, words.shape[1]):
         pool = np.where(np.greater(lengths, src)[:, None], _mix(pool, _hashmix(words[:, src, None], pairs[:, 1 + src])), pool)
     n = 2 * n_words
     state = _hashmix(np.concatenate([pool] * -(-n // _POOL), axis=1)[:, :n], _hash_pairs(_INIT_B, _MULT_B, n))
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)  # as numpy reads the words
 
 
-# 0-d uint64 arrays, which a ufunc takes about 0.7 us faster than Python ints
+# 0-d uint64 arrays, which a ufunc takes about 0.7 us faster than Python ints, 0.2-0.4 us than numpy scalars
 _U1, _U11, _U32, _U58, _U63, _U64, _LOW32 = (np.array(x, dtype=np.uint64) for x in (1, 11, 32, 58, 63, 64, 2**32 - 1))
 
 
@@ -318,9 +318,9 @@ def _jump_constants(n: int) -> np.ndarray:
     return words
 
 
-def _jump_draws(states: np.ndarray, interactions, n: int) -> np.ndarray:
-    """The (B, n) ``uniform(lo, hi, n)`` draws of interactions' PCG64s from
-    their (B, 4) SeedSequence states: each draw's state in closed form, then
+def _jump_draws(states: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """The (B, n) ``uniform(lo, hi, n)`` draws of B PCG64s from their (B, 4)
+    SeedSequence states and (B, 1) lo and hi: each draw's state in closed form, then
     XSL-RR and lo + (hi - lo) u, u = (out >> 11) 2^-53, as numpy's C where it
     does not fuse that into an FMA (x86-64); the default_rng tests check it."""
     words = states.T.copy()  # (s_hi, s_lo, i_hi, i_lo), then i -> c = 2i + 1
@@ -337,33 +337,44 @@ def _jump_draws(states: np.ndarray, interactions, n: int) -> np.ndarray:
     high = prod_hi[0] + prod_hi[1] + (low < prod_lo[0])
     out, rot = high ^ low, high >> _U58
     out = out >> rot | out << (_U64 - rot & _U63)
-    lo, hi = np.array([(ispec.lo, ispec.hi) for ispec in interactions], dtype=float).reshape(-1, 2).T[:, :, None]
     return lo + (hi - lo) * ((out >> _U11) * 2.0**-53)
 
 
-def _random_couplings(d: int, interactions, collision) -> np.ndarray:
-    """The (B, 2d, 2d) H_I stack of RandomFull interactions at collision
-    index collision, or at collision[b] for row b if it is a list, tuple
-    or range.
+def _draw_inputs(interactions) -> tuple[np.ndarray, ...]:
+    """The seeds' ``_entropy_array`` and (B, 1) lo and hi of B RandomFull rows."""
+    return *_entropy_array([i.seed for i in interactions]), *np.array([[i.lo for i in interactions], [i.hi for i in interactions]], dtype=float)[:, :, None]
 
-    Row b holds ``default_rng([seed_b, k_b]).uniform(lo_b, hi_b)``, one
-    draw per strict upper-triangle entry in row-major order, mirrored
-    below the diagonal: the SeedSequence hashes of every row's [seed, k]
-    (``_entropy_words``) run as one stack, and ``_jump_draws`` draws in
-    stacks of whole rows, about 2^12 draws, whose temporaries stay in cache.
-    """
-    dim = 2 * d
-    rows, cols = _upper_triangle(dim)
-    if isinstance(collision, (list, tuple, range)):
-        collision_words = [_entropy_words(k) for k in collision]
-    else:
-        collision_words = [_entropy_words(collision)] * len(interactions)
-    entropy = [_entropy_words(ispec.seed) + words for ispec, words in zip(interactions, collision_words, strict=True)]
-    states, step = _seed_states(entropy, 4), max(1, 2**12 // rows.size)
-    h_i = np.zeros((len(interactions), dim, dim), dtype=complex)
-    for b in range(0, len(interactions), step):
-        h_i[b:b + step, rows, cols] = h_i[b:b + step, cols, rows] = _jump_draws(states[b:b + step], interactions[b:b + step], rows.size)
-    return h_i
+
+def _draw_couplings(d: int, inputs, ks) -> np.ndarray:
+    """The (B, K, 2d, 2d) H_I of B RandomFull rows (``_draw_inputs``) at K
+    collision indices k, ``default_rng([seed, k]).uniform(lo, hi)`` on the
+    strict upper triangle, row-major, mirrored.  ks is a range, whose first
+    collisions that fill _DRAW_CHUNK_ENTRIES entries (at least one) all rows
+    draw, or each row's (B, K, W) and (B, K) ``_entropy_array``.  The B K
+    SeedSequence hashes, k's words after the seed's at the row's own column,
+    run as one stack, then ``_jump_draws`` in stacks of about 2^12 draws."""
+    (seed_words, seed_counts, lo, hi), (b, width), dim = inputs, inputs[0].shape, 2 * d
+    ks = _entropy_array(ks[: max(1, _DRAW_CHUNK_ENTRIES // (b * dim**2))]) if isinstance(ks, range) else ks
+    (k_words, k_counts), k = ks, ks[0].shape[-2]
+    entropy = np.zeros((b, k, max(_POOL, width + k_words.shape[-1])), dtype=np.uint32)
+    entropy[:, :, :width] = seed_words[:, None]
+    entropy[np.arange(b)[:, None], :, seed_counts[:, None] + np.arange(k_words.shape[-1])] = k_words.swapaxes(-1, -2)
+    states = _seed_states(entropy.reshape(-1, entropy.shape[-1]), (seed_counts[:, None] + k_counts).ravel(), 4)
+    lo, hi = (lo, hi) if k == 1 else (lo.repeat(k, axis=0), hi.repeat(k, axis=0))
+    (rows, cols), h_i = _upper_triangle(dim), np.zeros((b * k, dim, dim), dtype=complex)
+    for r in range(0, b * k, step := max(1, 2**12 // rows.size)):
+        h_i[r:r + step, rows, cols] = h_i[r:r + step, cols, rows] = _jump_draws(states[r:r + step], lo[r:r + step], hi[r:r + step], rows.size)
+    return h_i.reshape(b, k, dim, dim)
+
+
+def _random_couplings(d: int, interactions, collision) -> np.ndarray:
+    """The (B, 2d, 2d) H_I stack of ``_draw_couplings`` at collision index
+    collision, or at collision[b] for row b if it is a list, tuple or range."""
+    per_row = isinstance(collision, (list, tuple, range))
+    k_words, k_counts = _entropy_array(collision if per_row else [collision])
+    if per_row and len(k_counts) != len(interactions):
+        raise ValueError(f"{len(k_counts)} collision indices for {len(interactions)} interactions")
+    return _draw_couplings(d, _draw_inputs(interactions), (k_words[:, None], k_counts[:, None]))[:, 0]
 
 
 def interaction_hamiltonian(

@@ -22,10 +22,10 @@ on.  A stacked product, ``eigh`` or ``eigvalsh`` gives each row, bit for
 bit, what the row alone gives.  CPTP rows of one model share H_0, rho_A's
 populations and the model's cached ``gibbs_target``, RandomFull rows those
 of one (system, ancilla).  A RandomFull row draws H_I(seed, k) at collision k,
-the draws of ``default_rng([seed, k])``, every row's into one stack
-(``models._random_couplings``, by PCG64 jump-ahead with no generator),
-and builds every row's next unitary in one stacked ``eigh``.  States
-carry no clock: an SL row's time after n steps is ``_sl_clock(h, n)``, a
+the draws of ``default_rng([seed, k])``, a chunk of collisions ahead in one
+stack (``models._draw_couplings``, by PCG64 jump-ahead with no generator),
+and each step builds every row's next unitary in one stacked ``eigh``.
+States carry no clock: an SL row's time after n steps is ``_sl_clock(h, n)``, a
 CPTP row's collision index the first one plus the steps taken.
 
 A single run is its engine's one search on one row: ``_nstar_searches``
@@ -53,8 +53,8 @@ hands the row to one scan of all handed rows, which stops at
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,8 +86,9 @@ from .models import (
     IsotropicFlipFlop,
     ModelSpec,
     RandomFull,
+    _draw_couplings,
+    _draw_inputs,
     _gibbs_rows,
-    _random_couplings,
     ancilla_thermal_state,
     bare_hamiltonian,
     interaction_hamiltonian,
@@ -224,14 +225,14 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
     steps between checks, a trail of at most 1 / _TRAIL_SHARE of a block,
     and one distance call checks the whole trail, flattened to rows
     against the targets repeated.  Complex rows (density matrices) are
-    checked every step, so a crossed row takes no further step (a
-    RandomFull row no further draw).  The rows still above their epsilon
-    are compacted after a check where some row finished.  A real row whose
-    last step returned its state leaves then, unreachable with the cap's
-    bits, as every later state equals it.  Returns per row
-    (n, distance, previous, state): the steps taken (None when none
-    crosses), the distance there, and copies of the row's state before
-    the last step and at n, so no result keeps a stacked array alive.
+    checked every step, so a crossed row takes no further step: no collision
+    or eigh, though a RandomFull row's draws may run to their chunk's end.
+    The rows still above their epsilon are compacted after a check where
+    some row finished.  A real row whose last step returned its state leaves
+    then, unreachable with the cap's bits, as every later state equals it.
+    Returns per row (n, distance, previous, state): the steps taken (None
+    when none crosses), the distance there, and copies of the row's state
+    before the last step and at n, so no result keeps a stacked array alive.
     """
     epsilons = np.asarray(epsilons, dtype=float)
     results = [None] * epsilons.size
@@ -474,12 +475,12 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
 
     A fixed-unitary row's params start with its unitary, from H_0 + H_I
     summed per model and indexed out once.  A RandomFull row's start with
-    its interaction, H_0 and tau: the step draws every row's H_I at the
-    next collision index k as one ``_random_couplings`` stack (a row's
-    draws are those of ``default_rng([seed, k])``, bit for bit) and builds
-    all their unitaries in one stacked eigh, counting collisions from
-    ``collision`` on, one per call, as a scan calls it.  The rows are all
-    RandomFull or all of fixed unitary.
+    its index among runs, H_0 and tau: at a chunk's end the step draws the
+    live rows' next collisions (none past n_max) in one ``_draw_couplings``
+    (a row's draws are those of ``default_rng([seed, k])``, bit for bit) and
+    adds each row's H_0, and each step builds its collision's unitaries of
+    the live rows in one stacked eigh, counting collisions from ``collision``
+    on, one per call.  The rows are all RandomFull or all of fixed unitary.
     """
     random = isinstance(runs[0][0].interaction, RandomFull)
     index = {}
@@ -495,14 +496,18 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
         h_i = np.stack([interaction_hamiltonian(m.system, m.interaction) for m in models])
         step = lambda states, params: _collide(states, *params[:2])
         return step, states, (unitary_from_hamiltonian((h0 + h_i)[rows], taus), p_as, targets)
-    d, collisions = models[0].system.d, itertools.count(collision)
+    d, inputs, k = models[0].system.d, _draw_inputs([m.interaction for m, _ in runs]), operator.index(collision)
+    end, start, live, ahead = k + runs[0][1].n_max, k, None, np.empty((0, 0))
 
     def step(states, params):
-        interactions, h0, taus, p_as, _ = params
-        h_i = _random_couplings(d, interactions, next(collisions))
-        return _collide(states, unitary_from_hamiltonian(h0 + h_i, taus), p_as)
+        nonlocal k, start, live, ahead
+        rows, h0, taus, p_as, _ = params
+        if k == start + ahead.shape[1]:  # H_0 + H_I of the chunk's rows and collisions
+            start, live, ahead = k, rows, h0[:, None] + _draw_couplings(d, tuple(a[rows] for a in inputs), range(k, end))
+        k += 1
+        return _collide(states, unitary_from_hamiltonian(ahead[np.searchsorted(live, rows), k - 1 - start], taus), p_as)
 
-    return step, states, (np.array([m.interaction for m, _ in runs]), h0[rows], taus, p_as, targets)
+    return step, states, (np.arange(len(runs)), h0[rows], taus, p_as, targets)
 
 
 def nstar_simulated_batch(rho0: np.ndarray, models, cfgs, engine: str = "brute_force") -> list[ThermalizationResult]:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .collisions import CollisionConfig, _check_epsilon
 from .errors import ConfigInvalid, IoError, StepTooLarge
-from .models import AncillaSpec, IsotropicFlipFlop, ModelSpec, RandomFull, SystemSpec, _entropy_words, _seed_states
+from .models import AncillaSpec, IsotropicFlipFlop, ModelSpec, RandomFull, SystemSpec, _entropy_array, _seed_states
 from .simtime import MAX_STEPS, _sl_steps, nstar_simulated_batch, tsim_simulated_sl_batch
 
 # each kind's default engine, and the config key its grid points replace
@@ -237,7 +237,8 @@ def run_sweep(spec: SweepSpec, parallel: int = 1) -> list[SweepRecord]:
     reps = spec.repetitions
     if spec.kind == "RandomEnsembleVsBeta":
         # point i's repetition r: the seed SeedSequence([seed, i, r]) makes (i, r < 2^32), all in one stacked hash
-        seeds = iter(_seed_states([_entropy_words(spec.seed) + [pi, r] for pi in range(len(runs)) for r in range(reps)], 1)[:, 0].tolist())
+        words, points = _entropy_array([spec.seed])[0], np.indices((len(runs), reps), dtype=np.uint32).reshape(2, -1).T
+        seeds = iter(_seed_states(np.hstack([words.repeat(len(points), axis=0), points]), np.full(len(points), words.shape[1] + 2), 1)[:, 0].tolist())
         runs = [(ModelSpec(model.system, model.ancilla, RandomFull(spec.lo, spec.hi, next(seeds))), cfg)
                 for model, cfg in runs for _ in range(reps)]
     workers = min(parallel, len(runs), os.cpu_count() or 1)

@@ -121,3 +121,41 @@ def test_claim_record_applies_the_gain_rule(pairs, met):
 def test_claim_record_of_a_workload_whose_runs_all_failed():
     summary = {"w": {"sweep_s": bench_pairs.summarize(_runs([(1.0, None)] * 3), "sweep_s", True)}}
     assert bench_pairs.claim_record(summary, "w:sweep_s", True) == {"workload": "w", "metric": "sweep_s", "pairs": 0, "met": False}
+
+
+def _fake_import_runner(calls):
+    """A subprocess.run that answers an import run with 0.5 s in the parent
+    tree and 0.4 s in the change, recording each run's side and settings."""
+    def run(cmd, cwd, env, **kwargs):
+        side = Path(cwd).parent.name
+        calls.append((side, Path(cwd).name, env.get("PYTHONDONTWRITEBYTECODE"), cmd[1:] == ["-c", bench_pairs.IMPORT_CODE]))
+        return subprocess.CompletedProcess(cmd, 0, {"parent": "0.5\n", "change": "0.4\n"}[side], "")
+    return run
+
+
+def test_imports_alternate_the_sides_from_each_trees_src(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", _fake_import_runner(calls))
+    trees = {side: Path("/nowhere") / side for side in bench_pairs.SIDES}
+    imports = bench_pairs.time_imports(trees, 3)
+    assert [side for side, *_ in calls] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert {tuple(rest) for _, *rest in calls} == {("src", "1", True)}
+    assert imports == {"runs": 3, "parent_median": 0.5, "change_median": 0.4, "pair_ratios": [0.8] * 3, "parent": [0.5] * 3, "change": [0.4] * 3}
+
+
+@pytest.mark.parametrize("quick, runs", [(False, 15), (True, 2)])
+def test_a_run_always_times_the_imports(monkeypatch, tmp_path, quick, runs):
+    # the workload runs and the trees are faked: only the import runs start
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", _fake_import_runner(calls))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kwargs: subprocess.CompletedProcess(args, 0, "abc\n", ""))
+    monkeypatch.setattr(bench_pairs, "export_parent", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "export_change", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: {"seed": args[2], "correct": True, "failed": 0, "sweep_s": 1.0})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--tag", "t", "--workload", "nstar_bruteforce:1", "--out", str(out)] + ["--quick"] * quick) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert len(calls) == 2 * runs
+    assert (record["imports"]["runs"], record["imports"]["parent_median"], record["imports"]["change_median"]) == (runs, 0.5, 0.4)
+    # for reading only: no claim rests on them
+    assert record["claim"] is None

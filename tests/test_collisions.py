@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ri_thermalizer import collisions, simtime
+from ri_thermalizer import collisions, models, simtime
 from ri_thermalizer.collisions import (
     CollisionConfig,
     collide_once,
@@ -259,7 +259,7 @@ class TestEvolve:
         # evolve draws a chunk of collisions at a time (2, 2, 16 and 1024 of
         # them here); each state must be collide_once's at that collision
         # index, byte for byte, across the chunk edges
-        monkeypatch.setattr(collisions, "_DRAW_CHUNK_ENTRIES", chunk_entries)
+        monkeypatch.setattr(models, "_DRAW_CHUNK_ENTRIES", chunk_entries)
         model = ModelSpec(
             SystemSpec(d=d, omega=1.0), AncillaSpec(omega=1.0, beta=0.8), RandomFull(lo=0.05, hi=0.9, seed=2**40 + d)
         )

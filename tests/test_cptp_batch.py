@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ri_thermalizer import simtime
-from ri_thermalizer.collisions import CollisionConfig, _collide, collide_once, collision_unitary
+from ri_thermalizer.collisions import CollisionConfig, _collide, collide_once, collision_unitary, evolve
 from ri_thermalizer.linalg import _trace_distances, partial_trace_second, trace_distance, unitary_from_hamiltonian
 from ri_thermalizer.models import (
     AncillaSpec,
@@ -29,6 +29,7 @@ from ri_thermalizer.models import (
     RandomFull,
     SystemSpec,
     ancilla_thermal_state,
+    bare_hamiltonian,
     flip_flop_model,
     random_density_matrix,
     total_hamiltonian,
@@ -167,28 +168,49 @@ class TestNamedCases:
         monkeypatch.setattr(simtime, "_BLOCK_BYTES", 2 * simtime._CPTP_ROW_ARRAYS * 16 * 6 * 6)
         assert _assert_batch_matches(self.RHO0, models, cfgs) == whole
 
-    def test_crossed_random_full_rows_take_no_collision_after_the_scan(self, monkeypatch):
-        # one draw and one collision per step of the batch's scan, and no
-        # scan in the rows' single runs, which start within epsilon
-        calls, steps = {"draws": 0, "collisions": 0}, []
-        draw, collide, scan = simtime._random_couplings, simtime._collide, simtime._first_crossings
+    @pytest.mark.parametrize("chunk_entries", [2**14, 10 * 6 * 6])
+    def test_crossed_random_full_rows_take_no_collision_after_the_scan(self, monkeypatch, chunk_entries):
+        # one collision per step of the batch's scan, one draw per chunk of
+        # collisions drawn ahead, and no scan in the rows' single runs, which
+        # start within epsilon
+        calls, steps = {"draws": 0, "rows drawn": 0, "collisions": 0}, []
+        draw, collide, scan = simtime._draw_couplings, simtime._collide, simtime._first_crossings
 
-        def counted(name, fn):
-            return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+        def counted_draw(*args):
+            h_i = draw(*args)
+            calls["draws"] += 1
+            calls["rows drawn"] += h_i.shape[0] * h_i.shape[1]
+            return h_i
+
+        def counted_collide(*args):
+            calls["collisions"] += 1
+            return collide(*args)
 
         def counted_scan(step, *args):
             steps.append(0)
             return scan(lambda *a: steps.__setitem__(-1, steps[-1] + 1) or step(*a), *args)
 
-        monkeypatch.setattr(simtime, "_random_couplings", counted("draws", draw))
-        monkeypatch.setattr(simtime, "_collide", counted("collisions", collide))
+        monkeypatch.setattr("ri_thermalizer.models._DRAW_CHUNK_ENTRIES", chunk_entries)
+        monkeypatch.setattr(simtime, "_draw_couplings", counted_draw)
+        monkeypatch.setattr(simtime, "_collide", counted_collide)
         monkeypatch.setattr(simtime, "_first_crossings", counted_scan)
         models, cfgs, res = self._random_full_batch()
-        calls["draws"] = calls["collisions"] = 0
+        calls.update(dict.fromkeys(calls, 0))
         steps.clear()
         assert nstar_simulated_batch(self.RHO0, models, cfgs) == res
         assert steps == [max(r.n_star for r in res)]
-        assert calls == {"draws": steps[0], "collisions": steps[0]}
+        # at collision k of a chunk's start, the rows still above epsilon
+        # (n* > k) draw as many collisions as fill the chunk's (6, 6)
+        # entries, at least one, and none past n_max
+        chunks = rows = k = 0
+        while k < steps[0]:
+            live = sum(r.n_star > k for r in res)
+            ahead = min(max(1, chunk_entries // (live * 6 * 6)), cfgs[0].n_max - k)
+            chunks, rows, k = chunks + 1, rows + live * ahead, k + ahead
+        assert calls == {"draws": chunks, "rows drawn": rows, "collisions": steps[0]}
+        # n* = 0, 55, 73, 116, 76: 113 collisions of four rows, then 287 of
+        # the last (to n_max); or 2 of four rows first, with 10 * 36 entries
+        assert (chunks, rows) == {2**14: (2, 739), 10 * 6 * 6: (39, 328)}[chunk_entries]
 
     def test_random_full_rows_of_one_temperature_share_their_arrays(self, monkeypatch):
         # H_0, rho_A and the Gibbs target depend on (system, ancilla) only:
@@ -333,3 +355,98 @@ def test_the_two_block_joint_state_gives_the_outer_products_bytes(rows, d, beta,
     got = _collide(rho_s, unitary, rho_a.diagonal(axis1=-2, axis2=-1))
     assert got.tobytes() == expected.tobytes()
     assert got[0].tobytes() == _collide(rho_s[0], unitary if shared else unitary[0], rho_a[0].diagonal()).tobytes()
+
+
+# The RandomFull scan draws a chunk of collisions ahead of its live rows.
+# Each row's crossing must stay that of one collision at a time under
+# default_rng([seed, k]).uniform's couplings, whatever the chunk, the row
+# count, the seed's word count or the words of k.
+
+def _default_rng_trail(rho0, model, tau, n, collision=0):
+    """The distances to the model's Gibbs target after 0..n collisions from
+    index collision on, each under the couplings that default_rng([seed, k])
+    draws, one at a time."""
+    ispec, d = model.interaction, model.system.d
+    rows, cols = np.triu_indices(2 * d, k=1)
+    h0 = bare_hamiltonian(model.system, model.ancilla)
+    p_a = ancilla_thermal_state(model.ancilla).diagonal()
+    rho, distances = rho0, [trace_distance(rho0, model.gibbs_target)]
+    for k in range(collision, collision + n):
+        h_i = np.zeros((2 * d, 2 * d), dtype=complex)
+        h_i[rows, cols] = h_i[cols, rows] = np.random.default_rng([ispec.seed, k]).uniform(ispec.lo, ispec.hi, rows.size)
+        rho = _collide(rho, unitary_from_hamiltonian(h0 + h_i, tau), p_a)
+        distances.append(trace_distance(rho, model.gibbs_target))
+    return distances
+
+
+def _first_at_or_below(distances, epsilon):
+    return next((n for n, x in enumerate(distances) if x <= epsilon), None)
+
+
+# seeds of one, two and three 32-bit words, at betas whose rows cross at
+# different collisions, most of them inside a chunk
+_SEEDS = [(0.4, 7), (0.9, 2**40 + 3), (1.6, 2**70 + 11), (2.5, 2**32 - 1), (math.inf, 2**64), (1.1, 0)]
+
+
+@pytest.mark.parametrize("chunk_entries", [2**14, 3 * 6 * 6, 6 * 6])
+@pytest.mark.parametrize("rows_per_block", [None, 1, 2])
+def test_the_draw_ahead_scan_gives_default_rngs_crossings(monkeypatch, chunk_entries, rows_per_block):
+    monkeypatch.setattr("ri_thermalizer.models._DRAW_CHUNK_ENTRIES", chunk_entries)
+    if rows_per_block:
+        monkeypatch.setattr(simtime, "_BLOCK_BYTES", rows_per_block * simtime._CPTP_ROW_ARRAYS * 16 * 6 * 6)
+    rho0, n_max = np.diag([0.1, 0.3, 0.6]).astype(complex), 120
+    models = [_random_full(3, beta, seed) for beta, seed in _SEEDS]
+    cfgs = [CollisionConfig(tau=100.0, n_max=n_max, epsilon=0.04) for _ in models]
+    batch = nstar_simulated_batch(rho0, models, cfgs)
+    crossings = []
+    for model, cfg, res in zip(models, cfgs, batch):
+        distances = _default_rng_trail(rho0, model, cfg.tau, n_max)
+        n = _first_at_or_below(distances, cfg.epsilon)
+        assert (res.n_star, res.final_distance) == (n, distances[n_max if n is None else n])
+        assert evolve(rho0, model, cfg, n_max).distances == distances
+        assert nstar_simulated(rho0, model, cfg, engine="brute_force") == res
+        crossings.append(n)
+    # rows leave the scan at four different collisions, all before the cap
+    assert len(set(crossings)) >= 4 and None not in crossings
+
+
+@pytest.mark.parametrize("chunk_entries", [2**14, 5 * 6 * 6])
+def test_a_collision_offset_whose_chunk_crosses_k_2_32(monkeypatch, chunk_entries):
+    # collisions 2^32 - 3 on: k takes one word, then two, within one chunk
+    monkeypatch.setattr("ri_thermalizer.models._DRAW_CHUNK_ENTRIES", chunk_entries)
+    rho0, offset, n_max = np.diag([0.1, 0.3, 0.6]).astype(complex), 2**32 - 3, 60
+    for beta, seed in _SEEDS[:3]:
+        model = _random_full(3, beta, seed)
+        distances = _default_rng_trail(rho0, model, 100.0, n_max, collision=offset)
+        # epsilon at the lowest distance of the first 10 collisions, first
+        # reached past k = 2^32 (n > 3)
+        epsilon = min(distances[:11])
+        res = nstar_simulated(rho0, model, CollisionConfig(tau=100.0, n_max=n_max, epsilon=epsilon), collision=offset)
+        n = _first_at_or_below(distances, epsilon)
+        assert n > 3 and (res.n_star, res.final_distance) == (n, distances[n])
+        res = nstar_simulated(rho0, model, CollisionConfig(tau=100.0, n_max=n_max, epsilon=1e-12), collision=offset)
+        assert (res.n_star, res.final_distance) == (None, distances[n_max])
+        # a numpy offset at the top of its dtype counts on as a Python int
+        # would, past 2^32 - 1, not round to 0
+        res = nstar_simulated(rho0, model, CollisionConfig(tau=100.0, n_max=5, epsilon=1e-12), collision=np.uint32(2**32 - 1))
+        assert res.final_distance == _default_rng_trail(rho0, model, 100.0, 5, collision=2**32 - 1)[5]
+
+
+def test_an_n_max_1_scan_draws_one_collision_a_row(monkeypatch):
+    # one stack of every row's first collision: (rows, collisions) = (6, 1)
+    drawn, draw = [], simtime._draw_couplings
+
+    def counted(*args):
+        h_i = draw(*args)
+        drawn.append(h_i.shape[:2])
+        return h_i
+
+    monkeypatch.setattr(simtime, "_draw_couplings", counted)
+    rho0 = np.diag([0.1, 0.3, 0.6]).astype(complex)
+    models = [_random_full(3, beta, seed) for beta, seed in _SEEDS]
+    cfg = CollisionConfig(tau=100.0, n_max=1, epsilon=1e-9)
+    step, states, params = simtime._cptp_scan([(m, cfg) for m in models], rho0)
+    crossings = simtime._first_crossings(step, states, params, _trace_distances, [cfg.epsilon] * len(models), 1)
+    assert drawn == [(len(models), 1)]
+    for model, (n, dist, _, _) in zip(models, crossings):
+        assert (n, dist) == (None, _default_rng_trail(rho0, model, cfg.tau, 1)[1])

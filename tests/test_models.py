@@ -444,11 +444,14 @@ class TestStackedSeedHash:
         # rows of 1 to 8 words: short rows hash zero-padded, long ones take
         # the extra-entropy steps under a mask
         expected = np.stack([np.random.SeedSequence(words).generate_state(n_words, np.uint64) for words in entropy])
-        states = _seed_states(entropy, n_words)
+        # the rows as one array, zero past each row's length
+        width = max(map(len, entropy))
+        words = np.array([w + [0] * (width - len(w)) for w in entropy], dtype=np.uint32)
+        states = _seed_states(words, np.array([len(w) for w in entropy]), n_words)
         assert states.dtype == expected.dtype and states.tobytes() == expected.tobytes()
 
     def test_an_empty_stack(self):
-        assert _seed_states([], 4).shape == (0, 4)
+        assert _seed_states(np.zeros((0, 1), dtype=np.uint32), np.zeros(0, dtype=int), 4).shape == (0, 4)
         assert _random_couplings(3, [], 0).shape == (0, 6, 6)
 
     @settings(max_examples=100, deadline=None, derandomize=True)

@@ -363,7 +363,7 @@ class TestStartWithinEpsilon:
             finally:
                 reporting.pop()
 
-        names = ("_cptp_scan", "_powered_crossings", "unitary_from_hamiltonian", "_population_maps", "_random_couplings", "_first_crossings")
+        names = ("_cptp_scan", "_powered_crossings", "unitary_from_hamiltonian", "_population_maps", "_draw_couplings", "_first_crossings")
         for name in names:
             monkeypatch.setattr(simtime, name, counted(name, getattr(simtime, name)))
         single = simtime.nstar_simulated

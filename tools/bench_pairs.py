@@ -19,7 +19,10 @@ parent's interquartile range, their ratio (change / parent), the median
 and quartiles of the per-pair ratios (change / parent of one seed), the
 number of pairs and the pairs the change won.  Each run also keeps
 perfbench's unscaled medians (``RAW``, from its ``{"perfbench": ...}``
-line), summarized the same way; they are for reading only.  The per-pair
+line), summarized the same way; they are for reading only, as are the
+times of 15 fresh ``import ri_thermalizer.cli`` runs a side (2 with
+--quick), alternating the sides, each from its tree's ``src/`` with
+PYTHONDONTWRITEBYTECODE=1: both medians and the per-pair ratios.  The per-pair
 ratios matter where a workload's seeds differ in work, which widens the
 parent's IQR across seeds.  --claim adds the gain rule, on the end-to-end
 metric alone: the change wins at least nine pairs in ten and its median
@@ -50,6 +53,9 @@ SIDES = ("parent", "change")
 PAIRS = 6  # pairs of a workload named without its own count
 # perfbench's medians of the unscaled samples behind sweep_s, cpu_s and setup_s
 RAW = ("raw_sweep_s_median", "raw_cpu_s_median", "raw_setup_s_median")
+# fresh imports timed a side, and with --quick
+IMPORT_RUNS, QUICK_IMPORT_RUNS = 15, 2
+IMPORT_CODE = "import time; t = time.perf_counter(); import ri_thermalizer.cli; print(time.perf_counter() - t)"
 
 
 def parse_args(argv, bench: dict):
@@ -117,6 +123,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, quick: bool, 
     values = {name: result["metrics"][name]["value"] for name in metrics}
     raw = {name: info[name] for name in RAW if name in info}
     return {"seed": seed, "correct": result["correct"], "failed": result["failed"], **values, **raw}
+
+
+def time_imports(trees: dict, runs: int) -> dict:
+    """Seconds of ``runs`` fresh ``import ri_thermalizer.cli`` a side, in
+    pairs, the parent first in even pairs; each from the tree's src/ with
+    PYTHONDONTWRITEBYTECODE=1, so every run compiles the package anew."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    times = {side: [] for side in SIDES}
+    for i in range(runs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            proc = subprocess.run([sys.executable, "-c", IMPORT_CODE], cwd=trees[side] / "src", env=env, capture_output=True, text=True, check=True)
+            times[side].append(float(proc.stdout))
+    return {
+        "runs": runs,
+        "parent_median": statistics.median(times["parent"]),
+        "change_median": statistics.median(times["change"]),
+        "pair_ratios": [c / p for p, c in zip(times["parent"], times["change"])],
+        **times,
+    }
 
 
 def quartiles(values) -> tuple[float, float]:
@@ -198,6 +223,8 @@ def main(argv=None) -> int:
                     runs[name].append(run)
                     shown = ", ".join(f"{k} {run[k]:.4g}" for k in metrics if k in run)
                     print(f"{name} seed {seed} {side}: correct={run['correct']} {shown}", flush=True)
+        imports = time_imports(trees, QUICK_IMPORT_RUNS if args.quick else IMPORT_RUNS)
+        print(f"import ri_thermalizer.cli: parent {imports['parent_median']:.4g} s, change {imports['change_median']:.4g} s (medians)", flush=True)
 
     summary = {name: workload_summary(runs[name], metrics) for name, _ in plan}
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}" + " --quick" * args.quick
@@ -215,6 +242,7 @@ def main(argv=None) -> int:
             + f". Host: {platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}."
         ),
         "summary": summary,
+        "imports": imports,
         "runs": runs,
     }
     out = args.out or ROOT / f"BENCH_{args.tag}.json"
