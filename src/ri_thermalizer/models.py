@@ -232,12 +232,17 @@ def _upper_triangle(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _check_index(n) -> int:
+    """n as an int, checked as SeedSequence checks a seed or collision index."""
+    if (n := operator.index(n)) < 0:
+        raise ValueError("expected non-negative integer")
+    return n
+
+
 def _entropy_array(ints) -> tuple[np.ndarray, np.ndarray]:
     """Each int's little-endian 32-bit words (one for 0), as SeedSequence reads
     and checks them, zero-padded to one (N, W) uint32 array, and their counts."""
-    ints = [operator.index(n) for n in ints]
-    if any(n < 0 for n in ints):
-        raise ValueError("expected non-negative integer")
+    ints = [_check_index(n) for n in ints]
     counts = [(n.bit_length() + 31) // 32 or 1 for n in ints]
     shifts = range(0, 32 * max(counts, default=1), 32)
     return np.array([n >> s & 0xFFFFFFFF for n in ints for s in shifts], dtype=np.uint32).reshape(-1, len(shifts)), np.array(counts, dtype=int)
@@ -390,6 +395,7 @@ def interaction_hamiltonian(
         return _random_couplings(sys.d, [ispec], collision)[0]
     if not isinstance(ispec, (IsotropicFlipFlop, CounterRotating)):
         raise TypeError(f"unknown interaction spec {type(ispec).__name__}")
+    _check_index(collision)  # unused here, but checked as a RandomFull draw checks it
     dim = 2 * sys.d
     h_i = np.zeros((dim, dim), dtype=complex)
     for k in range(sys.d - 1):  # joint indices: |k+1, down> is 2k+2, |k, up> 2k+1

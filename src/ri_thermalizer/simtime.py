@@ -54,7 +54,6 @@ hands the row to one scan of all handed rows, which stops at
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,11 +80,12 @@ from .errors import (
     NoRootBelowCap,
     OutOfDomain,
 )
-from .linalg import _trace_distances, unitary_from_hamiltonian
+from .linalg import _check_hermitian, _spectral_unitary, _trace_distances, unitary_from_hamiltonian
 from .models import (
     IsotropicFlipFlop,
     ModelSpec,
     RandomFull,
+    _check_index,
     _draw_couplings,
     _draw_inputs,
     _gibbs_rows,
@@ -220,16 +220,19 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
     i, which stops at its own epsilons[i].  A single run is one row.
 
     states = step(states, params) advances the rows; params holds their
-    fixed data, their targets last, and distance(states, targets) gives
-    one value per row.  Real rows (populations) take up to _CHECK_EVERY
-    steps between checks, a trail of at most 1 / _TRAIL_SHARE of a block,
-    and one distance call checks the whole trail, flattened to rows
-    against the targets repeated.  Complex rows (density matrices) are
-    checked every step, so a crossed row takes no further step: no collision
-    or eigh, though a RandomFull row's draws may run to their chunk's end.
-    The rows still above their epsilon are compacted after a check where
-    some row finished.  A real row whose last step returned its state leaves
-    then, unreachable with the cap's bits, as every later state equals it.
+    fixed data, their targets last, and distance(states, targets) gives one
+    value per row (and, given a bound per row as a third argument, a value
+    above it only where the distance is).  Real rows (populations) take up
+    to _CHECK_EVERY steps between checks, a trail of at most 1 /
+    _TRAIL_SHARE of a block, and one distance call checks the whole trail,
+    flattened to rows against the targets repeated.  Complex rows (density
+    matrices) are checked every step, so a crossed row takes no further
+    step: no collision or eigh, though a RandomFull row's draws may run to
+    their chunk's end; their epsilons are the bounds, but at step 0 and
+    n_max, which a result may report.  The rows still above their epsilon
+    are compacted after a check where some row finished.  A real row whose
+    last step returned its state leaves then, unreachable with the cap's
+    bits, as every later state equals it.
     Returns per row (n, distance, previous, state): the steps taken (None
     when none crosses), the distance there, and copies of the row's state
     before the last step and at n, so no result keeps a stacked array alive.
@@ -264,8 +267,8 @@ def _first_crossings(step, states, params, distance, epsilons, n_max: int):
         for _ in range(k):
             trail.append(step(trail[-1], params))
         n += k
-        if k == 1:
-            dists = distance(trail[1], params[-1])[None]
+        if not real:
+            dists = distance(trail[1], params[-1], None if n == n_max else epsilons)[None]
         else:
             dists = distance(np.concatenate(trail[1:]), np.concatenate([params[-1]] * k)).reshape(k, -1)
 
@@ -391,9 +394,10 @@ def nstar_simulated(rho0: np.ndarray, model: ModelSpec, cfg: CollisionConfig, en
     path requires the resonant energy-conserving model; "auto" selects it
     when valid (falling back to the full CPTP map for coherent initial
     states above d = 3, where no coherence recursion is implemented).
-    collision is the index of the run's first collision, on which only
-    RandomFull draws depend.  A start within epsilon returns n* = 0 before
-    any map, unitary or draw, so nothing only they would reject raises.
+    collision is the index of the run's first collision: only RandomFull
+    draws depend on it, and every search checks it as they do.  A start
+    within epsilon returns n* = 0 before any map, unitary or draw, so
+    nothing only they would reject raises.
     """
     d = model.system.d
     rho0 = _checked_state(rho0, d)
@@ -425,7 +429,7 @@ def _nstar_searches(rho0: np.ndarray, runs, engine: str, collision: int = 0, dia
     coherent d = 3 run.  n* is None when none comes by the runs' n_max;
     start is the state the batch's report call starts from, the state at
     n*, or at the cap the CPTP state a collision before it and rho0."""
-    d, n_max, epsilons = rho0.shape[0], runs[0][1].n_max, [cfg.epsilon for _, cfg in runs]
+    d, n_max, epsilons, collision = rho0.shape[0], runs[0][1].n_max, [cfg.epsilon for _, cfg in runs], _check_index(collision)
     if engine == "brute_force":
         step, states, params = _cptp_scan(runs, rho0, collision)
     else:
@@ -477,10 +481,11 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
     summed per model and indexed out once.  A RandomFull row's start with
     its index among runs, H_0 and tau: at a chunk's end the step draws the
     live rows' next collisions (none past n_max) in one ``_draw_couplings``
-    (a row's draws are those of ``default_rng([seed, k])``, bit for bit) and
-    adds each row's H_0, and each step builds its collision's unitaries of
-    the live rows in one stacked eigh, counting collisions from ``collision``
-    on, one per call.  The rows are all RandomFull or all of fixed unitary.
+    (a row's draws are those of ``default_rng([seed, k])``, bit for bit),
+    adds each row's H_0 and checks the chunk Hermitian, and each step builds
+    its collision's unitaries of the live rows in one stacked eigh, unchecked
+    (``_spectral_unitary``), counting collisions from ``collision`` on, one
+    per call.  The rows are all RandomFull or all of fixed unitary.
     """
     random = isinstance(runs[0][0].interaction, RandomFull)
     index = {}
@@ -496,16 +501,16 @@ def _cptp_scan(runs, rho0: np.ndarray, collision: int = 0):
         h_i = np.stack([interaction_hamiltonian(m.system, m.interaction) for m in models])
         step = lambda states, params: _collide(states, *params[:2])
         return step, states, (unitary_from_hamiltonian((h0 + h_i)[rows], taus), p_as, targets)
-    d, inputs, k = models[0].system.d, _draw_inputs([m.interaction for m, _ in runs]), operator.index(collision)
+    d, inputs, k = models[0].system.d, _draw_inputs([m.interaction for m, _ in runs]), collision
     end, start, live, ahead = k + runs[0][1].n_max, k, None, np.empty((0, 0))
 
     def step(states, params):
         nonlocal k, start, live, ahead
         rows, h0, taus, p_as, _ = params
-        if k == start + ahead.shape[1]:  # H_0 + H_I of the chunk's rows and collisions
-            start, live, ahead = k, rows, h0[:, None] + _draw_couplings(d, tuple(a[rows] for a in inputs), range(k, end))
+        if k == start + ahead.shape[1]:  # H_0 + H_I of the chunk's rows and collisions, checked Hermitian once
+            start, live, ahead = k, rows, _check_hermitian(h0[:, None] + _draw_couplings(d, tuple(a[rows] for a in inputs), range(k, end)))
         k += 1
-        return _collide(states, unitary_from_hamiltonian(ahead[np.searchsorted(live, rows), k - 1 - start], taus), p_as)
+        return _collide(states, _spectral_unitary(ahead[np.searchsorted(live, rows), k - 1 - start], taus), p_as)
 
     return step, states, (np.arange(len(runs)), h0[rows], taus, p_as, targets)
 

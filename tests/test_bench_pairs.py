@@ -20,7 +20,7 @@ BENCH = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     "options, plan",
     [
         ([], [(w["name"], bench_pairs.PAIRS) for w in BENCH["workloads"]]),
-        (["--workload", "nstar_recursion:10", "--workload", "random_ensemble"], [("nstar_recursion", 10), ("random_ensemble", 6)]),
+        (["--workload", "nstar_recursion:4", "--workload", "random_ensemble"], [("nstar_recursion", 4), ("random_ensemble", 10)]),
         (["--workload", "nstar_bruteforce:1", "--claim", "nstar_bruteforce:sweep_s"], [("nstar_bruteforce", 1)]),
     ],
 )

@@ -12,6 +12,7 @@ the full outer product rho_S (x) rho_A, the formula kept here as reference.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -450,3 +451,65 @@ def test_an_n_max_1_scan_draws_one_collision_a_row(monkeypatch):
     assert drawn == [(len(models), 1)]
     for model, (n, dist, _, _) in zip(models, crossings):
         assert (n, dist) == (None, _default_rng_trail(rho0, model, cfg.tau, 1)[1])
+
+
+# The scan checks a density-matrix row against its epsilon every step with
+# bounds (``_trace_distances(..., above)``): a row whose diagonal bound
+# proves it above epsilon skips eigvalsh.  Each row's (n, distance,
+# previous, state) must stay, bit for bit, what the exact kernel gives.
+
+def _exact(rho, sigma, above=None):
+    return _trace_distances(rho, sigma)
+
+
+def _scan(models, cfg, rho0, epsilons, distance):
+    """The CPTP scan of the rows from rho0 under distance, and the rows of
+    each eigvalsh call it made."""
+    stacks, eigvalsh = [], np.linalg.eigvalsh
+    with mock.patch.object(np.linalg, "eigvalsh", lambda a: stacks.append(len(a)) or eigvalsh(a)):
+        step, states, params = simtime._cptp_scan([(m, cfg) for m in models], rho0)
+        crossings = simtime._first_crossings(step, states, params, distance, epsilons, cfg.n_max)
+    return crossings, stacks
+
+
+def _assert_same_crossings(got, expected):
+    for (n, dist, previous, state), (n_ref, dist_ref, previous_ref, state_ref) in zip(got, expected, strict=True):
+        assert n == n_ref and np.float64(dist).tobytes() == np.float64(dist_ref).tobytes()
+        assert previous.tobytes() == previous_ref.tobytes() and state.tobytes() == state_ref.tobytes()
+
+
+@pytest.mark.parametrize("random", [False, True], ids=["fixed-unitary", "RandomFull"])
+def test_the_screened_scan_gives_the_exact_kernels_crossings(random):
+    # epsilon per row on its distance at a step, or a float either side:
+    # at step 0, mid-scan, at n_max (just below: unreachable with the cap's
+    # distance), and far below every distance
+    rho0, n_max = np.diag([0.1, 0.3, 0.6]).astype(complex), 40
+    cfg = CollisionConfig(tau=100.0 if random else 0.9, n_max=n_max, epsilon=0.5)
+    marks = [(0, 0), (0, -1), (7, 0), (7, -1), (7, 1), (19, 0), (n_max, 0), (n_max, -1), (None, 0)]
+    betas = np.linspace(0.3, 3.0, len(marks))
+    models = [_random_full(3, beta, seed) if random else flip_flop_model(3, 1.0, beta, 1.0) for beta, seed in zip(betas, range(3, 100))]
+    epsilons = []
+    for model, (at, nudge) in zip(models, marks):
+        distances = evolve(rho0, model, cfg, n_max).distances
+        epsilons.append(1e-12 if at is None else math.nextafter(distances[at], nudge * math.inf) if nudge else distances[at])
+    screened, stacks = _scan(models, cfg, rho0, epsilons, _trace_distances)
+    exact, exact_stacks = _scan(models, cfg, rho0, epsilons, _exact)
+    _assert_same_crossings(screened, exact)
+    ns = [n for n, *_ in exact]
+    assert ns[0] == 0 and ns[-3] == n_max and ns[-2] is None and ns[-1] is None and sum(n is not None for n in ns) >= 6
+    # every row at step 0, each crossed row at its crossing, the rows left at
+    # n_max, and any row whose bound falls within its epsilon before it crosses
+    assert len(stacks) < len(exact_stacks) and sum(stacks) < sum(exact_stacks) / 4
+    assert sum(stacks) >= len(models) + sum(0 < n < n_max for n in ns if n is not None) + 3
+
+
+def test_the_rows_a_seeded_random_full_scan_hands_to_eigvalsh():
+    # pinned: 6 rows at step 0, then each row at its crossing (two at
+    # collision 97), where the exact kernel takes 646 rows in 119 calls
+    rho0, cfg = np.diag([0.1, 0.3, 0.6]).astype(complex), CollisionConfig(tau=100.0, n_max=120, epsilon=0.04)
+    models = [_random_full(3, beta, seed) for beta, seed in _SEEDS]
+    screened, stacks = _scan(models, cfg, rho0, [cfg.epsilon] * len(models), _trace_distances)
+    exact, exact_stacks = _scan(models, cfg, rho0, [cfg.epsilon] * len(models), _exact)
+    _assert_same_crossings(screened, exact)
+    assert stacks == [6, 2, 1, 1, 1, 1, 1] and (sum(exact_stacks), len(exact_stacks)) == (646, 119)
+    assert sorted(n for n, *_ in exact) == [97, 97, 100, 113, 115, 118]

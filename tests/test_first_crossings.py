@@ -152,7 +152,7 @@ def test_complex_rows_are_checked_every_step():
     targets = np.zeros_like(states)
     calls = []
     step = lambda s, params: calls.append(len(s)) or 0.5 * s
-    distance = lambda s, t: np.abs(s - t).sum(axis=(1, 2))
+    distance = lambda s, t, above=None: np.abs(s - t).sum(axis=(1, 2))
     got = simtime._first_crossings(step, states, (targets,), distance, [0.1, 0.1, 0.1], 50)
     assert [n for n, *_ in got] == [5, 6, 7]
     assert calls == [3] * 5 + [2, 1]

@@ -263,3 +263,46 @@ def test_a_closed_form_rejects_a_p0_entry_that_is_not_finite(name, value, entry)
     p0[entry] = value
     with pytest.raises(ValueError, match="expected finite entries"):
         CLOSED_FORMS[name](p0)
+
+
+# every model checks a collision index as a RandomFull draw does, although a
+# fixed unitary never reads it: collision="x" gave n* = 15 on the flip-flop
+COLLISION_MODELS = {
+    "flip-flop": rt.flip_flop_model(3, 1.0, 1.0, 1.0),
+    "counter-rotating": rt.ModelSpec(rt.SystemSpec(3), rt.AncillaSpec(1.0, 1.0), rt.CounterRotating(1.0, 0.5)),
+    "RandomFull": rt.ModelSpec(rt.SystemSpec(3), rt.AncillaSpec(1.0, 1.0), rt.RandomFull(0.1, 0.9, 5)),
+}
+COLLISION_CFG = rt.CollisionConfig(0.9, 50, 1e-3)
+COLLISION_CALLS = {
+    "nstar_simulated-brute_force": lambda model, k: rt.nstar_simulated(np.eye(3) / 3, model, COLLISION_CFG, engine="brute_force", collision=k),
+    "nstar_simulated-auto": lambda model, k: rt.nstar_simulated(np.eye(3) / 3, model, COLLISION_CFG, collision=k),
+    "collide_once": lambda model, k: rt.collide_once(np.eye(3) / 3, model, COLLISION_CFG, collision=k),
+    "collision_unitary": lambda model, k: rt.collision_unitary(model, 0.9, collision=k),
+    "interaction_hamiltonian": lambda model, k: rt.interaction_hamiltonian(model.system, model.interaction, k),
+}
+
+
+@pytest.mark.parametrize("call", COLLISION_CALLS)
+@pytest.mark.parametrize("model", COLLISION_MODELS)
+@pytest.mark.parametrize(
+    "value, error",
+    [("x", TypeError), (None, TypeError), (2.0, TypeError), (np.float64(3.0), TypeError), (-1, ValueError), (np.int64(-3), ValueError), (-(2**70), ValueError)],
+    ids=["str", "None", "float", "np.float64", "-1", "np.int64", "-2^70"],
+)
+def test_a_collision_index_that_is_not_a_nonnegative_integer_raises(call, model, value, error):
+    with pytest.raises(error) as info:
+        COLLISION_CALLS[call](COLLISION_MODELS[model], value)
+    if error is ValueError:
+        assert str(info.value) == "expected non-negative integer"
+    else:
+        assert "cannot be interpreted as an integer" in str(info.value)
+
+
+@pytest.mark.parametrize("call", COLLISION_CALLS)
+@pytest.mark.parametrize("model", ["flip-flop", "counter-rotating"])
+def test_a_fixed_unitary_takes_any_nonnegative_integer_index_alike(call, model):
+    # numpy integers and a bool index as operator.index reads them
+    expected = COLLISION_CALLS[call](COLLISION_MODELS[model], 0)
+    for value in (1, np.uint8(3), np.uint64(2**64 - 1), True, 2**70):
+        got = COLLISION_CALLS[call](COLLISION_MODELS[model], value)
+        assert repr(got) == repr(expected)

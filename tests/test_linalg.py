@@ -1,10 +1,15 @@
 """Unit tests for the dense linear-algebra layer."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ri_thermalizer.errors import DimensionMismatch, NoConvergence, NotHermitian
 from ri_thermalizer.linalg import (
+    _trace_distances,
     hermitian_eigen,
     partial_trace_second,
     trace_distance,
@@ -240,3 +245,98 @@ class TestTraceDistance:
         # numpy's LinAlgError, typed by the kernel the scans share
         with pytest.raises(NoConvergence, match="trace distance"):
             trace_distance(np.full((3, 3), np.nan, dtype=complex), np.eye(3) / 3)
+
+
+def _screen_stack(d, rows, kind, scale, seed):
+    """rho and sigma stacks whose differences are near-diagonal (off-diagonal
+    entries 10^-scale of the diagonal's, 0 at scale 0: diagonal) or dense,
+    rho a density matrix and sigma a diagonal target."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((rows, d))
+    sigma = np.stack([np.diag(q / q.sum()) for q in p]).astype(complex)
+    if kind == "dense":
+        g = rng.normal(size=(rows, d, d)) + 1j * rng.normal(size=(rows, d, d))
+        rho = g @ g.conj().swapaxes(-1, -2)
+    else:
+        rho = np.stack([np.diag(q) for q in rng.random((rows, d))]).astype(complex)
+        if scale:
+            off = rng.normal(size=(rows, d, d)) + 1j * rng.normal(size=(rows, d, d))
+            rho += 10.0**-scale * (off + off.conj().swapaxes(-1, -2))
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None], sigma
+
+
+def _near(x, nudge):
+    return x if nudge == 0 else math.nextafter(x, nudge * math.inf)
+
+
+class TestDistanceScreen:
+    """``_trace_distances`` given ``above``: a row returns its diagonal bound
+    L only where its exact distance lies above its bound too; every other
+    row returns the exact kernel's bits."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 32),
+        st.integers(1, 6),
+        st.sampled_from(["near-diagonal", "dense"]),
+        st.sampled_from([0, 8, 12, 17, 30]),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.sampled_from(["distance", "L"]), st.sampled_from([-1, 0, 1])), min_size=6, max_size=6),
+    )
+    def test_the_verdict_is_the_exact_kernels(self, d, rows, kind, scale, seed, choices):
+        # above on a row's computed distance or on L, or one float either side
+        rho, sigma = _screen_stack(d, rows, kind, scale, seed)
+        exact = _trace_distances(rho, sigma)
+        low = 0.5 * np.abs((rho - sigma).real.diagonal(0, -2, -1)).sum(axis=-1)
+        above = np.array([_near(float((exact if at == "distance" else low)[i]), nudge) for i, (at, nudge) in enumerate(choices[:rows])])
+        got = _trace_distances(rho, sigma, above)
+        assert np.array_equal(got <= above, exact <= above)
+        for i in range(rows):
+            if got[i].tobytes() != exact[i].tobytes():
+                assert got[i].tobytes() == low[i].tobytes() and got[i] > above[i]
+
+    def test_rows_well_above_their_bound_skip_eigvalsh(self, monkeypatch):
+        rho, sigma = _screen_stack(4, 6, "dense", 0, 3)
+        exact = _trace_distances(rho, sigma)
+        low = 0.5 * np.abs((rho - sigma).real.diagonal(0, -2, -1)).sum(axis=-1)
+        above = np.where(np.arange(6) % 2, 1e-3, 1.0)  # distances lie in (1e-3, 1)
+        stacks = _spy_eigvalsh(monkeypatch)
+        got = _trace_distances(rho, sigma, above)
+        assert stacks == [3] and (low < exact).all()
+        assert got[::2].tobytes() == exact[::2].tobytes() and got[1::2].tobytes() == low[1::2].tobytes()
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (0, 1)], ids=["diagonal", "lower", "upper"])
+    def test_a_stack_with_an_entry_that_is_not_finite_takes_the_exact_path(self, monkeypatch, entry):
+        # eigvalsh reads the lower triangle: NaN there raises, in the upper
+        # triangle it passes unread, with or without bounds
+        rho, sigma = _screen_stack(3, 4, "dense", 0, 4)
+        rho[(2, *entry)] = np.nan
+        stacks = _spy_eigvalsh(monkeypatch)
+        if entry == (0, 1):
+            assert _trace_distances(rho, sigma, np.full(4, 1e-6)).tobytes() == _trace_distances(rho, sigma).tobytes()
+        else:
+            with pytest.raises(NoConvergence, match="trace distance"):
+                _trace_distances(rho, sigma, np.full(4, 1e-6))
+        assert stacks[0] == 4
+
+    @pytest.mark.parametrize("big", [False, True], ids=["below-the-floor", "overflowing"])
+    def test_an_l_below_the_floor_or_past_the_largest_float_takes_the_exact_path(self, monkeypatch, big):
+        # L below tiny / u, where subnormal rounding is not small against u L,
+        # and an L whose sum of finite entries overflows to inf
+        rho, sigma = _screen_stack(3, 4, "dense", 0, 5)
+        if big:
+            rho[:, 0, 0] = rho[:, 1, 1] = 1e308
+        else:
+            rho, sigma = 1e-300 * rho, 1e-300 * sigma
+        stacks = _spy_eigvalsh(monkeypatch)
+        with np.errstate(over="ignore"):
+            got = _trace_distances(rho, sigma, np.full(4, 5e-324))
+            assert stacks == [4] and got.tobytes() == _trace_distances(rho, sigma).tobytes()
+        assert np.isinf(got).all() if big else (got < 1e-290).all()
+
+
+def _spy_eigvalsh(monkeypatch):
+    """Record the rows of each eigvalsh call from here on."""
+    stacks, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(len(a)) or eigvalsh(a))
+    return stacks

@@ -9,7 +9,7 @@ the change is the working tree's files that git tracks or would track.
 Each copy goes to its own temporary directory, and ``perfbench/run.py
 --workload W --seed S --seconds X`` runs from each in turn: pair S uses
 seed S, the parent first on even seeds and the change first on odd ones.
-A workload runs its own number of pairs (``NAME:10``) or six (every
+A workload runs its own number of pairs (``NAME:4``) or ten (every
 workload in BENCHMARK.json when none is named).
 
 The result, ``BENCH_<tag>.json`` at the root of the checkout unless --out
@@ -50,7 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-PAIRS = 6  # pairs of a workload named without its own count
+PAIRS = 10  # pairs of a workload named without its own count
 # perfbench's medians of the unscaled samples behind sweep_s, cpu_s and setup_s
 RAW = ("raw_sweep_s_median", "raw_cpu_s_median", "raw_setup_s_median")
 # fresh imports timed a side, and with --quick
